@@ -26,32 +26,25 @@ def _clean_sample(values, name: str) -> np.ndarray:
     return arr
 
 
-def informativeness(a, b, n_intervals: int = DEFAULT_INTERVALS,
-                    per_class_range: bool = False) -> float:
+def informativeness(a, b, n_intervals: int = DEFAULT_INTERVALS) -> float:
     """Maximum cumulative-frequency gap between two samples.
 
     The pooled range [min(a+b), max(a+b)] is divided into n_intervals
     equal bins and both empirical distribution functions are evaluated at
     the bin boundaries.  Identical samples score 0; samples with disjoint
-    supports approach 1.  With per_class_range each sample is binned over
-    its own range instead and the curves are compared boundary-by-
-    boundary; this variant is kept for comparison and is not the default.
+    supports approach 1.
     """
     a = _clean_sample(a, "first")
     b = _clean_sample(b, "second")
     if n_intervals < 1:
         raise AnalysisError(f"n_intervals must be >= 1, got {n_intervals}")
-    if per_class_range:
-        edges_a = np.linspace(a.min(), a.max(), n_intervals + 1)
-        edges_b = np.linspace(b.min(), b.max(), n_intervals + 1)
-    else:
-        lo = min(a.min(), b.min())
-        hi = max(a.max(), b.max())
-        if hi == lo:
-            return 0.0
-        edges_a = edges_b = np.linspace(lo, hi, n_intervals + 1)
-    fa = np.searchsorted(np.sort(a), edges_a, side="right") / a.size
-    fb = np.searchsorted(np.sort(b), edges_b, side="right") / b.size
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if hi == lo:
+        return 0.0
+    edges = np.linspace(lo, hi, n_intervals + 1)
+    fa = np.searchsorted(np.sort(a), edges, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), edges, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
 
 

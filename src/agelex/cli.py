@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (DEFAULT_INTERVALS, correlation_matrix, metrics,
-                       rank_features)
+from .analysis import DEFAULT_INTERVALS, correlation_matrix, rank_features
 from .corpus import AgeRating, Corpus, Document, Label, Split, corpus_stats, load_corpus, random_split, write_corpus
 from .errors import AgelexError, ConfigError
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, QUANTITATIVE_FAMILIES, extract_all
@@ -160,7 +159,9 @@ def _parse_families(raw: str) -> tuple[str, ...]:
 def _split_docs(corpus: Corpus, which: str) -> list[Document]:
     if which == "all":
         return list(corpus)
-    return corpus.subset(Split.TRAIN if which == "train" else Split.TEST)
+    if which not in ("train", "test"):
+        raise ConfigError(f"split must be train, test or all, got {which!r}")
+    return corpus.subset(Split(which))
 
 
 def _feature_matrix(docs: list[Document], resources: Resources,
@@ -259,12 +260,13 @@ def cmd_train(opts: Options) -> int:
     corpus = load_corpus(opts.args.corpus)
     recipe = Recipe(use_tfidf=opts.tfidf, families=_parse_families(opts.features),
                     use_abstract=opts.abstracts)
-    trained = train_pipeline(corpus, resources, recipe, opts.model, _settings(opts))
+    vectors = CorpusVectors(resources)
+    trained = train_pipeline(corpus, resources, recipe, opts.model, _settings(opts), vectors)
     out = _out_dir(opts)
     model_path = out / f"model_{opts.model}.json"
     save_model(trained, model_path)
     train_docs = corpus.subset(Split.TRAIN)
-    report = trained.evaluate(train_docs, resources, positive=_positive(opts))
+    report = trained.evaluate(train_docs, resources, vectors, positive=_positive(opts))
     print(f"trained {opts.model} on {len(train_docs)} documents -> {model_path}")
     print(f"training accuracy = {report.accuracy:.4f}, f1 = {report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
@@ -278,17 +280,16 @@ def cmd_evaluate(opts: Options) -> int:
     trained = load_model(opts.args.model_file)
     if not isinstance(trained, TrainedPipeline):
         raise ConfigError(f"{opts.args.model_file} does not contain a trained pipeline")
-    which = opts.split if opts.split in ("train", "test", "all") else "test"
-    docs = _split_docs(corpus, which)
+    docs = _split_docs(corpus, opts.split)
     if not docs:
-        raise ConfigError(f"corpus has no documents in split {which!r}")
+        raise ConfigError(f"corpus has no documents in split {opts.split!r}")
     report = trained.evaluate(docs, resources, positive=_positive(opts))
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
-    row = [which, len(docs), report.accuracy, report.precision, report.recall,
+    row = [opts.split, len(docs), report.accuracy, report.precision, report.recall,
            report.f1, report.positive_class.value, report.tp, report.fp, report.fn, report.tn]
     _write_tsv(_out_dir(opts) / "metrics.tsv", header, [row])
-    print(f"{which}: accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
+    print(f"{opts.split}: accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
     return 0

@@ -8,6 +8,12 @@ training split only, optionally applies the variance-preserving SVD, and
 trains one of the two classifiers.  The grid mirrors the published
 experiment: a baseline bag-of-words model against every combination of
 added feature families and publishing attributes.
+
+Every document is read through a CorpusVectors, which analyzes it once
+and hands out its feature row and lemma sequence: training, batch
+prediction, single-text classification and the grid all build their
+design matrices from it.  Pass one instance as ``cache`` to reuse the
+analysis across calls on the same documents.
 """
 from __future__ import annotations
 
@@ -64,30 +70,34 @@ def label_to_int(label: Label) -> int:
 
 
 class CorpusVectors:
-    """Per-document caches shared by every grid condition.
+    """The one place a Document becomes model inputs.
 
-    Holds the 56-feature vector of each document plus the preprocessed
-    lemma sequences with and without the abstract appended, so the
-    expensive text analysis runs once per corpus.
+    Computes a document's 56-feature row and its preprocessed lemma
+    sequence, with or without the abstract appended, on first use and
+    keeps them.  Entries are keyed by the Document value itself, not its
+    id (a scored batch may repeat an id with a different text) and not
+    its text (equal previews with different metadata stay distinct), so
+    one instance can be shared by every model trained and evaluated on
+    the same documents.
     """
 
-    def __init__(self, corpus: Corpus, resources: Resources):
-        self.features: dict[str, np.ndarray] = {}
-        self.warnings: dict[str, tuple[str, ...]] = {}
-        self.lemmas: dict[str, list[str]] = {}
-        self.lemmas_abstract: dict[str, list[str]] = {}
-        for doc in corpus:
-            fv = extract_all(doc, resources)
-            self.features[doc.id] = np.asarray(fv.values)
-            if fv.warnings:
-                self.warnings[doc.id] = fv.warnings
-            self.lemmas[doc.id] = preprocess(doc.text, resources.morphology, resources.stopwords)
-            if doc.abstract is None:
-                self.lemmas_abstract[doc.id] = self.lemmas[doc.id]
-            else:
-                augmented = augment_with_abstract(doc.text, doc.abstract)
-                self.lemmas_abstract[doc.id] = preprocess(
-                    augmented, resources.morphology, resources.stopwords)
+    def __init__(self, resources: Resources):
+        self.resources = resources
+        self._features: dict[Document, np.ndarray] = {}
+        self._lemmas: dict[tuple[Document, bool], list[str]] = {}
+
+    def features(self, doc: Document) -> np.ndarray:
+        if doc not in self._features:
+            self._features[doc] = np.asarray(extract_all(doc, self.resources).values)
+        return self._features[doc]
+
+    def lemmas(self, doc: Document, use_abstract: bool) -> list[str]:
+        key = (doc, use_abstract and doc.abstract is not None)
+        if key not in self._lemmas:
+            text = augment_with_abstract(doc.text, doc.abstract) if key[1] else doc.text
+            self._lemmas[key] = preprocess(text, self.resources.morphology,
+                                           self.resources.stopwords)
+        return self._lemmas[key]
 
 
 @register_model_kind
@@ -112,42 +122,22 @@ class TrainedPipeline:
     fragment_limit: int = FRAGMENT_LIMIT
     seed: int = 42
 
-    def _doc_lemmas(self, doc: Document, resources: Resources) -> list[str]:
-        text = doc.text
-        if self.recipe.use_abstract:
-            text = augment_with_abstract(doc.text, doc.abstract)
-        return preprocess(text, resources.morphology, resources.stopwords)
+    def _fragments(self, docs: list[Document], vectors: CorpusVectors) -> list[list[str]]:
+        return [fragment(vectors.lemmas(doc, self.recipe.use_abstract), self.fragment_limit)
+                for doc in docs]
 
-    def _fragments(self, docs: list[Document], resources: Resources,
-                   cache: CorpusVectors | None) -> list[list[str]]:
-        out = []
-        for doc in docs:
-            if cache is not None:
-                lemmas = (cache.lemmas_abstract if self.recipe.use_abstract
-                          else cache.lemmas)[doc.id]
-            else:
-                lemmas = self._doc_lemmas(doc, resources)
-            out.append(fragment(lemmas, self.fragment_limit))
-        return out
-
-    def _raw_matrix(self, docs: list[Document], resources: Resources,
-                    cache: CorpusVectors | None) -> np.ndarray:
+    def _raw_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
         blocks = []
         if self.recipe.use_tfidf:
             assert self.tfidf is not None
-            blocks.append(self.tfidf.transform_many(self._fragments(docs, resources, cache)))
+            blocks.append(self.tfidf.transform_many(self._fragments(docs, vectors)))
         columns = self.recipe.feature_columns()
         if columns:
-            if cache is not None:
-                feats = np.vstack([cache.features[doc.id] for doc in docs])
-            else:
-                feats = np.vstack([np.asarray(extract_all(doc, resources).values) for doc in docs])
-            blocks.append(feats[:, columns])
+            blocks.append(np.vstack([vectors.features(doc) for doc in docs])[:, columns])
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
-    def _design_matrix(self, docs: list[Document], resources: Resources,
-                       cache: CorpusVectors | None) -> np.ndarray:
-        matrix = self.scaler.transform(self._raw_matrix(docs, resources, cache))
+    def _design_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
+        matrix = self.scaler.transform(self._raw_matrix(docs, vectors))
         if self.svd is not None:
             matrix = self.svd.transform(matrix)
         return matrix
@@ -156,13 +146,13 @@ class TrainedPipeline:
                           cache: CorpusVectors | None = None) -> np.ndarray:
         if not docs:
             raise ModelError("no documents to classify")
-        X = self._design_matrix(docs, resources, cache)
+        X = self._design_matrix(docs, cache if cache is not None else CorpusVectors(resources))
         return self.model.predict_many(X)
 
     def classify(self, doc: Document, resources: Resources) -> tuple[Label, float]:
         """Label one document; the score is the signed margin for the
         linear model and the winning vote share for the forest."""
-        X = self._design_matrix([doc], resources, None)
+        X = self._design_matrix([doc], CorpusVectors(resources))
         label_int, score = self.model.predict(X[0])
         return (Label.CHILDREN if label_int == CHILDREN else Label.ADULT), score
 
@@ -283,15 +273,15 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
     if not train_docs:
         raise ConfigError("corpus has no training documents")
 
+    vectors = cache if cache is not None else CorpusVectors(resources)
     draft = TrainedPipeline(
         recipe=recipe, model_kind=model_kind,
         model=None, scaler=None,  # type: ignore[arg-type]
         fragment_limit=settings.fragment_limit, seed=settings.seed,
     )
     if recipe.use_tfidf:
-        draft.tfidf = fit_tfidf(draft._fragments(train_docs, resources, cache),
-                                settings.max_terms)
-    raw = draft._raw_matrix(train_docs, resources, cache)
+        draft.tfidf = fit_tfidf(draft._fragments(train_docs, vectors), settings.max_terms)
+    raw = draft._raw_matrix(train_docs, vectors)
     draft.scaler = fit_minmax(raw)
     X = draft.scaler.transform(raw)
     if settings.svd_applies(model_kind):
@@ -352,7 +342,7 @@ def run_grid(corpus: Corpus, resources: Resources,
     test_docs = corpus.subset(Split.TEST)
     if not test_docs:
         raise ConfigError("corpus has no test documents; assign splits first")
-    cache = CorpusVectors(corpus, resources)
+    cache = CorpusVectors(resources)
     rows = []
     for kind in model_kinds:
         for name, recipe in (conditions if conditions is not None else grid_conditions()):

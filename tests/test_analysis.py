@@ -1,7 +1,7 @@
 """Cumulative-frequency informativeness, correlations and metrics."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agelex.analysis import (correlation_matrix, informativeness, metrics,
                              rank_features)
@@ -23,6 +23,18 @@ def brute_force_ks(a, b) -> float:
 
 
 SAMPLES = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40)
+
+
+def clear_of_interior_edges(values: np.ndarray, n_intervals: int) -> bool:
+    """True when no value lies near an interior bin edge of the pooled
+    range: within 1e-9 times the range, plus a rounding allowance of
+    1e-12 times the largest magnitude."""
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        return True
+    interior = np.linspace(lo, hi, n_intervals + 1)[1:-1]
+    margin = 1e-9 * (hi - lo) + 1e-12 * np.abs(values).max()
+    return bool(np.min(np.abs(values[:, None] - interior)) > margin)
 
 
 class TestInformativeness:
@@ -60,9 +72,19 @@ class TestInformativeness:
            st.floats(0.1, 5, allow_nan=False), st.floats(-10, 10, allow_nan=False))
     @settings(max_examples=60)
     def test_invariant_under_common_affine_map(self, a, b, scale, shift):
+        # Exact invariance is false in floating point: the shift can absorb
+        # a tiny value (0.0 and 5.44e-97 both map to 1.0), and rounding can
+        # move a value lying on an interior bin edge to the other side of
+        # it.  The property holds when the map keeps the pooled values
+        # strictly ordered and every pooled value stays clear of the edges.
+        ma = [scale * v + shift for v in a]
+        mb = [scale * v + shift for v in b]
+        before, after = np.array(a + b), np.array(ma + mb)
+        order = np.argsort(before, kind="stable")
+        assume(np.array_equal(np.diff(before[order]) > 0, np.diff(after[order]) > 0))
+        assume(clear_of_interior_edges(before, 50) and clear_of_interior_edges(after, 50))
         base = informativeness(a, b, n_intervals=50)
-        mapped = informativeness([scale * v + shift for v in a],
-                                 [scale * v + shift for v in b], n_intervals=50)
+        mapped = informativeness(ma, mb, n_intervals=50)
         assert mapped == pytest.approx(base, abs=1e-9)
 
     @given(SAMPLES, SAMPLES)
@@ -78,12 +100,6 @@ class TestInformativeness:
             b = rng.normal(0.7, 1.3, size=100)
             ours = informativeness(a, b, n_intervals=1000)
             assert abs(ours - brute_force_ks(a, b)) <= 0.02
-
-    def test_per_class_range_variant_runs(self):
-        a = [0.0, 1.0, 2.0]
-        b = [10.0, 11.0, 12.0]
-        score = informativeness(a, b, per_class_range=True)
-        assert 0.0 <= score <= 1.0
 
 
 class TestRankFeatures:

@@ -92,6 +92,19 @@ class TestConfigFile:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "informativeness"])
+    def test_bad_split_rejected(self, tmp_path, corpus_file, model_file, command, capsys):
+        # argparse choices do not see values that come from the file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("split = bogus\n")
+        argv = [command, "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                "--config", str(cfg)]
+        if command == "evaluate":
+            argv += ["--model-file", str(model_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "split" in err and "bogus" in err
+
 
 class TestStats:
     def test_table_rows_per_label_and_split(self, tmp_path, corpus_file, capsys):

@@ -1,0 +1,140 @@
+"""Training, prediction and the grid share one per-document input path."""
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import agelex.pipeline as pipeline
+from agelex.analysis import metrics
+from agelex.cli import main
+from agelex.corpus import Corpus, Split, write_corpus
+from agelex.models import load_model, save_model
+from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
+                             grid_conditions, label_to_int, run_grid, train_pipeline)
+from agelex.synthetic import make_corpus
+
+SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
+
+
+def count_analysis(monkeypatch) -> Counter:
+    """Count calls of the two per-document analyses the pipeline makes."""
+    calls = Counter()
+    for name in ("extract_all", "preprocess"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    # every third document has no abstract, so its lemmas with and
+    # without the abstract are the same sequence
+    docs = make_corpus(n_children=10, n_adult=10, seed=11).documents
+    return Corpus([replace(d, abstract=None) if i % 3 == 0 else d
+                   for i, d in enumerate(docs)])
+
+
+@pytest.fixture(scope="module")
+def grid(corpus, resources):
+    """run_grid's rows and the analysis calls it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_analysis(mp)
+        rows = run_grid(corpus, resources, settings=SETTINGS)
+    return rows, calls
+
+
+def test_grid_cache_fresh_predict_and_classify_agree(corpus, resources, grid):
+    rows, _ = grid
+    reports = {(row.model_kind, row.condition): row.report for row in rows}
+    test_docs = corpus.subset(Split.TEST)
+    gold = np.array([label_to_int(d.label) for d in test_docs])
+    shared = CorpusVectors(resources)
+    for kind in MODEL_KINDS:
+        for name, recipe in grid_conditions():
+            trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS, shared)
+            via_cache = trained.predict_documents(test_docs, resources, shared).tolist()
+            fresh = trained.predict_documents(test_docs, resources).tolist()
+            one_by_one = [label_to_int(trained.classify(d, resources)[0]) for d in test_docs]
+            assert via_cache == fresh == one_by_one, (kind, name)
+            assert metrics(via_cache, gold) == reports[(kind, name)], (kind, name)
+
+
+def test_grid_analyzes_each_document_once(corpus, grid):
+    _, calls = grid
+    with_abstract = sum(1 for d in corpus if d.abstract is not None)
+    assert 0 < with_abstract < len(corpus)
+    assert calls["extract_all"] == len(corpus)
+    assert calls["preprocess"] == len(corpus) + with_abstract
+
+
+@pytest.mark.parametrize("recipe, idle", [
+    (Recipe(use_tfidf=True, use_abstract=True), "extract_all"),
+    (Recipe(use_tfidf=False, families=("general", "publishing")), "preprocess"),
+])
+def test_recipe_reads_only_the_inputs_it_uses(corpus, resources, monkeypatch, recipe, idle):
+    calls = count_analysis(monkeypatch)
+    trained = train_pipeline(corpus, resources, recipe, "lsvc", SETTINGS)
+    test_docs = corpus.subset(Split.TEST)
+    trained.evaluate(test_docs, resources)
+    trained.classify(test_docs[0], resources)
+    assert calls[idle] == 0
+    assert sum(calls.values()) > 0
+
+
+def test_equal_texts_with_different_ids_are_each_analyzed(corpus, resources, monkeypatch):
+    calls = count_analysis(monkeypatch)
+    doc = corpus.documents[1]
+    twin = replace(doc, id=doc.id + "-twin")
+    vectors = CorpusVectors(resources)
+    for d in (doc, twin, doc, twin):
+        vectors.features(d)
+        vectors.lemmas(d, use_abstract=False)
+    assert calls == {"extract_all": 2, "preprocess": 2}
+    assert np.array_equal(vectors.features(doc), vectors.features(twin))
+
+
+def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
+    first, second = corpus.documents[1], corpus.documents[2]
+    impostor = replace(second, id=first.id)
+    vectors = CorpusVectors(resources)
+    vectors.features(first)
+    vectors.lemmas(first, use_abstract=True)
+    assert np.array_equal(vectors.features(impostor),
+                          CorpusVectors(resources).features(second))
+    assert vectors.lemmas(impostor, use_abstract=True) == \
+        CorpusVectors(resources).lemmas(second, use_abstract=True)
+
+
+def test_train_command_analyzes_each_training_document_once(tmp_path, corpus, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    calls = count_analysis(monkeypatch)
+    rc = main(["train", "--corpus", str(path), "--out", str(tmp_path / "out"),
+               "--model", "lsvc", "--features", "general", "--epochs", "20"])
+    assert rc == 0
+    n_train = len(corpus.subset(Split.TRAIN))
+    assert calls == {"extract_all": n_train, "preprocess": n_train}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_saved_pipeline_predicts_identically(corpus, resources, tmp_path, kind):
+    recipe = dict(grid_conditions())["baseline+all"]
+    trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS)
+    save_model(trained, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    docs = list(corpus)
+    assert loaded.predict_documents(docs, resources).tolist() == \
+        trained.predict_documents(docs, resources).tolist()
+    # labels match exactly; the lsvc margin may differ in the last bits
+    # because the fitted SVD basis is not C-contiguous and the loaded one is
+    for doc in docs:
+        label, score = loaded.classify(doc, resources)
+        expected_label, expected_score = trained.classify(doc, resources)
+        assert label is expected_label
+        assert score == pytest.approx(expected_score, abs=1e-12)
