@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import DEFAULT_INTERVALS, correlation_matrix, rank_features
 from .corpus import AgeRating, Corpus, Document, Label, Split, corpus_stats, load_corpus, random_split, write_corpus
 from .errors import AgelexError, ConfigError
-from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, QUANTITATIVE_FAMILIES, extract_all
+from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, QUANTITATIVE_FAMILIES
 from .models import load_model, save_model
 from .pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
                        TrainedPipeline, grid_conditions, label_to_int,
@@ -164,12 +164,10 @@ def _split_docs(corpus: Corpus, which: str) -> list[Document]:
     return corpus.subset(Split(which))
 
 
-def _feature_matrix(docs: list[Document], resources: Resources,
-                    names: tuple[str, ...]) -> np.ndarray:
-    index = {name: i for i, name in enumerate(ALL_FEATURE_NAMES)}
-    cols = [index[n] for n in names]
-    rows = [np.asarray(extract_all(doc, resources).values)[cols] for doc in docs]
-    return np.vstack(rows)
+def _report_warnings(vectors: CorpusVectors) -> None:
+    n_missing = vectors.warning_count("no_frequency_matches")
+    if n_missing:
+        print(f"warning: {n_missing} documents had no frequency-dictionary matches")
 
 
 def _write_tsv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -236,25 +234,21 @@ def cmd_extract(opts: Options) -> int:
     opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus"])
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
+    vectors = CorpusVectors(resources)
     header = ["id", "label", "split"] + list(ALL_FEATURE_NAMES)
-    rows = []
-    n_warnings = 0
-    for doc in corpus:
-        fv = extract_all(doc, resources)
-        n_warnings += bool(fv.warnings)
-        rows.append([doc.id, doc.label.value, doc.split.value, *fv.values])
+    rows = [[doc.id, doc.label.value, doc.split.value, *vectors.features(doc).values]
+            for doc in corpus]
     out = _out_dir(opts) / "features.tsv"
     _write_tsv(out, header, rows)
     print(f"extracted {len(ALL_FEATURE_NAMES)} features for {len(rows)} documents -> {out}")
-    if n_warnings:
-        print(f"warning: {n_warnings} documents had no frequency-dictionary matches")
+    _report_warnings(vectors)
     return 0
 
 
 def cmd_train(opts: Options) -> int:
     keys = _COMMON_KEYS + _RES_KEYS + ["corpus", "model", "features", "tfidf", "abstracts",
                                        "svd", "svd_target", "c", "epochs", "tolerance",
-                                       "trees", "max_terms", "fragment_limit"]
+                                       "trees", "max_terms", "fragment_limit", "positive_class"]
     opts.print_effective(keys)
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
@@ -270,11 +264,12 @@ def cmd_train(opts: Options) -> int:
     print(f"trained {opts.model} on {len(train_docs)} documents -> {model_path}")
     print(f"training accuracy = {report.accuracy:.4f}, f1 = {report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
+    _report_warnings(vectors)
     return 0
 
 
 def cmd_evaluate(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus", "split"])
+    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus", "split", "positive_class"])
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     trained = load_model(opts.args.model_file)
@@ -283,7 +278,8 @@ def cmd_evaluate(opts: Options) -> int:
     docs = _split_docs(corpus, opts.split)
     if not docs:
         raise ConfigError(f"corpus has no documents in split {opts.split!r}")
-    report = trained.evaluate(docs, resources, positive=_positive(opts))
+    vectors = CorpusVectors(resources)
+    report = trained.evaluate(docs, resources, vectors, positive=_positive(opts))
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
     row = [opts.split, len(docs), report.accuracy, report.precision, report.recall,
@@ -292,6 +288,7 @@ def cmd_evaluate(opts: Options) -> int:
     print(f"{opts.split}: accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
+    _report_warnings(vectors)
     return 0
 
 
@@ -303,7 +300,8 @@ def cmd_grid(opts: Options) -> int:
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     kinds = tuple(k.strip() for k in str(opts.models).split(",") if k.strip())
-    rows = run_grid(corpus, resources, kinds, _settings(opts))
+    vectors = CorpusVectors(resources)
+    rows = run_grid(corpus, resources, kinds, _settings(opts), cache=vectors)
     header = ["model", "condition", "accuracy", "f1", "precision", "recall"]
     table = [[r.model_kind, r.condition, r.report.accuracy, r.report.f1,
               r.report.precision, r.report.recall] for r in rows]
@@ -314,6 +312,7 @@ def cmd_grid(opts: Options) -> int:
         m = r.report
         print(f"{r.model_kind:6s} {r.condition:26s} {100 * m.accuracy:7.2f} "
               f"{100 * m.f1:7.2f} {100 * m.precision:7.2f} {100 * m.recall:7.2f}")
+    _report_warnings(vectors)
     return 0
 
 
@@ -326,7 +325,7 @@ def cmd_informativeness(opts: Options) -> int:
         raise ConfigError(f"corpus has no documents in split {opts.split!r}")
     families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
     names = tuple(n for f in families for n in FAMILY_NAMES[f])
-    X = _feature_matrix(docs, resources, names)
+    X = CorpusVectors(resources).feature_matrix(docs, names)
     y = np.array([label_to_int(d.label) for d in docs])
     scores = rank_features(X, y, names, opts.intervals)
     header = ["feature", "informativeness", "mean_adult", "std_adult",
@@ -351,7 +350,7 @@ def cmd_correlations(opts: Options) -> int:
         raise ConfigError(f"corpus has no documents in split {opts.split!r}")
     families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
     names = tuple(n for f in families for n in FAMILY_NAMES[f])
-    X = _feature_matrix(docs, resources, names)
+    X = CorpusVectors(resources).feature_matrix(docs, names)
     result = correlation_matrix(X, names)
     header = ["feature"] + list(names)
     rows = [[name, *result.matrix[i]] for i, name in enumerate(names)]
@@ -380,11 +379,12 @@ def cmd_classify(opts: Options) -> int:
     doc = Document(id="<input>", text=text, label=Label.CHILDREN,
                    abstract=opts.args.abstract,
                    age_rating=AgeRating.parse(opts.args.age_rating))
-    label, score = trained.classify(doc, resources)
+    vectors = CorpusVectors(resources)
+    label, score = trained.classify(doc, resources, vectors)
     score_name = "margin" if trained.model_kind == "lsvc" else "vote_fraction"
     print(f"label = {label.value} ({score_name} = {score:.4f})")
     if opts.args.explain:
-        fv = extract_all(doc, resources)
+        fv = vectors.features(doc)
         for name, value in zip(fv.names, fv.values):
             print(f"  {name} = {value:.6f}")
         for warning in fv.warnings:

@@ -144,13 +144,6 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
     return FrequencyDictionary(records)
 
 
-def save_frequency_dict(dictionary: FrequencyDictionary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(FREQUENCY_HEADER) + "\n")
-        for rec in dictionary.records:
-            fh.write(f"{rec.lemma}\t{rec.pos.value}\t{rec.ipm:g}\t{rec.r}\t{rec.d:g}\t{rec.doc}\n")
-
-
 class Polarity(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
@@ -210,13 +203,6 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     return SentimentLexicon(entries)
 
 
-def save_sentiment_lexicon(lexicon: SentimentLexicon, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lemma,polarity,category\n")
-        for lemma, (pol, cat) in lexicon.entries.items():
-            fh.write(f"{lemma},{pol.value},{cat.value}\n")
-
-
 class WordList:
     """A set of lemmas, optionally with an ipm value per lemma."""
 
@@ -259,13 +245,3 @@ def load_word_list(path: str | Path, name: str | None = None) -> WordList:
                 raise LexiconError(f"{path}: row {lineno}: ipm must be >= 0, got {value}")
         ipm.setdefault(lemma, value)
     return WordList(name or p.stem, ipm)
-
-
-def save_word_list(words: WordList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lemma in words.lemmas:
-            value = words.ipm_of(lemma)
-            if value is None:
-                fh.write(lemma + "\n")
-            else:
-                fh.write(f"{lemma}\t{value:g}\n")

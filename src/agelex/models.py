@@ -315,6 +315,7 @@ class RandomForestModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RandomForestModel":
+        n_features = int(payload["n_features"])
         trees = [
             DecisionTree(
                 nodes=[TreeNode(int(f), float(t), int(l), int(r), int(nc), int(na))
@@ -323,7 +324,19 @@ class RandomForestModel:
             )
             for entry in payload["trees"]
         ]
-        return cls(trees=trees, n_features=int(payload["n_features"]),
+        # children lie after their parent and inside the tree, so predict_one
+        # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
+        for k, tree in enumerate(trees):
+            n_nodes = len(tree.nodes)
+            if n_nodes == 0:
+                raise ValueError(f"tree {k} has no nodes")
+            for i, node in enumerate(tree.nodes):
+                if node.feature != -1 and not (0 <= node.feature < n_features
+                                               and i < node.left < n_nodes
+                                               and i < node.right < n_nodes):
+                    raise ValueError(f"tree {k} node {i}: feature {node.feature} or children "
+                                     f"{node.left}, {node.right} out of range")
+        return cls(trees=trees, n_features=n_features,
                    hyperparams=dict(payload["hyperparams"]))
 
 
@@ -352,33 +365,6 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
         trees=trees, n_features=p,
         hyperparams={"n_trees": n_trees, "seed": seed, "max_features": max_features},
     )
-
-
-def oob_accuracy(model: RandomForestModel, X, y) -> float | None:
-    """Out-of-bag accuracy from the stored bootstrap index lists; None
-    when every sample landed in every bootstrap."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    in_bag = [np.bincount(tree.bootstrap, minlength=X.shape[0]) > 0 for tree in model.trees]
-    correct = 0
-    covered = 0
-    for i in range(X.shape[0]):
-        votes = 0
-        voters = 0
-        for tree, bag in zip(model.trees, in_bag):
-            if not bag[i]:
-                voters += 1
-                if tree.predict_one(X[i]) == CHILDREN:
-                    votes += 1
-        if voters == 0:
-            continue
-        covered += 1
-        label = CHILDREN if 2 * votes >= voters else ADULT
-        if label == y[i]:
-            correct += 1
-    if covered == 0:
-        return None
-    return correct / covered
 
 
 def save_model(model, path: str | Path) -> None:

@@ -10,10 +10,11 @@ experiment: a baseline bag-of-words model against every combination of
 added feature families and publishing attributes.
 
 Every document is read through a CorpusVectors, which analyzes it once
-and hands out its feature row and lemma sequence: training, batch
-prediction, single-text classification and the grid all build their
-design matrices from it.  Pass one instance as ``cache`` to reuse the
-analysis across calls on the same documents.
+and hands out its feature vector, warnings included, and its lemma
+sequence: training, batch prediction, single-text classification, the
+grid and the command-line feature tables all read documents through it.
+Pass one instance as ``cache`` to reuse the analysis across calls on the
+same documents.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import MetricsReport, metrics
 from .corpus import Corpus, Document, Label, Split
 from .errors import ArtifactError, ConfigError, ModelError
-from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, extract_all, schema_hash
+from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_all, schema_hash
 from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel,
                      register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
@@ -33,6 +34,7 @@ from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScale
                          fit_svd, fit_tfidf, fragment, preprocess)
 
 MODEL_KINDS = ("rf", "lsvc")
+_COLUMN_OF = {name: i for i, name in enumerate(ALL_FEATURE_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,6 @@ class Recipe:
             names += FAMILY_NAMES[family]
         return names
 
-    def feature_columns(self) -> list[int]:
-        index = {name: i for i, name in enumerate(ALL_FEATURE_NAMES)}
-        return [index[name] for name in self.feature_names]
-
 
 def label_to_int(label: Label) -> int:
     return CHILDREN if label is Label.CHILDREN else ADULT
@@ -72,24 +70,34 @@ def label_to_int(label: Label) -> int:
 class CorpusVectors:
     """The one place a Document becomes model inputs.
 
-    Computes a document's 56-feature row and its preprocessed lemma
-    sequence, with or without the abstract appended, on first use and
-    keeps them.  Entries are keyed by the Document value itself, not its
-    id (a scored batch may repeat an id with a different text) and not
-    its text (equal previews with different metadata stay distinct), so
-    one instance can be shared by every model trained and evaluated on
-    the same documents.
+    Computes a document's 56-feature vector, with its extraction
+    warnings, and its preprocessed lemma sequence, with or without the
+    abstract appended, on first use and keeps them.  Entries are keyed by
+    the Document value itself, not its id (a scored batch may repeat an
+    id with a different text) and not its text (equal previews with
+    different metadata stay distinct), so one instance can be shared by
+    every model trained and evaluated on the same documents.
     """
 
     def __init__(self, resources: Resources):
         self.resources = resources
-        self._features: dict[Document, np.ndarray] = {}
+        self._features: dict[Document, FeatureVector] = {}
         self._lemmas: dict[tuple[Document, bool], list[str]] = {}
 
-    def features(self, doc: Document) -> np.ndarray:
+    def features(self, doc: Document) -> FeatureVector:
         if doc not in self._features:
-            self._features[doc] = np.asarray(extract_all(doc, self.resources).values)
+            self._features[doc] = extract_all(doc, self.resources)
         return self._features[doc]
+
+    def feature_matrix(self, docs: list[Document], names: tuple[str, ...]) -> np.ndarray:
+        """One row per document: the named features, in the given order."""
+        columns = [_COLUMN_OF[name] for name in names]
+        return np.array([self.features(doc).values for doc in docs])[:, columns]
+
+    def warning_count(self, warning: str) -> int:
+        """Documents whose features were computed so far and raised the
+        warning; documents never read for features are not counted."""
+        return sum(warning in fv.warnings for fv in self._features.values())
 
     def lemmas(self, doc: Document, use_abstract: bool) -> list[str]:
         key = (doc, use_abstract and doc.abstract is not None)
@@ -131,9 +139,8 @@ class TrainedPipeline:
         if self.recipe.use_tfidf:
             assert self.tfidf is not None
             blocks.append(self.tfidf.transform_many(self._fragments(docs, vectors)))
-        columns = self.recipe.feature_columns()
-        if columns:
-            blocks.append(np.vstack([vectors.features(doc) for doc in docs])[:, columns])
+        if self.recipe.families:
+            blocks.append(vectors.feature_matrix(docs, self.recipe.feature_names))
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
     def _design_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
@@ -149,10 +156,11 @@ class TrainedPipeline:
         X = self._design_matrix(docs, cache if cache is not None else CorpusVectors(resources))
         return self.model.predict_many(X)
 
-    def classify(self, doc: Document, resources: Resources) -> tuple[Label, float]:
+    def classify(self, doc: Document, resources: Resources,
+                 cache: CorpusVectors | None = None) -> tuple[Label, float]:
         """Label one document; the score is the signed margin for the
         linear model and the winning vote share for the forest."""
-        X = self._design_matrix([doc], CorpusVectors(resources))
+        X = self._design_matrix([doc], cache if cache is not None else CorpusVectors(resources))
         label_int, score = self.model.predict(X[0])
         return (Label.CHILDREN if label_int == CHILDREN else Label.ADULT), score
 
@@ -332,7 +340,8 @@ class GridRow:
 def run_grid(corpus: Corpus, resources: Resources,
              model_kinds: tuple[str, ...] = MODEL_KINDS,
              settings: TrainSettings | None = None,
-             conditions: list[tuple[str, Recipe]] | None = None) -> list[GridRow]:
+             conditions: list[tuple[str, Recipe]] | None = None,
+             cache: CorpusVectors | None = None) -> list[GridRow]:
     """Train and evaluate every (model, condition) pair on the corpus
     train/test splits, reusing one per-document cache throughout."""
     settings = settings or TrainSettings()
@@ -342,7 +351,7 @@ def run_grid(corpus: Corpus, resources: Resources,
     test_docs = corpus.subset(Split.TEST)
     if not test_docs:
         raise ConfigError("corpus has no test documents; assign splits first")
-    cache = CorpusVectors(resources)
+    cache = cache if cache is not None else CorpusVectors(resources)
     rows = []
     for kind in model_kinds:
         for name, recipe in (conditions if conditions is not None else grid_conditions()):

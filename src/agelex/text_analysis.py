@@ -8,7 +8,7 @@ titles or names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -267,7 +267,6 @@ class AnalyzedText:
     char_count: int
     letter_count: int
     symbol_count: int
-    warnings: tuple[str, ...] = field(default=())
 
     @property
     def n_tokens(self) -> int:

@@ -1,12 +1,14 @@
 """End-to-end command-line tests on a small generated corpus."""
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from agelex.cli import main
-from agelex.corpus import Label, Split, load_corpus, write_corpus
+import agelex.features
+from agelex.cli import Options, main
+from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
 from agelex.features import ALL_FEATURE_NAMES
 from agelex.synthetic import make_corpus
 
@@ -106,6 +108,46 @@ class TestConfigFile:
         assert "split" in err and "bogus" in err
 
 
+def command_argv(command, corpus_file, model_file, out):
+    """A quick run of each command on the shared corpus."""
+    base = ["--out", str(out)]
+    corpus = ["--corpus", str(corpus_file)]
+    return {
+        "ingest": ["ingest", *corpus, *base, "--test-fraction", "0.25"],
+        "stats": ["stats", *corpus, *base],
+        "extract": ["extract", *corpus, *base],
+        "train": ["train", *corpus, *base, "--features", "general", "--epochs", "5"],
+        "evaluate": ["evaluate", *corpus, *base, "--model-file", str(model_file)],
+        "grid": ["grid", *corpus, *base, "--models", "lsvc", "--epochs", "5"],
+        "informativeness": ["informativeness", *corpus, *base],
+        "correlations": ["correlations", *corpus, *base],
+        "classify": ["classify", *base, "--model-file", str(model_file),
+                     "--text", "Кот спит."],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "extract", "train", "evaluate",
+                                     "grid", "informativeness", "correlations", "classify"])
+def test_every_setting_read_is_printed(tmp_path, corpus_file, model_file, command,
+                                       monkeypatch, capsys):
+    read = set()
+    original = Options.__getattr__
+
+    def recording(self, key):
+        read.add(key)
+        return original(self, key)
+
+    monkeypatch.setattr(Options, "__getattr__", recording)
+    assert main(command_argv(command, corpus_file, model_file, tmp_path / "o")) == 0
+    printed = set()
+    for line in capsys.readouterr().out.splitlines():
+        match = re.match(r"(\w+) = ", line)
+        if not match:
+            break  # the settings block ends at the first other line
+        printed.add(match.group(1))
+    assert read and read <= printed, sorted(read - printed)
+
+
 class TestStats:
     def test_table_rows_per_label_and_split(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "out"
@@ -173,6 +215,19 @@ class TestTrainEvaluate:
         assert rc == 1
         assert "unknown feature families" in capsys.readouterr().err
 
+    def test_evaluate_reports_documents_without_dictionary_matches(
+            self, tmp_path, corpus_file, model_file, capsys):
+        corpus = load_corpus(corpus_file)
+        odd = Document(id="no-matches", text="Zzyx qwop blorf. Grelt vunk.",
+                       label=Label.ADULT, split=Split.TEST)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(corpus.documents + [odd]), path)
+        rc = main(["evaluate", "--corpus", str(path), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "o"), "--split", "test"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "warning: 1 documents had no frequency-dictionary matches"
+
     def test_schema_mismatch_detected(self, tmp_path, corpus_file, model_file, capsys):
         payload = json.loads(model_file.read_text())
         payload["model"]["feature_schema"] = "0" * 64
@@ -202,6 +257,21 @@ class TestClassify:
                  if line.startswith("  ") and " = " in line]
         for feature in ALL_FEATURE_NAMES:
             assert feature in names
+
+    def test_explain_analyzes_the_text_once(self, model_file, monkeypatch, capsys):
+        calls = []
+        original = agelex.features.analyze
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(agelex.features, "analyze", counted)
+        rc = main(["classify", "--model-file", str(model_file), "--text", self.TEXT,
+                   "--explain"])
+        assert rc == 0
+        assert calls == [self.TEXT]
+        assert "avg_words_len = " in capsys.readouterr().out
 
     def test_age_rating_flag_reaches_features(self, model_file, capsys):
         rc = main(["classify", "--model-file", str(model_file), "--text", self.TEXT,

@@ -2,10 +2,9 @@
 import pytest
 
 from agelex.errors import LexiconError
-from agelex.lexicons import (FREQUENCY_HEADER, Polarity, SentimentCategory,
-                             load_frequency_dict, load_sentiment_lexicon,
-                             load_word_list, save_frequency_dict,
-                             save_sentiment_lexicon, save_word_list)
+from agelex.lexicons import (FREQUENCY_HEADER, FrequencyRecord, Polarity,
+                             SentimentCategory, load_frequency_dict,
+                             load_sentiment_lexicon, load_word_list)
 from agelex.text_analysis import Pos
 
 HEADER = "\t".join(FREQUENCY_HEADER)
@@ -80,15 +79,14 @@ class TestFrequencyDictionary:
         with pytest.raises(LexiconError, match="header"):
             load_frequency_dict(p)
 
-    def test_round_trip(self, tmp_path):
+    def test_loaded_values(self, tmp_path):
         d = load_frequency_dict(freq_file(tmp_path, [
-            "кот\tNOUN\t120.5\t90\t85.2\t500",
+            "Кот\tNOUN\t120.5\t90\t85.2\t500",
             "печь\tVERB\t300\t40\t20\t30",
         ]))
-        out = tmp_path / "again.tsv"
-        save_frequency_dict(d, out)
-        d2 = load_frequency_dict(out)
-        assert d2.records == d.records
+        assert d.records == [FrequencyRecord("кот", Pos.NOUN, 120.5, 90, 85.2, 500),
+                             FrequencyRecord("печь", Pos.VERB, 300.0, 40, 20.0, 30)]
+        assert d.lookup("КОТ", Pos.NOUN).doc == 500
 
 
 class TestSentimentLexicon:
@@ -126,13 +124,13 @@ class TestSentimentLexicon:
         p.write_text("lemma,polarity,category\nужасный,negative,opinion\n", encoding="utf-8")
         assert len(load_sentiment_lexicon(p)) == 1
 
-    def test_round_trip(self, tmp_path):
+    def test_loaded_values(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("ужасный,negative,opinion\nдобрый,positive,feeling\n", encoding="utf-8")
-        lex = load_sentiment_lexicon(p)
-        out = tmp_path / "again.csv"
-        save_sentiment_lexicon(lex, out)
-        assert load_sentiment_lexicon(out).entries == lex.entries
+        p.write_text("Ужасный, Negative ,opinion\nдобрый,positive,FEELING\n", encoding="utf-8")
+        assert load_sentiment_lexicon(p).entries == {
+            "ужасный": (Polarity.NEGATIVE, SentimentCategory.OPINION),
+            "добрый": (Polarity.POSITIVE, SentimentCategory.FEELING),
+        }
 
 
 class TestWordList:
@@ -166,15 +164,13 @@ class TestWordList:
         p.write_text("кот\nКот\n", encoding="utf-8")
         assert len(load_word_list(p)) == 1
 
-    def test_round_trip(self, tmp_path):
+    def test_loaded_values(self, tmp_path):
         p = tmp_path / "w.txt"
-        p.write_text("кот\t120.5\nпёс\n", encoding="utf-8")
+        p.write_text("# comment\nКот\t120.5\nпёс\nёж\t0\n", encoding="utf-8")
         words = load_word_list(p, "test")
-        out = tmp_path / "again.txt"
-        save_word_list(words, out)
-        again = load_word_list(out, "test")
-        assert again.lemmas == words.lemmas
-        assert [again.ipm_of(w) for w in again.lemmas] == [words.ipm_of(w) for w in words.lemmas]
+        assert words.name == "test"
+        assert words.lemmas == ["кот", "пёс", "ёж"]
+        assert [words.ipm_of(w) for w in words.lemmas] == [120.5, None, 0.0]
 
     def test_bundled_lists_nonempty(self, resources):
         assert len(resources.top5000) > 0

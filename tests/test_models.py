@@ -7,8 +7,8 @@ import pytest
 from agelex.errors import ArtifactError, ModelError
 from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, LinearSvcModel,
                            RandomForestModel, gini_impurity, load_model,
-                           oob_accuracy, save_model, svc_objective,
-                           train_linear_svc, train_random_forest)
+                           save_model, svc_objective, train_linear_svc,
+                           train_random_forest)
 
 
 def separable_blobs(seed, n=60, gap=2.0):
@@ -163,8 +163,6 @@ class TestRandomForest:
         pred = forest.predict_many(X)
         train_acc = float(np.mean(pred == y))
         assert train_acc == 1.0
-        oob = oob_accuracy(forest, X, y)
-        assert oob is None or train_acc >= oob
 
     def test_default_tree_count(self):
         X, y = separable_blobs(12)
@@ -217,6 +215,24 @@ class TestPersistence:
         p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "mystery", "model": {}}),
                      encoding="utf-8")
         with pytest.raises(ArtifactError, match="mystery"):
+            load_model(p)
+
+    # node = [feature, threshold, left, right, n_children, n_adult]
+    @pytest.mark.parametrize("slot, value", [
+        (2, 0),          # the root's left child is the root
+        (3, "n_nodes"),  # a child past the last node
+        (0, 2),          # a feature the two-feature forest does not have
+    ], ids=["self-loop", "child-out-of-range", "feature-out-of-range"])
+    def test_corrupt_forest_nodes_rejected(self, tmp_path, slot, value):
+        X, y = separable_blobs(15, gap=0.7)
+        p = tmp_path / "f.json"
+        save_model(train_random_forest(X, y, n_trees=2, seed=3), p)
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        nodes = payload["model"]["trees"][1]["nodes"]
+        assert nodes[0][0] >= 0  # the root splits
+        nodes[0][slot] = len(nodes) if value == "n_nodes" else value
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="tree 1 node 0"):
             load_model(p)
 
     def test_unregistered_object_rejected(self, tmp_path):

@@ -96,7 +96,7 @@ def test_equal_texts_with_different_ids_are_each_analyzed(corpus, resources, mon
         vectors.features(d)
         vectors.lemmas(d, use_abstract=False)
     assert calls == {"extract_all": 2, "preprocess": 2}
-    assert np.array_equal(vectors.features(doc), vectors.features(twin))
+    assert vectors.features(doc) == vectors.features(twin)
 
 
 def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
@@ -105,8 +105,7 @@ def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
     vectors = CorpusVectors(resources)
     vectors.features(first)
     vectors.lemmas(first, use_abstract=True)
-    assert np.array_equal(vectors.features(impostor),
-                          CorpusVectors(resources).features(second))
+    assert vectors.features(impostor) == CorpusVectors(resources).features(second)
     assert vectors.lemmas(impostor, use_abstract=True) == \
         CorpusVectors(resources).lemmas(second, use_abstract=True)
 
