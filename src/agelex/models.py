@@ -174,31 +174,44 @@ def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
 
 
 @dataclass
-class TreeNode:
-    """One node of a decision tree; feature -1 marks a leaf."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    n_children: int
-    n_adult: int
-
-
-@dataclass
 class DecisionTree:
-    nodes: list[TreeNode]
+    """One tree as parallel node columns in pre-order.
+
+    Node i sends x to left[i] when x[feature[i]] <= threshold[i] and to
+    right[i] otherwise; feature -1 marks a leaf, which predicts children
+    when n_children[i] >= n_adult[i].
+    """
+
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    n_children: list[int]
+    n_adult: list[int]
     bootstrap: np.ndarray
 
-    def predict_one(self, x: np.ndarray) -> int:
-        node = self.nodes[0]
-        while node.feature >= 0:
-            node = self.nodes[node.left] if x[node.feature] <= node.threshold else self.nodes[node.right]
-        return CHILDREN if node.n_children >= node.n_adult else ADULT
+    @classmethod
+    def from_nodes(cls, nodes, bootstrap: np.ndarray) -> "DecisionTree":
+        """Columns from a non-empty list of node six-tuples."""
+        return cls(*map(list, zip(*nodes)), bootstrap=bootstrap)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.feature)
+
+
+def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
+    """Number of trees whose leaf for the row x predicts children."""
+    votes = 0
+    for tree in trees:
+        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+        i = 0
+        f = feature[0]
+        while f >= 0:
+            i = left[i] if x[f] <= threshold[i] else right[i]
+            f = feature[i]
+        votes += tree.n_children[i] >= tree.n_adult[i]
+    return votes
 
 
 def gini_impurity(counts) -> float:
@@ -213,62 +226,57 @@ def _best_split(X, y01, idx, feats):
     """Best (weighted impurity, feature, threshold) over candidate
     midpoints of the drawn features, or None when nothing separates.
 
-    Ties resolve to the first feature in draw order and the lowest
-    threshold, which keeps tree growth deterministic.
+    All drawn features are searched at once: one sort of each column of
+    the (len(idx), len(feats)) block, one running count of children's
+    labels and the weighted Gini impurity at every cut.  Cuts between
+    equal values are masked out, so the order of equal values in the
+    sort changes nothing.  Ties resolve to the first feature in draw
+    order and the lowest threshold, which keeps tree growth deterministic.
     """
     n = len(idx)
-    best = None
-    for f in feats:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y01[idx][order]
-        distinct = np.nonzero(sv[1:] > sv[:-1])[0]
-        if distinct.size == 0:
-            continue
-        pos_prefix = np.cumsum(sy)
-        total_pos = pos_prefix[-1]
-        ln = distinct + 1.0
-        rn = n - ln
-        lp = pos_prefix[distinct]
-        rp = total_pos - lp
-        gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
-        gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-        weighted = (ln * gl + rn * gr) / n
-        j = int(np.argmin(weighted))
-        if best is None or weighted[j] < best[0]:
-            threshold = float((sv[distinct[j]] + sv[distinct[j] + 1]) / 2.0)
-            best = (float(weighted[j]), int(f), threshold)
-    return best
+    vals = X[idx[:, None], feats]
+    order = np.argsort(vals, axis=0)
+    sv = np.sort(vals, axis=0)
+    pos_prefix = np.cumsum(y01[idx][order], axis=0)
+    ln = np.arange(1.0, n)[:, None]
+    rn = n - ln
+    lp = pos_prefix[:-1]
+    rp = pos_prefix[-1] - lp
+    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
+    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
+    weighted = np.where(sv[1:] > sv[:-1], (ln * gl + rn * gr) / n, np.inf).T
+    k, j = divmod(int(weighted.argmin()), n - 1)
+    if weighted[k, j] == np.inf:
+        return None
+    threshold = float((sv[j, k] + sv[j + 1, k]) / 2.0)
+    return float(weighted[k, j]), int(feats[k]), threshold
 
 
-def _build_tree(X, y01, rng, max_features) -> list[TreeNode]:
+def _build_tree(X, y01, rng, max_features) -> DecisionTree:
+    """Grow one tree on a bootstrap sample of the rows drawn from rng."""
     n, p = X.shape
-    nodes: list[TreeNode] = []
-    stack = [(np.arange(n), -1, False)]
+    bootstrap = rng.integers(0, n, size=n)
+    X, y01 = X[bootstrap], y01[bootstrap]
+    nodes: list[list] = []
+    # (rows, parent index, slot of the parent's left (2) or right (3) child)
+    stack = [(np.arange(n), -1, 2)]
     while stack:
-        idx, parent, is_right = stack.pop()
-        node_id = len(nodes)
+        idx, parent, side = stack.pop()
         if parent >= 0:
-            if is_right:
-                nodes[parent].right = node_id
-            else:
-                nodes[parent].left = node_id
-        counts = np.bincount(y01[idx], minlength=2)
-        n_adult, n_children = int(counts[0]), int(counts[1])
+            nodes[parent][side] = len(nodes)
+        n_adult, n_children = np.bincount(y01[idx], minlength=2).tolist()
         split = None
         if len(idx) >= 2 and n_adult > 0 and n_children > 0:
-            feats = rng.choice(p, size=max_features, replace=False)
-            split = _best_split(X, y01, idx, feats)
+            split = _best_split(X, y01, idx, rng.choice(p, size=max_features, replace=False))
         if split is None:
-            nodes.append(TreeNode(-1, 0.0, -1, -1, n_children, n_adult))
+            nodes.append([-1, 0.0, -1, -1, n_children, n_adult])
             continue
         _, f, threshold = split
-        nodes.append(TreeNode(f, threshold, -1, -1, n_children, n_adult))
         mask = X[idx, f] <= threshold
-        stack.append((idx[~mask], node_id, True))
-        stack.append((idx[mask], node_id, False))
-    return nodes
+        stack.append((idx[~mask], len(nodes), 3))
+        stack.append((idx[mask], len(nodes), 2))
+        nodes.append([f, threshold, -1, -1, n_children, n_adult])
+    return DecisionTree.from_nodes(nodes, bootstrap)
 
 
 @register_model_kind
@@ -284,20 +292,24 @@ class RandomForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def predict(self, x) -> tuple[int, float]:
-        """Majority-vote label and the fraction of trees voting for it.
-        An exact tie resolves to the children's class."""
-        x = _validate_input_row(x, self.n_features)
-        votes = sum(1 for tree in self.trees if tree.predict_one(x) == CHILDREN)
+    def _vote(self, x: list[float]) -> tuple[int, float]:
+        votes = _children_votes(self.trees, x)
         if 2 * votes >= self.n_trees:
             return CHILDREN, votes / self.n_trees
         return ADULT, (self.n_trees - votes) / self.n_trees
+
+    def predict(self, x) -> tuple[int, float]:
+        """Majority-vote label and the fraction of trees voting for it.
+        An exact tie resolves to the children's class."""
+        return self._vote(_validate_input_row(x, self.n_features).tolist())
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ModelError(f"expected a matrix with {self.n_features} columns")
-        return np.array([self.predict(row)[0] for row in X], dtype=np.int64)
+        if not np.all(np.isfinite(X)):
+            raise ModelError("input matrix contains non-finite values")
+        return np.array([self._vote(row)[0] for row in X.tolist()], dtype=np.int64)
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,8 +318,8 @@ class RandomForestModel:
             "trees": [
                 {
                     "bootstrap": tree.bootstrap.tolist(),
-                    "nodes": [[node.feature, node.threshold, node.left, node.right,
-                               node.n_children, node.n_adult] for node in tree.nodes],
+                    "nodes": [list(node) for node in zip(tree.feature, tree.threshold, tree.left,
+                                                         tree.right, tree.n_children, tree.n_adult)],
                 }
                 for tree in self.trees
             ],
@@ -316,26 +328,22 @@ class RandomForestModel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RandomForestModel":
         n_features = int(payload["n_features"])
-        trees = [
-            DecisionTree(
-                nodes=[TreeNode(int(f), float(t), int(l), int(r), int(nc), int(na))
-                       for f, t, l, r, nc, na in entry["nodes"]],
-                bootstrap=np.asarray(entry["bootstrap"], dtype=np.int64),
-            )
-            for entry in payload["trees"]
-        ]
-        # children lie after their parent and inside the tree, so predict_one
+        trees = []
+        # children lie after their parent and inside the tree, so a walk
         # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
-        for k, tree in enumerate(trees):
-            n_nodes = len(tree.nodes)
-            if n_nodes == 0:
+        for k, entry in enumerate(payload["trees"]):
+            nodes = [(int(f), float(t), int(l), int(r), int(nc), int(na))
+                     for f, t, l, r, nc, na in entry["nodes"]]
+            if not nodes:
                 raise ValueError(f"tree {k} has no nodes")
-            for i, node in enumerate(tree.nodes):
-                if node.feature != -1 and not (0 <= node.feature < n_features
-                                               and i < node.left < n_nodes
-                                               and i < node.right < n_nodes):
-                    raise ValueError(f"tree {k} node {i}: feature {node.feature} or children "
-                                     f"{node.left}, {node.right} out of range")
+            for i, (f, _, l, r, _, _) in enumerate(nodes):
+                if f != -1 and not (0 <= f < n_features and i < l < len(nodes)
+                                    and i < r < len(nodes)):
+                    raise ValueError(f"tree {k} node {i}: feature {f} or children "
+                                     f"{l}, {r} out of range")
+            trees.append(DecisionTree.from_nodes(nodes, np.asarray(entry["bootstrap"], dtype=np.int64)))
+        if not trees:
+            raise ValueError("forest has no trees")
         return cls(trees=trees, n_features=n_features,
                    hyperparams=dict(payload["hyperparams"]))
 
@@ -350,17 +358,11 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     X, y = _validate_training_inputs(X, y)
     if n_trees < 1:
         raise ModelError(f"n_trees must be >= 1, got {n_trees}")
-    n, p = X.shape
+    p = X.shape[1]
     y01 = ((y + 1) // 2).astype(np.int64)
     max_features = max(1, math.ceil(math.sqrt(p)))
-    master = np.random.default_rng(seed)
-    tree_seeds = master.integers(0, 2 ** 63 - 1, size=n_trees)
-    trees = []
-    for tree_seed in tree_seeds:
-        rng = np.random.default_rng(int(tree_seed))
-        bootstrap = rng.integers(0, n, size=n)
-        nodes = _build_tree(X[bootstrap], y01[bootstrap], rng, max_features)
-        trees.append(DecisionTree(nodes=nodes, bootstrap=bootstrap))
+    tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
+    trees = [_build_tree(X, y01, np.random.default_rng(int(s)), max_features) for s in tree_seeds]
     return RandomForestModel(
         trees=trees, n_features=p,
         hyperparams={"n_trees": n_trees, "seed": seed, "max_features": max_features},

@@ -218,7 +218,7 @@ class TrainedPipeline:
         if model_cls is None:
             raise ArtifactError(f"unknown inner model kind {model_entry['kind']!r}")
         tfidf = None
-        if "tfidf" in payload:
+        if recipe.use_tfidf:
             tfidf = TfidfModel(
                 vocabulary=tuple(payload["tfidf"]["vocabulary"]),
                 idf=np.asarray(payload["tfidf"]["idf"], dtype=float),
@@ -232,20 +232,48 @@ class TrainedPipeline:
                 retained=float(payload["svd"]["retained"]),
                 target=float(payload["svd"]["target"]),
             )
+        scaler = MinMaxScaler(
+            mins=np.asarray(payload["scaler"]["mins"], dtype=float),
+            ranges=np.asarray(payload["scaler"]["ranges"], dtype=float),
+        )
+        model = model_cls.from_json_dict(model_entry["payload"])
+        _check_widths(recipe, tfidf, scaler, svd, model)
         return cls(
             recipe=recipe,
             model_kind=str(payload["model_kind"]),
-            model=model_cls.from_json_dict(model_entry["payload"]),
-            scaler=MinMaxScaler(
-                mins=np.asarray(payload["scaler"]["mins"], dtype=float),
-                ranges=np.asarray(payload["scaler"]["ranges"], dtype=float),
-            ),
+            model=model,
+            scaler=scaler,
             tfidf=tfidf,
             svd=svd,
             feature_schema=stored_schema,
             fragment_limit=int(payload["fragment_limit"]),
             seed=int(payload["seed"]),
         )
+
+
+def _check_widths(recipe: Recipe, tfidf: TfidfModel | None, scaler: MinMaxScaler,
+                  svd: SvdModel | None, model: LinearSvcModel | RandomForestModel) -> None:
+    """Each stage of a loaded pipeline must read as many columns as the
+    stage before it writes, so a corrupt file fails on load and not on
+    its first classify."""
+    width = len(recipe.feature_names)
+    if tfidf is not None:
+        if len(tfidf.idf) != len(tfidf.vocabulary):
+            raise ArtifactError(f"tfidf has {len(tfidf.vocabulary)} vocabulary terms "
+                                f"but {len(tfidf.idf)} idf values")
+        width += len(tfidf.vocabulary)
+    if scaler.mins.shape != (width,) or scaler.ranges.shape != (width,):
+        raise ArtifactError(f"scaler mins/ranges have shapes {scaler.mins.shape}/"
+                            f"{scaler.ranges.shape}, but the design matrix has {width} columns")
+    if svd is not None:
+        if svd.mean.shape != (width,) or svd.components.ndim != 2 \
+                or svd.components.shape[1] != width:
+            raise ArtifactError(f"svd mean/components have shapes {svd.mean.shape}/"
+                                f"{svd.components.shape}, but the scaler has {width} columns")
+        width = svd.k
+    if model.n_features != width:
+        raise ArtifactError(f"model reads {model.n_features} columns, but the "
+                            f"{'svd' if svd is not None else 'scaler'} gives {width}")
 
 
 @dataclass

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agelex.errors import ArtifactError, ModelError
-from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, LinearSvcModel,
-                           RandomForestModel, gini_impurity, load_model,
+from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
+                           LinearSvcModel, RandomForestModel, _best_split,
+                           _children_votes, gini_impurity, load_model,
                            save_model, svc_objective, train_linear_svc,
                            train_random_forest)
 
@@ -115,15 +117,84 @@ class TestGini:
         assert 0.0 <= gini_impurity((3, 7)) <= 0.5
 
 
+def reference_best_split(X, y01, idx, feats):
+    """The split search one drawn feature at a time: the oracle for
+    _best_split, which searches all drawn features at once."""
+    n = len(idx)
+    best = None
+    for f in feats:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y01[idx][order]
+        distinct = np.nonzero(sv[1:] > sv[:-1])[0]
+        if distinct.size == 0:
+            continue
+        pos_prefix = np.cumsum(sy)
+        total_pos = pos_prefix[-1]
+        ln = distinct + 1.0
+        rn = n - ln
+        lp = pos_prefix[distinct]
+        rp = total_pos - lp
+        gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
+        gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
+        weighted = (ln * gl + rn * gr) / n
+        j = int(np.argmin(weighted))
+        if best is None or weighted[j] < best[0]:
+            threshold = float((sv[distinct[j]] + sv[distinct[j] + 1]) / 2.0)
+            best = (float(weighted[j]), int(f), threshold)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """Small-integer matrices, so equal values and equal impurities are
+    common, with a bootstrap-like idx and features in a random draw order."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    y01 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=16)), dtype=np.int64)
+    feats = np.array(draw(st.permutations(range(p)))[:draw(st.integers(1, p))], dtype=np.int64)
+    return X, y01, idx, feats
+
+
+class TestSplitSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(split_problems())
+    def test_equals_one_feature_at_a_time(self, problem):
+        assert _best_split(*problem) == reference_best_split(*problem)
+
+    def test_ties_go_to_first_drawn_feature_then_lowest_threshold(self):
+        # columns 0 and 2 are identical, and both cuts of either give
+        # weighted impurity 1/3
+        X = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0]])
+        y01 = np.array([0, 1, 0])
+        idx = np.arange(3)
+        expected = (1 / 3, 2, 0.5)
+        assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == expected
+        assert _best_split(X, y01, idx, np.array([1, 2, 0])) == expected
+        assert _best_split(X, y01, idx, np.array([0, 2]))[1:] == (0, 0.5)
+        # both columns separate perfectly; the first drawn wins although
+        # the other one's cut has the lower threshold
+        X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
+        y01 = np.array([0, 0, 1])
+        assert _best_split(X, y01, idx, np.array([0, 1])) == (0.0, 0, 1.5)
+        assert _best_split(X, y01, idx, np.array([1, 0])) == (0.0, 1, 0.5)
+
+    def test_nothing_separates(self):
+        X = np.array([[1.0, 2.0], [1.0, 2.0]])
+        assert _best_split(X, np.array([0, 1]), np.arange(2), np.array([1, 0])) is None
+
+
 class TestRandomForest:
     def test_same_seed_bit_identical(self):
         X, y = separable_blobs(6, gap=0.6)
         f1 = train_random_forest(X, y, n_trees=15, seed=3)
         f2 = train_random_forest(X, y, n_trees=15, seed=3)
         assert len(f1.trees) == len(f2.trees)
-        for t1, t2 in zip(f1.trees, f2.trees):
-            assert np.array_equal(t1.bootstrap, t2.bootstrap)
-            assert t1.nodes == t2.nodes
+        assert f1.to_json_dict()["trees"] == f2.to_json_dict()["trees"]
 
     def test_different_seeds_differ(self):
         X, y = separable_blobs(6, gap=0.6)
@@ -140,11 +211,10 @@ class TestRandomForest:
         assert label in (CHILDREN, ADULT)
 
     def test_tie_resolves_to_children(self):
-        from agelex.models import DecisionTree, TreeNode
-        always_children = DecisionTree(nodes=[TreeNode(-1, 0.0, -1, -1, 3, 1)],
-                                       bootstrap=np.array([0, 1]))
-        always_adult = DecisionTree(nodes=[TreeNode(-1, 0.0, -1, -1, 1, 3)],
-                                    bootstrap=np.array([0, 1]))
+        always_children = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                                       n_children=[3], n_adult=[1], bootstrap=np.array([0, 1]))
+        always_adult = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                                    n_children=[1], n_adult=[3], bootstrap=np.array([0, 1]))
         forest = RandomForestModel(trees=[always_children, always_adult], n_features=2)
         label, score = forest.predict(np.zeros(2))
         assert label == CHILDREN
@@ -155,7 +225,8 @@ class TestRandomForest:
         forest = train_random_forest(X, y, n_trees=1, seed=5)
         tree = forest.trees[0]
         for row in X:
-            assert forest.predict(row)[0] == tree.predict_one(row)
+            walked = CHILDREN if _children_votes([tree], row.tolist()) else ADULT
+            assert forest.predict(row)[0] == walked
 
     def test_training_accuracy_high_on_noiseless_data(self):
         X, y = separable_blobs(11, gap=1.5)
@@ -194,8 +265,7 @@ class TestPersistence:
         rng = np.random.default_rng(1)
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(loaded.predict_many(probe), forest.predict_many(probe))
-        for t1, t2 in zip(loaded.trees, forest.trees):
-            assert t1.nodes == t2.nodes
+        assert loaded.to_json_dict()["trees"] == forest.to_json_dict()["trees"]
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
         p = tmp_path / "m.json"
@@ -233,6 +303,16 @@ class TestPersistence:
         nodes[0][slot] = len(nodes) if value == "n_nodes" else value
         p.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArtifactError, match="tree 1 node 0"):
+            load_model(p)
+
+    def test_empty_forest_rejected(self, tmp_path):
+        X, y = separable_blobs(16, gap=0.7)
+        p = tmp_path / "f.json"
+        save_model(train_random_forest(X, y, n_trees=2, seed=3), p)
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload["model"]["trees"] = []
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="no trees"):
             load_model(p)
 
     def test_unregistered_object_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 """Training, prediction and the grid share one per-document input path."""
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import agelex.pipeline as pipeline
 from agelex.analysis import metrics
 from agelex.cli import main
 from agelex.corpus import Corpus, Split, write_corpus
+from agelex.errors import ArtifactError
 from agelex.models import load_model, save_model
 from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
                              grid_conditions, label_to_int, run_grid, train_pipeline)
@@ -137,3 +139,44 @@ def test_saved_pipeline_predicts_identically(corpus, resources, tmp_path, kind):
         expected_label, expected_score = trained.classify(doc, resources)
         assert label is expected_label
         assert score == pytest.approx(expected_score, abs=1e-12)
+
+
+def _drop_last(values):
+    return values[:-1]
+
+
+# (model kind, corruption of the pipeline payload); every case leaves one
+# stage reading a different number of columns than the one before writes
+CORRUPT_WIDTHS = {
+    "idf-shorter-than-vocabulary": ("lsvc", lambda m: m["tfidf"].update(idf=_drop_last(m["tfidf"]["idf"]))),
+    "scaler-one-column-short": ("rf", lambda m: m["scaler"].update(
+        mins=_drop_last(m["scaler"]["mins"]), ranges=_drop_last(m["scaler"]["ranges"]))),
+    "svd-one-column-short": ("lsvc", lambda m: m["svd"].update(
+        mean=_drop_last(m["svd"]["mean"]), components=[_drop_last(r) for r in m["svd"]["components"]])),
+    "lsvc-weights-not-svd-k": ("lsvc", lambda m: m["model"]["payload"].update(
+        weights=_drop_last(m["model"]["payload"]["weights"]))),
+    "forest-features-not-scaler-width": ("rf", lambda m: m["model"]["payload"].update(
+        n_features=m["model"]["payload"]["n_features"] + 1)),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_pipelines(corpus, resources, tmp_path_factory):
+    recipe = dict(grid_conditions())["baseline+all"]
+    paths = {}
+    for kind in MODEL_KINDS:
+        paths[kind] = tmp_path_factory.mktemp(kind) / "model.json"
+        save_model(train_pipeline(corpus, resources, recipe, kind, SETTINGS), paths[kind])
+    return paths
+
+
+@pytest.mark.parametrize("case", CORRUPT_WIDTHS)
+def test_pipeline_width_mismatch_rejected(saved_pipelines, tmp_path, case):
+    kind, corrupt = CORRUPT_WIDTHS[case]
+    payload = json.loads(saved_pipelines[kind].read_text(encoding="utf-8"))
+    load_model(saved_pipelines[kind])  # the uncorrupted file loads
+    corrupt(payload["model"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError):
+        load_model(path)
