@@ -262,6 +262,9 @@ def cmd_train(opts: Options) -> int:
     train_docs = corpus.subset(Split.TRAIN)
     report = trained.evaluate(train_docs, resources, vectors, positive=_positive(opts))
     print(f"trained {opts.model} on {len(train_docs)} documents -> {model_path}")
+    if opts.model == "lsvc":
+        verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
+        print(f"solver: Newton iterations = {trained.model.n_epochs}, {verdict}")
     print(f"training accuracy = {report.accuracy:.4f}, f1 = {report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
     _report_warnings(vectors)
@@ -432,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svd", choices=["auto", "on", "off"])
     p.add_argument("--svd-target", type=float, dest="svd_target")
     p.add_argument("--c", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
+    p.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
     p.add_argument("--trees", type=int)
     p.add_argument("--max-terms", type=int, dest="max_terms")
     p.add_argument("--fragment-limit", type=int, dest="fragment_limit")
@@ -450,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svd", choices=["auto", "on", "off"])
     p.add_argument("--svd-target", type=float, dest="svd_target")
     p.add_argument("--c", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
+    p.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
     p.add_argument("--trees", type=int)
     p.add_argument("--max-terms", type=int, dest="max_terms")
     p.add_argument("--fragment-limit", type=int, dest="fragment_limit")

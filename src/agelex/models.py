@@ -1,9 +1,9 @@
 """Linear SVC and random forest classifiers, trained from scratch.
 
 Labels are +1 for children's literature and -1 for adult literature
-everywhere in this module.  Both trainers are deterministic for a fixed
-seed.  save_model / load_model write a versioned JSON file; the format is
-described in model-format.md.
+everywhere in this module.  The linear SVC solver is exact and uses no
+seed; the forest is deterministic for a fixed seed.  save_model /
+load_model write a versioned JSON file; the format is in model-format.md.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, ModelError
+from .errors import ArtifactError, ConfigError, ModelError
 
 FORMAT_VERSION = 1
 
@@ -59,6 +59,15 @@ def _validate_input_row(x, n_features: int) -> np.ndarray:
     return x
 
 
+def _validate_input_matrix(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ModelError(f"expected a matrix with {n_features} columns")
+    if not np.all(np.isfinite(X)):
+        raise ModelError("input matrix contains non-finite values")
+    return X
+
+
 def svc_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
     """Squared-hinge primal objective: 0.5 ||w||^2 + C sum(max(0, 1 - y f(x))^2)."""
     viol = np.maximum(1.0 - y * (X @ w + b), 0.0)
@@ -82,9 +91,6 @@ class LinearSvcModel:
     def n_features(self) -> int:
         return int(self.weights.shape[0])
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights + self.bias
-
     def predict(self, x) -> tuple[int, float]:
         """Label and signed margin for one input row; a margin of exactly
         zero resolves to the children's class."""
@@ -93,10 +99,7 @@ class LinearSvcModel:
         return (CHILDREN if margin >= 0 else ADULT), margin
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ModelError(f"expected a matrix with {self.n_features} columns")
-        scores = self.decision_function(X)
+        scores = _validate_input_matrix(X, self.n_features) @ self.weights + self.bias
         return np.where(scores >= 0, CHILDREN, ADULT).astype(np.int64)
 
     def to_json_dict(self) -> dict:
@@ -119,57 +122,60 @@ class LinearSvcModel:
         )
 
 
-def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
-                     tolerance: float = 1e-5, seed: int = 42) -> LinearSvcModel:
-    """Train by seeded stochastic subgradient descent on the squared
-    hinge.
+def _newton_step(Xb: np.ndarray, y: np.ndarray, theta: np.ndarray,
+                 C: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of svc_objective at theta = [w, b], where Xb ends in a
+    column of ones, and the generalized Newton step on the rows inside the
+    margin: the Hessian has the identity on w and no penalty on b.  With
+    no row inside, b's gradient is zero and a unit curvature keeps b."""
+    viol = np.maximum(1.0 - y * (Xb @ theta), 0.0)
+    Xa = Xb[viol > 0]
+    grad = np.append(theta[:-1], 0.0) - 2.0 * C * (Xb.T @ (y * viol))
+    hessian = np.diag(np.append(np.ones(len(theta) - 1), 0.0 if len(Xa) else 1.0))
+    hessian += 2.0 * C * (Xa.T @ Xa)
+    return grad, -np.linalg.solve(hessian, grad)
 
-    After each pass the full objective is evaluated; a pass that would
-    increase it is rolled back and the step size halved, which keeps the
-    recorded objective history monotone non-increasing.  Training stops
-    when an accepted pass improves by less than the tolerance, after
-    max_epochs passes, or when the step size underflows.
+
+def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
+                     tolerance: float = 1e-5, seed: int | None = None) -> LinearSvcModel:
+    """Minimize svc_objective by finite Newton (Keerthi & DeCoste 2005).
+
+    Each iteration takes a generalized Newton step, halved until the
+    objective falls by the Armijo condition, so the recorded history
+    never increases.  Training stops when the gradient norm is at most
+    the tolerance, after max_epochs iterations, or when no step lowers
+    the objective; hyperparams records the final gradient norm and
+    whether it met the tolerance.  seed is accepted and changes nothing.
     """
     X, y = _validate_training_inputs(X, y)
     if C <= 0:
         raise ModelError(f"C must be positive, got {C}")
     if max_epochs < 1:
         raise ModelError(f"max_epochs must be >= 1, got {max_epochs}")
-    n, p = X.shape
-    rng = np.random.default_rng(seed)
-    w = np.zeros(p)
-    b = 0.0
-    # step size scaled to the data so the first passes stay stable
-    eta = 1.0 / (1.0 + 2.0 * C * (float(np.mean(np.einsum("ij,ij->i", X, X))) + 1.0))
-    history = [svc_objective(w, b, X, y, C)]
-    epoch = 0
-    while epoch < max_epochs:
-        epoch += 1
-        w_prev, b_prev = w.copy(), b
-        for i in rng.permutation(n):
-            xi = X[i]
-            viol = 1.0 - y[i] * (float(xi @ w) + b)
-            if viol > 0:
-                pull = 2.0 * C * y[i] * viol
-                w -= eta * (w / n - pull * xi)
-                b += eta * pull
-            else:
-                w -= eta * (w / n)
-        obj = svc_objective(w, b, X, y, C)
-        if obj > history[-1]:
-            w, b = w_prev, b_prev
-            eta *= 0.5
-            if eta < 1e-15:
-                break
-            continue
-        improvement = history[-1] - obj
-        history.append(obj)
-        if improvement < tolerance:
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    theta = np.zeros(Xb.shape[1])
+    history = [svc_objective(theta[:-1], 0.0, X, y, C)]
+    while True:
+        grad, step = _newton_step(Xb, y, theta, C)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tolerance or len(history) > max_epochs:
             break
+        t = 1.0
+        while t > 1e-12:
+            trial = theta + t * step
+            obj = svc_objective(trial[:-1], trial[-1], X, y, C)
+            if obj <= history[-1] + 1e-4 * t * float(grad @ step):
+                break
+            t *= 0.5
+        else:  # no step lowers the objective
+            break
+        theta = trial
+        history.append(obj)
     return LinearSvcModel(
-        weights=w, bias=float(b),
-        hyperparams={"C": C, "max_epochs": max_epochs, "tolerance": tolerance, "seed": seed},
-        objective_history=tuple(history), n_epochs=epoch,
+        weights=theta[:-1], bias=float(theta[-1]),
+        hyperparams={"C": C, "max_epochs": max_epochs, "tolerance": tolerance,
+                     "converged": grad_norm <= tolerance, "grad_norm": grad_norm},
+        objective_history=tuple(history), n_epochs=len(history) - 1,
     )
 
 
@@ -304,12 +310,8 @@ class RandomForestModel:
         return self._vote(_validate_input_row(x, self.n_features).tolist())
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ModelError(f"expected a matrix with {self.n_features} columns")
-        if not np.all(np.isfinite(X)):
-            raise ModelError("input matrix contains non-finite values")
-        return np.array([self._vote(row)[0] for row in X.tolist()], dtype=np.int64)
+        rows = _validate_input_matrix(X, self.n_features).tolist()
+        return np.array([self._vote(row)[0] for row in rows], dtype=np.int64)
 
     def to_json_dict(self) -> dict:
         return {
@@ -399,5 +401,7 @@ def load_model(path: str | Path):
         raise ArtifactError(f"{path}: unknown model kind {kind!r}")
     try:
         return cls.from_json_dict(raw["model"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ArtifactError as exc:
+        raise ArtifactError(f"{path}: {exc}")
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: corrupt model payload: {exc}")

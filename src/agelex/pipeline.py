@@ -327,7 +327,7 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
     if model_kind == "lsvc":
         draft.model = train_linear_svc(X, y, C=settings.svc_c,
                                        max_epochs=settings.svc_max_epochs,
-                                       tolerance=settings.svc_tolerance, seed=settings.seed)
+                                       tolerance=settings.svc_tolerance)
     else:
         draft.model = train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
     return draft

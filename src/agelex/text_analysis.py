@@ -45,6 +45,8 @@ SENTENCE_TERMINATORS = ".!?…"
 _RUN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 _WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
 _TERMINATOR_RE = re.compile("[" + re.escape(SENTENCE_TERMINATORS) + "]+")
+_WORD_AT_END_RE = re.compile(_WORD_RE.pattern + r"\Z", re.UNICODE)
+_SPACE_RE = re.compile(r"\s*")
 
 
 def count_syllables(word: str) -> int:
@@ -79,44 +81,32 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
 
     A run of '.', '!', '?' or '…' ends a sentence when followed by
     whitespace and an uppercase letter, or by end of text.  A single
-    period directly after a known abbreviation does not split.
+    period directly after a known abbreviation does not split.  Each run
+    is judged from the word before it, read at most two characters past
+    the longest abbreviation, and the next non-space character, so the
+    cost is linear in the length of the text.
     """
     if abbreviations is None:
         abbreviations = frozenset()
-    boundaries = []
-    for m in _TERMINATOR_RE.finditer(text):
-        if not _is_boundary(text, m, abbreviations):
-            continue
-        boundaries.append(m.end())
-    spans = []
-    prev = 0
-    for end in boundaries:
-        span = _trim(text, prev, end)
-        if span is not None:
-            spans.append(span)
-        prev = end
-    tail = _trim(text, prev, len(text))
-    if tail is not None:
-        spans.append(tail)
-    return spans
+    longest = max(map(len, abbreviations), default=0)
+    ends = [m.end() for m in _TERMINATOR_RE.finditer(text)
+            if _is_boundary(text, m, abbreviations, longest)] + [len(text)]
+    spans = (_trim(text, start, end) for start, end in zip([0] + ends, ends))
+    return [span for span in spans if span is not None]
 
 
-def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str]) -> bool:
+def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str], longest: int) -> bool:
     if m.group(0) == ".":
-        before = text[: m.start()]
-        w = _WORD_RE.search(before[::-1])
-        if w is not None and w.start() == 0:
-            word = w.group(0)[::-1].lower()
-            if word in abbreviations:
-                return False
-    rest = text[m.end():]
-    stripped = rest.lstrip()
-    if not stripped:
+        # a word cut by the window's left edge is longer than every
+        # abbreviation, since lowercasing never shortens, so it matches none
+        word = _WORD_AT_END_RE.search(text, max(0, m.start() - longest - 2), m.start())
+        if word is not None and word.group(0).lower() in abbreviations:
+            return False
+    after = _SPACE_RE.match(text, m.end()).end()
+    if after == len(text):
         return True
-    if len(stripped) == len(rest):
-        # terminator glued to the next character: not a boundary
-        return False
-    return stripped[0].isupper()
+    # a terminator glued to the next character is not a boundary
+    return after > m.end() and text[after].isupper()
 
 
 def _trim(text: str, start: int, end: int) -> tuple[int, int] | None:

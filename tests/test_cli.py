@@ -236,7 +236,19 @@ class TestTrainEvaluate:
         rc = main(["evaluate", "--corpus", str(corpus_file),
                    "--model-file", str(doctored), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "feature schema mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "feature schema mismatch" in err and str(doctored) in err
+
+    @pytest.mark.parametrize("epochs, ending", [("1", " = 1, not converged"),
+                                                ("200", ", converged")])
+    def test_train_reports_solver_convergence(self, tmp_path, corpus_file, epochs, ending,
+                                              capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                   "--model", "lsvc", "--features", "general", "--epochs", epochs])
+        assert rc == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("solver: Newton iterations = ")]
+        assert len(lines) == 1 and lines[0].endswith(ending)
 
 
 class TestClassify:

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agelex.pipeline
 from agelex.errors import ArtifactError, ModelError
 from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            LinearSvcModel, RandomForestModel, _best_split,
-                           _children_votes, gini_impurity, load_model,
-                           save_model, svc_objective, train_linear_svc,
-                           train_random_forest)
+                           _children_votes, _newton_step, gini_impurity,
+                           load_model, save_model, svc_objective,
+                           train_linear_svc, train_random_forest)
+from agelex.pipeline import run_grid
+from agelex.synthetic import make_corpus
 
 
 def separable_blobs(seed, n=60, gap=2.0):
@@ -20,6 +23,40 @@ def separable_blobs(seed, n=60, gap=2.0):
     X = np.vstack([a, b])
     y = np.array([ADULT] * (n // 2) + [CHILDREN] * (n - n // 2))
     return X, y
+
+
+def reference_sgd_svc(X, y, C=1.0, max_epochs=200, tolerance=1e-5, seed=42):
+    """Seeded per-sample stochastic subgradient descent on svc_objective,
+    rolling back any epoch that raises it and halving the step: the
+    oracle the Newton solver must match or beat.  Returns (w, b)."""
+    n, p = X.shape
+    rng = np.random.default_rng(seed)
+    w = np.zeros(p)
+    b = 0.0
+    eta = 1.0 / (1.0 + 2.0 * C * (float(np.mean(np.einsum("ij,ij->i", X, X))) + 1.0))
+    best = svc_objective(w, b, X, y, C)
+    for _ in range(max_epochs):
+        w_prev, b_prev = w.copy(), b
+        for i in rng.permutation(n):
+            xi = X[i]
+            viol = 1.0 - y[i] * (float(xi @ w) + b)
+            if viol > 0:
+                pull = 2.0 * C * y[i] * viol
+                w -= eta * (w / n - pull * xi)
+                b += eta * pull
+            else:
+                w -= eta * (w / n)
+        obj = svc_objective(w, b, X, y, C)
+        if obj > best:
+            w, b = w_prev, b_prev
+            eta *= 0.5
+            if eta < 1e-15:
+                break
+            continue
+        improvement, best = best - obj, obj
+        if improvement < tolerance:
+            break
+    return w, b
 
 
 class TestLinearSvc:
@@ -85,6 +122,51 @@ class TestLinearSvc:
         m2 = train_linear_svc(X, y, seed=11)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+        m3 = train_linear_svc(X, y, seed=12)
+        assert np.array_equal(m1.weights, m3.weights) and m1.bias == m3.bias
+        assert m1.hyperparams == m3.hyperparams
+
+    def test_grid_fits_reach_the_reference_objective(self, resources, monkeypatch):
+        fits = []
+
+        def recording(X, y, **kwargs):
+            model = train_linear_svc(X, y, **kwargs)
+            fits.append((X, y, kwargs, model))
+            return model
+
+        monkeypatch.setattr(agelex.pipeline, "train_linear_svc", recording)
+        run_grid(make_corpus(30, 30, seed=5), resources, ("lsvc",))
+        assert len(fits) == 18
+        for X, y, kwargs, model in fits:
+            w, b = reference_sgd_svc(X, y)
+            assert svc_objective(model.weights, model.bias, X, y, kwargs["C"]) \
+                <= svc_objective(w, b, X, y, kwargs["C"])
+            assert model.hyperparams["converged"] is True
+            assert model.hyperparams["grad_norm"] <= kwargs["tolerance"]
+            assert model.n_epochs == len(model.objective_history) - 1
+
+    def test_iteration_cap_reports_not_converged(self):
+        X, y = separable_blobs(6, gap=0.3)
+        capped = train_linear_svc(X, y, max_epochs=1)
+        assert capped.n_epochs == 1
+        assert capped.hyperparams["converged"] is False
+        assert capped.hyperparams["grad_norm"] > capped.hyperparams["tolerance"]
+        assert train_linear_svc(X, y).hyperparams["converged"] is True
+
+    def test_empty_active_set_keeps_the_step_finite(self):
+        # every margin is 2, so no row is inside the margin and nothing
+        # curves the objective along b: the step only shrinks w
+        Xb = np.array([[-2.0, 1.0], [2.0, 1.0]])
+        y = np.array([ADULT, CHILDREN])
+        grad, step = _newton_step(Xb, y, np.array([1.0, 0.0]), 1.0)
+        assert np.array_equal(grad, [1.0, 0.0])
+        assert np.array_equal(step, [-1.0, 0.0])
+
+    def test_nan_row_rejected_by_predict_many(self):
+        model = LinearSvcModel(weights=np.array([1.0, 0.0]), bias=0.0,
+                               hyperparams={}, objective_history=(0.0,), n_epochs=0)
+        with pytest.raises(ModelError, match="non-finite"):
+            model.predict_many(np.array([[np.nan, 0.0]]))
 
     def test_single_class_rejected(self):
         X = np.zeros((3, 2))
@@ -255,6 +337,19 @@ class TestPersistence:
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(loaded.predict_many(probe), model.predict_many(probe))
         assert np.array_equal(loaded.weights, model.weights)
+
+    def test_svc_payload_without_convergence_fields_loads(self, tmp_path):
+        # the layout written before the Newton solver recorded converged
+        # and grad_norm
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "linear_svc", "model": {
+            "weights": [1.0, -0.5], "bias": 0.25, "objective_history": [2.0, 1.5], "n_epochs": 1,
+            "hyperparams": {"C": 1.0, "max_epochs": 200, "tolerance": 1e-05, "seed": 42}}}),
+            encoding="utf-8")
+        model = load_model(p)
+        assert model.predict(np.array([0.0, 1.0])) == (ADULT, -0.25)
+        assert np.array_equal(model.predict_many(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                              [ADULT, CHILDREN])
 
     def test_forest_round_trip(self, tmp_path):
         X, y = separable_blobs(14, gap=0.7)

@@ -178,5 +178,20 @@ def test_pipeline_width_mismatch_rejected(saved_pipelines, tmp_path, case):
     corrupt(payload["model"])
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ArtifactError) as excinfo:
         load_model(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda m: m["model"].update(kind="mystery"), "unknown inner model kind 'mystery'"),
+    (lambda m: m["recipe"].update(families=["bogus"]), "unknown feature families"),
+], ids=["unknown-inner-kind", "unknown-family"])
+def test_pipeline_load_errors_name_the_file(saved_pipelines, tmp_path, corrupt, message):
+    payload = json.loads(saved_pipelines["lsvc"].read_text(encoding="utf-8"))
+    corrupt(payload["model"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError, match=message) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}: ")

@@ -1,6 +1,9 @@
 """Tokenizer, sentence splitter, syllable counter and morphology."""
+import re
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agelex.errors import LexiconError
 from agelex.text_analysis import (DictionaryMorphology, HeuristicMorphology,
@@ -9,6 +12,54 @@ from agelex.text_analysis import (DictionaryMorphology, HeuristicMorphology,
                                   tokenize)
 
 CYR_WORDS = st.text(alphabet="абвгдежзиклмнопрстуфхцчшщыьэюя", min_size=1, max_size=12)
+
+_WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*")
+_TERMINATOR_RE = re.compile("[.!?…]+")
+
+
+def reference_split_sentences(text, abbreviations=None):
+    """The splitter that judged each terminator run on a reversed copy of
+    the whole prefix and a copy of the whole suffix: quadratic, and the
+    oracle for split_sentences."""
+    abbreviations = abbreviations or frozenset()
+
+    def is_boundary(m):
+        if m.group(0) == ".":
+            w = _WORD_RE.search(text[: m.start()][::-1])
+            if w is not None and w.start() == 0 and w.group(0)[::-1].lower() in abbreviations:
+                return False
+        rest = text[m.end():]
+        stripped = rest.lstrip()
+        if not stripped:
+            return True
+        if len(stripped) == len(rest):
+            return False
+        return stripped[0].isupper()
+
+    spans, prev = [], 0
+    for end in [m.end() for m in _TERMINATOR_RE.finditer(text) if is_boundary(m)] + [len(text)]:
+        start, stop = prev, end
+        while start < stop and text[start].isspace():
+            start += 1
+        while stop > start and text[stop - 1].isspace():
+            stop -= 1
+        if start < stop:
+            spans.append((start, stop))
+        prev = end
+    return spans
+
+
+ABBREVIATIONS = frozenset({"г", "тт", "жил-был", "etc"})
+# Each piece is a word, maybe glued to hyphens, digits, underscores, a
+# non-decimal digit or a letter whose lowercase is longer, then maybe a
+# terminator run and whitespace.  Words are abbreviations or runs of
+# every length around the abbreviations'.
+_WORDS = (st.sampled_from(sorted(ABBREVIATIONS))
+          | st.sampled_from(sorted(ABBREVIATIONS)).map(str.capitalize)
+          | st.text(alphabet="гтДaE-_1²İ", min_size=1, max_size=40))
+SENTENCE_PIECES = st.tuples(st.text(alphabet="-_1²İД ", max_size=2), _WORDS,
+                            st.sampled_from([".", ".", "..", "!", "?!", "…", ""]),
+                            st.sampled_from([" ", " ", "  ", "\n", "\u00a0", ""])).map("".join)
 
 
 class TestTokenize:
@@ -80,6 +131,42 @@ class TestSplitSentences:
         spans = split_sentences(text)
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert a1 < b1 <= a2 < b2
+
+    @settings(max_examples=500)
+    @given(st.lists(SENTENCE_PIECES, max_size=12).map("".join),
+           st.one_of(st.just(ABBREVIATIONS), st.none(),
+                     st.frozensets(st.text(alphabet="гт-", min_size=1, max_size=3), max_size=3)))
+    @example("Жил-был кот. Г. Конец", ABBREVIATIONS)
+    @example("аг-тт. Кот", ABBREVIATIONS)
+    @example("Кот -тт. Пёс", ABBREVIATIONS)
+    @example("Кот ²тт. Пёс", ABBREVIATIONS)
+    @example("Кот 1тт. Пёс", ABBREVIATIONS)
+    @example("Кот тт.. Пёс", ABBREVIATIONS)
+    @example("Кот İ. Пёс", frozenset({"i̇"}))
+    @example("Кот xжил-был. Пёс", ABBREVIATIONS)
+    @example("Кот аг-жил-был. Пёс", ABBREVIATIONS)
+    @example("Кот тт . Пёс", ABBREVIATIONS)
+    @example("Кот т-. Пёс", frozenset({"т-"}))
+    @example("Кот...   ", None)
+    def test_spans_match_reference(self, text, abbreviations):
+        assert split_sentences(text, abbreviations) == reference_split_sentences(text, abbreviations)
+
+    def test_cost_grows_linearly(self, resources):
+        # eight times the text takes about eight times as long; the
+        # reference copies the prefix and suffix at every run and takes
+        # about 50 times as long
+        text = "Он жил в г. Москве... Дом-музей им. Толстого стоит тут!  Правда?! Да. " * 300
+
+        def best_seconds(t, repeats):
+            times = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                split_sentences(t, resources.abbreviations)
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        once = best_seconds(text, 5)
+        assert best_seconds(text * 8, 3) / once < 24
 
 
 class TestCountSyllables:
