@@ -8,15 +8,23 @@ schema_hash(); trained models refuse inputs with a different schema.
 
 Features are always computed on the full preview text, never on the
 truncated fragments used by the bag-of-words vectorizer.
+
+The five quantitative families read the per-type table of
+text_analysis.analyze, so each lookup happens once per distinct surface
+and every count is a sum of per-type token counts; features.md says how
+means and medians are computed.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import mul
 from pathlib import Path
-from statistics import mean, median
 from typing import TYPE_CHECKING
 
 from .corpus import AgeRating, Document
@@ -184,10 +192,32 @@ def _require_tokens(t: AnalyzedText) -> None:
         raise FeatureError("text has no sentences")
 
 
-def _ttr(lemmas: list[str]) -> float:
-    if not lemmas:
-        return 0.0
-    return len(set(lemmas)) / len(lemmas)
+def _weighted(pairs) -> tuple[list[int], int]:
+    """Each (value, weight) pair's product, exactly, as integers over one
+    common scale.  Every float is an integer over a power of two, so
+    their largest denominator is that scale."""
+    ratios = [(v.as_integer_ratio(), w) for v, w in pairs]
+    shift = max((d for (_, d), _ in ratios), default=1).bit_length()
+    return [(n << (shift - d.bit_length())) * w for (n, d), w in ratios], 1 << (shift - 1)
+
+
+def _median(counts: Counter) -> float:
+    """Median of integers given as value -> multiplicity, as
+    statistics.median computes it."""
+    order = sorted(counts)
+    ends = list(accumulate(counts[v] for v in order))
+    n = ends[-1]
+    return (order[bisect_right(ends, (n - 1) // 2)] + order[bisect_right(ends, n // 2)]) / 2
+
+
+def _tokens_of(t: AnalyzedText, pos: Pos) -> int:
+    return sum(count for p, count in zip(t.pos, t.counts) if p is pos)
+
+
+def _ttr(t: AnalyzedText, pos: Pos) -> float:
+    """Distinct lemmas over tokens, among the tokens tagged pos."""
+    tokens = _tokens_of(t, pos)
+    return len({lemma for lemma, p in zip(t.lemmas, t.pos) if p is pos}) / tokens if tokens else 0.0
 
 
 def general_features(t: AnalyzedText) -> FeatureVector:
@@ -199,20 +229,20 @@ def general_features(t: AnalyzedText) -> FeatureVector:
     no verbs.
     """
     _require_tokens(t)
-    word_lengths = [len(tok.surface) for tok in t.tokens]
-    nouns = [tok.lemma for tok in t.tokens if tok.pos is Pos.NOUN]
-    adjs = [tok.lemma for tok in t.tokens if tok.pos is Pos.ADJ]
-    verbs = [tok.lemma for tok in t.tokens if tok.pos is Pos.VERB]
-    ttr_n, ttr_a, ttr_v = _ttr(nouns), _ttr(adjs), _ttr(verbs)
+    n = t.n_tokens
+    lengths: Counter = Counter()
+    for surface, count in zip(t.surfaces, t.counts):
+        lengths[len(surface)] += count
+    ttr_n, ttr_a, ttr_v = _ttr(t, Pos.NOUN), _ttr(t, Pos.ADJ), _ttr(t, Pos.VERB)
     nav = (ttr_a + ttr_n) / ttr_v if ttr_v > 0 else 0.0
     values = (
-        mean(word_lengths),
-        float(median(word_lengths)),
-        mean(t.sentence_symbols),
-        float(median(t.sentence_symbols)),
-        mean(tok.syllables for tok in t.tokens),
-        sum(1 for tok in t.tokens if tok.syllables > 4) / t.n_tokens,
-        _ttr([tok.lemma for tok in t.tokens]),
+        sum(length * count for length, count in lengths.items()) / n,
+        _median(lengths),
+        sum(t.sentence_symbols) / t.n_sentences,
+        _median(Counter(t.sentence_symbols)),
+        sum(map(mul, t.syllables, t.counts)) / n,
+        sum(count for syl, count in zip(t.syllables, t.counts) if syl > 4) / n,
+        len(set(t.lemmas)) / n,
         ttr_n, ttr_a, ttr_v, nav,
     )
     return FeatureVector(GENERAL_NAMES, values)
@@ -228,10 +258,10 @@ def readability_features(t: AnalyzedText, familiar: WordList,
     _require_tokens(t)
     words = t.n_tokens
     sentences = t.n_sentences
-    syllables = sum(tok.syllables for tok in t.tokens)
-    polysyllables = sum(1 for tok in t.tokens if tok.syllables > 3)
-    difficult = sum(1 for tok in t.tokens
-                    if tok.pos is not Pos.PROPN and tok.lemma not in familiar)
+    syllables = sum(map(mul, t.syllables, t.counts))
+    polysyllables = sum(count for syl, count in zip(t.syllables, t.counts) if syl > 3)
+    difficult = sum(count for lemma, pos, count in zip(t.lemmas, t.pos, t.counts)
+                    if pos is not Pos.PROPN and lemma not in familiar)
     asl = words / sentences
     asw = syllables / words
     values = (
@@ -244,10 +274,8 @@ def readability_features(t: AnalyzedText, familiar: WordList,
     return FeatureVector(READABILITY_NAMES, values)
 
 
-_POS_BUCKETS = {Pos.NOUN: "s", Pos.VERB: "v", Pos.ADJ: "adj",
-                Pos.ADV: "adv", Pos.PROPN: "prop"}
-_BUCKET_ORDER = ("words", "s", "v", "adj", "adv", "prop")
-_ATTR_ORDER = ("fr", "r", "d", "doc")
+# the parts of speech of the s, v, adj, adv and prop buckets
+_BUCKET_POS = (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN)
 
 
 def lexical_features(t: AnalyzedText, frequency: FrequencyDictionary,
@@ -259,61 +287,41 @@ def lexical_features(t: AnalyzedText, frequency: FrequencyDictionary,
     dictionary average is 0 and the vector carries a warning flag.
     """
     _require_tokens(t)
-    hits = [tok for tok in t.tokens if tok.lemma in top5000]
-    proc_5000 = len(hits) / t.n_tokens
-    freq_values = []
-    for tok in hits:
-        ipm = top5000.ipm_of(tok.lemma)
-        if ipm is None:
-            rec = frequency.lookup(tok.lemma, tok.pos)
-            stats = frequency.lookup_any(tok.lemma)
-            ipm = rec.ipm if rec is not None else (stats.ipm if stats is not None else None)
-        if ipm is not None:
-            freq_values.append(ipm)
-    freq_5000 = mean(freq_values) if freq_values else 0.0
+    hits = 0
+    hit_rows = []  # (ipm, token count) of each top-5000 type with a known ipm
+    rows = []  # (ipm, r, d, doc, pos, token count) of each type in the dictionary
+    for lemma, pos, count in zip(t.lemmas, t.pos, t.counts):
+        # an exact (lemma, pos) record, else the average over the lemma's records
+        entry = frequency.lookup(lemma, pos) or frequency.lookup_any(lemma)
+        if lemma in top5000:
+            hits += count
+            ipm = top5000.ipm_of(lemma)
+            if ipm is None and entry is not None:
+                ipm = entry.ipm
+            if ipm is not None:
+                hit_rows.append((ipm, count))
+        if entry is not None:
+            rows.append((entry.ipm, float(entry.r), entry.d, float(entry.doc), pos, count))
 
-    sums = {b: [0.0, 0.0, 0.0, 0.0] for b in _BUCKET_ORDER}
-    counts = {b: 0 for b in _BUCKET_ORDER}
-    matched = 0
-    for tok in t.tokens:
-        rec = frequency.lookup(tok.lemma, tok.pos)
-        if rec is not None:
-            attrs = (rec.ipm, float(rec.r), rec.d, float(rec.doc))
-        else:
-            stats = frequency.lookup_any(tok.lemma)
-            if stats is None:
-                continue
-            attrs = (stats.ipm, stats.r, stats.d, stats.doc)
-        matched += 1
-        buckets = ["words"]
-        bucket = _POS_BUCKETS.get(tok.pos)
-        if bucket is not None:
-            buckets.append(bucket)
-        for b in buckets:
-            counts[b] += 1
-            for i, v in enumerate(attrs):
-                sums[b][i] += v
-
-    warnings: tuple[str, ...] = ()
-    if matched == 0:
-        warnings = ("no_frequency_matches",)
-
-    values = [proc_5000, freq_5000]
-    for i, _attr in enumerate(_ATTR_ORDER):
-        for b in _BUCKET_ORDER:
-            values.append(sums[b][i] / counts[b] if counts[b] else 0.0)
+    weighted, scale = _weighted(hit_rows)
+    hit_tokens = sum(count for _, count in hit_rows)
+    values = [hits / t.n_tokens, sum(weighted) / (scale * hit_tokens) if hit_tokens else 0.0]
+    *columns, row_pos, row_counts = zip(*rows) if rows else [()] * 6
+    # the "words" bucket takes every row, the others the rows of one pos
+    masks = [[True] * len(rows)] + [[p is pos for p in row_pos] for pos in _BUCKET_POS]
+    tokens = [sum(compress(row_counts, mask)) for mask in masks]
+    for column in columns:
+        weighted, scale = _weighted(zip(column, row_counts))
+        for mask, n in zip(masks, tokens):
+            values.append(sum(compress(weighted, mask)) / (scale * n) if n else 0.0)
+    warnings = () if rows else ("no_frequency_matches",)
     return FeatureVector(LEXICAL_NAMES, tuple(values), warnings)
 
 
 def grammatical_features(t: AnalyzedText) -> FeatureVector:
     """Shares of nouns, verbs and adjectives among all tokens."""
     _require_tokens(t)
-    n = t.n_tokens
-    values = (
-        sum(1 for tok in t.tokens if tok.pos is Pos.NOUN) / n,
-        sum(1 for tok in t.tokens if tok.pos is Pos.VERB) / n,
-        sum(1 for tok in t.tokens if tok.pos is Pos.ADJ) / n,
-    )
+    values = tuple(_tokens_of(t, pos) / t.n_tokens for pos in (Pos.NOUN, Pos.VERB, Pos.ADJ))
     return FeatureVector(GRAMMATICAL_NAMES, values)
 
 
@@ -321,14 +329,11 @@ def sentiment_features(t: AnalyzedText, lexicon: SentimentLexicon) -> FeatureVec
     """Shares of sentiment-bearing tokens by polarity and category,
     relative to all tokens."""
     _require_tokens(t)
-    counts = {(pol, cat): 0 for pol in Polarity for cat in SentimentCategory}
-    for tok in t.tokens:
-        entry = lexicon.lookup(tok.lemma)
-        if entry is not None:
-            counts[entry] += 1
-    n = t.n_tokens
+    counts: Counter = Counter()
+    for lemma, count in zip(t.lemmas, t.counts):
+        counts[lexicon.lookup(lemma)] += count
     values = tuple(
-        counts[(pol, cat)] / n
+        counts[(pol, cat)] / t.n_tokens
         for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
         for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING, SentimentCategory.FACT)
     )

@@ -1,5 +1,10 @@
 """Tokenization, sentence splitting, syllable counting and morphology.
 
+analyze() returns one row per distinct surface (word type), with each
+lookup done once per row, plus a column of type ids for the tokens and
+token ranges for the sentences; the feature families work from its
+per-type counts.
+
 All routines are pure functions of their inputs, so repeated calls on the
 same text yield identical results.  The module is Cyrillic-first but every
 rule also covers Latin letters, since previews occasionally quote foreign
@@ -8,8 +13,10 @@ titles or names.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
 from pathlib import Path
 
 from .errors import LexiconError
@@ -43,17 +50,17 @@ SENTENCE_TERMINATORS = ".!?…"
 # Candidate runs are letters or digits joined by internal hyphens; a run
 # only becomes a token if it contains no digits ("A1" yields nothing).
 _RUN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
-_WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
 _TERMINATOR_RE = re.compile("[" + re.escape(SENTENCE_TERMINATORS) + "]+")
-_WORD_AT_END_RE = re.compile(_WORD_RE.pattern + r"\Z", re.UNICODE)
+_WORD_AT_END_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*\Z", re.UNICODE)
 _SPACE_RE = re.compile(r"\s*")
+# first through last non-space character
+_TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 
 
 def count_syllables(word: str) -> int:
     """Count vowels in the word, with a floor of one per the convention
     that every pronounceable token carries at least one syllable."""
-    n = sum(1 for ch in word.lower() if ch in _VOWELS)
-    return max(n, 1)
+    return max(sum(map(_VOWELS.__contains__, word.lower())), 1)
 
 
 def tokenize(text: str) -> list[str]:
@@ -64,15 +71,15 @@ def tokenize(text: str) -> list[str]:
     punctuation never is, although both still count toward the character
     totals reported by analyze().
     """
-    return [m.group(0) for m in _iter_token_matches(text)]
+    runs = _RUN_RE.findall(text)
+    is_word = {run: _is_word(run) for run in set(runs)}
+    return list(compress(runs, map(is_word.__getitem__, runs)))
 
 
-def _iter_token_matches(text: str):
-    for m in _RUN_RE.finditer(text):
-        # \d misses superscripts and other non-decimal digit characters,
-        # so an explicit alphabetic check backs up the regex
-        if _WORD_RE.fullmatch(m.group(0)) and m.group(0).replace("-", "").isalpha():
-            yield m
+def _is_word(run: str) -> bool:
+    # a run holds only letters, digits and hyphens; str.isalpha rejects
+    # superscripts and other non-decimal digits that \d misses
+    return run.replace("-", "").isalpha()
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[tuple[int, int]]:
@@ -91,8 +98,8 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     longest = max(map(len, abbreviations), default=0)
     ends = [m.end() for m in _TERMINATOR_RE.finditer(text)
             if _is_boundary(text, m, abbreviations, longest)] + [len(text)]
-    spans = (_trim(text, start, end) for start, end in zip([0] + ends, ends))
-    return [span for span in spans if span is not None]
+    trimmed = (_TRIMMED_RE.search(text, start, end) for start, end in zip([0] + ends, ends))
+    return [m.span() for m in trimmed if m is not None]
 
 
 def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str], longest: int) -> bool:
@@ -107,16 +114,6 @@ def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str], longest:
         return True
     # a terminator glued to the next character is not a boundary
     return after > m.end() and text[after].isupper()
-
-
-def _trim(text: str, start: int, end: int) -> tuple[int, int] | None:
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    if start == end:
-        return None
-    return (start, end)
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
@@ -211,19 +208,17 @@ class HeuristicMorphology(MorphologyProvider):
     treated as proper nouns.  Deliberately rough, but deterministic.
     """
 
-    _rules = [
-        (Pos.ADV, _ADV_SUFFIXES),
-        (Pos.ADJ, _ADJ_SUFFIXES),
-        (Pos.VERB, _VERB_SUFFIXES),
-        (Pos.NOUN, _NOUN_SUFFIXES),
-    ]
+    # each table longest suffix first, equal lengths in table order
+    _rules = [(pos, tuple(sorted(suffixes, key=len, reverse=True)))
+              for pos, suffixes in ((Pos.ADV, _ADV_SUFFIXES), (Pos.ADJ, _ADJ_SUFFIXES),
+                                    (Pos.VERB, _VERB_SUFFIXES), (Pos.NOUN, _NOUN_SUFFIXES))]
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
         low = surface.lower()
         if low in _ADV_WORDS:
             return (low, Pos.ADV)
         for pos, suffixes in self._rules:
-            for suf in sorted(suffixes, key=len, reverse=True):
+            for suf in suffixes:
                 if len(low) > len(suf) + 1 and low.endswith(suf):
                     return (low, pos)
         if len(surface) > 2 and surface[0].isupper() and surface[1:].islower():
@@ -231,27 +226,27 @@ class HeuristicMorphology(MorphologyProvider):
         return (low, Pos.OTHER)
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    lemma: str
-    pos: Pos
-    syllables: int
-    start: int
-    end: int
-
-
 @dataclass
 class AnalyzedText:
     """Tokenized, sentence-split and morphologically annotated text.
 
-    sentences holds (first_token, one_past_last_token) index ranges into
-    tokens; sentence_symbols holds the non-whitespace character count of
-    each sentence span, punctuation included.
+    Row i of the type table is the distinct surface surfaces[i], with
+    its lemma lemmas[i], part of speech pos[i] and syllables[i], and
+    counts[i] is how many tokens have that surface.  Types are numbered
+    in order of first appearance.  tokens holds the type id of every
+    token in text order; sentences holds (first_token,
+    one_past_last_token) ranges into it, and sentence_symbols the
+    non-whitespace character count of each sentence span, punctuation
+    included.
     """
 
     text: str
-    tokens: list[Token]
+    tokens: list[int]
+    surfaces: list[str]
+    lemmas: list[str]
+    pos: list[Pos]
+    syllables: list[int]
+    counts: list[int]
     sentences: list[tuple[int, int]]
     sentence_symbols: list[int]
     char_count: int
@@ -271,41 +266,37 @@ def analyze(text: str, morphology: MorphologyProvider,
             abbreviations: frozenset[str] | None = None) -> AnalyzedText:
     """Run the full pipeline: sentences, tokens, syllables, morphology.
 
-    Unknown surfaces fall back to pos=Other with the lowercased surface
-    as lemma.  Sentence spans that contain no tokens are dropped, so every
-    token belongs to exactly one sentence.
+    Each sentence span is cut into runs, and each distinct run is read
+    once: its letters and digits, whether it is a word, and a word's
+    morphology and syllables.  Unknown surfaces fall back to pos=Other
+    with the lowercased surface as lemma.  Sentence spans without tokens
+    are dropped, so every token belongs to exactly one sentence, but
+    their symbols still count toward symbol_count.
     """
-    matches = list(_iter_token_matches(text))
-    tokens = []
-    for m in matches:
-        surface = m.group(0)
-        result = morphology.analyze(surface)
-        if result is None:
-            lemma, pos = surface.lower(), Pos.OTHER
-        else:
-            lemma, pos = result
-        tokens.append(Token(surface=surface, lemma=lemma, pos=pos,
-                            syllables=count_syllables(surface),
-                            start=m.start(), end=m.end()))
-
     spans = split_sentences(text, abbreviations)
-    sentences = []
-    sentence_symbols = []
-    tok_i = 0
-    for start, end in spans:
-        first = tok_i
-        while tok_i < len(tokens) and tokens[tok_i].start < end:
-            tok_i += 1
-        if tok_i > first:
-            sentences.append((first, tok_i))
-            sentence_symbols.append(sum(1 for ch in text[start:end] if not ch.isspace()))
-
+    # no run crosses a span edge: a span starts after whitespace and ends
+    # at a terminator or before whitespace
+    span_runs = [_RUN_RE.findall(text, start, end) for start, end in spans]
+    run_counts = Counter(chain.from_iterable(span_runs))
+    surfaces = [run for run in run_counts if _is_word(run)]
+    analyses = [morphology.analyze(s) or (s.lower(), Pos.OTHER) for s in surfaces]
+    type_of = {surface: i for i, surface in enumerate(surfaces)}
+    symbols = [sum(map(len, text[start:end].split())) for start, end in spans]
+    tokens, sentences, sentence_symbols = [], [], []
+    for runs, n_symbols in zip(span_runs, symbols):
+        first = len(tokens)
+        tokens += [i for i in map(type_of.get, runs) if i is not None]
+        if len(tokens) > first:
+            sentences.append((first, len(tokens)))
+            sentence_symbols.append(n_symbols)
     return AnalyzedText(
-        text=text,
-        tokens=tokens,
-        sentences=sentences,
-        sentence_symbols=sentence_symbols,
-        char_count=sum(1 for ch in text if ch.isalnum()),
-        letter_count=sum(1 for ch in text if ch.isalpha()),
-        symbol_count=sum(1 for ch in text if not ch.isspace()),
+        text=text, tokens=tokens, surfaces=surfaces,
+        lemmas=[lemma for lemma, _ in analyses], pos=[pos for _, pos in analyses],
+        syllables=list(map(count_syllables, surfaces)),
+        counts=[run_counts[surface] for surface in surfaces],
+        sentences=sentences, sentence_symbols=sentence_symbols,
+        # every letter and digit of the text lies in a run
+        char_count=sum((len(run) - run.count("-")) * n for run, n in run_counts.items()),
+        letter_count=sum(sum(map(str.isalpha, run)) * n for run, n in run_counts.items()),
+        symbol_count=sum(symbols),
     )

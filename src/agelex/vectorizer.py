@@ -27,16 +27,15 @@ def preprocess(text: str, morphology: MorphologyProvider,
 
     Steps, in order: drop non-word characters (tokenization), lowercase,
     lemmatize, remove stop words.  Unknown forms keep their lowercased
-    surface as lemma.
+    surface as lemma.  Each distinct surface is lemmatized once.
     """
-    lemmas = []
-    for surface in tokenize(text):
+    words = tokenize(text)
+    lemma_of = {}
+    for surface in set(words):
         low = surface.lower()
         result = morphology.analyze(low)
-        lemma = result[0] if result is not None else low
-        if lemma not in stopwords:
-            lemmas.append(lemma)
-    return lemmas
+        lemma_of[surface] = result[0] if result is not None else low
+    return [lemma for lemma in map(lemma_of.__getitem__, words) if lemma not in stopwords]
 
 
 def fragment(lemmas: list[str], limit: int = FRAGMENT_LIMIT) -> list[str]:

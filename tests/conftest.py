@@ -12,3 +12,8 @@ def resources() -> Resources:
 @pytest.fixture(scope="session")
 def morph(resources) -> DictionaryMorphology:
     return resources.morphology
+
+
+@pytest.fixture(scope="session")
+def heuristic_resources() -> Resources:
+    return Resources.load(heuristic_fallback=True)

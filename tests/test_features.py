@@ -1,8 +1,13 @@
 """Feature families, the 56-column schema and the readability formulas."""
 import math
+import re
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from statistics import mean, median
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agelex.corpus import AgeRating, Document, Label
 from agelex.errors import ConfigError, FeatureError
@@ -16,8 +21,10 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
                              sentiment_features, smog_index)
 from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
-from agelex.resources import GRADE_COEFFICIENTS_FILE
-from agelex.text_analysis import DictionaryMorphology, Pos, analyze
+from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE
+from agelex.synthetic import make_corpus
+from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
+                                  count_syllables, split_sentences)
 
 import agelex.features as features_mod
 
@@ -32,6 +39,252 @@ def dict_morph(entries: dict[str, tuple[str, str]]) -> DictionaryMorphology:
 
 def analyzed(text: str, entries: dict[str, tuple[str, str]]):
     return analyze(text, dict_morph(entries))
+
+
+# The token-walking analysis and feature families that the per-type
+# ones replaced: the oracle for analyze() and the five families.
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    surface: str
+    lemma: str
+    pos: Pos
+    syllables: int
+    start: int
+    end: int
+
+
+@dataclass
+class ReferenceAnalyzedText:
+    text: str
+    tokens: list
+    sentences: list
+    sentence_symbols: list
+    char_count: int
+    letter_count: int
+    symbol_count: int
+
+    @property
+    def n_tokens(self):
+        return len(self.tokens)
+
+    @property
+    def n_sentences(self):
+        return len(self.sentences)
+
+
+_REF_RUN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*")
+_REF_WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*")
+
+
+def reference_analyze(text, morphology, abbreviations=None):
+    tokens = []
+    for m in _REF_RUN_RE.finditer(text):
+        surface = m.group(0)
+        if not (_REF_WORD_RE.fullmatch(surface) and surface.replace("-", "").isalpha()):
+            continue
+        result = morphology.analyze(surface)
+        lemma, pos = result if result is not None else (surface.lower(), Pos.OTHER)
+        tokens.append(ReferenceToken(surface, lemma, pos, count_syllables(surface),
+                                     m.start(), m.end()))
+    sentences, sentence_symbols = [], []
+    tok_i = 0
+    for start, end in split_sentences(text, abbreviations):
+        first = tok_i
+        while tok_i < len(tokens) and tokens[tok_i].start < end:
+            tok_i += 1
+        if tok_i > first:
+            sentences.append((first, tok_i))
+            sentence_symbols.append(sum(1 for ch in text[start:end] if not ch.isspace()))
+    return ReferenceAnalyzedText(
+        text, tokens, sentences, sentence_symbols,
+        char_count=sum(1 for ch in text if ch.isalnum()),
+        letter_count=sum(1 for ch in text if ch.isalpha()),
+        symbol_count=sum(1 for ch in text if not ch.isspace()))
+
+
+def _reference_ttr(lemmas):
+    return len(set(lemmas)) / len(lemmas) if lemmas else 0.0
+
+
+def reference_general_features(t):
+    word_lengths = [len(tok.surface) for tok in t.tokens]
+    ttr_n, ttr_a, ttr_v = (_reference_ttr([tok.lemma for tok in t.tokens if tok.pos is pos])
+                           for pos in (Pos.NOUN, Pos.ADJ, Pos.VERB))
+    nav = (ttr_a + ttr_n) / ttr_v if ttr_v > 0 else 0.0
+    return (mean(word_lengths), float(median(word_lengths)),
+            mean(t.sentence_symbols), float(median(t.sentence_symbols)),
+            mean(tok.syllables for tok in t.tokens),
+            sum(1 for tok in t.tokens if tok.syllables > 4) / t.n_tokens,
+            _reference_ttr([tok.lemma for tok in t.tokens]), ttr_n, ttr_a, ttr_v, nav)
+
+
+def reference_readability_features(t, familiar, coefficients=DEFAULT_COEFFICIENTS):
+    words, sentences = t.n_tokens, t.n_sentences
+    syllables = sum(tok.syllables for tok in t.tokens)
+    polysyllables = sum(1 for tok in t.tokens if tok.syllables > 3)
+    difficult = sum(1 for tok in t.tokens if tok.pos is not Pos.PROPN and tok.lemma not in familiar)
+    return (flesch_kincaid(words / sentences, syllables / words, coefficients),
+            coleman_liau(t.letter_count / words * 100.0, sentences / words * 100.0, coefficients),
+            automated_readability(t.char_count / words, words / sentences, coefficients),
+            smog_index(polysyllables, sentences, coefficients),
+            dale_chall(difficult / words, words / sentences, coefficients))
+
+
+_REF_BUCKETS = {Pos.NOUN: "s", Pos.VERB: "v", Pos.ADJ: "adj", Pos.ADV: "adv", Pos.PROPN: "prop"}
+_REF_BUCKET_ORDER = ("words", "s", "v", "adj", "adv", "prop")
+
+
+def reference_dictionary_attrs(t, frequency):
+    """Per bucket, the (ipm, r, d, doc) of every matched token in order."""
+    out = {b: [] for b in _REF_BUCKET_ORDER}
+    for tok in t.tokens:
+        rec = frequency.lookup(tok.lemma, tok.pos)
+        if rec is not None:
+            attrs = (rec.ipm, float(rec.r), rec.d, float(rec.doc))
+        else:
+            stats = frequency.lookup_any(tok.lemma)
+            if stats is None:
+                continue
+            attrs = (stats.ipm, stats.r, stats.d, stats.doc)
+        out["words"].append(attrs)
+        if tok.pos in _REF_BUCKETS:
+            out[_REF_BUCKETS[tok.pos]].append(attrs)
+    return out
+
+
+def reference_lexical_features(t, frequency, top5000):
+    hits = [tok for tok in t.tokens if tok.lemma in top5000]
+    freq_values = []
+    for tok in hits:
+        ipm = top5000.ipm_of(tok.lemma)
+        if ipm is None:
+            rec = frequency.lookup(tok.lemma, tok.pos)
+            stats = frequency.lookup_any(tok.lemma)
+            ipm = rec.ipm if rec is not None else (stats.ipm if stats is not None else None)
+        if ipm is not None:
+            freq_values.append(ipm)
+    by_bucket = reference_dictionary_attrs(t, frequency)
+    values = [len(hits) / t.n_tokens, mean(freq_values) if freq_values else 0.0]
+    for i in range(4):
+        for b in _REF_BUCKET_ORDER:
+            total = 0.0
+            for attrs in by_bucket[b]:
+                total += attrs[i]
+            values.append(total / len(by_bucket[b]) if by_bucket[b] else 0.0)
+    warnings = () if by_bucket["words"] else ("no_frequency_matches",)
+    return tuple(values), warnings
+
+
+def reference_grammatical_features(t):
+    return tuple(sum(1 for tok in t.tokens if tok.pos is pos) / t.n_tokens
+                 for pos in (Pos.NOUN, Pos.VERB, Pos.ADJ))
+
+
+def reference_sentiment_features(t, lexicon):
+    counts = {(pol, cat): 0 for pol in Polarity for cat in SentimentCategory}
+    for tok in t.tokens:
+        entry = lexicon.lookup(tok.lemma)
+        if entry is not None:
+            counts[entry] += 1
+    return tuple(counts[(pol, cat)] / t.n_tokens
+                 for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
+                 for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING,
+                             SentimentCategory.FACT))
+
+
+_DICTIONARY_SURFACES = sorted(
+    line.split("\t")[0]
+    for line in BUNDLED_FILES["morphology"].read_text(encoding="utf-8").splitlines()
+    if line.strip() and not line.startswith("#"))
+_CASES = [str, str.upper, str.capitalize, str.swapcase]
+_WORD = st.tuples(st.sampled_from(_DICTIONARY_SURFACES)
+                  | st.text(alphabet="абвгдеёжзийклмнопрстуфхцчшщъыьэюяabcxyz",
+                            min_size=1, max_size=10),
+                  st.sampled_from(_CASES)).map(lambda p: p[1](p[0]))
+_DIGITS = st.text(alphabet="0123456789²½", min_size=1, max_size=3)
+_RUN = (_WORD | st.lists(_WORD, min_size=2, max_size=3).map("-".join)
+        | st.tuples(_WORD, _DIGITS).map("".join) | _DIGITS)
+_PUNCTUATION = st.text(alphabet=".!?…,;:-—()«»_", max_size=4)
+# dictionary and unknown words in mixed case, hyphenated words, digits
+# and punctuation runs, with assorted whitespace between them
+TEXTS = st.lists(st.tuples(_PUNCTUATION, _RUN, _PUNCTUATION,
+                           st.sampled_from([" ", " ", "  ", "\n", "\u00a0", "\t", "\x1c", ""]))
+                 .map("".join), max_size=25).map("".join)
+
+
+def distinct_words(first: int, n: int) -> str:
+    """Sentences of ten words each, every word spelled from its own
+    number, so no two are alike."""
+    letters = "бвгдклмнпрст"
+    words = []
+    for i in range(first, first + n):
+        word = "о"
+        while i:
+            i, digit = divmod(i, len(letters))
+            word += letters[digit] + "а"
+        words.append(word)
+    return " ".join(" ".join(words[i:i + 10]).capitalize() + "." for i in range(0, n, 10))
+
+
+def bits(values):
+    values = list(values)
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+class TestAgainstTokenReference:
+    """The per-type analysis and families against the token walk.
+
+    Every feature that is a ratio of integer counts, and every mean of
+    integers, is bit-identical.  5000_freq was and is the exactly summed
+    mean.  The 24 dictionary averages are now exactly summed too, where
+    the token walk added them up in text order, so they equal the
+    correctly rounded mean of the walk's values and stay within rounding
+    error of its sums.
+    """
+
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @settings(max_examples=150)
+    @given(text=TEXTS)
+    def test_analysis_matches(self, heuristic, text, resources, heuristic_resources):
+        res = heuristic_resources if heuristic else resources
+        t = analyze(text, res.morphology, res.abbreviations)
+        ref = reference_analyze(text, res.morphology, res.abbreviations)
+        assert ([(t.surfaces[i], t.lemmas[i], t.pos[i], t.syllables[i]) for i in t.tokens]
+                == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
+        assert len(set(t.surfaces)) == len(t.surfaces)
+        assert t.counts == [t.tokens.count(i) for i in range(len(t.surfaces))]
+        assert ((t.sentences, t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count)
+                == (ref.sentences, ref.sentence_symbols, ref.char_count, ref.letter_count,
+                    ref.symbol_count))
+
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @settings(max_examples=150)
+    @given(text=TEXTS)
+    def test_families_match(self, heuristic, text, resources, heuristic_resources):
+        res = heuristic_resources if heuristic else resources
+        t = analyze(text, res.morphology, res.abbreviations)
+        ref = reference_analyze(text, res.morphology, res.abbreviations)
+        if not ref.tokens:
+            with pytest.raises(FeatureError):
+                general_features(t)
+            return
+        assert bits(general_features(t).values) == bits(map(float, reference_general_features(ref)))
+        assert (bits(readability_features(t, res.familiar).values)
+                == bits(reference_readability_features(ref, res.familiar)))
+        assert bits(grammatical_features(t).values) == bits(reference_grammatical_features(ref))
+        assert (bits(sentiment_features(t, res.sentiment).values)
+                == bits(reference_sentiment_features(ref, res.sentiment)))
+        lexical = lexical_features(t, res.frequency, res.top5000)
+        ref_values, ref_warnings = reference_lexical_features(ref, res.frequency, res.top5000)
+        assert lexical.warnings == ref_warnings
+        assert bits(lexical.values[:2]) == bits(ref_values[:2])
+        attrs = reference_dictionary_attrs(ref, res.frequency)
+        exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
+                 for i in range(4) for b in _REF_BUCKET_ORDER]
+        assert bits(lexical.values[2:]) == bits(exact)
+        assert lexical.values[2:] == pytest.approx(ref_values[2:], rel=1e-12, abs=0.0)
 
 
 class TestSchema:
@@ -350,6 +603,38 @@ class TestExtractAll:
         fv = extract_all(self._doc(age_rating=AgeRating.R6), resources)
         assert fv.as_dict()["age_rating_6"] == 1.0
         assert sum(fv.as_dict()[n] for n in FAMILY_NAMES["publishing"]) == 1.0
+
+    def test_every_value_is_a_float(self, resources):
+        # a mean of integers once came back as an int when it was whole,
+        # as avg_sent_len does for a0000 here
+        for doc in make_corpus(30, 30, seed=5, resources=resources):
+            assert all(type(v) is float for v in extract_all(doc, resources).values), doc.id
+
+    @pytest.mark.parametrize("shape", ["repetitive", "distinct", "punctuation"])
+    def test_cost_grows_linearly(self, resources, shape):
+        # eight times the input takes about eight times as long, whether
+        # its words repeat, are all distinct or sit in one long line
+        # between runs of punctuation
+        if shape == "repetitive":
+            preview = " ".join(doc.text for doc in make_corpus(3, 3, seed=1, resources=resources))
+            texts = [preview, preview * 8]
+        elif shape == "distinct":
+            texts = [distinct_words(0, 1500), distinct_words(0, 8 * 1500)]
+        else:
+            line = "Кот,,, пёс!!! ёж... --- ?!?! мама -- (кот) «дом»; 12 "
+            texts = [line * 150, line * 8 * 150]
+
+        def best_seconds(text, repeats):
+            doc = Document(id="d", text=text, label=Label.CHILDREN)
+            times = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                extract_all(doc, resources)
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        once = best_seconds(texts[0], 5)
+        assert best_seconds(texts[1], 3) / once < 24
 
     def test_fraction_features_bounded(self, resources):
         fv = extract_all(self._doc(), resources).as_dict()

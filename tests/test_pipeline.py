@@ -15,6 +15,7 @@ from agelex.models import load_model, save_model
 from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
                              grid_conditions, label_to_int, run_grid, train_pipeline)
 from agelex.synthetic import make_corpus
+from agelex.text_analysis import analyze
 
 SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
 
@@ -99,6 +100,20 @@ def test_equal_texts_with_different_ids_are_each_analyzed(corpus, resources, mon
         vectors.lemmas(d, use_abstract=False)
     assert calls == {"extract_all": 2, "preprocess": 2}
     assert vectors.features(doc) == vectors.features(twin)
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+def test_preview_lemmas_are_the_analysis_lemmas(resources, heuristic_resources, heuristic):
+    # the tf-idf lemmas of a preview are the stopword-filtered lemma
+    # column of its feature analysis, so one analysis could feed both
+    res = heuristic_resources if heuristic else resources
+    docs = make_corpus(20, 20, seed=3, resources=resources).documents
+    docs = docs + [replace(docs[0], id="oov", text="Qwerty КРАСИВЫЙ бежать. Zzz-Yyy Маша РАДОСТЬ!")]
+    vectors = CorpusVectors(res)
+    for doc in docs:
+        t = analyze(doc.text, res.morphology, res.abbreviations)
+        lemmas = [t.lemmas[i] for i in t.tokens]
+        assert vectors.lemmas(doc, False) == [l for l in lemmas if l not in res.stopwords], doc.id
 
 
 def test_repeated_id_with_another_text_is_not_merged(corpus, resources):

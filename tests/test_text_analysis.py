@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agelex.errors import LexiconError
-from agelex.text_analysis import (DictionaryMorphology, HeuristicMorphology,
+from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
+                                  _NOUN_SUFFIXES, _VERB_SUFFIXES,
+                                  DictionaryMorphology, HeuristicMorphology,
                                   Pos, analyze, count_syllables,
                                   load_abbreviations, split_sentences,
                                   tokenize)
@@ -47,6 +49,22 @@ def reference_split_sentences(text, abbreviations=None):
             spans.append((start, stop))
         prev = end
     return spans
+
+
+def reference_heuristic_analyze(surface):
+    """HeuristicMorphology.analyze as it was when it sorted each suffix
+    table, longest first, on every call."""
+    low = surface.lower()
+    if low in _ADV_WORDS:
+        return (low, Pos.ADV)
+    for pos, suffixes in ((Pos.ADV, _ADV_SUFFIXES), (Pos.ADJ, _ADJ_SUFFIXES),
+                          (Pos.VERB, _VERB_SUFFIXES), (Pos.NOUN, _NOUN_SUFFIXES)):
+        for suf in sorted(suffixes, key=len, reverse=True):
+            if len(low) > len(suf) + 1 and low.endswith(suf):
+                return (low, pos)
+    if len(surface) > 2 and surface[0].isupper() and surface[1:].islower():
+        return (low, Pos.PROPN)
+    return (low, Pos.OTHER)
 
 
 ABBREVIATIONS = frozenset({"г", "тт", "жил-был", "etc"})
@@ -258,14 +276,25 @@ class TestHeuristicMorphology:
     def test_lemma_is_lowercased_surface(self):
         assert HeuristicMorphology().analyze("Быстро")[0] == "быстро"
 
+    @pytest.mark.parametrize("stem", ["", "к", "ка", "Ка"])
+    def test_matches_per_call_sorting(self, stem):
+        # the tables are sorted once per class and the reference sorts
+        # them on every call; the stems fall on both sides of the length
+        # rule, and from two letters on every suffix matches
+        morph = HeuristicMorphology()
+        for suffix in _ADV_SUFFIXES + _ADJ_SUFFIXES + _VERB_SUFFIXES + _NOUN_SUFFIXES:
+            word = stem + suffix
+            assert morph.analyze(word) == reference_heuristic_analyze(word), word
+
 
 class TestAnalyze:
     def test_dictionary_annotation(self, morph):
         t = analyze("Кот спит.", morph)
         assert t.n_tokens == 2
         assert t.n_sentences == 1
-        assert (t.tokens[0].lemma, t.tokens[0].pos) == ("кот", Pos.NOUN)
-        assert (t.tokens[1].lemma, t.tokens[1].pos) == ("спать", Pos.VERB)
+        first, second = t.tokens
+        assert (t.lemmas[first], t.pos[first]) == ("кот", Pos.NOUN)
+        assert (t.lemmas[second], t.pos[second]) == ("спать", Pos.VERB)
 
     def test_empty_text(self, morph):
         t = analyze("", morph)
@@ -273,8 +302,8 @@ class TestAnalyze:
 
     def test_oov_fallback_is_other(self, morph):
         t = analyze("Qqqq zzz.", morph)
-        assert [tok.pos for tok in t.tokens] == [Pos.OTHER, Pos.OTHER]
-        assert t.tokens[0].lemma == "qqqq"
+        assert [t.pos[i] for i in t.tokens] == [Pos.OTHER, Pos.OTHER]
+        assert t.lemmas[t.tokens[0]] == "qqqq"
 
     def test_counts(self, morph):
         t = analyze("Кот спит.", morph)
