@@ -161,7 +161,7 @@ def metrics(predictions, labels, positive: Label = Label.CHILDREN) -> MetricsRep
     if pred.size == 0:
         raise AnalysisError("cannot compute metrics on empty inputs")
     for arr, what in ((pred, "predictions"), (gold, "labels")):
-        if not set(np.unique(arr).tolist()) <= {-1, 1}:
+        if not set(arr.tolist()) <= {-1, 1}:
             raise AnalysisError(f"{what} must be +1/-1 values")
     pos = 1 if positive is Label.CHILDREN else -1
     tp = int(np.sum((pred == pos) & (gold == pos)))

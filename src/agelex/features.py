@@ -98,14 +98,15 @@ class FeatureVector:
 
     @staticmethod
     def concat(parts: list["FeatureVector"]) -> "FeatureVector":
-        names: tuple[str, ...] = ()
-        values: tuple[float, ...] = ()
-        warnings: tuple[str, ...] = ()
+        """Join vectors; each part checked its own values, so only names are checked."""
+        names = values = warnings = ()
         for part in parts:
-            names += part.names
-            values += part.values
-            warnings += part.warnings
-        return FeatureVector(names, values, warnings)
+            names, values, warnings = names + part.names, values + part.values, warnings + part.warnings
+        if len(set(names)) != len(names):
+            raise FeatureError("duplicate feature names")
+        joined = object.__new__(FeatureVector)  # skips __post_init__
+        joined.__dict__.update(names=names, values=values, warnings=warnings)
+        return joined
 
 
 # Readability coefficient triples.  Signs are part of the value, so a

@@ -42,7 +42,7 @@ def _validate_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
         raise ModelError("need at least 2 training rows")
     if not np.all(np.isfinite(X)):
         raise ModelError("training matrix contains non-finite values")
-    labels = set(np.unique(y).tolist())
+    labels = set(y.ravel().tolist())
     if not labels <= {CHILDREN, ADULT}:
         raise ModelError(f"labels must be +1/-1, got {sorted(labels)}")
     if len(labels) < 2:
@@ -205,6 +205,12 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    def add_leaf(self, n_children: int, n_adult: int) -> None:
+        """Append a leaf holding the given label counts."""
+        for column, value in zip((self.feature, self.threshold, self.left, self.right, self.n_children,
+                                  self.n_adult), (-1, 0.0, -1, -1, n_children, n_adult)):
+            column.append(value)
+
 
 def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
     """Number of trees whose leaf for the row x predicts children."""
@@ -220,69 +226,92 @@ def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
     return votes
 
 
-def gini_impurity(counts) -> float:
-    """Gini impurity of a class-count vector; 0 for a pure node."""
-    total = float(sum(counts))
-    if total == 0:
-        return 0.0
-    return 1.0 - sum((c / total) ** 2 for c in counts)
+# (row, feature) elements searched at once; larger batches hold more
+# memory and are no faster
+_BATCH_ELEMENTS = 8192
 
 
-def _best_split(X, y01, idx, feats):
-    """Best (weighted impurity, feature, threshold) over candidate
-    midpoints of the drawn features, or None when nothing separates.
+def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
+    """(X, y01, codes, values) for _best_splits.  codes[f * n + i] is twice
+    the dense rank of X[i, f] in column f (equal values share a rank) plus
+    row i's label; values[r, f] is the value of rank r in column f."""
+    n, p = X.shape
+    cols = np.arange(p)[:, None]
+    order = np.argsort(X.T, axis=1)
+    sorted_x = X.T[cols, order]
+    ranks = np.zeros((p, n), dtype=np.int64)
+    np.cumsum(sorted_x[:, 1:] > sorted_x[:, :-1], axis=1, out=ranks[:, 1:])
+    values = np.zeros((n, p))
+    values[ranks, cols] = sorted_x
+    del sorted_x  # before codes is built, which lowers the peak
+    ranks *= 2
+    ranks += y01[order]
+    codes = np.empty((p, n), dtype=np.int64)
+    codes[cols, order] = ranks
+    return X, y01, codes.ravel(), values
 
-    All drawn features are searched at once: one sort of each column of
-    the (len(idx), len(feats)) block, one running count of children's
-    labels and the weighted Gini impurity at every cut.  Cuts between
-    equal values are masked out, so the order of equal values in the
-    sort changes nothing.  Ties resolve to the first feature in draw
-    order and the lowest threshold, which keeps tree growth deterministic.
-    """
-    n = len(idx)
-    vals = X[idx[:, None], feats]
-    order = np.argsort(vals, axis=0)
-    sv = np.sort(vals, axis=0)
-    pos_prefix = np.cumsum(y01[idx][order], axis=0)
-    ln = np.arange(1.0, n)[:, None]
-    rn = n - ln
-    lp = pos_prefix[:-1]
-    rp = pos_prefix[-1] - lp
+
+def _best_splits(tables, batch):
+    """The best cut of each node of batch, a list of (rows, drawn
+    features): None where nothing separates, else (weighted Gini
+    impurity, feature, threshold, left, right), where left and right are
+    (rows, children's count) of the rows with x[feature] <= threshold and
+    of the rest.  One sort orders all elements by (node, drawn feature,
+    rank, label), and each node takes its first minimum: ties go to the
+    first feature drawn, then the lowest threshold, whatever else is in
+    the batch."""
+    X, y01, codes, values = tables
+    n = len(X)
+    rows = np.concatenate([r for r, _ in batch])
+    feats = np.array([f for _, f in batch])
+    m, k = feats.shape
+    sizes = np.array([len(r) for r, _ in batch])
+    node = np.repeat(np.arange(m), sizes)
+    # key = 2n * segment + code, where segment = k * node + slot
+    key = np.sort((np.arange(0, 2 * n * k * m, 2 * n).reshape(m, k)[node]
+                   + codes[(feats * n)[node] + rows[:, None]]).ravel())
+    rank_key = key >> 1
+    pos_prefix = np.concatenate([[0], np.cumsum(key & 1)])
+    seg_sizes = np.repeat(sizes, k)
+    seg_ends = np.cumsum(seg_sizes)
+    distinct = rank_key[1:] != rank_key[:-1]
+    distinct[seg_ends[:-1] - 1] = False
+    cut = np.flatnonzero(distinct)
+    seg = rank_key[cut] // n
+    first = (seg_ends - seg_sizes)[seg]
+    ln = (cut + 1 - first).astype(float)
+    n_rows = seg_sizes[seg].astype(float)
+    rn = n_rows - ln
+    lp = pos_prefix[cut + 1] - pos_prefix[first]
+    rp = pos_prefix[seg_ends[seg]] - pos_prefix[cut + 1]
     gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
     gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-    weighted = np.where(sv[1:] > sv[:-1], (ln * gl + rn * gr) / n, np.inf).T
-    k, j = divmod(int(weighted.argmin()), n - 1)
-    if weighted[k, j] == np.inf:
-        return None
-    threshold = float((sv[j, k] + sv[j + 1, k]) / 2.0)
-    return float(weighted[k, j]), int(feats[k]), threshold
-
-
-def _build_tree(X, y01, rng, max_features) -> DecisionTree:
-    """Grow one tree on a bootstrap sample of the rows drawn from rng."""
-    n, p = X.shape
-    bootstrap = rng.integers(0, n, size=n)
-    X, y01 = X[bootstrap], y01[bootstrap]
-    nodes: list[list] = []
-    # (rows, parent index, slot of the parent's left (2) or right (3) child)
-    stack = [(np.arange(n), -1, 2)]
-    while stack:
-        idx, parent, side = stack.pop()
-        if parent >= 0:
-            nodes[parent][side] = len(nodes)
-        n_adult, n_children = np.bincount(y01[idx], minlength=2).tolist()
-        split = None
-        if len(idx) >= 2 and n_adult > 0 and n_children > 0:
-            split = _best_split(X, y01, idx, rng.choice(p, size=max_features, replace=False))
-        if split is None:
-            nodes.append([-1, 0.0, -1, -1, n_children, n_adult])
-            continue
-        _, f, threshold = split
-        mask = X[idx, f] <= threshold
-        stack.append((idx[~mask], len(nodes), 3))
-        stack.append((idx[mask], len(nodes), 2))
-        nodes.append([f, threshold, -1, -1, n_children, n_adult])
-    return DecisionTree.from_nodes(nodes, bootstrap)
+    weighted = np.append((ln * gl + rn * gr) / n_rows, np.inf)
+    # node j's cuts are bounds[j]:bounds[j + 1]; the inf keeps reduceat in range
+    bounds = np.searchsorted(seg, np.arange(0, k * (m + 1), k))
+    best = np.where(bounds[:-1] < bounds[1:], np.minimum.reduceat(weighted, bounds[:-1]), np.inf)
+    found = np.flatnonzero(best < np.inf)
+    hits = np.flatnonzero(weighted[:-1] == np.repeat(best, np.diff(bounds)))
+    at = cut[hits[np.searchsorted(hits, bounds[found])]]
+    f, threshold = np.zeros(m, dtype=np.int64), np.full(m, np.inf)
+    f[found] = feats[found, rank_key[at] // n - k * found]
+    lo, hi = values[rank_key[at] % n, f[found]], values[rank_key[at + 1] % n, f[found]]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # a midpoint that rounds up to hi (adjacent floats) or overflows would
+    # send every row left, and the child would repeat its parent forever
+    threshold[found] = np.where(mid < hi, mid, lo)
+    # partition as prediction does; children are copies that keep no batch array alive
+    right = X[rows, f[node]] > threshold[node]
+    counts = np.bincount(4 * node + 2 * right + y01[rows], minlength=4 * m).reshape(m, 2, 2)
+    ends = [(0, 0)] + np.cumsum(counts.sum(axis=2), axis=0).tolist()
+    left_rows, right_rows = rows[~right], rows[right]
+    splits = [None] * m
+    for j, w, fj, t, (cl, cr) in zip(found.tolist(), best[found].tolist(), f[found].tolist(),
+                                      threshold[found].tolist(), counts[found, :, 1].tolist()):
+        (l0, r0), (l1, r1) = ends[j], ends[j + 1]
+        splits[j] = (w, fj, t, (left_rows[l0:l1].copy(), cl), (right_rows[r0:r1].copy(), cr))
+    return splits
 
 
 @register_model_kind
@@ -355,16 +384,47 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
 
     Each tree draws a bootstrap of the training set (same size, with
     replacement) and considers ceil(sqrt(p)) random features per node.
-    The whole procedure is a pure function of (X, y, n_trees, seed).
+    Each tree has its own generator, seeded from seed, and draws from it
+    its bootstrap and then each node's features, in the tree's pre-order.
+    The trees grow in lock-step: each step takes the next node to split
+    from every unfinished tree and searches them together.  The forest is
+    the one grown a tree at a time, a pure function of (X, y, n_trees, seed).
     """
     X, y = _validate_training_inputs(X, y)
     if n_trees < 1:
         raise ModelError(f"n_trees must be >= 1, got {n_trees}")
-    p = X.shape[1]
+    n, p = X.shape
     y01 = ((y + 1) // 2).astype(np.int64)
     max_features = max(1, math.ceil(math.sqrt(p)))
+    tables = _split_tables(X, y01)
     tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
-    trees = [_build_tree(X, y01, np.random.default_rng(int(s)), max_features) for s in tree_seeds]
+    rngs = [np.random.default_rng(int(s)) for s in tree_seeds]
+    bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
+    trees = [DecisionTree([], [], [], [], [], [], rows) for rows in bootstraps]
+    # per tree: (rows, their children's count, index of the node whose
+    # right child they are, or -1: a left child directly follows its parent)
+    stacks = [[(rows, int(y01[rows].sum()), -1)] for rows in bootstraps]
+    while any(stacks):
+        batch, owners, size = [], [], 0
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, n_children, parent = stack.pop()
+                if parent >= 0:
+                    trees[t].right[parent] = trees[t].n_nodes
+                trees[t].add_leaf(n_children, len(rows) - n_children)
+                if 0 < n_children < len(rows):
+                    batch.append((rows, rngs[t].choice(p, size=max_features, replace=False)))
+                    owners.append(t)
+                    size += len(rows) * max_features
+                    break
+            if batch and (t == n_trees - 1 or size >= _BATCH_ELEMENTS):
+                # each owner's popped node is still the last node of its tree
+                for o, split in zip(owners, _best_splits(tables, batch)):
+                    if split:
+                        tree, i = trees[o], trees[o].n_nodes - 1
+                        tree.feature[i], tree.threshold[i], tree.left[i] = split[1], split[2], i + 1
+                        stacks[o] += [(*split[4], i), (*split[3], -1)]
+                batch, owners, size = [], [], 0
     return RandomForestModel(
         trees=trees, n_features=p,
         hyperparams={"n_trees": n_trees, "seed": seed, "max_features": max_features},

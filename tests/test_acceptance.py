@@ -17,13 +17,14 @@ from agelex.corpus import Label, Split, corpus_stats, load_corpus
 from agelex.features import (ReadabilityCoefficients, automated_readability,
                              coleman_liau, dale_chall, flesch_kincaid,
                              readability_features, smog_index)
-from agelex.models import (gini_impurity, train_linear_svc,
-                           train_random_forest)
+from agelex.models import train_linear_svc, train_random_forest
 from agelex.pipeline import TrainSettings, grid_conditions, run_grid
 from agelex.resources import GRADE_COEFFICIENTS_FILE
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
 from agelex.vectorizer import fit_svd, fit_tfidf
+
+from oracles import gini_impurity
 
 # ---------------------------------------------------------------------------
 # criterion 1 oracle: (inputs..., expected) evaluated by hand from the

@@ -599,6 +599,26 @@ class TestExtractAll:
         with pytest.raises(FeatureError, match="empty text"):
             extract_all(self._doc(text="   "), resources)
 
+    @pytest.mark.parametrize("family", ["general", "readability", "lexical", "grammatical",
+                                        "sentiment", "publishing"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "duplicate name"])
+    def test_faulty_family_vector_rejected(self, resources, monkeypatch, family, fault):
+        # the joined vector does not check values again, so each family's
+        # own check must stop a non-finite value, and the join must stop
+        # a name that another family also has
+        compute = getattr(features_mod, f"{family}_features")
+        other = FAMILY_NAMES["general" if family != "general" else "sentiment"][0]
+
+        def faulty(*args):
+            fv = compute(*args)
+            if fault == "duplicate name":
+                return FeatureVector((other,) + fv.names[1:], fv.values, fv.warnings)
+            return FeatureVector(fv.names, (float(fault),) + fv.values[1:], fv.warnings)
+
+        monkeypatch.setattr(features_mod, f"{family}_features", faulty)
+        with pytest.raises(FeatureError, match="duplicate" if fault == "duplicate name" else "non-finite"):
+            extract_all(self._doc(), resources)
+
     def test_age_rating_reflected(self, resources):
         fv = extract_all(self._doc(age_rating=AgeRating.R6), resources)
         assert fv.as_dict()["age_rating_6"] == 1.0

@@ -1,19 +1,25 @@
 """Linear SVC, random forest and the versioned model files."""
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agelex.models
 import agelex.pipeline
 from agelex.errors import ArtifactError, ModelError
 from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
-                           LinearSvcModel, RandomForestModel, _best_split,
-                           _children_votes, _newton_step, gini_impurity,
+                           LinearSvcModel, RandomForestModel, _best_splits,
+                           _children_votes, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
 from agelex.pipeline import run_grid
 from agelex.synthetic import make_corpus
+
+from oracles import gini_impurity
 
 
 def separable_blobs(seed, n=60, gap=2.0):
@@ -201,7 +207,7 @@ class TestGini:
 
 def reference_best_split(X, y01, idx, feats):
     """The split search one drawn feature at a time: the oracle for
-    _best_split, which searches all drawn features at once."""
+    _best_splits, which searches a batch of nodes at once."""
     n = len(idx)
     best = None
     for f in feats:
@@ -223,9 +229,98 @@ def reference_best_split(X, y01, idx, feats):
         weighted = (ln * gl + rn * gr) / n
         j = int(np.argmin(weighted))
         if best is None or weighted[j] < best[0]:
-            threshold = float((sv[distinct[j]] + sv[distinct[j] + 1]) / 2.0)
+            lo, hi = sv[distinct[j]], sv[distinct[j] + 1]
+            threshold = float((lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo)
             best = (float(weighted[j]), int(f), threshold)
     return best
+
+
+def reference_block_split(X, y01, idx, feats):
+    """The split search of reference_build_tree: all drawn features of one
+    node at once, one sort of each column of the (len(idx), len(feats))
+    block, ties to the first feature drawn and then the lowest threshold.
+    The threshold is the midpoint of the cut, or its lower value where the
+    midpoint rounds up to the upper one or overflows."""
+    n = len(idx)
+    vals = X[idx[:, None], feats]
+    order = np.argsort(vals, axis=0)
+    sv = np.sort(vals, axis=0)
+    pos_prefix = np.cumsum(y01[idx][order], axis=0)
+    ln = np.arange(1.0, n)[:, None]
+    rn = n - ln
+    lp = pos_prefix[:-1]
+    rp = pos_prefix[-1] - lp
+    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
+    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
+    weighted = np.where(sv[1:] > sv[:-1], (ln * gl + rn * gr) / n, np.inf).T
+    k, j = divmod(int(weighted.argmin()), n - 1)
+    if weighted[k, j] == np.inf:
+        return None
+    lo, hi = sv[j, k], sv[j + 1, k]
+    threshold = float((lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo)
+    return float(weighted[k, j]), int(feats[k]), threshold
+
+
+def reference_build_tree(X, y01, rng, max_features) -> DecisionTree:
+    """One tree grown on its own, depth first, on a bootstrap sample of
+    the rows drawn from rng: the oracle for the lock-step forest."""
+    n, p = X.shape
+    bootstrap = rng.integers(0, n, size=n)
+    X, y01 = X[bootstrap], y01[bootstrap]
+    nodes: list[list] = []
+    # (rows, parent index, slot of the parent's left (2) or right (3) child)
+    stack = [(np.arange(n), -1, 2)]
+    while stack:
+        idx, parent, side = stack.pop()
+        if parent >= 0:
+            nodes[parent][side] = len(nodes)
+        n_adult, n_children = np.bincount(y01[idx], minlength=2).tolist()
+        split = None
+        if len(idx) >= 2 and n_adult > 0 and n_children > 0:
+            split = reference_block_split(X, y01, idx, rng.choice(p, size=max_features, replace=False))
+        if split is None:
+            nodes.append([-1, 0.0, -1, -1, n_children, n_adult])
+            continue
+        _, f, threshold = split
+        mask = X[idx, f] <= threshold
+        stack.append((idx[~mask], len(nodes), 3))
+        stack.append((idx[mask], len(nodes), 2))
+        nodes.append([f, threshold, -1, -1, n_children, n_adult])
+    return DecisionTree.from_nodes(nodes, bootstrap)
+
+
+def reference_forest(X, y, n_trees, seed) -> RandomForestModel:
+    """The forest grown one tree at a time with reference_build_tree."""
+    X = np.asarray(X, dtype=float)
+    y01 = ((np.asarray(y) + 1) // 2).astype(np.int64)
+    max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
+    tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
+    trees = [reference_build_tree(X, y01, np.random.default_rng(int(s)), max_features)
+             for s in tree_seeds]
+    return RandomForestModel(trees=trees, n_features=X.shape[1],
+                             hyperparams={"n_trees": n_trees, "seed": seed,
+                                          "max_features": max_features})
+
+
+def batched(X, y01, nodes, parts=None):
+    """_best_splits on the nodes, searched as one batch or in the given
+    consecutive parts, as plain tuples: (weighted impurity, feature,
+    threshold, left rows, left children, right rows, right children)."""
+    tables = _split_tables(X, y01)
+    parts = parts or [nodes]
+    return [None if s is None else (*s[:3], s[3][0].tolist(), s[3][1], s[4][0].tolist(), s[4][1])
+            for part in parts for s in _best_splits(tables, part)]
+
+
+def search(X, y01, idx, feats):
+    """(weighted impurity, feature, threshold) of one node, or None."""
+    split = batched(X, y01, [(idx, feats)])[0]
+    return split and split[:3]
+
+
+def small_int_matrix(draw, n, p):
+    return np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=p, max_size=p),
+                                  min_size=n, max_size=n)), dtype=float)
 
 
 @st.composite
@@ -234,19 +329,50 @@ def split_problems(draw):
     common, with a bootstrap-like idx and features in a random draw order."""
     n = draw(st.integers(2, 12))
     p = draw(st.integers(1, 6))
-    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=p, max_size=p),
-                               min_size=n, max_size=n)), dtype=float)
+    X = small_int_matrix(draw, n, p)
     y01 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
     idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=16)), dtype=np.int64)
     feats = np.array(draw(st.permutations(range(p)))[:draw(st.integers(1, p))], dtype=np.int64)
     return X, y01, idx, feats
 
 
+@st.composite
+def split_batches(draw):
+    """One matrix and up to eight nodes, each with k drawn features, plus
+    cut points that split the batch into consecutive parts."""
+    n = draw(st.integers(2, 10))
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(1, p))
+    X = small_int_matrix(draw, n, p)
+    y01 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    nodes = [(np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12)), dtype=np.int64),
+              np.array(draw(st.permutations(range(p)))[:k], dtype=np.int64))
+             for _ in range(draw(st.integers(1, 8)))]
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(nodes)), max_size=3))))
+    parts = [nodes[a:b] for a, b in zip([0] + cuts, cuts + [len(nodes)]) if a < b]
+    return X, y01, nodes, parts
+
+
 class TestSplitSearch:
     @settings(max_examples=150, deadline=None)
     @given(split_problems())
     def test_equals_one_feature_at_a_time(self, problem):
-        assert _best_split(*problem) == reference_best_split(*problem)
+        assert search(*problem) == reference_best_split(*problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_batches())
+    def test_a_node_ignores_its_batch(self, problem):
+        X, y01, nodes, parts = problem
+        together = batched(X, y01, nodes)
+        assert together == batched(X, y01, nodes, parts)
+        assert together == [batched(X, y01, [node])[0] for node in nodes]
+        for (idx, feats), split in zip(nodes, together):
+            assert (split and split[:3]) == reference_best_split(X, y01, idx, feats)
+            if split:
+                _, f, threshold, left, n_left, right, n_right = split
+                goes_left = X[idx, f] <= threshold
+                assert left == idx[goes_left].tolist() and right == idx[~goes_left].tolist()
+                assert (n_left, n_right) == (y01[left].sum(), y01[right].sum())
 
     def test_ties_go_to_first_drawn_feature_then_lowest_threshold(self):
         # columns 0 and 2 are identical, and both cuts of either give
@@ -256,21 +382,104 @@ class TestSplitSearch:
         idx = np.arange(3)
         expected = (1 / 3, 2, 0.5)
         assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == expected
-        assert _best_split(X, y01, idx, np.array([1, 2, 0])) == expected
-        assert _best_split(X, y01, idx, np.array([0, 2]))[1:] == (0, 0.5)
+        assert search(X, y01, idx, np.array([1, 2, 0])) == expected
+        assert search(X, y01, idx, np.array([0, 2]))[1:] == (0, 0.5)
         # both columns separate perfectly; the first drawn wins although
         # the other one's cut has the lower threshold
         X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
         y01 = np.array([0, 0, 1])
-        assert _best_split(X, y01, idx, np.array([0, 1])) == (0.0, 0, 1.5)
-        assert _best_split(X, y01, idx, np.array([1, 0])) == (0.0, 1, 0.5)
+        assert search(X, y01, idx, np.array([0, 1])) == (0.0, 0, 1.5)
+        assert search(X, y01, idx, np.array([1, 0])) == (0.0, 1, 0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0000000000000002, 1.0000000000000004),  # adjacent: the midpoint rounds up to hi
+        (1e308, 1.7e308),                          # the midpoint overflows
+    ])
+    def test_threshold_separates_the_cut_values(self, lo, hi):
+        X = np.array([[lo], [hi]])
+        y01 = np.array([0, 1])
+        assert search(X, y01, np.arange(2), np.array([0])) == (0.0, 0, lo)
+        forest = train_random_forest(X, np.array([ADULT, CHILDREN]), n_trees=5, seed=0)
+        assert forest.predict_many(X).tolist() == [ADULT, CHILDREN]
+        assert forest.to_json_dict() == reference_forest(X, [ADULT, CHILDREN], 5, 0).to_json_dict()
 
     def test_nothing_separates(self):
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert _best_split(X, np.array([0, 1]), np.arange(2), np.array([1, 0])) is None
+        assert search(X, np.array([0, 1]), np.arange(2), np.array([1, 0])) is None
+
+
+@st.composite
+def forest_problems(draw):
+    """Small-integer matrices with one column or more columns than rows,
+    both classes, and at times a row repeated with the other label, so
+    some nodes hold both classes and no cut."""
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from([1, 2, 3, n + 1, n + 4]))
+    X = small_int_matrix(draw, n, p)
+    y = draw(st.lists(st.sampled_from([ADULT, CHILDREN]), min_size=n, max_size=n))
+    if len(set(y)) == 1:
+        y[0] = -y[0]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        X = np.vstack([X, X[i]])
+        y.append(-y[i])
+    return X, np.array(y), draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestRandomForest:
+    @settings(max_examples=100, deadline=None)
+    @given(forest_problems(), st.sampled_from([1, 40, 8192]))
+    def test_equals_trees_grown_one_at_a_time(self, problem, batch_elements):
+        X, y, n_trees, seed = problem
+        with mock.patch.object(agelex.models, "_BATCH_ELEMENTS", batch_elements):
+            forest = train_random_forest(X, y, n_trees=n_trees, seed=seed)
+        assert forest.to_json_dict() == reference_forest(X, y, n_trees, seed).to_json_dict()
+
+    def test_leaf_with_both_classes_when_nothing_separates(self):
+        # rows 0 and 1 are equal but differ in label
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        y = np.array([ADULT, CHILDREN, CHILDREN, ADULT])
+        forest = train_random_forest(X, y, n_trees=12, seed=4)
+        assert forest.to_json_dict() == reference_forest(X, y, 12, 4).to_json_dict()
+        assert any(f == -1 and nc > 0 and na > 0 for tree in forest.trees
+                   for f, nc, na in zip(tree.feature, tree.n_children, tree.n_adult))
+
+    def test_grid_forests_equal_trees_grown_one_at_a_time(self, resources, monkeypatch):
+        fits = []
+
+        def recording(X, y, **kwargs):
+            model = train_random_forest(X, y, **kwargs)
+            fits.append((X, y, kwargs, model))
+            return model
+
+        monkeypatch.setattr(agelex.pipeline, "train_random_forest", recording)
+        run_grid(make_corpus(20, 20, seed=5), resources, ("rf",))
+        assert len(fits) == 18
+        for X, y, kwargs, model in fits:
+            assert model.to_json_dict() == reference_forest(X, y, **kwargs).to_json_dict()
+
+    def test_working_memory_does_not_grow_with_tree_count(self):
+        # the trees grow together, so an uncapped batch would hold every
+        # tree's root rows at once (about 17 MB for 200 trees here); each
+        # unfinished tree's own generator and pending rows take a few KB,
+        # which the 1 MiB slack covers
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(150, 312)).astype(float)
+        y = np.where(rng.random(150) < 0.5, CHILDREN, ADULT)
+
+        def working_bytes(n_trees):
+            tracemalloc.start()
+            try:
+                model = train_random_forest(X, y, n_trees=n_trees, seed=1)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert model.n_trees == n_trees
+            return peak - held
+
+        train_random_forest(X, y, n_trees=1, seed=1)
+        assert working_bytes(200) <= working_bytes(25) + 1024 * 1024
+
     def test_same_seed_bit_identical(self):
         X, y = separable_blobs(6, gap=0.6)
         f1 = train_random_forest(X, y, n_trees=15, seed=3)
