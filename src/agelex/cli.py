@@ -3,9 +3,11 @@
 Commands: ingest, stats, extract, train, evaluate, grid, informativeness,
 correlations, classify.  Options can come from a key = value config file
 (--config); explicit flags win over the file, the file wins over builtin
-defaults, and every command prints the effective configuration before
-doing any work.  Outputs land under --out; all errors go to stderr with
-exit code 1.
+defaults.  The training defaults are TrainSettings' and the resource
+defaults are the bundled files.  Before doing any work every command
+prints its settings block: its corpus and every setting it declares, as
+parsed from its flags.  Outputs land under --out; all errors go to stderr
+with exit code 1.
 """
 from __future__ import annotations
 
@@ -17,33 +19,31 @@ import numpy as np
 
 from .analysis import DEFAULT_INTERVALS, correlation_matrix, rank_features
 from .corpus import AgeRating, Corpus, Document, Label, Split, corpus_stats, load_corpus, random_split, write_corpus
-from .errors import AgelexError, ConfigError
+from .errors import AgelexError, ConfigError, decode_errors_as
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, QUANTITATIVE_FAMILIES
 from .models import load_model, save_model
 from .pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
                        TrainedPipeline, grid_conditions, label_to_int,
                        run_grid, train_pipeline)
-from .resources import Resources
+from .resources import BUNDLED_FILES, Resources
 
-_RESOURCE_KEYS = ("morphology", "frequency", "sentiment", "top5000",
-                  "familiar", "stopwords", "abbreviations", "coefficients")
+_SPLITS = ("train", "test", "all")
+
+# option name -> TrainSettings field
+_TRAIN_FIELDS = {"seed": "seed", "c": "svc_c", "epochs": "svc_max_epochs",
+                 "tolerance": "svc_tolerance", "trees": "n_trees",
+                 "max_terms": "max_terms", "fragment_limit": "fragment_limit",
+                 "svd": "svd", "svd_target": "svd_target"}
 
 # builtin defaults for options that may also come from a config file
 _DEFAULTS = {
-    "seed": 42,
+    **{opt: getattr(TrainSettings(), field) for opt, field in _TRAIN_FIELDS.items()},
+    **dict.fromkeys(BUNDLED_FILES),
     "out": "out",
     "model": "lsvc",
     "features": "none",
     "tfidf": True,
     "abstracts": False,
-    "svd": "auto",
-    "svd_target": 0.95,
-    "c": 1.0,
-    "epochs": 200,
-    "tolerance": 1e-5,
-    "trees": 100,
-    "max_terms": 2000,
-    "fragment_limit": 256,
     "intervals": DEFAULT_INTERVALS,
     "families": ",".join(QUANTITATIVE_FAMILIES),
     "split": "train",
@@ -52,14 +52,13 @@ _DEFAULTS = {
     "heuristic_morph": False,
     "positive_class": "children",
 }
-for _k in _RESOURCE_KEYS:
-    _DEFAULTS[_k] = None
 
 
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with decode_errors_as(ConfigError, path):
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(lines, start=1):
@@ -124,24 +123,23 @@ class Options:
         except KeyError:
             raise AttributeError(key)
 
-    def print_effective(self, keys: list[str]) -> None:
+    def print_effective(self) -> None:
+        """Print the command, then its corpus and every config key it
+        declares an option for."""
         print(f"command = {self.command}")
-        for key in sorted(set(keys)):
+        for key in sorted(k for k in vars(self.args) if k in _DEFAULTS or k == "corpus"):
             print(f"{key} = {self._values[key]}")
 
 
 def _load_resources(opts: Options) -> Resources:
-    paths = {key: getattr(opts, key) for key in _RESOURCE_KEYS}
+    paths = {key: getattr(opts, key) for key in BUNDLED_FILES}
     return Resources.load(paths, heuristic_fallback=opts.heuristic_morph)
+
 
 def _out_dir(opts: Options) -> Path:
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _positive(opts: Options) -> Label:
-    return Label.parse(opts.positive_class)
 
 
 def _parse_families(raw: str) -> tuple[str, ...]:
@@ -157,11 +155,29 @@ def _parse_families(raw: str) -> tuple[str, ...]:
 
 
 def _split_docs(corpus: Corpus, which: str) -> list[Document]:
-    if which == "all":
-        return list(corpus)
-    if which not in ("train", "test"):
+    if which not in _SPLITS:
         raise ConfigError(f"split must be train, test or all, got {which!r}")
-    return corpus.subset(Split(which))
+    docs = list(corpus) if which == "all" else corpus.subset(Split(which))
+    if not docs:
+        raise ConfigError(f"corpus has no documents in split {which!r}")
+    return docs
+
+
+def _family_matrix(opts: Options) -> tuple[list[Document], tuple[str, ...], np.ndarray]:
+    """The documents of opts.split, the feature names of opts.families and
+    their feature matrix."""
+    resources = _load_resources(opts)
+    docs = _split_docs(load_corpus(opts.args.corpus), opts.split)
+    families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
+    names = tuple(n for f in families for n in FAMILY_NAMES[f])
+    return docs, names, CorpusVectors(resources).feature_matrix(docs, names)
+
+
+def _load_pipeline(path: str) -> TrainedPipeline:
+    trained = load_model(path)
+    if not isinstance(trained, TrainedPipeline):
+        raise ConfigError(f"{path} does not contain a trained pipeline")
+    return trained
 
 
 def _report_warnings(vectors: CorpusVectors) -> None:
@@ -184,20 +200,10 @@ def _cell(value) -> str:
 
 
 def _settings(opts: Options) -> TrainSettings:
-    return TrainSettings(
-        seed=opts.seed, svc_c=opts.c, svc_max_epochs=opts.epochs,
-        svc_tolerance=opts.tolerance, n_trees=opts.trees,
-        max_terms=opts.max_terms, fragment_limit=opts.fragment_limit,
-        svd=opts.svd, svd_target=opts.svd_target,
-    )
-
-
-_COMMON_KEYS = ["seed", "out"]
-_RES_KEYS = list(_RESOURCE_KEYS) + ["heuristic_morph"]
+    return TrainSettings(**{field: getattr(opts, opt) for opt, field in _TRAIN_FIELDS.items()})
 
 
 def cmd_ingest(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + ["corpus", "test_fraction"])
     corpus = load_corpus(opts.args.corpus)
     if opts.test_fraction is not None:
         corpus = random_split(corpus, float(opts.test_fraction), opts.seed)
@@ -210,7 +216,6 @@ def cmd_ingest(opts: Options) -> int:
 
 
 def cmd_stats(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus"])
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     stats = corpus_stats(corpus, resources.morphology, resources.abbreviations)
@@ -231,7 +236,6 @@ def cmd_stats(opts: Options) -> int:
 
 
 def cmd_extract(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus"])
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     vectors = CorpusVectors(resources)
@@ -246,10 +250,6 @@ def cmd_extract(opts: Options) -> int:
 
 
 def cmd_train(opts: Options) -> int:
-    keys = _COMMON_KEYS + _RES_KEYS + ["corpus", "model", "features", "tfidf", "abstracts",
-                                       "svd", "svd_target", "c", "epochs", "tolerance",
-                                       "trees", "max_terms", "fragment_limit", "positive_class"]
-    opts.print_effective(keys)
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     recipe = Recipe(use_tfidf=opts.tfidf, families=_parse_families(opts.features),
@@ -260,7 +260,8 @@ def cmd_train(opts: Options) -> int:
     model_path = out / f"model_{opts.model}.json"
     save_model(trained, model_path)
     train_docs = corpus.subset(Split.TRAIN)
-    report = trained.evaluate(train_docs, resources, vectors, positive=_positive(opts))
+    report = trained.evaluate(train_docs, resources, vectors,
+                              positive=Label.parse(opts.positive_class))
     print(f"trained {opts.model} on {len(train_docs)} documents -> {model_path}")
     if opts.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
@@ -272,17 +273,13 @@ def cmd_train(opts: Options) -> int:
 
 
 def cmd_evaluate(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus", "split", "positive_class"])
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
-    trained = load_model(opts.args.model_file)
-    if not isinstance(trained, TrainedPipeline):
-        raise ConfigError(f"{opts.args.model_file} does not contain a trained pipeline")
+    trained = _load_pipeline(opts.args.model_file)
     docs = _split_docs(corpus, opts.split)
-    if not docs:
-        raise ConfigError(f"corpus has no documents in split {opts.split!r}")
     vectors = CorpusVectors(resources)
-    report = trained.evaluate(docs, resources, vectors, positive=_positive(opts))
+    report = trained.evaluate(docs, resources, vectors,
+                              positive=Label.parse(opts.positive_class))
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
     row = [opts.split, len(docs), report.accuracy, report.precision, report.recall,
@@ -296,10 +293,6 @@ def cmd_evaluate(opts: Options) -> int:
 
 
 def cmd_grid(opts: Options) -> int:
-    keys = _COMMON_KEYS + _RES_KEYS + ["corpus", "models", "svd", "svd_target", "c",
-                                       "epochs", "tolerance", "trees", "max_terms",
-                                       "fragment_limit"]
-    opts.print_effective(keys)
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
     kinds = tuple(k.strip() for k in str(opts.models).split(",") if k.strip())
@@ -320,15 +313,7 @@ def cmd_grid(opts: Options) -> int:
 
 
 def cmd_informativeness(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus", "intervals", "families", "split"])
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
-    docs = _split_docs(corpus, opts.split)
-    if not docs:
-        raise ConfigError(f"corpus has no documents in split {opts.split!r}")
-    families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
-    names = tuple(n for f in families for n in FAMILY_NAMES[f])
-    X = CorpusVectors(resources).feature_matrix(docs, names)
+    docs, names, X = _family_matrix(opts)
     y = np.array([label_to_int(d.label) for d in docs])
     scores = rank_features(X, y, names, opts.intervals)
     header = ["feature", "informativeness", "mean_adult", "std_adult",
@@ -345,15 +330,7 @@ def cmd_informativeness(opts: Options) -> int:
 
 
 def cmd_correlations(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["corpus", "families", "split"])
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
-    docs = _split_docs(corpus, opts.split)
-    if not docs:
-        raise ConfigError(f"corpus has no documents in split {opts.split!r}")
-    families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
-    names = tuple(n for f in families for n in FAMILY_NAMES[f])
-    X = CorpusVectors(resources).feature_matrix(docs, names)
+    docs, names, X = _family_matrix(opts)
     result = correlation_matrix(X, names)
     header = ["feature"] + list(names)
     rows = [[name, *result.matrix[i]] for i, name in enumerate(names)]
@@ -366,15 +343,13 @@ def cmd_correlations(opts: Options) -> int:
 
 
 def cmd_classify(opts: Options) -> int:
-    opts.print_effective(_COMMON_KEYS + _RES_KEYS + ["seed"])
     resources = _load_resources(opts)
-    trained = load_model(opts.args.model_file)
-    if not isinstance(trained, TrainedPipeline):
-        raise ConfigError(f"{opts.args.model_file} does not contain a trained pipeline")
+    trained = _load_pipeline(opts.args.model_file)
     if opts.args.text is not None:
         text = opts.args.text
     elif opts.args.input is not None:
-        text = Path(opts.args.input).read_text(encoding="utf-8")
+        with decode_errors_as(ConfigError, opts.args.input):
+            text = Path(opts.args.input).read_text(encoding="utf-8")
     else:
         text = sys.stdin.read()
     if not text.strip():
@@ -406,93 +381,78 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config")
 
     res = argparse.ArgumentParser(add_help=False)
-    for key in _RESOURCE_KEYS:
+    for key in BUNDLED_FILES:
         res.add_argument(f"--{key}")
-    res.add_argument("--heuristic-morph", action="store_const", const=True,
-                     dest="heuristic_morph")
+    res.add_argument("--heuristic-morph", action="store_const", const=True)
+
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True)
+
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--svd", choices=["auto", "on", "off"])
+    fit.add_argument("--svd-target", type=float)
+    fit.add_argument("--c", type=float)
+    fit.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
+    fit.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
+    fit.add_argument("--trees", type=int)
+    fit.add_argument("--max-terms", type=int)
+    fit.add_argument("--fragment-limit", type=int)
 
     def cmd(name, func, parents, help_text):
         p = sub.add_parser(name, parents=parents, help=help_text)
         p.set_defaults(func=func)
         return p
 
-    p = cmd("ingest", cmd_ingest, [common], "validate a corpus and assign splits")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
+    p = cmd("ingest", cmd_ingest, [common, corpus], "validate a corpus and assign splits")
+    p.add_argument("--test-fraction", type=float)
 
-    p = cmd("stats", cmd_stats, [common, res], "per-class corpus summary")
-    p.add_argument("--corpus", required=True)
+    cmd("stats", cmd_stats, [common, res, corpus], "per-class corpus summary")
+    cmd("extract", cmd_extract, [common, res, corpus], "write the feature table")
 
-    p = cmd("extract", cmd_extract, [common, res], "write the feature table")
-    p.add_argument("--corpus", required=True)
-
-    p = cmd("train", cmd_train, [common, res], "train one model")
-    p.add_argument("--corpus", required=True)
+    p = cmd("train", cmd_train, [common, res, corpus, fit], "train one model")
     p.add_argument("--model", choices=list(MODEL_KINDS))
     p.add_argument("--features", help="comma-separated families, 'all' or 'none'")
     p.add_argument("--tfidf", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--abstracts", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--svd", choices=["auto", "on", "off"])
-    p.add_argument("--svd-target", type=float, dest="svd_target")
-    p.add_argument("--c", type=float)
-    p.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
-    p.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--max-terms", type=int, dest="max_terms")
-    p.add_argument("--fragment-limit", type=int, dest="fragment_limit")
+    p.add_argument("--positive-class", choices=[label.value for label in Label])
 
-    p = cmd("evaluate", cmd_evaluate, [common, res], "evaluate a trained model")
-    p.add_argument("--corpus", required=True)
+    p = cmd("evaluate", cmd_evaluate, [common, res, corpus], "evaluate a trained model")
     p.add_argument("--model-file", required=True)
-    p.add_argument("--split", choices=["train", "test", "all"])
-    p.add_argument("--positive-class", choices=["children", "adult"], dest="positive_class")
+    p.add_argument("--split", choices=_SPLITS)
+    p.add_argument("--positive-class", choices=[label.value for label in Label])
 
-    p = cmd("grid", cmd_grid, [common, res], "run the full experiment grid")
-    p.add_argument("--corpus", required=True)
+    p = cmd("grid", cmd_grid, [common, res, corpus, fit], "run the full experiment grid")
     p.add_argument("--models", help="comma-separated model kinds (rf,lsvc)")
-    p.add_argument("--svd", choices=["auto", "on", "off"])
-    p.add_argument("--svd-target", type=float, dest="svd_target")
-    p.add_argument("--c", type=float)
-    p.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
-    p.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--max-terms", type=int, dest="max_terms")
-    p.add_argument("--fragment-limit", type=int, dest="fragment_limit")
 
-    p = cmd("informativeness", cmd_informativeness, [common, res],
+    p = cmd("informativeness", cmd_informativeness, [common, res, corpus],
             "rank features by class separation")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--intervals", type=int)
     p.add_argument("--families")
-    p.add_argument("--split", choices=["train", "test", "all"])
+    p.add_argument("--split", choices=_SPLITS)
 
-    p = cmd("correlations", cmd_correlations, [common, res],
+    p = cmd("correlations", cmd_correlations, [common, res, corpus],
             "pairwise feature correlations")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--families")
-    p.add_argument("--split", choices=["train", "test", "all"])
+    p.add_argument("--split", choices=_SPLITS)
 
     p = cmd("classify", cmd_classify, [common, res], "classify one text")
     p.add_argument("--model-file", required=True)
     p.add_argument("--text")
     p.add_argument("--input")
     p.add_argument("--abstract")
-    p.add_argument("--age-rating", dest="age_rating")
+    p.add_argument("--age-rating")
     p.add_argument("--explain", action="store_true")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         opts = Options(args)
+        opts.print_effective()
         return args.func(opts)
-    except AgelexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AgelexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

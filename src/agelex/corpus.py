@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import CorpusError
+from .errors import CorpusError, decode_errors_as
 from .text_analysis import MorphologyProvider, HeuristicMorphology, analyze
 
 
@@ -98,7 +98,7 @@ def load_corpus(path: str | Path) -> Corpus:
     """
     docs = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with decode_errors_as(CorpusError, path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

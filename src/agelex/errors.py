@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from AgelexError so the command
-line layer can catch one type, print the message to stderr and exit 1.
+line layer can catch one type, print the message to stderr and exit 1;
+file readers use decode_errors_as so that a file that is not UTF-8 does
+too.
 """
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class AgelexError(Exception):
@@ -39,3 +43,13 @@ class AnalysisError(AgelexError):
 
 class ConfigError(AgelexError):
     """Invalid run configuration or config file."""
+
+
+@contextmanager
+def decode_errors_as(error: type[AgelexError], path) -> Iterator[None]:
+    """Turn a UnicodeDecodeError raised in the block into `error` naming
+    the file, so a file that is not UTF-8 text fails like any bad input."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}")

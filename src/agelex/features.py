@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .corpus import AgeRating, Document
-from .errors import ConfigError, FeatureError
+from .errors import ConfigError, FeatureError, decode_errors_as
 from .lexicons import FrequencyDictionary, SentimentLexicon, WordList, Polarity, SentimentCategory
 from .text_analysis import AnalyzedText, Pos, analyze
 
@@ -134,7 +134,8 @@ class ReadabilityCoefficients:
         """Read coefficient overrides from a JSON file keyed by index
         (fk, cl, ari, smog, dc); missing indices keep their defaults."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            with decode_errors_as(ConfigError, path):
+                raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc}")
         if not isinstance(raw, dict):

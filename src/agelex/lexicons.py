@@ -9,11 +9,12 @@ index.  All loaders validate ranges and report the offending row number.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import LexiconError
+from .errors import LexiconError, decode_errors_as
 from .text_analysis import Pos
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
@@ -85,9 +86,12 @@ class FrequencyDictionary:
 
 def _parse_float(raw: str, what: str, path, lineno: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise LexiconError(f"{path}: row {lineno}: {what} is not a number: {raw!r}")
+    if not math.isfinite(value):
+        raise LexiconError(f"{path}: row {lineno}: {what} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, what: str, path, lineno: int) -> int:
@@ -101,12 +105,13 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
     """Load the tab-separated frequency dictionary.
 
     The first line must be the header "lemma pos ipm r d doc".  Rows with
-    ipm < 0, r outside 0..100, d outside 0..100 or doc < 0 are rejected
-    with their row number.  Pos tags beyond the six known classes (the
+    a non-finite ipm or d, ipm < 0, r outside 0..100, d outside 0..100 or
+    doc < 0 are rejected with their row number.  Pos tags beyond the six known classes (the
     source dictionary also tags conjunctions, particles and so on) are
     folded into Other.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with decode_errors_as(LexiconError, path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise LexiconError(f"{path}: empty file")
     header = tuple(h.strip().lower() for h in lines[0].split("\t"))
@@ -177,7 +182,7 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     anything else, and duplicate lemmas, fail with the row number.
     """
     entries: dict[str, tuple[Polarity, SentimentCategory]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with decode_errors_as(LexiconError, path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -226,10 +231,13 @@ class WordList:
 
 def load_word_list(path: str | Path, name: str | None = None) -> WordList:
     """Load a word list with one lemma per line, optionally followed by a
-    tab and an ipm value.  Lemmas are lowercased; repeats collapse."""
+    tab and a finite ipm value >= 0.  Lemmas are lowercased; repeats
+    collapse."""
     p = Path(path)
     ipm: dict[str, float | None] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    with decode_errors_as(LexiconError, path):
+        lines = p.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

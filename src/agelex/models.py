@@ -137,7 +137,7 @@ def _newton_step(Xb: np.ndarray, y: np.ndarray, theta: np.ndarray,
 
 
 def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
-                     tolerance: float = 1e-5, seed: int | None = None) -> LinearSvcModel:
+                     tolerance: float = 1e-5) -> LinearSvcModel:
     """Minimize svc_objective by finite Newton (Keerthi & DeCoste 2005).
 
     Each iteration takes a generalized Newton step, halved until the
@@ -145,11 +145,11 @@ def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
     never increases.  Training stops when the gradient norm is at most
     the tolerance, after max_epochs iterations, or when no step lowers
     the objective; hyperparams records the final gradient norm and
-    whether it met the tolerance.  seed is accepted and changes nothing.
+    whether it met the tolerance.
     """
     X, y = _validate_training_inputs(X, y)
-    if C <= 0:
-        raise ModelError(f"C must be positive, got {C}")
+    if not 0 < C < math.inf:
+        raise ModelError(f"C must be positive and finite, got {C}")
     if max_epochs < 1:
         raise ModelError(f"max_epochs must be >= 1, got {max_epochs}")
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])

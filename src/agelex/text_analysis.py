@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import chain, compress
 from pathlib import Path
 
-from .errors import LexiconError
+from .errors import LexiconError, decode_errors_as
 
 
 class Pos(Enum):
@@ -119,7 +119,9 @@ def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str], longest:
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Load the abbreviation list, one token per line, case-insensitive."""
     out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    with decode_errors_as(LexiconError, path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line in lines:
         word = line.strip().lower().rstrip(".")
         if word and not word.startswith("#"):
             out.add(word)
@@ -159,7 +161,9 @@ class DictionaryMorphology(MorphologyProvider):
         The first row for a surface wins; later duplicates are ignored.
         """
         entries: dict[str, tuple[str, Pos]] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        with decode_errors_as(LexiconError, path):
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -290,7 +290,7 @@ def _separable_dataset(seed: int):
 def test_criterion_05_model_training_guarantees():
     for seed in range(20):
         X, y = _separable_dataset(seed)
-        model = train_linear_svc(X, y, seed=seed)
+        model = train_linear_svc(X, y)
         assert np.array_equal(model.predict_many(X), y)
         history = model.objective_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))

@@ -6,10 +6,13 @@ import sys
 
 import pytest
 
+import agelex.cli
 import agelex.features
 from agelex.cli import Options, main
 from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
 from agelex.features import ALL_FEATURE_NAMES
+from agelex.models import save_model
+from agelex.pipeline import Recipe, TrainSettings, train_pipeline
 from agelex.synthetic import make_corpus
 
 
@@ -148,6 +151,52 @@ def test_every_setting_read_is_printed(tmp_path, corpus_file, model_file, comman
     assert read and read <= printed, sorted(read - printed)
 
 
+RESOURCE_KEYS = {"morphology", "frequency", "sentiment", "top5000", "familiar",
+                 "stopwords", "abbreviations", "coefficients", "heuristic_morph"}
+FIT_KEYS = {"svd", "svd_target", "c", "epochs", "tolerance", "trees", "max_terms",
+            "fragment_limit"}
+SETTINGS_BLOCKS = {
+    "ingest": {"seed", "out", "corpus", "test_fraction"},
+    "stats": {"seed", "out", "corpus", *RESOURCE_KEYS},
+    "extract": {"seed", "out", "corpus", *RESOURCE_KEYS},
+    "train": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "model", "features",
+              "tfidf", "abstracts", "positive_class"},
+    "evaluate": {"seed", "out", "corpus", *RESOURCE_KEYS, "split", "positive_class"},
+    "grid": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "models"},
+    "informativeness": {"seed", "out", "corpus", *RESOURCE_KEYS, "intervals", "families",
+                        "split"},
+    "correlations": {"seed", "out", "corpus", *RESOURCE_KEYS, "families", "split"},
+    "classify": {"seed", "out", *RESOURCE_KEYS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_BLOCKS))
+def test_settings_block_lists_the_declared_settings(tmp_path, corpus_file, model_file,
+                                                    command, monkeypatch, capsys):
+    monkeypatch.setattr(agelex.cli, f"cmd_{command}", lambda opts: 0)
+    assert main(command_argv(command, corpus_file, model_file, tmp_path / "o")) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first == f"command = {command}"
+    assert [line.split(" = ")[0] for line in lines] == sorted(SETTINGS_BLOCKS[command])
+
+
+@pytest.mark.parametrize("route", ["corpus", "config", "input", "morphology", "frequency",
+                                   "sentiment", "top5000", "familiar", "stopwords",
+                                   "abbreviations", "coefficients"])
+def test_file_that_is_not_utf8_is_an_error(tmp_path, corpus_file, model_file, route, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "кот".encode("utf-16-le"))
+    if route == "corpus":
+        argv = ["stats", "--corpus", str(bad)]
+    elif route == "input":
+        argv = ["classify", "--model-file", str(model_file), "--input", str(bad)]
+    else:
+        argv = ["stats", "--corpus", str(corpus_file), f"--{route}", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
+
+
 class TestStats:
     def test_table_rows_per_label_and_split(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "out"
@@ -208,6 +257,29 @@ class TestTrainEvaluate:
                    "--split", "train", "--positive-class", "adult"])
         assert rc == 0
         assert "(positive class: adult)" in capsys.readouterr().out
+
+    def test_train_positive_class_flag(self, tmp_path, corpus_file, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                   "--features", "general", "--no-tfidf", "--positive-class", "adult"])
+        assert rc == 0
+        assert "(positive class: adult)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["lsvc", "rf"])
+    def test_train_defaults_are_the_library_defaults(self, tmp_path, corpus_file, resources,
+                                                     kind):
+        assert main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                     "--model", kind]) == 0
+        library = tmp_path / "library.json"
+        save_model(train_pipeline(load_corpus(corpus_file), resources, Recipe(), kind,
+                                  TrainSettings()), library)
+        assert (tmp_path / f"model_{kind}.json").read_bytes() == library.read_bytes()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "0"])
+    def test_c_must_be_positive_and_finite(self, tmp_path, corpus_file, c, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                   "--features", "general", "--c", c])
+        assert rc == 1
+        assert "error: C must be positive and finite" in capsys.readouterr().err
 
     def test_unknown_family_rejected(self, tmp_path, corpus_file, capsys):
         rc = main(["train", "--corpus", str(corpus_file),

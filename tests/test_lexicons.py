@@ -65,6 +65,13 @@ class TestFrequencyDictionary:
         with pytest.raises(LexiconError, match="ipm"):
             load_frequency_dict(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ipm_rejected_with_row(self, tmp_path, value):
+        p = freq_file(tmp_path, ["кот\tNOUN\t100\t50\t50\t10",
+                                 f"пёс\tNOUN\t{value}\t50\t50\t10"])
+        with pytest.raises(LexiconError, match="row 3: ipm must be finite"):
+            load_frequency_dict(p)
+
     def test_duplicate_lemma_pos_rejected(self, tmp_path):
         p = freq_file(tmp_path, [
             "кот\tNOUN\t100\t50\t50\t10",
@@ -157,6 +164,13 @@ class TestWordList:
         p = tmp_path / "w.txt"
         p.write_text("кот\t-5\n", encoding="utf-8")
         with pytest.raises(LexiconError):
+            load_word_list(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ipm_rejected_with_row(self, tmp_path, value):
+        p = tmp_path / "w.txt"
+        p.write_text(f"кот\t5\nпёс\t{value}\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match="row 2: ipm must be finite"):
             load_word_list(p)
 
     def test_duplicates_collapse(self, tmp_path):

@@ -122,15 +122,13 @@ class TestLinearSvc:
                                     hyperparams={}, objective_history=(0.0,), n_epochs=0)
             assert np.array_equal(scaled.predict_many(X), model.predict_many(X))
 
-    def test_deterministic_in_seed(self):
+    def test_deterministic(self):
         X, y = separable_blobs(4, gap=0.4)
-        m1 = train_linear_svc(X, y, seed=11)
-        m2 = train_linear_svc(X, y, seed=11)
+        m1 = train_linear_svc(X, y)
+        m2 = train_linear_svc(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
-        m3 = train_linear_svc(X, y, seed=12)
-        assert np.array_equal(m1.weights, m3.weights) and m1.bias == m3.bias
-        assert m1.hyperparams == m3.hyperparams
+        assert m1.hyperparams == m2.hyperparams
 
     def test_grid_fits_reach_the_reference_objective(self, resources, monkeypatch):
         fits = []
@@ -183,6 +181,12 @@ class TestLinearSvc:
         X = np.array([[np.nan, 0.0], [1.0, 1.0]])
         with pytest.raises(ModelError, match="non-finite"):
             train_linear_svc(X, np.array([ADULT, CHILDREN]))
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0])
+    def test_c_must_be_positive_and_finite(self, C):
+        X, y = separable_blobs(5)
+        with pytest.raises(ModelError, match="C must be positive and finite"):
+            train_linear_svc(X, y, C=C)
 
     def test_dimension_mismatch_rejected(self):
         X, y = separable_blobs(5)
