@@ -351,7 +351,8 @@ def cmd_classify(opts: Options) -> int:
         with decode_errors_as(ConfigError, opts.args.input):
             text = Path(opts.args.input).read_text(encoding="utf-8")
     else:
-        text = sys.stdin.read()
+        with decode_errors_as(ConfigError, "<stdin>"):
+            text = sys.stdin.buffer.read().decode("utf-8")
     if not text.strip():
         raise ConfigError("empty text")
     doc = Document(id="<input>", text=text, label=Label.CHILDREN,

@@ -40,6 +40,8 @@ def _validate_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
         raise ModelError(f"{X.shape[0]} rows but {y.shape[0]} labels")
     if X.shape[0] < 2:
         raise ModelError("need at least 2 training rows")
+    if X.shape[1] == 0:
+        raise ModelError("training matrix has no columns")
     if not np.all(np.isfinite(X)):
         raise ModelError("training matrix contains non-finite values")
     labels = set(y.ravel().tolist())

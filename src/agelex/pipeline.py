@@ -13,8 +13,10 @@ Every document is read through a CorpusVectors, which analyzes it once
 and hands out its feature vector, warnings included, and its lemma
 sequence: training, batch prediction, single-text classification, the
 grid and the command-line feature tables all read documents through it.
-Pass one instance as ``cache`` to reuse the analysis across calls on the
-same documents.
+It also keeps each tf-idf it fitted and each document's row under a
+tf-idf, so the grid fits one tf-idf per distinct training input and
+transforms each document once per fitted tf-idf.  Pass one instance as
+``cache`` to reuse all of this across calls on the same documents.
 """
 from __future__ import annotations
 
@@ -77,12 +79,19 @@ class CorpusVectors:
     id with a different text) and not its text (equal previews with
     different metadata stay distinct), so one instance can be shared by
     every model trained and evaluated on the same documents.
+
+    It also keeps each tf-idf it fits, keyed by the training documents,
+    abstract flag, fragment limit and max_terms, and each document's row
+    under any TfidfModel, a loaded one too, which must not be changed in
+    place once it has rows here.
     """
 
     def __init__(self, resources: Resources):
         self.resources = resources
         self._features: dict[Document, FeatureVector] = {}
         self._lemmas: dict[tuple[Document, bool], list[str]] = {}
+        self._tfidfs: dict[tuple, TfidfModel] = {}
+        self._rows: dict[tuple[TfidfModel, int, Document, bool], np.ndarray] = {}
 
     def features(self, doc: Document) -> FeatureVector:
         if doc not in self._features:
@@ -107,6 +116,27 @@ class CorpusVectors:
                                            self.resources.stopwords)
         return self._lemmas[key]
 
+    def tfidf(self, docs: list[Document], use_abstract: bool, limit: int,
+              max_terms: int) -> TfidfModel:
+        """The tf-idf fitted on the documents' first `limit` lemmas."""
+        key = (tuple(docs), use_abstract and any(d.abstract is not None for d in docs),
+               limit, max_terms)
+        if key not in self._tfidfs:
+            self._tfidfs[key] = fit_tfidf(
+                [fragment(self.lemmas(doc, use_abstract), limit) for doc in docs], max_terms)
+        return self._tfidfs[key]
+
+    def tfidf_matrix(self, tfidf: TfidfModel, docs: list[Document], use_abstract: bool,
+                     limit: int) -> np.ndarray:
+        """One tf-idf row per document of its first `limit` lemmas."""
+        keys = [(tfidf, limit, doc, use_abstract and doc.abstract is not None) for doc in docs]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
+        if missing:
+            rows = tfidf.transform_many([fragment(self.lemmas(doc, flag), limit)
+                                         for _, _, doc, flag in missing])
+            self._rows.update(zip(missing, rows))
+        return np.array([self._rows[key] for key in keys])
+
 
 @register_model_kind
 @dataclass
@@ -130,15 +160,12 @@ class TrainedPipeline:
     fragment_limit: int = FRAGMENT_LIMIT
     seed: int = 42
 
-    def _fragments(self, docs: list[Document], vectors: CorpusVectors) -> list[list[str]]:
-        return [fragment(vectors.lemmas(doc, self.recipe.use_abstract), self.fragment_limit)
-                for doc in docs]
-
     def _raw_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
         blocks = []
         if self.recipe.use_tfidf:
             assert self.tfidf is not None
-            blocks.append(self.tfidf.transform_many(self._fragments(docs, vectors)))
+            blocks.append(vectors.tfidf_matrix(self.tfidf, docs, self.recipe.use_abstract,
+                                               self.fragment_limit))
         if self.recipe.families:
             blocks.append(vectors.feature_matrix(docs, self.recipe.feature_names))
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
@@ -316,7 +343,8 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
         fragment_limit=settings.fragment_limit, seed=settings.seed,
     )
     if recipe.use_tfidf:
-        draft.tfidf = fit_tfidf(draft._fragments(train_docs, vectors), settings.max_terms)
+        draft.tfidf = vectors.tfidf(train_docs, recipe.use_abstract,
+                                    settings.fragment_limit, settings.max_terms)
     raw = draft._raw_matrix(train_docs, vectors)
     draft.scaler = fit_minmax(raw)
     X = draft.scaler.transform(raw)

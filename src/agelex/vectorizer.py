@@ -54,14 +54,15 @@ def augment_with_abstract(preview: str, abstract: str | None) -> str:
     return preview + " " + abstract
 
 
-@dataclass
+@dataclass(eq=False)
 class TfidfModel:
     """Fitted tf-idf weighter over a fixed vocabulary.
 
     Vocabulary holds the max_terms most frequent training lemmas by total
     count, ties broken lexicographically.  idf uses add-one smoothing:
     ln((1 + N) / (1 + df)) + 1.  Rows are L2-normalized, so a transformed
-    vector has norm 1, or 0 when no term is in vocabulary.
+    vector has norm 1, or 0 when no term is in vocabulary.  Models compare
+    and hash by identity, so a fitted model can key the rows it produced.
     """
 
     vocabulary: tuple[str, ...]
@@ -102,6 +103,8 @@ def fit_tfidf(documents: list[list[str]], max_terms: int = MAX_VOCABULARY) -> Tf
     for lemmas in documents:
         totals.update(lemmas)
         doc_freq.update(set(lemmas))
+    if not totals:
+        raise VectorizerError("cannot fit tf-idf: no training fragment has a lemma")
     ranked = sorted(totals, key=lambda term: (-totals[term], term))
     vocabulary = tuple(ranked[:max_terms])
     n = len(documents)

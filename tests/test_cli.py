@@ -1,8 +1,11 @@
 """End-to-end command-line tests on a small generated corpus."""
 import json
+import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +284,23 @@ class TestTrainEvaluate:
         assert rc == 1
         assert "error: C must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--model", "rf"], ["--model", "lsvc", "--svd", "off"]])
+    def test_fragments_without_lemmas_are_an_error(self, tmp_path, flags, capsys):
+        # every word is a stopword, so the tf-idf would have no terms
+        corpus = make_corpus(n_children=4, n_adult=4, seed=1)
+        path = tmp_path / "stopwords.jsonl"
+        write_corpus(Corpus([replace(d, text="И в во. И в!") for d in corpus]), path)
+        rc = main(["train", "--corpus", str(path), "--out", str(tmp_path / "o")] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot fit tf-idf: no training fragment has a lemma")
+
+    def test_fragment_limit_must_be_positive(self, tmp_path, corpus_file, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--fragment-limit", "0"])
+        assert rc == 1
+        assert "error: fragment limit must be positive" in capsys.readouterr().err
+
     def test_unknown_family_rejected(self, tmp_path, corpus_file, capsys):
         rc = main(["train", "--corpus", str(corpus_file),
                    "--out", str(tmp_path / "o"), "--features", "bogus"])
@@ -369,6 +389,23 @@ class TestClassify:
         rc = main(["classify", "--model-file", str(model_file), "--input", str(src)])
         assert rc == 0
         assert "label = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data, rc, expected", [
+        (TEXT.encode("utf-8"), 0, "label = "),
+        (b"\xff\xfe\x00k", 1, "error: <stdin>: not UTF-8 text: "),
+    ], ids=["utf8", "not-utf8"])
+    def test_stdin_must_be_utf8(self, model_file, data, rc, expected):
+        # in the C locale Python decodes text-mode stdin with surrogateescape
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        src = str(Path(agelex.cli.__file__).resolve().parents[1])
+        env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "agelex.cli", "classify", "--model-file", str(model_file)],
+            input=data, capture_output=True, env=env)
+        assert proc.returncode == rc, proc.stderr
+        assert expected in (proc.stdout if rc == 0 else proc.stderr).decode("utf-8")
 
     def test_empty_text_is_an_error(self, model_file, capsys):
         rc = main(["classify", "--model-file", str(model_file), "--text", "   "])

@@ -539,6 +539,12 @@ class TestRandomForest:
             train_random_forest(np.zeros((4, 2)), np.array([ADULT] * 4))
 
 
+@pytest.mark.parametrize("train", [train_linear_svc, train_random_forest])
+def test_matrix_without_columns_rejected(train):
+    with pytest.raises(ModelError, match="training matrix has no columns"):
+        train(np.zeros((4, 0)), np.array([ADULT, CHILDREN] * 2))
+
+
 class TestPersistence:
     def test_svc_round_trip(self, tmp_path):
         X, y = separable_blobs(13)

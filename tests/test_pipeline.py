@@ -12,18 +12,21 @@ from agelex.cli import main
 from agelex.corpus import Corpus, Split, write_corpus
 from agelex.errors import ArtifactError
 from agelex.models import load_model, save_model
-from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
-                             grid_conditions, label_to_int, run_grid, train_pipeline)
+from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainedPipeline,
+                             TrainSettings, grid_conditions, label_to_int, run_grid,
+                             train_pipeline)
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
+from agelex.vectorizer import TfidfModel
 
 SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
 
 
-def count_analysis(monkeypatch) -> Counter:
-    """Count calls of the two per-document analyses the pipeline makes."""
+def count_analysis(monkeypatch, names=("extract_all", "preprocess")) -> Counter:
+    """Count calls of the named pipeline functions, by default the two
+    per-document analyses the pipeline makes."""
     calls = Counter()
-    for name in ("extract_all", "preprocess"):
+    for name in names:
         original = getattr(pipeline, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -45,9 +48,17 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def grid(corpus, resources):
-    """run_grid's rows and the analysis calls it made."""
+    """run_grid's rows and the analysis, tf-idf fit and transform calls
+    it made."""
     with pytest.MonkeyPatch.context() as mp:
-        calls = count_analysis(mp)
+        calls = count_analysis(mp, ("extract_all", "preprocess", "fit_tfidf"))
+        transform = TfidfModel.transform
+
+        def counted_transform(self, lemmas):
+            calls["transform"] += 1
+            return transform(self, lemmas)
+
+        mp.setattr(TfidfModel, "transform", counted_transform)
         rows = run_grid(corpus, resources, settings=SETTINGS)
     return rows, calls
 
@@ -74,6 +85,48 @@ def test_grid_analyzes_each_document_once(corpus, grid):
     assert 0 < with_abstract < len(corpus)
     assert calls["extract_all"] == len(corpus)
     assert calls["preprocess"] == len(corpus) + with_abstract
+
+
+def test_grid_fits_each_tfidf_once_and_transforms_each_document_once(corpus, grid):
+    # a grid's tf-idf depends only on the abstract flag, so its 22
+    # bag-of-words fits share two, and each transforms every document once
+    _, calls = grid
+    assert calls["fit_tfidf"] == 2
+    assert calls["transform"] == 2 * len(corpus)
+
+
+def test_shared_cache_trains_what_a_fresh_cache_trains(corpus, resources):
+    # each case differs from the first in one part of the tf-idf key
+    # the same number of training documents, one of them another
+    swapped = {corpus.subset(Split.TRAIN)[0].id: Split.TEST,
+               corpus.subset(Split.TEST)[0].id: Split.TRAIN}
+    resplit = Corpus([replace(d, split=swapped.get(d.id, d.split)) for d in corpus])
+    cases = [
+        (corpus, Recipe(), SETTINGS),
+        (corpus, Recipe(), replace(SETTINGS, max_terms=7)),
+        (corpus, Recipe(), replace(SETTINGS, fragment_limit=9)),
+        (corpus, Recipe(use_abstract=True), SETTINGS),
+        (resplit, Recipe(), SETTINGS),
+    ]
+    shared = CorpusVectors(resources)
+    for case in cases + cases[::-1]:
+        data, recipe, settings = case
+        fresh = train_pipeline(data, resources, recipe, "lsvc", settings)
+        cached = train_pipeline(data, resources, recipe, "lsvc", settings, shared)
+        assert cached.to_json_dict() == fresh.to_json_dict(), case
+
+
+def test_shared_cache_serves_a_tfidf_it_did_not_fit(corpus, resources):
+    shared = CorpusVectors(resources)
+    trained = train_pipeline(corpus, resources, Recipe(use_abstract=True), "lsvc", SETTINGS,
+                             shared)
+    loaded = TrainedPipeline.from_json_dict(trained.to_json_dict())
+    # the same fitted tf-idf read with a shorter fragment is another row
+    shorter = replace(trained, fragment_limit=5)
+    docs = list(corpus)
+    for pipeline_ in (trained, loaded, shorter, trained):
+        assert pipeline_.predict_documents(docs, resources, shared).tolist() == \
+            pipeline_.predict_documents(docs, resources).tolist()
 
 
 @pytest.mark.parametrize("recipe, idle", [

@@ -92,6 +92,10 @@ class TestTfidf:
         with pytest.raises(VectorizerError):
             fit_tfidf([])
 
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(VectorizerError, match="no training fragment has a lemma"):
+            fit_tfidf([[], []])
+
     def test_refit_is_identical(self):
         docs = [["a", "b", "c"], ["b", "c"], ["c"]]
         m1, m2 = fit_tfidf(docs), fit_tfidf(docs)
@@ -101,6 +105,10 @@ class TestTfidf:
     @given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=12), min_size=1, max_size=8),
            st.lists(st.sampled_from("abcdefgh"), max_size=12))
     def test_norm_is_one_or_zero(self, docs, query):
+        if not any(docs):
+            with pytest.raises(VectorizerError, match="no training fragment has a lemma"):
+                fit_tfidf(docs)
+            return
         model = fit_tfidf(docs)
         norm = np.linalg.norm(model.transform(query))
         assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
