@@ -100,11 +100,6 @@ class CorrelationResult:
     matrix: np.ndarray
     zero_variance: tuple[str, ...]
 
-    def value(self, name_a: str, name_b: str) -> float:
-        i = self.names.index(name_a)
-        j = self.names.index(name_b)
-        return float(self.matrix[i, j])
-
 
 def correlation_matrix(X, names) -> CorrelationResult:
     """Pairwise Pearson correlations between feature columns.

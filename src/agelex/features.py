@@ -10,9 +10,14 @@ Features are always computed on the full preview text, never on the
 truncated fragments used by the bag-of-words vectorizer.
 
 The five quantitative families read the per-type table of
-text_analysis.analyze, so each lookup happens once per distinct surface
-and every count is a sum of per-type token counts; features.md says how
-means and medians are computed.
+text_analysis.analyze, and the readability, lexical and sentiment
+families take a lexicons.Lexicon (Resources.lexicon), whose rows say
+what the word lexicons hold for each type's (lemma, pos).  Both kinds of
+row are resolved once per distinct key and kept for as long as the
+resources live, so a document costs one table read per type, every count
+is a sum of per-type token counts, and every dictionary mean is an exact
+integer sum divided once; features.md says how means and medians are
+computed.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import AgeRating, Document
 from .errors import ConfigError, FeatureError, decode_errors_as
-from .lexicons import FrequencyDictionary, SentimentLexicon, WordList, Polarity, SentimentCategory
+from .lexicons import Lexicon, Polarity, SentimentCategory
 from .text_analysis import AnalyzedText, Pos, analyze
 
 if TYPE_CHECKING:
@@ -194,15 +199,6 @@ def _require_tokens(t: AnalyzedText) -> None:
         raise FeatureError("text has no sentences")
 
 
-def _weighted(pairs) -> tuple[list[int], int]:
-    """Each (value, weight) pair's product, exactly, as integers over one
-    common scale.  Every float is an integer over a power of two, so
-    their largest denominator is that scale."""
-    ratios = [(v.as_integer_ratio(), w) for v, w in pairs]
-    shift = max((d for (_, d), _ in ratios), default=1).bit_length()
-    return [(n << (shift - d.bit_length())) * w for (n, d), w in ratios], 1 << (shift - 1)
-
-
 def _median(counts: Counter) -> float:
     """Median of integers given as value -> multiplicity, as
     statistics.median computes it."""
@@ -250,7 +246,7 @@ def general_features(t: AnalyzedText) -> FeatureVector:
     return FeatureVector(GENERAL_NAMES, values)
 
 
-def readability_features(t: AnalyzedText, familiar: WordList,
+def readability_features(t: AnalyzedText, lexicon: Lexicon,
                          coefficients: ReadabilityCoefficients = DEFAULT_COEFFICIENTS) -> FeatureVector:
     """The five readability indices on the analyzed text.
 
@@ -262,8 +258,8 @@ def readability_features(t: AnalyzedText, familiar: WordList,
     sentences = t.n_sentences
     syllables = sum(map(mul, t.syllables, t.counts))
     polysyllables = sum(count for syl, count in zip(t.syllables, t.counts) if syl > 3)
-    difficult = sum(count for lemma, pos, count in zip(t.lemmas, t.pos, t.counts)
-                    if pos is not Pos.PROPN and lemma not in familiar)
+    difficult = sum(count for row, pos, count in zip(lexicon.rows(t.lemmas, t.pos), t.pos, t.counts)
+                    if pos is not Pos.PROPN and not row.familiar)
     asl = words / sentences
     asw = syllables / words
     values = (
@@ -280,8 +276,7 @@ def readability_features(t: AnalyzedText, familiar: WordList,
 _BUCKET_POS = (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN)
 
 
-def lexical_features(t: AnalyzedText, frequency: FrequencyDictionary,
-                     top5000: WordList) -> FeatureVector:
+def lexical_features(t: AnalyzedText, lexicon: Lexicon) -> FeatureVector:
     """Frequency-dictionary averages and top-5000 list coverage.
 
     Tokens absent from the dictionary are left out of every average (they
@@ -289,31 +284,26 @@ def lexical_features(t: AnalyzedText, frequency: FrequencyDictionary,
     dictionary average is 0 and the vector carries a warning flag.
     """
     _require_tokens(t)
-    hits = 0
-    hit_rows = []  # (ipm, token count) of each top-5000 type with a known ipm
+    hits = hit_tokens = hit_total = 0
     rows = []  # (ipm, r, d, doc, pos, token count) of each type in the dictionary
-    for lemma, pos, count in zip(t.lemmas, t.pos, t.counts):
-        # an exact (lemma, pos) record, else the average over the lemma's records
-        entry = frequency.lookup(lemma, pos) or frequency.lookup_any(lemma)
-        if lemma in top5000:
+    for row, pos, count in zip(lexicon.rows(t.lemmas, t.pos), t.pos, t.counts):
+        if row.top5000:
             hits += count
-            ipm = top5000.ipm_of(lemma)
-            if ipm is None and entry is not None:
-                ipm = entry.ipm
-            if ipm is not None:
-                hit_rows.append((ipm, count))
-        if entry is not None:
-            rows.append((entry.ipm, float(entry.r), entry.d, float(entry.doc), pos, count))
+            if row.top_ipm is not None:
+                hit_tokens += count
+                hit_total += row.top_ipm * count
+        if row.frequency is not None:
+            rows.append((*row.frequency, pos, count))
 
-    weighted, scale = _weighted(hit_rows)
-    hit_tokens = sum(count for _, count in hit_rows)
-    values = [hits / t.n_tokens, sum(weighted) / (scale * hit_tokens) if hit_tokens else 0.0]
+    # every sum is exact, over lexicon.scale, and is divided once
+    scale = lexicon.scale
+    values = [hits / t.n_tokens, hit_total / (scale * hit_tokens) if hit_tokens else 0.0]
     *columns, row_pos, row_counts = zip(*rows) if rows else [()] * 6
     # the "words" bucket takes every row, the others the rows of one pos
     masks = [[True] * len(rows)] + [[p is pos for p in row_pos] for pos in _BUCKET_POS]
     tokens = [sum(compress(row_counts, mask)) for mask in masks]
     for column in columns:
-        weighted, scale = _weighted(zip(column, row_counts))
+        weighted = list(map(mul, column, row_counts))
         for mask, n in zip(masks, tokens):
             values.append(sum(compress(weighted, mask)) / (scale * n) if n else 0.0)
     warnings = () if rows else ("no_frequency_matches",)
@@ -327,13 +317,14 @@ def grammatical_features(t: AnalyzedText) -> FeatureVector:
     return FeatureVector(GRAMMATICAL_NAMES, values)
 
 
-def sentiment_features(t: AnalyzedText, lexicon: SentimentLexicon) -> FeatureVector:
+def sentiment_features(t: AnalyzedText, lexicon: Lexicon) -> FeatureVector:
     """Shares of sentiment-bearing tokens by polarity and category,
     relative to all tokens."""
     _require_tokens(t)
     counts: Counter = Counter()
-    for lemma, count in zip(t.lemmas, t.counts):
-        counts[lexicon.lookup(lemma)] += count
+    for row, count in zip(lexicon.rows(t.lemmas, t.pos), t.counts):
+        if row.sentiment is not None:
+            counts[row.sentiment] += count
     values = tuple(
         counts[(pol, cat)] / t.n_tokens
         for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
@@ -360,9 +351,9 @@ def extract_all(doc: Document, resources: "Resources") -> FeatureVector:
         raise FeatureError(f"document {doc.id!r}: text has no tokens")
     return FeatureVector.concat([
         general_features(t),
-        readability_features(t, resources.familiar, resources.coefficients),
-        lexical_features(t, resources.frequency, resources.top5000),
+        readability_features(t, resources.lexicon, resources.coefficients),
+        lexical_features(t, resources.lexicon),
         grammatical_features(t),
-        sentiment_features(t, resources.sentiment),
+        sentiment_features(t, resources.lexicon),
         publishing_features(doc.age_rating),
     ])

@@ -1,10 +1,16 @@
-"""Loaders for the external lexical resources.
+"""Loaders for the external lexical resources, and one table over them.
 
 Three resource kinds: a frequency dictionary with ipm / rank / dispersion
 / document-count attributes per (lemma, pos), a sentiment lexicon mapping
 lemmas to (polarity, category), and plain word lists such as the top-5000
 frequency list or the familiar-words list used by the Dale-Chall style
 index.  All loaders validate ranges and report the offending row number.
+
+A Lexicon reads the four word lexicons of one Resources through a table
+keyed by (lemma, pos): each key is resolved once, on first sight, into a
+LexiconRow, and at most text_analysis.TABLE_CAP rows are kept.  Its
+frequency values are exact integers over one power-of-two scale, so a
+feature family sums them exactly and divides once.
 """
 from __future__ import annotations
 
@@ -12,10 +18,12 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import Pos
+from .text_analysis import Pos, table_rows
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -253,3 +261,80 @@ def load_word_list(path: str | Path, name: str | None = None) -> WordList:
                 raise LexiconError(f"{path}: row {lineno}: ipm must be >= 0, got {value}")
         ipm.setdefault(lemma, value)
     return WordList(name or p.stem, ipm)
+
+
+_POS_ORDER = tuple(Pos)
+
+
+class LexiconRow(NamedTuple):
+    """What the lexicons say about one (lemma, pos).
+
+    top_ipm is the ipm of a top-5000 hit (from the list, else from the
+    frequency dictionary) and frequency the (ipm, r, d, doc) of the
+    dictionary entry (the exact (lemma, pos) record, else the average
+    over the lemma's records), each times Lexicon.scale; either is None
+    when there is no such value.
+    """
+
+    familiar: bool
+    sentiment: tuple[Polarity, SentimentCategory] | None
+    top5000: bool
+    top_ipm: int | None
+    frequency: tuple[int, int, int, int] | None
+
+
+class Lexicon:
+    """The frequency dictionary, sentiment lexicon, top-5000 list and
+    familiar list, looked up through one table keyed by (lemma, pos).
+
+    The lexicons must not change once rows have been read.  A missing
+    lexicon is an empty one.
+    """
+
+    def __init__(self, frequency: FrequencyDictionary | None = None,
+                 sentiment: SentimentLexicon | None = None,
+                 top5000: WordList | None = None, familiar: WordList | None = None):
+        self.frequency = frequency if frequency is not None else FrequencyDictionary([])
+        self.sentiment = sentiment if sentiment is not None else SentimentLexicon({})
+        self.top5000 = top5000 if top5000 is not None else WordList("top5000", {})
+        self.familiar = familiar if familiar is not None else WordList("familiar", {})
+        self._rows: dict[tuple[str, int], LexiconRow] = {}
+
+    @cached_property
+    def scale(self) -> int:
+        """The least power of two that makes every ipm, r, d and doc value
+        a row can hold an integer: each finite float is an integer over a
+        power of two, so this is the largest of those denominators."""
+        records = self.frequency.records
+        averages = (self.frequency.lookup_any(lemma) for lemma in {rec.lemma for rec in records})
+        values = [float(v) for rec in records for v in (rec.ipm, rec.r, rec.d, rec.doc)]
+        values += [v for stats in averages for v in (stats.ipm, stats.r, stats.d, stats.doc)]
+        values += [v for v in map(self.top5000.ipm_of, self.top5000.lemmas) if v is not None]
+        return max((v.as_integer_ratio()[1] for v in values), default=1)
+
+    def rows(self, lemmas: list[str], pos: list[Pos]) -> list[LexiconRow]:
+        """The row of each (lemma, pos) pair."""
+        # keyed by the pos's place in _POS_ORDER, found by identity: hashing
+        # an Enum member runs Python code
+        keys = list(zip(lemmas, map(_POS_ORDER.index, pos)))
+        return table_rows(self._rows, keys, self._resolve)
+
+    def _scaled(self, value: float) -> int:
+        numerator, denominator = float(value).as_integer_ratio()
+        return numerator * (self.scale // denominator)
+
+    def _resolve(self, key: tuple[str, int]) -> LexiconRow:
+        lemma, pos = key[0], _POS_ORDER[key[1]]
+        entry = self.frequency.lookup(lemma, pos) or self.frequency.lookup_any(lemma)
+        top5000 = lemma in self.top5000
+        ipm = self.top5000.ipm_of(lemma) if top5000 else None
+        if top5000 and ipm is None and entry is not None:
+            ipm = entry.ipm
+        return LexiconRow(
+            familiar=lemma in self.familiar,
+            sentiment=self.sentiment.lookup(lemma),
+            top5000=top5000,
+            top_ipm=None if ipm is None else self._scaled(ipm),
+            frequency=None if entry is None else tuple(
+                map(self._scaled, (entry.ipm, entry.r, entry.d, entry.doc))),
+        )

@@ -6,11 +6,11 @@ file via the command line or a config file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .features import ReadabilityCoefficients
-from .lexicons import (FrequencyDictionary, SentimentLexicon, WordList,
+from .lexicons import (FrequencyDictionary, Lexicon, SentimentLexicon, WordList,
                        load_frequency_dict, load_sentiment_lexicon, load_word_list)
 from .text_analysis import (DictionaryMorphology, HeuristicMorphology,
                             MorphologyProvider, load_abbreviations)
@@ -45,9 +45,16 @@ class ChainMorphology(MorphologyProvider):
         return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resources:
-    """Everything feature extraction and vectorization need to run."""
+    """Everything feature extraction and vectorization need to run.
+
+    Frozen, because what was resolved from a resource is kept: the
+    morphology provider keeps the row of each run it has read, and
+    lexicon, built from the four word lexicons, the row of each (lemma,
+    pos).  Both tables fill as documents are read and hold at most
+    text_analysis.TABLE_CAP rows each.
+    """
 
     morphology: MorphologyProvider
     abbreviations: frozenset[str]
@@ -57,6 +64,11 @@ class Resources:
     familiar: WordList
     stopwords: frozenset[str]
     coefficients: ReadabilityCoefficients
+    lexicon: Lexicon = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lexicon", Lexicon(self.frequency, self.sentiment,
+                                                    self.top5000, self.familiar))
 
     @classmethod
     def load(cls, paths: dict[str, str | Path] | None = None,

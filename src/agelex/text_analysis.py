@@ -1,9 +1,18 @@
 """Tokenization, sentence splitting, syllable counting and morphology.
 
-analyze() returns one row per distinct surface (word type), with each
-lookup done once per row, plus a column of type ids for the tokens and
-token ranges for the sentences; the feature families work from its
-per-type counts.
+analyze() returns one row per distinct surface (word type), plus a
+column of type ids for the tokens and token ranges for the sentences;
+the feature families work from its per-type counts.  What a run of
+letters and digits resolves to (whether it is a word, its letter and
+character counts, a word's lemma, part of speech and syllables) depends
+on the run and the morphology provider alone, so each provider resolves
+a distinct run once, on first sight, and keeps the answer in a table of
+at most TABLE_CAP runs that analyze() and vectorizer.preprocess() read.
+
+Text enters analyze() and tokenize() through normalize_text(): combining
+acute and grave accents (stress marks in Russian) are dropped and the
+rest is NFC-composed, so a stressed or decomposed spelling reads like
+the plain one.
 
 All routines are pure functions of their inputs, so repeated calls on the
 same text yield identical results.  The module is Cyrillic-first but every
@@ -13,10 +22,13 @@ titles or names.
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import LexiconError, decode_errors_as
@@ -55,6 +67,43 @@ _WORD_AT_END_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*\Z", re.UNICODE)
 _SPACE_RE = re.compile(r"\s*")
 # first through last non-space character
 _TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
+_ACCENT_RE = re.compile("[\u0300\u0301]")
+
+# Most keys a per-type table keeps: the runs of a morphology provider and
+# the (lemma, pos) rows of a lexicons.Lexicon.  Past it, new keys are
+# resolved on every call and not kept.
+TABLE_CAP = 50_000
+
+
+def normalize_text(text: str) -> str:
+    """Drop combining acute and grave accents (U+0301, U+0300) and
+    NFC-compose the rest.
+
+    A stress mark or a decomposed letter would otherwise split a word
+    ("ма́ма" into "ма" and "ма").  Accents are dropped before composing,
+    so "е" with a grave stress mark stays "е" instead of becoming "ѐ",
+    and again after it, since composing can leave an accent loose
+    (U+0341 is one).  Text that is already NFC and has no such accent,
+    as almost all text is, is returned as it is.
+    """
+    if "\u0301" not in text and "\u0300" not in text and unicodedata.is_normalized("NFC", text):
+        return text
+    for _ in range(2):
+        text = unicodedata.normalize("NFC", _ACCENT_RE.sub("", text))
+    return text
+
+
+def table_rows(table: dict, keys: list, resolve) -> list:
+    """The row of each key: read from the table, or resolve(key), which
+    the table keeps while it holds fewer than TABLE_CAP rows."""
+    rows = list(map(table.get, keys))
+    if None in rows:
+        for i, row in enumerate(rows):
+            if row is None:
+                rows[i] = row = resolve(keys[i])
+                if len(table) < TABLE_CAP:
+                    table[keys[i]] = row
+    return rows
 
 
 def count_syllables(word: str) -> int:
@@ -69,9 +118,10 @@ def tokenize(text: str) -> list[str]:
     A token is a maximal run of letters, possibly with internal hyphens
     ("жил-был" is one token).  Runs containing digits are not tokens, and
     punctuation never is, although both still count toward the character
-    totals reported by analyze().
+    totals reported by analyze().  The text is read through
+    normalize_text().
     """
-    runs = _RUN_RE.findall(text)
+    runs = _RUN_RE.findall(normalize_text(text))
     is_word = {run: _is_word(run) for run in set(runs)}
     return list(compress(runs, map(is_word.__getitem__, runs)))
 
@@ -129,12 +179,35 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 
 
 class MorphologyProvider:
-    """Interface for lemma and part-of-speech lookup."""
+    """Interface for lemma and part-of-speech lookup.
+
+    A provider keeps the row of each run it has resolved for analyze()
+    and preprocess(), so its answers must not change once it is in use.
+    """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
         """Return (lemma, pos) for the surface form, or None when the
-        provider has no analysis.  Must be deterministic."""
+        provider has no analysis.  Must be deterministic, and the lemma
+        must not depend on the case of the surface."""
         raise NotImplementedError
+
+    @cached_property
+    def _runs(self) -> dict[str, tuple]:
+        return {}
+
+    def run_rows(self, runs: list[str]) -> list[tuple]:
+        """For each run, (is_word, chars, letters, lemma, pos, syllables):
+        chars counts its letters and digits, and a run that is not a
+        word has lemma and pos None and 0 syllables.  Unknown words get
+        pos=Other with the lowercased surface as lemma."""
+        return table_rows(self._runs, runs, self._resolve_run)
+
+    def _resolve_run(self, run: str) -> tuple:
+        chars = len(run) - run.count("-")
+        if not _is_word(run):
+            return (False, chars, sum(map(str.isalpha, run)), None, None, 0)
+        lemma, pos = self.analyze(run) or (run.lower(), Pos.OTHER)
+        return (True, chars, chars, lemma, pos, count_syllables(run))
 
 
 class DictionaryMorphology(MorphologyProvider):
@@ -241,7 +314,7 @@ class AnalyzedText:
     token in text order; sentences holds (first_token,
     one_past_last_token) ranges into it, and sentence_symbols the
     non-whitespace character count of each sentence span, punctuation
-    included.
+    included.  text is the analyzed text after normalize_text().
     """
 
     text: str
@@ -270,37 +343,42 @@ def analyze(text: str, morphology: MorphologyProvider,
             abbreviations: frozenset[str] | None = None) -> AnalyzedText:
     """Run the full pipeline: sentences, tokens, syllables, morphology.
 
-    Each sentence span is cut into runs, and each distinct run is read
-    once: its letters and digits, whether it is a word, and a word's
-    morphology and syllables.  Unknown surfaces fall back to pos=Other
-    with the lowercased surface as lemma.  Sentence spans without tokens
-    are dropped, so every token belongs to exactly one sentence, but
-    their symbols still count toward symbol_count.
+    The text is read through normalize_text().  Each sentence span is cut
+    into runs, and each distinct run is looked up in the morphology
+    provider's run table.  Unknown surfaces fall back to pos=Other with
+    the lowercased surface as lemma.  Sentence spans without tokens are
+    dropped, so every token belongs to exactly one sentence, but their
+    symbols still count toward symbol_count.
     """
+    text = normalize_text(text)
     spans = split_sentences(text, abbreviations)
     # no run crosses a span edge: a span starts after whitespace and ends
     # at a terminator or before whitespace
     span_runs = [_RUN_RE.findall(text, start, end) for start, end in spans]
     run_counts = Counter(chain.from_iterable(span_runs))
-    surfaces = [run for run in run_counts if _is_word(run)]
-    analyses = [morphology.analyze(s) or (s.lower(), Pos.OTHER) for s in surfaces]
+    runs = list(run_counts)
+    rows = morphology.run_rows(runs)
+    counts = list(run_counts.values())
+    is_word = list(map(itemgetter(0), rows))
+    surfaces = list(compress(runs, is_word))
+    words = list(compress(rows, is_word))
     type_of = {surface: i for i, surface in enumerate(surfaces)}
     symbols = [sum(map(len, text[start:end].split())) for start, end in spans]
     tokens, sentences, sentence_symbols = [], [], []
-    for runs, n_symbols in zip(span_runs, symbols):
+    for runs_of_span, n_symbols in zip(span_runs, symbols):
         first = len(tokens)
-        tokens += [i for i in map(type_of.get, runs) if i is not None]
+        tokens += [i for i in map(type_of.get, runs_of_span) if i is not None]
         if len(tokens) > first:
             sentences.append((first, len(tokens)))
             sentence_symbols.append(n_symbols)
     return AnalyzedText(
         text=text, tokens=tokens, surfaces=surfaces,
-        lemmas=[lemma for lemma, _ in analyses], pos=[pos for _, pos in analyses],
-        syllables=list(map(count_syllables, surfaces)),
-        counts=[run_counts[surface] for surface in surfaces],
+        lemmas=list(map(itemgetter(3), words)), pos=list(map(itemgetter(4), words)),
+        syllables=list(map(itemgetter(5), words)),
+        counts=list(compress(counts, is_word)),
         sentences=sentences, sentence_symbols=sentence_symbols,
         # every letter and digit of the text lies in a run
-        char_count=sum((len(run) - run.count("-")) * n for run, n in run_counts.items()),
-        letter_count=sum(sum(map(str.isalpha, run)) * n for run, n in run_counts.items()),
+        char_count=sum(map(mul, map(itemgetter(1), rows), counts)),
+        letter_count=sum(map(mul, map(itemgetter(2), rows), counts)),
         symbol_count=sum(symbols),
     )

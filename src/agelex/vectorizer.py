@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,14 +28,12 @@ def preprocess(text: str, morphology: MorphologyProvider,
 
     Steps, in order: drop non-word characters (tokenization), lowercase,
     lemmatize, remove stop words.  Unknown forms keep their lowercased
-    surface as lemma.  Each distinct surface is lemmatized once.
+    surface as lemma.  Lemmas are read from the morphology provider's
+    run table, the one analyze() reads.
     """
     words = tokenize(text)
-    lemma_of = {}
-    for surface in set(words):
-        low = surface.lower()
-        result = morphology.analyze(low)
-        lemma_of[surface] = result[0] if result is not None else low
+    surfaces = list(set(words))
+    lemma_of = dict(zip(surfaces, map(itemgetter(3), morphology.run_rows(surfaces))))
     return [lemma for lemma in map(lemma_of.__getitem__, words) if lemma not in stopwords]
 
 

@@ -186,8 +186,8 @@ def test_criterion_01_readability_formula_suite(resources):
     for text in _random_texts(50, np.random.default_rng(1)):
         once = analyze(text, resources.morphology, resources.abbreviations)
         twice = analyze(text + " " + text, resources.morphology, resources.abbreviations)
-        single = readability_features(once, resources.familiar).values
-        doubled = readability_features(twice, resources.familiar).values
+        single = readability_features(once, resources.lexicon).values
+        doubled = readability_features(twice, resources.lexicon).values
         for a, b in zip(single, doubled):
             assert abs(a - b) <= 1e-9
     assert time.perf_counter() - started < 1.0
@@ -325,10 +325,10 @@ def test_criterion_07_readability_cross_correlation(resources):
     fk_grade, fk_default, ari_values = [], [], []
     for doc in corpus:
         t = analyze(doc.text, resources.morphology, resources.abbreviations)
-        graded = readability_features(t, resources.familiar, grade).values
+        graded = readability_features(t, resources.lexicon, grade).values
         fk_grade.append(graded[0])
         ari_values.append(graded[2])
-        fk_default.append(readability_features(t, resources.familiar).values[0])
+        fk_default.append(readability_features(t, resources.lexicon).values[0])
     assert float(np.corrcoef(fk_grade, ari_values)[0, 1]) > 0.8
     # the default coefficients score reading ease, not grade level, so the
     # same co-movement shows up with the sign flipped

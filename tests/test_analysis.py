@@ -145,21 +145,21 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(0)
         col = rng.normal(size=30)
         result = correlation_matrix(np.column_stack([col, col]), ("a", "b"))
-        assert result.value("a", "b") == pytest.approx(1.0)
+        assert result.matrix[result.names.index("a"), result.names.index("b")] == pytest.approx(1.0)
         assert result.matrix[0, 0] == 1.0
 
     def test_negation_is_minus_one(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=30)
         result = correlation_matrix(np.column_stack([col, -col]), ("a", "b"))
-        assert result.value("a", "b") == pytest.approx(-1.0)
+        assert result.matrix[result.names.index("a"), result.names.index("b")] == pytest.approx(-1.0)
 
     def test_zero_variance_column_flagged(self):
         rng = np.random.default_rng(2)
         X = np.column_stack([rng.normal(size=20), np.full(20, 5.0)])
         result = correlation_matrix(X, ("a", "const"))
         assert result.zero_variance == ("const",)
-        assert result.value("a", "const") == 0.0
+        assert result.matrix[result.names.index("a"), result.names.index("const")] == 0.0
         assert result.matrix[1, 1] == 1.0
 
     def test_symmetric_unit_diagonal_bounded(self):

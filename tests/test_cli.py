@@ -377,6 +377,14 @@ class TestClassify:
         assert calls == [self.TEXT]
         assert "avg_words_len = " in capsys.readouterr().out
 
+    def test_stress_marks_change_nothing(self, model_file, capsys):
+        printed = []
+        for text in ("Ма\u0301ма мы\u0301ла ра\u0301му. Кот спит.", "Мама мыла раму. Кот спит."):
+            assert main(["classify", "--model-file", str(model_file), "--text", text,
+                         "--explain"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_age_rating_flag_reaches_features(self, model_file, capsys):
         rc = main(["classify", "--model-file", str(model_file), "--text", self.TEXT,
                    "--age-rating", "6+", "--explain"])

@@ -2,6 +2,7 @@
 import math
 import re
 import time
+import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import mean, median
@@ -19,12 +20,13 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
                              grammatical_features, lexical_features,
                              publishing_features, readability_features,
                              sentiment_features, smog_index)
-from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Polarity,
+from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
 from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
                                   count_syllables, split_sentences)
+from agelex.vectorizer import preprocess
 
 import agelex.features as features_mod
 
@@ -233,6 +235,19 @@ def bits(values):
     return [v.hex() for v in values]
 
 
+def outcome(text, resources):
+    """Every feature value bit for bit and the warnings, or None when
+    extraction finds no tokens, then the analysis and preprocess lemmas."""
+    try:
+        fv = extract_all(Document(id="d", text=text, label=Label.CHILDREN), resources)
+        features = (bits(fv.values), fv.warnings)
+    except FeatureError:
+        features = None
+    t = analyze(text, resources.morphology, resources.abbreviations)
+    return (features, [t.lemmas[i] for i in t.tokens],
+            preprocess(text, resources.morphology, resources.stopwords))
+
+
 class TestAgainstTokenReference:
     """The per-type analysis and families against the token walk.
 
@@ -271,12 +286,12 @@ class TestAgainstTokenReference:
                 general_features(t)
             return
         assert bits(general_features(t).values) == bits(map(float, reference_general_features(ref)))
-        assert (bits(readability_features(t, res.familiar).values)
+        assert (bits(readability_features(t, res.lexicon).values)
                 == bits(reference_readability_features(ref, res.familiar)))
         assert bits(grammatical_features(t).values) == bits(reference_grammatical_features(ref))
-        assert (bits(sentiment_features(t, res.sentiment).values)
+        assert (bits(sentiment_features(t, res.lexicon).values)
                 == bits(reference_sentiment_features(ref, res.sentiment)))
-        lexical = lexical_features(t, res.frequency, res.top5000)
+        lexical = lexical_features(t, res.lexicon)
         ref_values, ref_warnings = reference_lexical_features(ref, res.frequency, res.top5000)
         assert lexical.warnings == ref_warnings
         assert bits(lexical.values[:2]) == bits(ref_values[:2])
@@ -285,6 +300,55 @@ class TestAgainstTokenReference:
                  for i in range(4) for b in _REF_BUCKET_ORDER]
         assert bits(lexical.values[2:]) == bits(exact)
         assert lexical.values[2:] == pytest.approx(ref_values[2:], rel=1e-12, abs=0.0)
+
+
+    _LEMMAS = ("кот", "пёс", "дом")
+    # one surface per (lemma, pos): the lemma and a letter naming the pos
+    _MORPH = DictionaryMorphology({lemma + letter: (lemma, pos)
+                                   for lemma in _LEMMAS for letter, pos in zip("абвгде", Pos)})
+
+    @settings(max_examples=100)
+    @given(records=st.lists(st.tuples(st.sampled_from(_LEMMAS), st.sampled_from(list(Pos)),
+                                      st.floats(0, 1e6), st.integers(0, 100), st.floats(0, 100),
+                                      st.integers(0, 10 ** 6)),
+                            unique_by=lambda r: r[:2], max_size=10),
+           top=st.dictionaries(st.sampled_from(_LEMMAS), st.none() | st.floats(0, 1e6)),
+           words=st.lists(st.sampled_from(sorted(_MORPH._entries)), min_size=1, max_size=30))
+    def test_dictionary_means_exact_for_any_values(self, records, top, words):
+        # the values of a whole dictionary share one scale, however far
+        # apart their binary exponents are
+        frequency = FrequencyDictionary([FrequencyRecord(*r) for r in records])
+        top5000 = WordList("top5000", top)
+        text = " ".join(words) + "."
+        lexical = lexical_features(analyze(text, self._MORPH),
+                                   Lexicon(frequency=frequency, top5000=top5000))
+        ref = reference_analyze(text, self._MORPH)
+        ref_values, ref_warnings = reference_lexical_features(ref, frequency, top5000)
+        attrs = reference_dictionary_attrs(ref, frequency)
+        exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
+                 for i in range(4) for b in _REF_BUCKET_ORDER]
+        assert lexical.warnings == ref_warnings
+        assert bits(lexical.values) == bits(ref_values[:2]) + bits(exact)
+
+
+class TestStressMarksAndDecomposedLetters:
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @settings(max_examples=60)
+    @given(text=TEXTS, marks=st.lists(st.tuples(st.integers(0, 200), st.sampled_from("\u0300\u0301")),
+                                      max_size=6))
+    def test_read_like_the_plain_text(self, heuristic, text, marks, resources, heuristic_resources):
+        res = heuristic_resources if heuristic else resources
+        marked = text
+        for at, mark in marks:
+            at %= len(marked) + 1
+            marked = marked[:at] + mark + marked[at:]
+        plain = outcome(text, res)
+        assert outcome(marked, res) == plain
+        assert outcome(unicodedata.normalize("NFD", text), res) == plain
+
+    def test_stressed_sentence(self, resources):
+        assert (outcome("Ма\u0301ма мы\u0301ла ра\u0301му. Ё\u0301жик спит.", resources)
+                == outcome("Мама мыла раму. Ёжик спит.", resources))
 
 
 class TestSchema:
@@ -443,7 +507,7 @@ class TestReadabilityFeatures:
                    "кота": ("кот", "NOUN")}
         familiar = WordList("familiar", {"видеть": None})
         t = analyzed("Маша видит кота.", entries)
-        fv = readability_features(t, familiar).as_dict()
+        fv = readability_features(t, Lexicon(familiar=familiar)).as_dict()
         # one difficult token of three: share 1/3, 3 words in 1 sentence
         assert fv["index_dc"] == pytest.approx(0.1579 * (100.0 / 3.0) + 0.0496 * 3.0)
 
@@ -451,13 +515,14 @@ class TestReadabilityFeatures:
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
         familiar = WordList("familiar", {"кот": None, "спать": None})
         t = analyzed("кот спит.", entries)
-        assert readability_features(t, familiar).as_dict()["index_dc"] == pytest.approx(0.0496 * 2.0)
+        fv = readability_features(t, Lexicon(familiar=familiar)).as_dict()
+        assert fv["index_dc"] == pytest.approx(0.0496 * 2.0)
 
     def test_custom_coefficients_applied(self):
         entries = {"кот": ("кот", "NOUN")}
         t = analyzed("кот.", entries)
         coef = ReadabilityCoefficients(fk=(1.0, 0.0, 0.0))
-        fv = readability_features(t, WordList("f", {}), coef).as_dict()
+        fv = readability_features(t, Lexicon(), coef).as_dict()
         assert fv["index_fk"] == pytest.approx(1.0)
 
 
@@ -470,7 +535,7 @@ class TestLexicalFeatures:
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
         top = WordList("top5000", {"кот": 100.0, "спать": 200.0})
         t = analyzed("кот спит.", entries)
-        fv = lexical_features(t, make_freq([]), top).as_dict()
+        fv = lexical_features(t, Lexicon(top5000=top)).as_dict()
         assert fv["5000_proc"] == 1.0
         assert fv["5000_freq"] == pytest.approx(150.0)
 
@@ -479,7 +544,7 @@ class TestLexicalFeatures:
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("пёс", Pos.NOUN, 300.0, 30, 40.0, 15)])
         t = analyzed("кот пёс.", entries)
-        fv = lexical_features(t, freq, WordList("top", {})).as_dict()
+        fv = lexical_features(t, Lexicon(frequency=freq)).as_dict()
         assert fv["words_fr"] == pytest.approx(200.0)
         assert fv["s_fr"] == pytest.approx(200.0)
         assert fv["words_r"] == pytest.approx(20.0)
@@ -491,12 +556,12 @@ class TestLexicalFeatures:
         entries = {"кот": ("кот", "NOUN"), "ёж": ("ёж", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5)])
         t = analyzed("кот ёж.", entries)
-        fv = lexical_features(t, freq, WordList("top", {})).as_dict()
+        fv = lexical_features(t, Lexicon(frequency=freq)).as_dict()
         assert fv["words_fr"] == pytest.approx(100.0)
 
     def test_no_matches_warns_and_zeroes(self):
         t = analyzed("ёж.", {"ёж": ("ёж", "NOUN")})
-        fv = lexical_features(t, make_freq([]), WordList("top", {}))
+        fv = lexical_features(t, Lexicon())
         assert fv.warnings == ("no_frequency_matches",)
         assert fv.as_dict()["words_fr"] == 0.0
 
@@ -505,7 +570,7 @@ class TestLexicalFeatures:
         freq = make_freq([("кот", Pos.NOUN, 123.0, 10, 20.0, 5)])
         top = WordList("top", {"кот": None})
         t = analyzed("кот.", entries)
-        assert lexical_features(t, freq, top).as_dict()["5000_freq"] == pytest.approx(123.0)
+        assert lexical_features(t, Lexicon(frequency=freq, top5000=top)).as_dict()["5000_freq"] == pytest.approx(123.0)
 
     def test_pos_specific_lookup_beats_average(self):
         # "печь" noun and verb entries differ; a noun token must take the
@@ -514,7 +579,7 @@ class TestLexicalFeatures:
         freq = make_freq([("печь", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("печь", Pos.VERB, 300.0, 30, 40.0, 15)])
         t = analyzed("печь.", entries)
-        assert lexical_features(t, freq, WordList("top", {})).as_dict()["words_fr"] == pytest.approx(100.0)
+        assert lexical_features(t, Lexicon(frequency=freq)).as_dict()["words_fr"] == pytest.approx(100.0)
 
 
 class TestGrammaticalFeatures:
@@ -542,10 +607,10 @@ class TestGrammaticalFeatures:
 
 class TestSentimentFeatures:
     def _lexicon(self):
-        return SentimentLexicon({
+        return Lexicon(sentiment=SentimentLexicon({
             "ужасный": (Polarity.NEGATIVE, SentimentCategory.OPINION),
             "радость": (Polarity.POSITIVE, SentimentCategory.FEELING),
-        })
+        }))
 
     def test_share_of_matching_tokens(self):
         entries = {c: (c, "OTHER") for c in "абвгдежз"}
@@ -677,7 +742,7 @@ class TestExtractAll:
                                   for _ in range(rng.randint(2, 8))).capitalize() + ".")
         text = " ".join(sents)
         entries = {w: (w, "NOUN") for w in words}
-        familiar = WordList("f", {"кот": None, "и": None})
+        familiar = Lexicon(familiar=WordList("f", {"кот": None, "и": None}))
         single = readability_features(analyzed(text, entries), familiar)
         double = readability_features(analyzed(text + " " + text, entries), familiar)
         for a, b in zip(single.values, double.values):

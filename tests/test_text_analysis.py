@@ -1,6 +1,7 @@
 """Tokenizer, sentence splitter, syllable counter and morphology."""
 import re
 import time
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,8 @@ from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   _NOUN_SUFFIXES, _VERB_SUFFIXES,
                                   DictionaryMorphology, HeuristicMorphology,
                                   Pos, analyze, count_syllables,
-                                  load_abbreviations, split_sentences,
-                                  tokenize)
+                                  load_abbreviations, normalize_text,
+                                  split_sentences, tokenize)
 
 CYR_WORDS = st.text(alphabet="абвгдежзиклмнопрстуфхцчшщыьэюя", min_size=1, max_size=12)
 
@@ -108,12 +109,39 @@ class TestTokenize:
             assert all(ch.isalpha() or ch == "-" for ch in tok)
 
     @given(st.text(max_size=60))
+    @example("Ма\u0301ма e\u0301 Å 說")
     def test_tokens_appear_in_order(self, text):
+        # in the text as read: accents dropped, NFC-composed
+        text = normalize_text(text)
         pos = 0
         for tok in tokenize(text):
             found = text.find(tok, pos)
             assert found >= 0
             pos = found + 1
+
+    def test_stress_marks_and_decomposed_letters_do_not_split_words(self):
+        assert tokenize("Ма\u0301ма мы\u0300ла ра\u0301му.") == ["Мама", "мыла", "раму"]
+        assert tokenize(unicodedata.normalize("NFD", "Ёжик и йод.")) == ["Ёжик", "и", "йод"]
+
+
+class TestNormalizeText:
+    def test_plain_text_is_returned_as_is(self):
+        text = "Ёжик, caf\u00e9 и \u0450."
+        assert normalize_text(text) is text
+
+    def test_accents_dropped_and_letters_composed(self):
+        marked = unicodedata.normalize("NFD", "Ёжик и йод") + " е\u0300ж а\u0301\u0301"
+        assert normalize_text(marked) == "Ёжик и йод еж а"
+
+    @given(st.text(max_size=40))
+    @example("\u0341")
+    @example("a\u0323\u0301\u0302")
+    @example("\u00e1\u0323\u0302")
+    def test_idempotent_nfc_and_free_of_accents(self, text):
+        once = normalize_text(text)
+        assert normalize_text(once) == once
+        assert unicodedata.is_normalized("NFC", once)
+        assert "\u0300" not in once and "\u0301" not in once
 
 
 class TestSplitSentences:
