@@ -9,26 +9,25 @@ schema_hash(); trained models refuse inputs with a different schema.
 Features are always computed on the full preview text, never on the
 truncated fragments used by the bag-of-words vectorizer.
 
-The five quantitative families read the per-type table of
-text_analysis.analyze, and the readability, lexical and sentiment
-families take a lexicons.Lexicon (Resources.lexicon), whose rows say
-what the word lexicons hold for each type's (lemma, pos).  Both kinds of
-row are resolved once per distinct key and kept for as long as the
-resources live, so a document costs one table read per type, every count
-is a sum of per-type token counts, and every dictionary mean is an exact
-integer sum divided once; features.md says how means and medians are
-computed.
+The five quantitative families come from one pass over the per-type
+table of text_analysis.analyze, in quantitative_features, which reads
+each type's row of a lexicons.Lexicon (Resources.lexicon) once: what the
+word lexicons hold for the type's (lemma, pos).  Both kinds of row are
+resolved once per distinct key and kept for as long as the resources
+live, so every count is a sum of per-type token counts and every
+dictionary mean is an exact integer sum divided once; features.md says
+how means and medians are computed.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import mul
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -98,25 +97,11 @@ class FeatureVector:
             if not math.isfinite(value):
                 raise FeatureError(f"non-finite value for feature {name!r}")
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-    @staticmethod
-    def concat(parts: list["FeatureVector"]) -> "FeatureVector":
-        """Join vectors; each part checked its own values, so only names are checked."""
-        names = values = warnings = ()
-        for part in parts:
-            names, values, warnings = names + part.names, values + part.values, warnings + part.warnings
-        if len(set(names)) != len(names):
-            raise FeatureError("duplicate feature names")
-        joined = object.__new__(FeatureVector)  # skips __post_init__
-        joined.__dict__.update(names=names, values=values, warnings=warnings)
-        return joined
-
 
 # Readability coefficient triples.  Signs are part of the value, so a
 # coefficient file can reorient an index (e.g. a grade-level variant of
-# the first index) without code changes.
+# the first index) without code changes; only smog.norm, which is under
+# a square root, must not be negative.
 _COEF_FIELDS = {
     "fk": ("base", "asl", "asw"),
     "cl": ("base", "letters", "sentences"),
@@ -152,9 +137,15 @@ class ReadabilityCoefficients:
                 raise ConfigError(f"{path}: unknown index {index!r}")
             if not isinstance(obj, dict) or set(obj) != set(fields):
                 raise ConfigError(f"{path}: index {index!r} needs exactly the keys {fields!r}")
+            for f in fields:
+                # a bool is an int to isinstance, not a number here
+                if type(obj[f]) not in (int, float):
+                    raise ConfigError(f"{path}: {index}.{f} is not a number: {obj[f]!r}")
+                if not abs(obj[f]) <= sys.float_info.max:
+                    raise ConfigError(f"{path}: non-finite coefficient for {index!r}: {f}")
             triple = tuple(float(obj[f]) for f in fields)
-            if not all(math.isfinite(v) for v in triple):
-                raise ConfigError(f"{path}: non-finite coefficient for {index!r}")
+            if index == "smog" and triple[2] < 0:
+                raise ConfigError(f"{path}: smog.norm is under a square root and must be >= 0")
             kwargs[index] = triple
         return cls(**kwargs)
 
@@ -192,13 +183,6 @@ def dale_chall(difficult_share: float, words_per_sentence: float,
     return base + a * (difficult_share * 100.0) + b * words_per_sentence
 
 
-def _require_tokens(t: AnalyzedText) -> None:
-    if t.n_tokens == 0:
-        raise FeatureError("text has no tokens")
-    if t.n_sentences == 0:
-        raise FeatureError("text has no sentences")
-
-
 def _median(counts: Counter) -> float:
     """Median of integers given as value -> multiplicity, as
     statistics.median computes it."""
@@ -208,152 +192,127 @@ def _median(counts: Counter) -> float:
     return (order[bisect_right(ends, (n - 1) // 2)] + order[bisect_right(ends, n // 2)]) / 2
 
 
-def _tokens_of(t: AnalyzedText, pos: Pos) -> int:
-    return sum(count for p, count in zip(t.pos, t.counts) if p is pos)
+# a part of speech is read by its place in _POS_ORDER: hashing an Enum
+# member runs Python code
+_POS_ORDER = tuple(Pos)
+_NOUN, _VERB, _ADJ, _ADV, _PROPN = map(_POS_ORDER.index, (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN))
+_SENTIMENT_SLOTS = tuple((pol, cat) for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
+                         for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING,
+                                     SentimentCategory.FACT))
 
 
-def _ttr(t: AnalyzedText, pos: Pos) -> float:
-    """Distinct lemmas over tokens, among the tokens tagged pos."""
-    tokens = _tokens_of(t, pos)
-    return len({lemma for lemma, p in zip(t.lemmas, t.pos) if p is pos}) / tokens if tokens else 0.0
-
-
-def general_features(t: AnalyzedText) -> FeatureVector:
-    """Word/sentence length statistics and type-token ratios.
-
-    Type-token ratios run over lemmas; ttr_n, ttr_a and ttr_v restrict to
-    tokens tagged Noun, Adj and Verb (proper nouns are not counted as
-    nouns here).  nav is (ttr_a + ttr_n) / ttr_v, with 0 when there are
-    no verbs.
-    """
-    _require_tokens(t)
-    n = t.n_tokens
+def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
+                         coefficients: ReadabilityCoefficients) -> tuple[list[float], tuple[str, ...]]:
+    if t.n_tokens == 0:
+        raise FeatureError("text has no tokens")
+    if t.n_sentences == 0:
+        raise FeatureError("text has no sentences")
+    n, sentences = t.n_tokens, t.n_sentences
     lengths: Counter = Counter()
-    for surface, count in zip(t.surfaces, t.counts):
-        lengths[len(surface)] += count
-    ttr_n, ttr_a, ttr_v = _ttr(t, Pos.NOUN), _ttr(t, Pos.ADJ), _ttr(t, Pos.VERB)
-    nav = (ttr_a + ttr_n) / ttr_v if ttr_v > 0 else 0.0
-    values = (
-        sum(length * count for length, count in lengths.items()) / n,
-        _median(lengths),
-        sum(t.sentence_symbols) / t.n_sentences,
-        _median(Counter(t.sentence_symbols)),
-        sum(map(mul, t.syllables, t.counts)) / n,
-        sum(count for syl, count in zip(t.syllables, t.counts) if syl > 4) / n,
-        len(set(t.lemmas)) / n,
-        ttr_n, ttr_a, ttr_v, nav,
-    )
-    return FeatureVector(GENERAL_NAMES, values)
-
-
-def readability_features(t: AnalyzedText, lexicon: Lexicon,
-                         coefficients: ReadabilityCoefficients = DEFAULT_COEFFICIENTS) -> FeatureVector:
-    """The five readability indices on the analyzed text.
-
-    Difficult words for the familiar-list index are tokens whose lemma is
-    missing from the familiar list, proper nouns excepted.
-    """
-    _require_tokens(t)
-    words = t.n_tokens
-    sentences = t.n_sentences
-    syllables = sum(map(mul, t.syllables, t.counts))
-    polysyllables = sum(count for syl, count in zip(t.syllables, t.counts) if syl > 3)
-    difficult = sum(count for row, pos, count in zip(lexicon.rows(t.lemmas, t.pos), t.pos, t.counts)
-                    if pos is not Pos.PROPN and not row.familiar)
-    asl = words / sentences
-    asw = syllables / words
-    values = (
-        flesch_kincaid(asl, asw, coefficients),
-        coleman_liau(t.letter_count / words * 100.0, sentences / words * 100.0, coefficients),
-        automated_readability(t.char_count / words, words / sentences, coefficients),
-        smog_index(polysyllables, sentences, coefficients),
-        dale_chall(difficult / words, words / sentences, coefficients),
-    )
-    return FeatureVector(READABILITY_NAMES, values)
-
-
-# the parts of speech of the s, v, adj, adv and prop buckets
-_BUCKET_POS = (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN)
-
-
-def lexical_features(t: AnalyzedText, lexicon: Lexicon) -> FeatureVector:
-    """Frequency-dictionary averages and top-5000 list coverage.
-
-    Tokens absent from the dictionary are left out of every average (they
-    do not enter the denominators).  If no token matches at all, every
-    dictionary average is 0 and the vector carries a warning flag.
-    """
-    _require_tokens(t)
+    syllables = polysyllables = many_syllables = difficult = 0
     hits = hit_tokens = hit_total = 0
-    rows = []  # (ipm, r, d, doc, pos, token count) of each type in the dictionary
-    for row, pos, count in zip(lexicon.rows(t.lemmas, t.pos), t.pos, t.counts):
+    sentiment = dict.fromkeys(_SENTIMENT_SLOTS, 0)
+    # per part of speech: its tokens, its lemmas, and the (tokens, ipm, r,
+    # d, doc) sums over its tokens in the frequency dictionary
+    pos_tokens = [0] * len(_POS_ORDER)
+    pos_lemmas = [set() for _ in _POS_ORDER]
+    frequency = [(0, 0, 0, 0, 0)] * len(_POS_ORDER)
+    for surface, lemma, p, syl, count, row in zip(
+            t.surfaces, t.lemmas, map(_POS_ORDER.index, t.pos), t.syllables, t.counts,
+            lexicon.rows(t.lemmas, t.pos)):
+        lengths[len(surface)] += count
+        pos_tokens[p] += count
+        pos_lemmas[p].add(lemma)
+        syllables += syl * count
+        if syl > 3:
+            polysyllables += count
+            if syl > 4:
+                many_syllables += count
+        if p != _PROPN and not row.familiar:
+            difficult += count
         if row.top5000:
             hits += count
             if row.top_ipm is not None:
                 hit_tokens += count
                 hit_total += row.top_ipm * count
         if row.frequency is not None:
-            rows.append((*row.frequency, pos, count))
-
-    # every sum is exact, over lexicon.scale, and is divided once
-    scale = lexicon.scale
-    values = [hits / t.n_tokens, hit_total / (scale * hit_tokens) if hit_tokens else 0.0]
-    *columns, row_pos, row_counts = zip(*rows) if rows else [()] * 6
-    # the "words" bucket takes every row, the others the rows of one pos
-    masks = [[True] * len(rows)] + [[p is pos for p in row_pos] for pos in _BUCKET_POS]
-    tokens = [sum(compress(row_counts, mask)) for mask in masks]
-    for column in columns:
-        weighted = list(map(mul, column, row_counts))
-        for mask, n in zip(masks, tokens):
-            values.append(sum(compress(weighted, mask)) / (scale * n) if n else 0.0)
-    warnings = () if rows else ("no_frequency_matches",)
-    return FeatureVector(LEXICAL_NAMES, tuple(values), warnings)
-
-
-def grammatical_features(t: AnalyzedText) -> FeatureVector:
-    """Shares of nouns, verbs and adjectives among all tokens."""
-    _require_tokens(t)
-    values = tuple(_tokens_of(t, pos) / t.n_tokens for pos in (Pos.NOUN, Pos.VERB, Pos.ADJ))
-    return FeatureVector(GRAMMATICAL_NAMES, values)
-
-
-def sentiment_features(t: AnalyzedText, lexicon: Lexicon) -> FeatureVector:
-    """Shares of sentiment-bearing tokens by polarity and category,
-    relative to all tokens."""
-    _require_tokens(t)
-    counts: Counter = Counter()
-    for row, count in zip(lexicon.rows(t.lemmas, t.pos), t.counts):
+            frequency[p] = tuple(s + v * count for s, v in zip(frequency[p], (1, *row.frequency)))
         if row.sentiment is not None:
-            counts[row.sentiment] += count
-    values = tuple(
-        counts[(pol, cat)] / t.n_tokens
-        for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
-        for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING, SentimentCategory.FACT)
-    )
-    return FeatureVector(SENTIMENT_NAMES, values)
+            sentiment[row.sentiment] += count
+
+    def ttr(p: int) -> float:
+        return len(pos_lemmas[p]) / pos_tokens[p] if pos_tokens[p] else 0.0
+
+    ttr_n, ttr_a, ttr_v = ttr(_NOUN), ttr(_ADJ), ttr(_VERB)
+    asl, asw = n / sentences, syllables / n
+    values = [
+        sum(length * count for length, count in lengths.items()) / n,
+        _median(lengths),
+        sum(t.sentence_symbols) / sentences,
+        _median(Counter(t.sentence_symbols)),
+        asw,
+        many_syllables / n,
+        len(set(t.lemmas)) / n,
+        ttr_n, ttr_a, ttr_v,
+        (ttr_a + ttr_n) / ttr_v if ttr_v > 0 else 0.0,
+        flesch_kincaid(asl, asw, coefficients),
+        coleman_liau(t.letter_count / n * 100.0, sentences / n * 100.0, coefficients),
+        automated_readability(t.char_count / n, asl, coefficients),
+        smog_index(polysyllables, sentences, coefficients),
+        dale_chall(difficult / n, asl, coefficients),
+    ]
+    # every dictionary sum is exact, over lexicon.scale, and is divided once;
+    # the words bucket takes every part of speech, then come s, v, adj, adv
+    # and prop
+    scale = lexicon.scale
+    values += [hits / n, hit_total / (scale * hit_tokens) if hit_tokens else 0.0]
+    buckets = [tuple(map(sum, zip(*frequency)))]
+    buckets += [frequency[p] for p in (_NOUN, _VERB, _ADJ, _ADV, _PROPN)]
+    values += [bucket[column] / (scale * bucket[0]) if bucket[0] else 0.0
+               for column in range(1, 5) for bucket in buckets]
+    values += [pos_tokens[p] / n for p in (_NOUN, _VERB, _ADJ)]
+    values += [sentiment[slot] / n for slot in _SENTIMENT_SLOTS]
+    warnings = () if buckets[0][0] else ("no_frequency_matches",)
+    return values, warnings
+
+
+def quantitative_features(t: AnalyzedText, lexicon: Lexicon,
+                          coefficients: ReadabilityCoefficients = DEFAULT_COEFFICIENTS) -> FeatureVector:
+    """The 51 values of the general, readability, lexical, grammatical
+    and sentiment families, in schema order.
+
+    One pass over the type table, with each type's lexicon row, sums
+    every count; each value is then one of those sums divided once.
+
+    - Type-token ratios run over lemmas; ttr_n, ttr_a and ttr_v restrict
+      to tokens tagged Noun, Adj and Verb (proper nouns are not nouns
+      here, in count_n either).  nav is (ttr_a + ttr_n) / ttr_v, with 0
+      when there are no verbs.
+    - Difficult words for the familiar-list index are tokens whose lemma
+      is missing from the familiar list, proper nouns excepted.
+    - Tokens absent from the frequency dictionary are left out of every
+      dictionary average (they do not enter the denominators).  If no
+      token matches at all, every dictionary average is 0 and the vector
+      carries the no_frequency_matches warning.
+    - Sentiment shares are sentiment-bearing tokens by polarity and
+      category over all tokens.
+    """
+    values, warnings = _quantitative_values(t, lexicon, coefficients)
+    return FeatureVector(ALL_FEATURE_NAMES[:len(values)], tuple(values), warnings)
 
 
 _RATING_SLOTS = (AgeRating.R0, AgeRating.R6, AgeRating.R12, AgeRating.R16, AgeRating.R18)
 
 
-def publishing_features(age_rating: AgeRating) -> FeatureVector:
-    """One-hot age rating; an unknown rating encodes as all zeros."""
-    values = tuple(1.0 if age_rating is slot else 0.0 for slot in _RATING_SLOTS)
-    return FeatureVector(PUBLISHING_NAMES, values)
-
-
 def extract_all(doc: Document, resources: "Resources") -> FeatureVector:
-    """All 56 features for one document, in schema order."""
+    """All 56 features for one document, in schema order: the 51
+    quantitative values, then the age-rating one-hot, which is all zeros
+    for an unknown rating."""
     if not doc.text.strip():
         raise FeatureError(f"document {doc.id!r}: empty text")
     t = analyze(doc.text, resources.morphology, resources.abbreviations)
     if t.n_tokens == 0:
         raise FeatureError(f"document {doc.id!r}: text has no tokens")
-    return FeatureVector.concat([
-        general_features(t),
-        readability_features(t, resources.lexicon, resources.coefficients),
-        lexical_features(t, resources.lexicon),
-        grammatical_features(t),
-        sentiment_features(t, resources.lexicon),
-        publishing_features(doc.age_rating),
-    ])
+    values, warnings = _quantitative_values(t, resources.lexicon, resources.coefficients)
+    values += [1.0 if doc.age_rating is slot else 0.0 for slot in _RATING_SLOTS]
+    return FeatureVector(ALL_FEATURE_NAMES, tuple(values), warnings)

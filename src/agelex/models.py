@@ -154,6 +154,8 @@ def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
         raise ModelError(f"C must be positive and finite, got {C}")
     if max_epochs < 1:
         raise ModelError(f"max_epochs must be >= 1, got {max_epochs}")
+    if not 0 <= tolerance < math.inf:
+        raise ModelError(f"tolerance must be >= 0 and finite, got {tolerance}")
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
     theta = np.zeros(Xb.shape[1])
     history = [svc_objective(theta[:-1], 0.0, X, y, C)]

@@ -1,4 +1,5 @@
-"""Reference formulas that more than one test module checks against."""
+"""Reference formulas and helpers that more than one test module uses."""
+from agelex.features import FAMILY_NAMES
 
 
 def gini_impurity(counts) -> float:
@@ -7,3 +8,16 @@ def gini_impurity(counts) -> float:
     if total == 0:
         return 0.0
     return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
+def by_family(fv) -> dict[str, dict[str, float]]:
+    """A quantitative_features or extract_all vector sliced by
+    FAMILY_NAMES: family -> {name: value}, for the families it holds."""
+    families, start = {}, 0
+    for family, names in FAMILY_NAMES.items():
+        if start < len(fv.names):
+            assert fv.names[start:start + len(names)] == names
+            families[family] = dict(zip(names, fv.values[start:start + len(names)]))
+        start += len(names)
+    assert start >= len(fv.names)
+    return families

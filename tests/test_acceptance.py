@@ -16,7 +16,7 @@ from agelex.analysis import informativeness
 from agelex.corpus import Label, Split, corpus_stats, load_corpus
 from agelex.features import (ReadabilityCoefficients, automated_readability,
                              coleman_liau, dale_chall, flesch_kincaid,
-                             readability_features, smog_index)
+                             quantitative_features, smog_index)
 from agelex.models import train_linear_svc, train_random_forest
 from agelex.pipeline import TrainSettings, grid_conditions, run_grid
 from agelex.resources import GRADE_COEFFICIENTS_FILE
@@ -24,7 +24,7 @@ from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
 from agelex.vectorizer import fit_svd, fit_tfidf
 
-from oracles import gini_impurity
+from oracles import by_family, gini_impurity
 
 # ---------------------------------------------------------------------------
 # criterion 1 oracle: (inputs..., expected) evaluated by hand from the
@@ -186,9 +186,9 @@ def test_criterion_01_readability_formula_suite(resources):
     for text in _random_texts(50, np.random.default_rng(1)):
         once = analyze(text, resources.morphology, resources.abbreviations)
         twice = analyze(text + " " + text, resources.morphology, resources.abbreviations)
-        single = readability_features(once, resources.lexicon).values
-        doubled = readability_features(twice, resources.lexicon).values
-        for a, b in zip(single, doubled):
+        single = by_family(quantitative_features(once, resources.lexicon))["readability"]
+        doubled = by_family(quantitative_features(twice, resources.lexicon))["readability"]
+        for a, b in zip(single.values(), doubled.values()):
             assert abs(a - b) <= 1e-9
     assert time.perf_counter() - started < 1.0
 
@@ -325,10 +325,11 @@ def test_criterion_07_readability_cross_correlation(resources):
     fk_grade, fk_default, ari_values = [], [], []
     for doc in corpus:
         t = analyze(doc.text, resources.morphology, resources.abbreviations)
-        graded = readability_features(t, resources.lexicon, grade).values
-        fk_grade.append(graded[0])
-        ari_values.append(graded[2])
-        fk_default.append(readability_features(t, resources.lexicon).values[0])
+        graded = by_family(quantitative_features(t, resources.lexicon, grade))["readability"]
+        fk_grade.append(graded["index_fk"])
+        ari_values.append(graded["index_ari"])
+        fk_default.append(
+            by_family(quantitative_features(t, resources.lexicon))["readability"]["index_fk"])
     assert float(np.corrcoef(fk_grade, ari_values)[0, 1]) > 0.8
     # the default coefficients score reading ease, not grade level, so the
     # same co-movement shows up with the sign flipped

@@ -226,6 +226,26 @@ class TestExtract:
         assert (a / "features.tsv").read_bytes() == (b / "features.tsv").read_bytes()
 
 
+    @pytest.mark.parametrize("value", ['"abc"', "null", "true"])
+    def test_coefficient_that_is_not_a_number_is_an_error(self, tmp_path, corpus_file, value,
+                                                          capsys):
+        coefficients = tmp_path / "c.json"
+        coefficients.write_text('{"ari": {"base": 1, "chars_per_word": %s, '
+                                '"words_per_sentence": 0.5}}' % value, encoding="utf-8")
+        rc = main(["extract", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--coefficients", str(coefficients)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {coefficients}: ari.chars_per_word is not a number")
+
+    def test_negative_smog_norm_is_an_error(self, tmp_path, corpus_file, capsys):
+        coefficients = tmp_path / "c.json"
+        coefficients.write_text('{"smog": {"base": 3, "scale": 1, "norm": -30}}', encoding="utf-8")
+        rc = main(["extract", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--coefficients", str(coefficients)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {coefficients}: smog.norm")
+
 class TestTrainEvaluate:
     def test_model_file_written(self, model_file):
         payload = json.loads(model_file.read_text())
@@ -283,6 +303,14 @@ class TestTrainEvaluate:
                    "--features", "general", "--c", c])
         assert rc == 1
         assert "error: C must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_tolerance_must_be_non_negative(self, tmp_path, corpus_file, tolerance, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                   "--model", "lsvc", "--features", "general", "--tolerance", tolerance])
+        assert rc == 1
+        assert "error: tolerance must be >= 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "model_lsvc.json").exists()
 
     @pytest.mark.parametrize("flags", [["--model", "rf"], ["--model", "lsvc", "--svd", "off"]])
     def test_fragments_without_lemmas_are_an_error(self, tmp_path, flags, capsys):

@@ -1,4 +1,5 @@
 """Feature families, the 56-column schema and the readability formulas."""
+import json
 import math
 import re
 import time
@@ -16,19 +17,17 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
                              DEFAULT_COEFFICIENTS, FeatureVector,
                              ReadabilityCoefficients, automated_readability,
                              coleman_liau, dale_chall, extract_all,
-                             flesch_kincaid, general_features,
-                             grammatical_features, lexical_features,
-                             publishing_features, readability_features,
-                             sentiment_features, smog_index)
+                             flesch_kincaid, quantitative_features, smog_index)
 from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
-from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE
+from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE, Resources
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
                                   count_syllables, split_sentences)
 from agelex.vectorizer import preprocess
 
 import agelex.features as features_mod
+from oracles import by_family
 
 # Frozen fingerprint of the 56-name schema; a change here is a breaking
 # change for every stored model.
@@ -41,6 +40,11 @@ def dict_morph(entries: dict[str, tuple[str, str]]) -> DictionaryMorphology:
 
 def analyzed(text: str, entries: dict[str, tuple[str, str]]):
     return analyze(text, dict_morph(entries))
+
+
+def quantitative(t, lexicon=None, coefficients=DEFAULT_COEFFICIENTS):
+    """quantitative_features of t, family -> {name: value}."""
+    return by_family(quantitative_features(t, lexicon or Lexicon(), coefficients))
 
 
 # The token-walking analysis and feature families that the per-type
@@ -281,26 +285,37 @@ class TestAgainstTokenReference:
         res = heuristic_resources if heuristic else resources
         t = analyze(text, res.morphology, res.abbreviations)
         ref = reference_analyze(text, res.morphology, res.abbreviations)
+        doc = Document(id="d", text=text, label=Label.CHILDREN, age_rating=AgeRating.R12)
         if not ref.tokens:
             with pytest.raises(FeatureError):
-                general_features(t)
+                quantitative_features(t, res.lexicon)
+            with pytest.raises(FeatureError):
+                extract_all(doc, res)
             return
-        assert bits(general_features(t).values) == bits(map(float, reference_general_features(ref)))
-        assert (bits(readability_features(t, res.lexicon).values)
-                == bits(reference_readability_features(ref, res.familiar)))
-        assert bits(grammatical_features(t).values) == bits(reference_grammatical_features(ref))
-        assert (bits(sentiment_features(t, res.lexicon).values)
-                == bits(reference_sentiment_features(ref, res.sentiment)))
-        lexical = lexical_features(t, res.lexicon)
+        quantitative = quantitative_features(t, res.lexicon)
+        families = {family: list(values.values()) for family, values in by_family(quantitative).items()}
+        general = bits(map(float, reference_general_features(ref)))
+        readability = bits(reference_readability_features(ref, res.familiar))
+        grammatical = bits(reference_grammatical_features(ref))
+        sentiment = bits(reference_sentiment_features(ref, res.sentiment))
+        assert bits(families["general"]) == general
+        assert bits(families["readability"]) == readability
+        assert bits(families["grammatical"]) == grammatical
+        assert bits(families["sentiment"]) == sentiment
+        lexical = families["lexical"]
         ref_values, ref_warnings = reference_lexical_features(ref, res.frequency, res.top5000)
-        assert lexical.warnings == ref_warnings
-        assert bits(lexical.values[:2]) == bits(ref_values[:2])
+        assert quantitative.warnings == ref_warnings
+        assert bits(lexical[:2]) == bits(ref_values[:2])
         attrs = reference_dictionary_attrs(ref, res.frequency)
         exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
                  for i in range(4) for b in _REF_BUCKET_ORDER]
-        assert bits(lexical.values[2:]) == bits(exact)
-        assert lexical.values[2:] == pytest.approx(ref_values[2:], rel=1e-12, abs=0.0)
-
+        assert bits(lexical[2:]) == bits(exact)
+        assert lexical[2:] == pytest.approx(ref_values[2:], rel=1e-12, abs=0.0)
+        # the whole vector: the reference families, then the one-hot of 12+
+        fv = extract_all(doc, res)
+        assert (fv.names, fv.warnings) == (ALL_FEATURE_NAMES, ref_warnings)
+        assert bits(fv.values) == (general + readability + bits(ref_values[:2]) + bits(exact)
+                                   + grammatical + sentiment + bits([0.0, 0.0, 1.0, 0.0, 0.0]))
 
     _LEMMAS = ("кот", "пёс", "дом")
     # one surface per (lemma, pos): the lemma and a letter naming the pos
@@ -320,15 +335,16 @@ class TestAgainstTokenReference:
         frequency = FrequencyDictionary([FrequencyRecord(*r) for r in records])
         top5000 = WordList("top5000", top)
         text = " ".join(words) + "."
-        lexical = lexical_features(analyze(text, self._MORPH),
+        fv = quantitative_features(analyze(text, self._MORPH),
                                    Lexicon(frequency=frequency, top5000=top5000))
+        lexical = by_family(fv)["lexical"].values()
         ref = reference_analyze(text, self._MORPH)
         ref_values, ref_warnings = reference_lexical_features(ref, frequency, top5000)
         attrs = reference_dictionary_attrs(ref, frequency)
         exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
                  for i in range(4) for b in _REF_BUCKET_ORDER]
-        assert lexical.warnings == ref_warnings
-        assert bits(lexical.values) == bits(ref_values[:2]) + bits(exact)
+        assert fv.warnings == ref_warnings
+        assert bits(lexical) == bits(ref_values[:2]) + bits(exact)
 
 
 class TestStressMarksAndDecomposedLetters:
@@ -382,12 +398,6 @@ class TestFeatureVector:
         with pytest.raises(FeatureError):
             FeatureVector(("a",), (float("inf"),))
 
-    def test_concat_and_as_dict(self):
-        fv = FeatureVector.concat([FeatureVector(("a",), (1.0,)),
-                                   FeatureVector(("b",), (2.0,), ("w",))])
-        assert fv.as_dict() == {"a": 1.0, "b": 2.0}
-        assert fv.warnings == ("w",)
-
 
 class TestReadabilityFormulas:
     """The five index formulas against hand-computed values."""
@@ -439,6 +449,35 @@ class TestCoefficients:
         with pytest.raises(ConfigError, match="JSON"):
             ReadabilityCoefficients.from_file(p)
 
+    @pytest.mark.parametrize("value", ['"abc"', "null", "true", "false", "[1]", '{"x": 1}'])
+    def test_value_that_is_not_a_number_rejected(self, tmp_path, value):
+        p = tmp_path / "c.json"
+        p.write_text('{"fk": {"base": 1.0, "asl": %s, "asw": 3.0}}' % value, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"fk\.asl is not a number"):
+            ReadabilityCoefficients.from_file(p)
+
+    @pytest.mark.parametrize("value", ["1e999", "-1e999", "1" + "0" * 400])
+    def test_value_past_the_float_range_rejected(self, tmp_path, value):
+        p = tmp_path / "c.json"
+        p.write_text('{"cl": {"base": 1, "letters": 2, "sentences": %s}}' % value, encoding="utf-8")
+        with pytest.raises(ConfigError, match="non-finite coefficient for 'cl': sentences"):
+            ReadabilityCoefficients.from_file(p)
+
+    def test_negative_smog_norm_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"smog": {"base": 3, "scale": 1, "norm": -30}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"smog\.norm"):
+            ReadabilityCoefficients.from_file(p)
+
+    def test_other_coefficients_keep_their_signs(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"smog": {"base": -3, "scale": -1, "norm": 0}, '
+                     '"ari": {"base": -1, "chars_per_word": -2, "words_per_sentence": -3}}',
+                     encoding="utf-8")
+        c = ReadabilityCoefficients.from_file(p)
+        assert (c.smog, c.ari) == ((-3.0, -1.0, 0.0), (-1.0, -2.0, -3.0))
+        assert all(type(v) is float for v in c.smog + c.ari)
+
     def test_bundled_grade_variant_rises_with_difficulty(self):
         grade = ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE)
         easy = flesch_kincaid(5, 1.2, grade)
@@ -453,12 +492,12 @@ class TestGeneralFeatures:
         # 10 tokens, 7 unique lemmas
         entries = {c: (c, "OTHER") for c in "абвгдеж"}
         t = analyzed("а б в г д е ж а б в.", entries)
-        fv = general_features(t).as_dict()
+        fv = quantitative(t)["general"]
         assert fv["ttr"] == pytest.approx(0.7)
 
     def test_uniform_word_lengths(self):
         t = analyzed("кот кот кот.", {"кот": ("кот", "NOUN")})
-        fv = general_features(t).as_dict()
+        fv = quantitative(t)["general"]
         assert fv["avg_words_len"] == 3.0
         assert fv["med_words_len"] == 3.0
         assert fv["ttr"] == pytest.approx(1 / 3)
@@ -467,7 +506,7 @@ class TestGeneralFeatures:
         entries = {"кот": ("кот", "NOUN"), "рыжий": ("рыжий", "ADJ"),
                    "спит": ("спать", "VERB")}
         t = analyzed("кот кот рыжий рыжий спит спит.", entries)
-        fv = general_features(t).as_dict()
+        fv = quantitative(t)["general"]
         assert fv["ttr_n"] == pytest.approx(0.5)
         assert fv["ttr_a"] == pytest.approx(0.5)
         assert fv["ttr_v"] == pytest.approx(0.5)
@@ -475,30 +514,30 @@ class TestGeneralFeatures:
 
     def test_nav_zero_when_no_verbs(self):
         t = analyzed("кот кот.", {"кот": ("кот", "NOUN")})
-        assert general_features(t).as_dict()["nav"] == 0.0
+        assert quantitative(t)["general"]["nav"] == 0.0
 
     def test_proper_nouns_not_counted_in_ttr_n(self):
         entries = {"маша": ("маша", "PROPN"), "кот": ("кот", "NOUN")}
         t = analyzed("Маша кот.", entries)
-        fv = general_features(t).as_dict()
+        fv = quantitative(t)["general"]
         assert fv["ttr_n"] == pytest.approx(1.0)  # only "кот"
 
     def test_many_syllables_share(self):
         # пятиэтажный has 5 vowels; кот has 1
         entries = {"пятиэтажный": ("пятиэтажный", "ADJ"), "кот": ("кот", "NOUN")}
         t = analyzed("пятиэтажный кот.", entries)
-        assert general_features(t).as_dict()["many_syllables"] == pytest.approx(0.5)
+        assert quantitative(t)["general"]["many_syllables"] == pytest.approx(0.5)
 
     def test_sentence_lengths_in_symbols(self):
         t = analyzed("Кот спит. Да.", {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")})
-        fv = general_features(t).as_dict()
+        fv = quantitative(t)["general"]
         assert fv["avg_sent_len"] == pytest.approx((8 + 3) / 2)
         assert fv["med_sent_len"] == pytest.approx(5.5)
 
     def test_empty_text_rejected(self):
         t = analyzed("", {})
         with pytest.raises(FeatureError):
-            general_features(t)
+            quantitative_features(t, Lexicon())
 
 
 class TestReadabilityFeatures:
@@ -507,7 +546,7 @@ class TestReadabilityFeatures:
                    "кота": ("кот", "NOUN")}
         familiar = WordList("familiar", {"видеть": None})
         t = analyzed("Маша видит кота.", entries)
-        fv = readability_features(t, Lexicon(familiar=familiar)).as_dict()
+        fv = quantitative(t, Lexicon(familiar=familiar))["readability"]
         # one difficult token of three: share 1/3, 3 words in 1 sentence
         assert fv["index_dc"] == pytest.approx(0.1579 * (100.0 / 3.0) + 0.0496 * 3.0)
 
@@ -515,14 +554,14 @@ class TestReadabilityFeatures:
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
         familiar = WordList("familiar", {"кот": None, "спать": None})
         t = analyzed("кот спит.", entries)
-        fv = readability_features(t, Lexicon(familiar=familiar)).as_dict()
+        fv = quantitative(t, Lexicon(familiar=familiar))["readability"]
         assert fv["index_dc"] == pytest.approx(0.0496 * 2.0)
 
     def test_custom_coefficients_applied(self):
         entries = {"кот": ("кот", "NOUN")}
         t = analyzed("кот.", entries)
         coef = ReadabilityCoefficients(fk=(1.0, 0.0, 0.0))
-        fv = readability_features(t, Lexicon(), coef).as_dict()
+        fv = quantitative(t, Lexicon(), coef)["readability"]
         assert fv["index_fk"] == pytest.approx(1.0)
 
 
@@ -535,7 +574,7 @@ class TestLexicalFeatures:
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
         top = WordList("top5000", {"кот": 100.0, "спать": 200.0})
         t = analyzed("кот спит.", entries)
-        fv = lexical_features(t, Lexicon(top5000=top)).as_dict()
+        fv = quantitative(t, Lexicon(top5000=top))["lexical"]
         assert fv["5000_proc"] == 1.0
         assert fv["5000_freq"] == pytest.approx(150.0)
 
@@ -544,7 +583,7 @@ class TestLexicalFeatures:
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("пёс", Pos.NOUN, 300.0, 30, 40.0, 15)])
         t = analyzed("кот пёс.", entries)
-        fv = lexical_features(t, Lexicon(frequency=freq)).as_dict()
+        fv = quantitative(t, Lexicon(frequency=freq))["lexical"]
         assert fv["words_fr"] == pytest.approx(200.0)
         assert fv["s_fr"] == pytest.approx(200.0)
         assert fv["words_r"] == pytest.approx(20.0)
@@ -556,21 +595,21 @@ class TestLexicalFeatures:
         entries = {"кот": ("кот", "NOUN"), "ёж": ("ёж", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5)])
         t = analyzed("кот ёж.", entries)
-        fv = lexical_features(t, Lexicon(frequency=freq)).as_dict()
+        fv = quantitative(t, Lexicon(frequency=freq))["lexical"]
         assert fv["words_fr"] == pytest.approx(100.0)
 
     def test_no_matches_warns_and_zeroes(self):
         t = analyzed("ёж.", {"ёж": ("ёж", "NOUN")})
-        fv = lexical_features(t, Lexicon())
+        fv = quantitative_features(t, Lexicon())
         assert fv.warnings == ("no_frequency_matches",)
-        assert fv.as_dict()["words_fr"] == 0.0
+        assert by_family(fv)["lexical"]["words_fr"] == 0.0
 
     def test_top5000_without_ipm_falls_back_to_dictionary(self):
         entries = {"кот": ("кот", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 123.0, 10, 20.0, 5)])
         top = WordList("top", {"кот": None})
         t = analyzed("кот.", entries)
-        assert lexical_features(t, Lexicon(frequency=freq, top5000=top)).as_dict()["5000_freq"] == pytest.approx(123.0)
+        assert quantitative(t, Lexicon(frequency=freq, top5000=top))["lexical"]["5000_freq"] == pytest.approx(123.0)
 
     def test_pos_specific_lookup_beats_average(self):
         # "печь" noun and verb entries differ; a noun token must take the
@@ -579,7 +618,7 @@ class TestLexicalFeatures:
         freq = make_freq([("печь", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("печь", Pos.VERB, 300.0, 30, 40.0, 15)])
         t = analyzed("печь.", entries)
-        assert lexical_features(t, Lexicon(frequency=freq)).as_dict()["words_fr"] == pytest.approx(100.0)
+        assert quantitative(t, Lexicon(frequency=freq))["lexical"]["words_fr"] == pytest.approx(100.0)
 
 
 class TestGrammaticalFeatures:
@@ -587,22 +626,22 @@ class TestGrammaticalFeatures:
         entries = {"кот": ("кот", "NOUN"), "пёс": ("пёс", "NOUN"),
                    "спит": ("спать", "VERB"), "и": ("и", "OTHER")}
         t = analyzed("кот пёс спит и.", entries)
-        fv = grammatical_features(t).as_dict()
+        fv = quantitative(t)["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.5, 0.25, 0.0)
 
     def test_all_adjectives(self):
         t = analyzed("рыжий рыжий.", {"рыжий": ("рыжий", "ADJ")})
-        fv = grammatical_features(t).as_dict()
+        fv = quantitative(t)["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.0, 0.0, 1.0)
 
     def test_bundled_dictionary_example(self, resources):
         t = analyze("кот спит", resources.morphology)
-        fv = grammatical_features(t).as_dict()
+        fv = quantitative(t)["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.5, 0.5, 0.0)
 
     def test_proper_nouns_are_not_nouns(self):
         t = analyzed("Маша.", {"маша": ("маша", "PROPN")})
-        assert grammatical_features(t).as_dict()["count_n"] == 0.0
+        assert quantitative(t)["grammatical"]["count_n"] == 0.0
 
 
 class TestSentimentFeatures:
@@ -616,34 +655,38 @@ class TestSentimentFeatures:
         entries = {c: (c, "OTHER") for c in "абвгдежз"}
         entries["ужасный"] = ("ужасный", "ADJ")
         t = analyzed("ужасный ужасный а б в г д е ж з.", entries)
-        fv = sentiment_features(t, self._lexicon()).as_dict()
+        fv = quantitative(t, self._lexicon())["sentiment"]
         assert fv["neg_opinion"] == pytest.approx(0.2)
         assert fv["pos_feeling"] == 0.0
 
     def test_no_hits_all_zero(self):
         t = analyzed("кот.", {"кот": ("кот", "NOUN")})
-        fv = sentiment_features(t, self._lexicon())
-        assert all(v == 0.0 for v in fv.values)
+        fv = quantitative(t, self._lexicon())["sentiment"]
+        assert all(v == 0.0 for v in fv.values())
 
     def test_lookup_is_by_lemma(self):
         entries = {"ужасного": ("ужасный", "ADJ")}
         t = analyzed("ужасного.", entries)
-        assert sentiment_features(t, self._lexicon()).as_dict()["neg_opinion"] == 1.0
+        assert quantitative(t, self._lexicon())["sentiment"]["neg_opinion"] == 1.0
 
 
 class TestPublishingFeatures:
-    def test_middle_rating(self):
-        assert publishing_features(AgeRating.R12).values == (0, 0, 1, 0, 0)
+    def _one_hot(self, rating, resources):
+        doc = Document(id="d", text="Кот спит.", label=Label.CHILDREN, age_rating=rating)
+        return tuple(by_family(extract_all(doc, resources))["publishing"].values())
 
-    def test_unknown_is_all_zero(self):
-        assert publishing_features(AgeRating.UNKNOWN).values == (0, 0, 0, 0, 0)
+    def test_middle_rating(self, resources):
+        assert self._one_hot(AgeRating.R12, resources) == (0, 0, 1, 0, 0)
 
-    def test_last_rating(self):
-        assert publishing_features(AgeRating.R18).values == (0, 0, 0, 0, 1)
+    def test_unknown_is_all_zero(self, resources):
+        assert self._one_hot(AgeRating.UNKNOWN, resources) == (0, 0, 0, 0, 0)
+
+    def test_last_rating(self, resources):
+        assert self._one_hot(AgeRating.R18, resources) == (0, 0, 0, 0, 1)
 
     @pytest.mark.parametrize("rating", [r for r in AgeRating if r is not AgeRating.UNKNOWN])
-    def test_one_hot_sums_to_one(self, rating):
-        assert sum(publishing_features(rating).values) == 1.0
+    def test_one_hot_sums_to_one(self, rating, resources):
+        assert sum(self._one_hot(rating, resources)) == 1.0
 
 
 class TestExtractAll:
@@ -664,30 +707,34 @@ class TestExtractAll:
         with pytest.raises(FeatureError, match="empty text"):
             extract_all(self._doc(text="   "), resources)
 
-    @pytest.mark.parametrize("family", ["general", "readability", "lexical", "grammatical",
-                                        "sentiment", "publishing"])
-    @pytest.mark.parametrize("fault", ["nan", "inf", "duplicate name"])
-    def test_faulty_family_vector_rejected(self, resources, monkeypatch, family, fault):
-        # the joined vector does not check values again, so each family's
-        # own check must stop a non-finite value, and the join must stop
-        # a name that another family also has
-        compute = getattr(features_mod, f"{family}_features")
-        other = FAMILY_NAMES["general" if family != "general" else "sentiment"][0]
+    @pytest.mark.parametrize("index, fault", [(index, "inf") for index in features_mod._COEF_FIELDS]
+                             + [("fk", "nan")])
+    def test_faulty_family_vector_rejected(self, tmp_path, index, fault):
+        # each coefficient is finite, but the index overflows to inf, or
+        # with terms of both signs to inf - inf = nan, on a text with a
+        # word of five syllables
+        triple = (1e308, 1e308, 1e308 if fault == "inf" else -1e308)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({index: dict(zip(features_mod._COEF_FIELDS[index], triple))}),
+                        encoding="utf-8")
+        resources = Resources.load({"coefficients": path})
+        with pytest.raises(FeatureError, match=f"non-finite value for feature 'index_{index}'"):
+            extract_all(self._doc("Пятиэтажный дом стоит."), resources)
 
-        def faulty(*args):
-            fv = compute(*args)
-            if fault == "duplicate name":
-                return FeatureVector((other,) + fv.names[1:], fv.values, fv.warnings)
-            return FeatureVector(fv.names, (float(fault),) + fv.values[1:], fv.warnings)
-
-        monkeypatch.setattr(features_mod, f"{family}_features", faulty)
-        with pytest.raises(FeatureError, match="duplicate" if fault == "duplicate name" else "non-finite"):
-            extract_all(self._doc(), resources)
+    def test_one_lexicon_read_and_one_vector_per_document(self, resources, monkeypatch):
+        reads, built = [], []
+        rows, post_init = Lexicon.rows, FeatureVector.__post_init__
+        monkeypatch.setattr(Lexicon, "rows", lambda self, *a: reads.append(a) or rows(self, *a))
+        monkeypatch.setattr(FeatureVector, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        fv = extract_all(self._doc(), resources)
+        assert len(reads) == 1
+        assert built == [fv]
 
     def test_age_rating_reflected(self, resources):
-        fv = extract_all(self._doc(age_rating=AgeRating.R6), resources)
-        assert fv.as_dict()["age_rating_6"] == 1.0
-        assert sum(fv.as_dict()[n] for n in FAMILY_NAMES["publishing"]) == 1.0
+        publishing = by_family(extract_all(self._doc(age_rating=AgeRating.R6), resources))["publishing"]
+        assert publishing["age_rating_6"] == 1.0
+        assert sum(publishing[n] for n in FAMILY_NAMES["publishing"]) == 1.0
 
     def test_every_value_is_a_float(self, resources):
         # a mean of integers once came back as an int when it was whole,
@@ -722,7 +769,8 @@ class TestExtractAll:
         assert best_seconds(texts[1], 3) / once < 24
 
     def test_fraction_features_bounded(self, resources):
-        fv = extract_all(self._doc(), resources).as_dict()
+        vector = extract_all(self._doc(), resources)
+        fv = dict(zip(vector.names, vector.values))
         for name in ("many_syllables", "ttr", "ttr_n", "ttr_a", "ttr_v",
                      "5000_proc", "count_n", "count_v", "count_a",
                      "neg_opinion", "pos_feeling"):
@@ -743,7 +791,7 @@ class TestExtractAll:
         text = " ".join(sents)
         entries = {w: (w, "NOUN") for w in words}
         familiar = Lexicon(familiar=WordList("f", {"кот": None, "и": None}))
-        single = readability_features(analyzed(text, entries), familiar)
-        double = readability_features(analyzed(text + " " + text, entries), familiar)
-        for a, b in zip(single.values, double.values):
+        single = quantitative(analyzed(text, entries), familiar)["readability"]
+        double = quantitative(analyzed(text + " " + text, entries), familiar)["readability"]
+        for a, b in zip(single.values(), double.values()):
             assert a == pytest.approx(b, abs=1e-9)

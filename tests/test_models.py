@@ -188,6 +188,12 @@ class TestLinearSvc:
         with pytest.raises(ModelError, match="C must be positive and finite"):
             train_linear_svc(X, y, C=C)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance_must_be_non_negative_and_finite(self, tolerance):
+        X, y = separable_blobs(5)
+        with pytest.raises(ModelError, match="tolerance must be >= 0 and finite"):
+            train_linear_svc(X, y, tolerance=tolerance)
+
     def test_dimension_mismatch_rejected(self):
         X, y = separable_blobs(5)
         model = train_linear_svc(X, y)
