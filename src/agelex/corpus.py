@@ -71,6 +71,11 @@ class Document:
     genre: str | None = None
     split: Split = Split.TRAIN
 
+    def __hash__(self) -> int:
+        # equal Documents have equal ids and texts, and a str caches its
+        # hash, while hashing an Enum field runs Python code
+        return hash((self.id, self.text))
+
 
 @dataclass
 class Corpus:

@@ -119,6 +119,23 @@ class ReadabilityCoefficients:
     smog: tuple[float, float, float] = (3.1291, 1.043, 30.0)
     dc: tuple[float, float, float] = (0.0, 0.1579, 0.0496)
 
+    def __post_init__(self):
+        """Each index takes three finite numbers, kept as floats, and
+        smog.norm must not be negative; ConfigError otherwise."""
+        for index, fields in _COEF_FIELDS.items():
+            triple = getattr(self, index)
+            if not isinstance(triple, (tuple, list)) or len(triple) != len(fields):
+                raise ConfigError(f"{index} needs three numbers {fields!r}, got {triple!r}")
+            for f, value in zip(fields, triple):
+                # a bool is an int to isinstance, not a number here
+                if type(value) not in (int, float):
+                    raise ConfigError(f"{index}.{f} is not a number: {value!r}")
+                if not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"non-finite coefficient for {index!r}: {f}")
+            object.__setattr__(self, index, tuple(map(float, triple)))
+        if self.smog[2] < 0:
+            raise ConfigError("smog.norm is under a square root and must be >= 0")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "ReadabilityCoefficients":
         """Read coefficient overrides from a JSON file keyed by index
@@ -137,17 +154,11 @@ class ReadabilityCoefficients:
                 raise ConfigError(f"{path}: unknown index {index!r}")
             if not isinstance(obj, dict) or set(obj) != set(fields):
                 raise ConfigError(f"{path}: index {index!r} needs exactly the keys {fields!r}")
-            for f in fields:
-                # a bool is an int to isinstance, not a number here
-                if type(obj[f]) not in (int, float):
-                    raise ConfigError(f"{path}: {index}.{f} is not a number: {obj[f]!r}")
-                if not abs(obj[f]) <= sys.float_info.max:
-                    raise ConfigError(f"{path}: non-finite coefficient for {index!r}: {f}")
-            triple = tuple(float(obj[f]) for f in fields)
-            if index == "smog" and triple[2] < 0:
-                raise ConfigError(f"{path}: smog.norm is under a square root and must be >= 0")
-            kwargs[index] = triple
-        return cls(**kwargs)
+            kwargs[index] = tuple(obj[f] for f in fields)
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 DEFAULT_COEFFICIENTS = ReadabilityCoefficients()

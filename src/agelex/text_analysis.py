@@ -2,17 +2,34 @@
 
 analyze() returns one row per distinct surface (word type), plus a
 column of type ids for the tokens and token ranges for the sentences;
-the feature families work from its per-type counts.  What a run of
-letters and digits resolves to (whether it is a word, its letter and
-character counts, a word's lemma, part of speech and syllables) depends
-on the run and the morphology provider alone, so each provider resolves
-a distinct run once, on first sight, and keeps the answer in a table of
-at most TABLE_CAP runs that analyze() and vectorizer.preprocess() read.
+the feature families work from its per-type counts.
 
-Text enters analyze() and tokenize() through normalize_text(): combining
-acute and grave accents (stress marks in Russian) are dropped and the
-rest is NFC-composed, so a stressed or decomposed spelling reads like
-the plain one.
+analyze() and vectorizer.preprocess() read a text as its chunks, the
+maximal runs of non-whitespace characters (str.split()), because every
+rule works inside them:
+
+- A token is a run of letters and digits, maybe joined by hyphens,
+  that holds no digit; no run crosses whitespace.
+- A sentence ends at a chunk that ends in a run of '.', '!', '?' or
+  '…', when it is the last chunk or the next one starts uppercase,
+  unless that run is a single period after a word of the abbreviation
+  list, which lies in the same chunk.  A terminator inside a chunk
+  ("a.B", "!»") ends no sentence.
+- A sentence's symbols are the lengths of its chunks.
+
+What a chunk resolves to (its words, letter and character counts and
+trailing terminator run) and what a run resolves to (whether it is a
+word, a word's lemma, part of speech and syllables) depend on the chunk
+or run and the morphology provider alone.  So each provider resolves a
+distinct chunk and run once, on first sight, and keeps the answers in
+tables of at most TABLE_CAP rows each.  split_sentences() and
+tokenize() apply the same rules to a whole text by regular expression;
+the library itself no longer calls them.
+
+Text enters analyze(), tokenize() and preprocess() through
+normalize_text(): combining acute and grave accents (stress marks in
+Russian) are dropped and the rest is NFC-composed, so a stressed or
+decomposed spelling reads like the plain one.
 
 All routines are pure functions of their inputs, so repeated calls on the
 same text yield identical results.  The module is Cyrillic-first but every
@@ -24,11 +41,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress
-from operator import itemgetter, mul
+from itertools import accumulate, chain, compress, count
+from operator import itemgetter, not_
 from pathlib import Path
 
 from .errors import LexiconError, decode_errors_as
@@ -62,6 +80,7 @@ SENTENCE_TERMINATORS = ".!?…"
 # Candidate runs are letters or digits joined by internal hyphens; a run
 # only becomes a token if it contains no digits ("A1" yields nothing).
 _RUN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
+_TERMINATOR_CHARS = tuple(SENTENCE_TERMINATORS)
 _TERMINATOR_RE = re.compile("[" + re.escape(SENTENCE_TERMINATORS) + "]+")
 _WORD_AT_END_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*\Z", re.UNICODE)
 _SPACE_RE = re.compile(r"\s*")
@@ -69,10 +88,13 @@ _SPACE_RE = re.compile(r"\s*")
 _TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 _ACCENT_RE = re.compile("[\u0300\u0301]")
 
-# Most keys a per-type table keeps: the runs of a morphology provider and
-# the (lemma, pos) rows of a lexicons.Lexicon.  Past it, new keys are
-# resolved on every call and not kept.
+# Most keys a per-type table keeps: the runs and the chunks of a
+# morphology provider and the (lemma, pos) rows of a lexicons.Lexicon.
+# Past it, new keys are resolved on every call and not kept.
 TABLE_CAP = 50_000
+# Longest chunk the chunk table keeps; a longer one is resolved on every
+# call, so one long line of text cannot fill memory.
+CHUNK_LIMIT = 48
 
 
 def normalize_text(text: str) -> str:
@@ -181,8 +203,9 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 class MorphologyProvider:
     """Interface for lemma and part-of-speech lookup.
 
-    A provider keeps the row of each run it has resolved for analyze()
-    and preprocess(), so its answers must not change once it is in use.
+    A provider keeps the row of each run and chunk it has resolved for
+    analyze() and preprocess(), so its answers must not change once it
+    is in use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -195,19 +218,71 @@ class MorphologyProvider:
     def _runs(self) -> dict[str, tuple]:
         return {}
 
+    @cached_property
+    def _chunks(self) -> dict[str, tuple]:
+        return {}
+
     def run_rows(self, runs: list[str]) -> list[tuple]:
-        """For each run, (is_word, chars, letters, lemma, pos, syllables):
-        chars counts its letters and digits, and a run that is not a
-        word has lemma and pos None and 0 syllables.  Unknown words get
-        pos=Other with the lowercased surface as lemma."""
+        """For each run, (words, chars, letters, end, lemma, pos,
+        syllables): the row chunk_rows() gives the chunk that is this
+        run alone, then the word's lemma, part of speech and syllables.
+        words is (run,) for a word and () otherwise, chars counts its
+        letters and digits, end is 0, and a run that is not a word has
+        lemma and pos None and 0 syllables.  Unknown words get pos=Other
+        with the lowercased surface as lemma."""
         return table_rows(self._runs, runs, self._resolve_run)
 
     def _resolve_run(self, run: str) -> tuple:
         chars = len(run) - run.count("-")
         if not _is_word(run):
-            return (False, chars, sum(map(str.isalpha, run)), None, None, 0)
+            return ((), chars, sum(map(str.isalpha, run)), 0, None, None, 0)
         lemma, pos = self.analyze(run) or (run.lower(), Pos.OTHER)
-        return (True, chars, chars, lemma, pos, count_syllables(run))
+        return ((run,), chars, chars, 0, lemma, pos, count_syllables(run))
+
+    def chunk_rows(self, chunks: list[str]) -> list[tuple]:
+        """For each chunk of non-whitespace characters, (words, chars,
+        letters, end): the runs in it that are words, in order, the
+        letters and digits and the letters of all its runs, and the
+        length of the run of sentence terminators it ends in, 0 if none.
+
+        A chunk that is one run reads its run row.  Other chunks of at
+        most CHUNK_LIMIT characters are kept in a table of at most
+        TABLE_CAP rows; the new chunks of a call are resolved together,
+        with one run_rows() call for all their runs.
+        """
+        row_of = dict.fromkeys(chunks)
+        distinct = list(row_of)
+        rows = list(map(self._chunks.get, distinct, map(self._runs.get, distinct)))
+        if None in rows:
+            new = list(compress(distinct, map(not_, rows)))
+            # str.isalnum() is the run pattern's character class, so a
+            # chunk that passes it is one run without hyphens
+            is_plain = list(map(str.isalnum, new))
+            plain = list(compress(new, is_plain))
+            other = list(compress(new, map(not_, is_plain)))
+            found = list(map(_RUN_RE.findall, other))
+            # the plain chunks are distinct, so their rows lead
+            runs = list(dict.fromkeys(chain(plain, chain.from_iterable(found))))
+            rows_of_runs = self.run_rows(runs)
+            row_of.update(zip(plain, rows_of_runs))
+            row_of_run = dict(zip(runs, rows_of_runs))
+            table = self._chunks
+            for chunk, chunk_runs in zip(other, found):
+                if chunk_runs == [chunk]:  # a hyphenated run
+                    row_of[chunk] = row_of_run[chunk]
+                    continue
+                if len(chunk_runs) == 1:
+                    words, chars, letters = row_of_run[chunk_runs[0]][:3]
+                else:
+                    parts = list(map(row_of_run.__getitem__, chunk_runs))
+                    words = tuple(chain.from_iterable(map(itemgetter(0), parts)))
+                    chars, letters = sum(map(itemgetter(1), parts)), sum(map(itemgetter(2), parts))
+                row_of[chunk] = row = (words, chars, letters,
+                                       len(chunk) - len(chunk.rstrip(SENTENCE_TERMINATORS)))
+                if len(chunk) <= CHUNK_LIMIT and len(table) < TABLE_CAP:
+                    table[chunk] = row
+        row_of.update(compress(zip(distinct, rows), rows))
+        return list(map(row_of.__getitem__, chunks))
 
 
 class DictionaryMorphology(MorphologyProvider):
@@ -343,42 +418,71 @@ def analyze(text: str, morphology: MorphologyProvider,
             abbreviations: frozenset[str] | None = None) -> AnalyzedText:
     """Run the full pipeline: sentences, tokens, syllables, morphology.
 
-    The text is read through normalize_text().  Each sentence span is cut
-    into runs, and each distinct run is looked up in the morphology
-    provider's run table.  Unknown surfaces fall back to pos=Other with
-    the lowercased surface as lemma.  Sentence spans without tokens are
-    dropped, so every token belongs to exactly one sentence, but their
-    symbols still count toward symbol_count.
+    The text is read through normalize_text() and cut into chunks at
+    whitespace.  Each chunk's row, read from the morphology provider's
+    tables, gives its word runs, counts and trailing terminator run; each
+    distinct word's row gives its lemma, part of speech and syllables.
+    Unknown surfaces fall back to pos=Other with the lowercased surface
+    as lemma.  Sentences end where split_sentences() ends them.  Sentences
+    without tokens are dropped, so every token belongs to exactly one
+    sentence, but their symbols still count toward symbol_count.
     """
     text = normalize_text(text)
-    spans = split_sentences(text, abbreviations)
-    # no run crosses a span edge: a span starts after whitespace and ends
-    # at a terminator or before whitespace
-    span_runs = [_RUN_RE.findall(text, start, end) for start, end in spans]
-    run_counts = Counter(chain.from_iterable(span_runs))
-    runs = list(run_counts)
-    rows = morphology.run_rows(runs)
-    counts = list(run_counts.values())
-    is_word = list(map(itemgetter(0), rows))
-    surfaces = list(compress(runs, is_word))
-    words = list(compress(rows, is_word))
-    type_of = {surface: i for i, surface in enumerate(surfaces)}
-    symbols = [sum(map(len, text[start:end].split())) for start, end in spans]
-    tokens, sentences, sentence_symbols = [], [], []
-    for runs_of_span, n_symbols in zip(span_runs, symbols):
-        first = len(tokens)
-        tokens += [i for i in map(type_of.get, runs_of_span) if i is not None]
-        if len(tokens) > first:
-            sentences.append((first, len(tokens)))
-            sentence_symbols.append(n_symbols)
+    chunks = text.split()
+    rows = morphology.chunk_rows(chunks)
+    words_of_chunks = list(map(itemgetter(0), rows))
+    words = list(chain.from_iterable(words_of_chunks))
+    word_counts = Counter(words)
+    surfaces = list(word_counts)
+    type_of = dict(zip(surfaces, count()))
+    types = morphology.run_rows(surfaces)
+    token_ends = list(accumulate(map(len, words_of_chunks)))
+    symbol_ends = list(accumulate(map(len, chunks)))
+    sentences, sentence_symbols = [], []
+    first_token = first_symbol = 0
+    if chunks:
+        ends = _sentence_ends(chunks, compress(count(), map(itemgetter(3), rows)), abbreviations)
+        for end in ends + [len(chunks) - 1]:
+            last_token, last_symbol = token_ends[end], symbol_ends[end]
+            if last_token > first_token:
+                sentences.append((first_token, last_token))
+                sentence_symbols.append(last_symbol - first_symbol)
+            first_token, first_symbol = last_token, last_symbol
     return AnalyzedText(
-        text=text, tokens=tokens, surfaces=surfaces,
-        lemmas=list(map(itemgetter(3), words)), pos=list(map(itemgetter(4), words)),
-        syllables=list(map(itemgetter(5), words)),
-        counts=list(compress(counts, is_word)),
+        text=text, tokens=list(map(type_of.__getitem__, words)), surfaces=surfaces,
+        lemmas=list(map(itemgetter(4), types)), pos=list(map(itemgetter(5), types)),
+        syllables=list(map(itemgetter(6), types)),
+        counts=list(word_counts.values()),
         sentences=sentences, sentence_symbols=sentence_symbols,
         # every letter and digit of the text lies in a run
-        char_count=sum(map(mul, map(itemgetter(1), rows), counts)),
-        letter_count=sum(map(mul, map(itemgetter(2), rows), counts)),
-        symbol_count=sum(symbols),
+        char_count=sum(map(itemgetter(1), rows)),
+        letter_count=sum(map(itemgetter(2), rows)),
+        symbol_count=symbol_ends[-1] if chunks else 0,
     )
+
+
+def _sentence_ends(chunks: list[str], candidates: Iterable[int],
+                   abbreviations: frozenset[str] | None) -> list[int]:
+    """The candidates, indices of chunks that end in a terminator run,
+    that end a sentence by the rule of split_sentences(): the last chunk
+    and each one followed by a chunk that starts uppercase, unless it ends
+    in a single period after an abbreviation."""
+    last = len(chunks) - 1
+    ends = [i for i in candidates if i == last or chunks[i + 1][0].isupper()]
+    if abbreviations:
+        longest = max(map(len, abbreviations))
+        abbreviated = {chunk for chunk in set(map(chunks.__getitem__, ends))
+                       if _after_abbreviation(chunk, abbreviations, longest)}
+        ends = [i for i in ends if chunks[i] not in abbreviated]
+    return ends
+
+
+def _after_abbreviation(chunk: str, abbreviations: frozenset[str], longest: int) -> bool:
+    """Whether the chunk ends in a single period after a word of the
+    abbreviation list.  The word is read at most two characters past the
+    longest abbreviation, as split_sentences() reads it, so the cost does
+    not grow with the chunk."""
+    if not chunk.endswith(".") or chunk.endswith(_TERMINATOR_CHARS, 0, len(chunk) - 1):
+        return False
+    word = _WORD_AT_END_RE.search(chunk, max(0, len(chunk) - longest - 3), len(chunk) - 1)
+    return word is not None and word.group(0).lower() in abbreviations

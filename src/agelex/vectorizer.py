@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import VectorizerError
-from .text_analysis import MorphologyProvider, tokenize
+from .text_analysis import MorphologyProvider, normalize_text
 
 FRAGMENT_LIMIT = 256
 MAX_VOCABULARY = 2000
@@ -28,12 +29,14 @@ def preprocess(text: str, morphology: MorphologyProvider,
 
     Steps, in order: drop non-word characters (tokenization), lowercase,
     lemmatize, remove stop words.  Unknown forms keep their lowercased
-    surface as lemma.  Lemmas are read from the morphology provider's
-    run table, the one analyze() reads.
+    surface as lemma.  The words are read from the morphology provider's
+    chunk table and their lemmas from its run table, the tables analyze()
+    reads, so the words are the tokens of analyze() and tokenize().
     """
-    words = tokenize(text)
-    surfaces = list(set(words))
-    lemma_of = dict(zip(surfaces, map(itemgetter(3), morphology.run_rows(surfaces))))
+    rows = morphology.chunk_rows(normalize_text(text).split())
+    words = list(chain.from_iterable(map(itemgetter(0), rows)))
+    surfaces = list(dict.fromkeys(words))
+    lemma_of = dict(zip(surfaces, map(itemgetter(4), morphology.run_rows(surfaces))))
     return [lemma for lemma in map(lemma_of.__getitem__, words) if lemma not in stopwords]
 
 

@@ -1,5 +1,6 @@
 """Reference formulas and helpers that more than one test module uses."""
 from agelex.features import FAMILY_NAMES
+from agelex.text_analysis import Pos, tokenize
 
 
 def gini_impurity(counts) -> float:
@@ -21,3 +22,11 @@ def by_family(fv) -> dict[str, dict[str, float]]:
         start += len(names)
     assert start >= len(fv.names)
     return families
+
+
+def reference_preprocess(text, morphology, stopwords) -> list[str]:
+    """The lemma chain as preprocess computed it from tokenize(): each
+    token's lemma from the provider, or its lowercased surface, minus the
+    stop words."""
+    lemmas = [(morphology.analyze(word) or (word.lower(), Pos.OTHER))[0] for word in tokenize(text)]
+    return [lemma for lemma in lemmas if lemma not in stopwords]

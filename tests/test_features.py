@@ -212,10 +212,14 @@ _DIGITS = st.text(alphabet="0123456789²½", min_size=1, max_size=3)
 _RUN = (_WORD | st.lists(_WORD, min_size=2, max_size=3).map("-".join)
         | st.tuples(_WORD, _DIGITS).map("".join) | _DIGITS)
 _PUNCTUATION = st.text(alphabet=".!?…,;:-—()«»_", max_size=4)
+# every character str.isspace() accepts
+WHITESPACE = list(filter(str.isspace, map(chr, range(0x110000))))
 # dictionary and unknown words in mixed case, hyphenated words, digits
-# and punctuation runs, with assorted whitespace between them
+# and punctuation runs, with every kind of whitespace between them, or
+# glued to the next run, terminators included
 TEXTS = st.lists(st.tuples(_PUNCTUATION, _RUN, _PUNCTUATION,
-                           st.sampled_from([" ", " ", "  ", "\n", "\u00a0", "\t", "\x1c", ""]))
+                           st.sampled_from([" ", " ", "  ", "\n", "", "", ".", "!»", "…"])
+                           | st.sampled_from(WHITESPACE))
                  .map("".join), max_size=25).map("".join)
 
 
@@ -477,6 +481,29 @@ class TestCoefficients:
         c = ReadabilityCoefficients.from_file(p)
         assert (c.smog, c.ari) == ((-3.0, -1.0, 0.0), (-1.0, -2.0, -3.0))
         assert all(type(v) is float for v in c.smog + c.ari)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"fk": ("abc", 1, 2)}, r"fk\.base is not a number"),
+        ({"dc": (0.0, True, 1.0)}, r"dc\.difficult_percent is not a number"),
+        ({"cl": (1.0, 2.0)}, "cl needs three numbers"),
+        ({"ari": (1.0, math.inf, 0.5)}, "non-finite coefficient for 'ari': chars_per_word"),
+        ({"smog": (3.0, 1.0, -30.0)}, r"smog\.norm"),
+    ])
+    def test_direct_construction_is_checked_like_a_file(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ReadabilityCoefficients(**kwargs)
+
+    def test_direct_construction_keeps_floats(self):
+        c = ReadabilityCoefficients(fk=(1, 2, 3), smog=[3, 1, 0])
+        assert (c.fk, c.smog) == ((1.0, 2.0, 3.0), (3.0, 1.0, 0.0))
+        assert all(type(v) is float for v in c.fk + c.smog)
+        assert c == ReadabilityCoefficients(fk=(1.0, 2.0, 3.0), smog=(3.0, 1.0, 0.0))
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"smog": {"base": 3, "scale": 1, "norm": -30}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: smog.norm")):
+            ReadabilityCoefficients.from_file(p)
 
     def test_bundled_grade_variant_rises_with_difficulty(self):
         grade = ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE)

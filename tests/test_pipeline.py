@@ -9,7 +9,7 @@ import pytest
 import agelex.pipeline as pipeline
 from agelex.analysis import metrics
 from agelex.cli import main
-from agelex.corpus import Corpus, Split, write_corpus
+from agelex.corpus import Corpus, Label, Split, write_corpus
 from agelex.errors import ArtifactError
 from agelex.models import load_model, save_model
 from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainedPipeline,
@@ -178,6 +178,20 @@ def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
     assert vectors.features(impostor) == CorpusVectors(resources).features(second)
     assert vectors.lemmas(impostor, use_abstract=True) == \
         CorpusVectors(resources).lemmas(second, use_abstract=True)
+
+
+def test_documents_hash_by_value_and_differ_by_label_and_split(corpus, resources, monkeypatch):
+    doc = corpus.documents[1]
+    twin = replace(doc)
+    assert twin is not doc and twin == doc and hash(twin) == hash(doc)
+    relabeled = replace(doc, label=Label.ADULT if doc.label is Label.CHILDREN else Label.CHILDREN)
+    moved = replace(doc, split=Split.TEST if doc.split is Split.TRAIN else Split.TRAIN)
+    calls = count_analysis(monkeypatch)
+    vectors = CorpusVectors(resources)
+    for d in (doc, twin, relabeled, moved, relabeled, twin):
+        vectors.features(d)
+        vectors.lemmas(d, use_abstract=False)
+    assert calls == {"extract_all": 3, "preprocess": 3}
 
 
 def test_train_command_analyzes_each_training_document_once(tmp_path, corpus, monkeypatch):

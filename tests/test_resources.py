@@ -1,5 +1,5 @@
-"""Resources and the per-type tables it keeps: a run table on the
-morphology provider and a (lemma, pos) table on its Lexicon."""
+"""Resources and the per-type tables it keeps: run and chunk tables on
+the morphology provider and a (lemma, pos) table on its Lexicon."""
 import dataclasses
 
 import pytest
@@ -14,8 +14,9 @@ from test_features import TEXTS, outcome
 OTHER_TEXTS = [doc.text for doc in make_corpus(3, 3, seed=11)]
 
 
-def table_sizes(resources: Resources) -> tuple[int, int]:
-    return len(resources.morphology._runs), len(resources.lexicon._rows)
+def table_sizes(resources: Resources) -> tuple[int, int, int]:
+    return (len(resources.morphology._runs), len(resources.morphology._chunks),
+            len(resources.lexicon._rows))
 
 
 class TestTables:
@@ -37,9 +38,9 @@ class TestTables:
             full = fresh()
             for other in others + OTHER_TEXTS:
                 outcome(other, full)
-            assert table_sizes(full) == (cap, cap)
+            assert table_sizes(full) == (cap, cap, cap)
             assert outcome(text, full) == cold
-            assert table_sizes(full) == (cap, cap)
+            assert table_sizes(full) == (cap, cap, cap)
 
     def test_no_table_outgrows_the_cap(self, monkeypatch):
         monkeypatch.setattr(text_analysis, "TABLE_CAP", 25)
@@ -48,8 +49,16 @@ class TestTables:
         for sentence in " ".join(OTHER_TEXTS).split(". "):
             outcome(sentence, resources)
             sizes.append(table_sizes(resources))
-        assert sizes[0] < (25, 25)  # the tables fill as texts are read
+        assert max(sizes[0]) < 25  # the tables fill as texts are read
         assert max(max(s) for s in sizes) == 25
+
+    def test_chunk_table_keeps_no_long_chunk(self):
+        limit = text_analysis.CHUNK_LIMIT
+        long_chunks = ["кот." * limit, "«" + "а" * limit + "»", "!" * (limit + 1)]
+        resources = Resources.load()
+        outcome(" ".join(long_chunks + ["Кот,", "«Пёс»", "!" * limit]), resources)
+        assert set(resources.morphology._chunks) == {"Кот,", "«Пёс»", "!" * limit}
+        assert outcome(" ".join(long_chunks), resources) == outcome(" ".join(long_chunks), Resources.load())
 
     def test_resources_from_different_frequency_files_share_no_rows(self, tmp_path):
         lines = BUNDLED_FILES["frequency"].read_text(encoding="utf-8").splitlines()

@@ -13,6 +13,10 @@ from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   Pos, analyze, count_syllables,
                                   load_abbreviations, normalize_text,
                                   split_sentences, tokenize)
+from agelex.vectorizer import preprocess
+
+from oracles import reference_preprocess
+from test_features import TEXTS, WHITESPACE, reference_analyze
 
 CYR_WORDS = st.text(alphabet="абвгдежзиклмнопрстуфхцчшщыьэюя", min_size=1, max_size=12)
 
@@ -79,6 +83,15 @@ _WORDS = (st.sampled_from(sorted(ABBREVIATIONS))
 SENTENCE_PIECES = st.tuples(st.text(alphabet="-_1²İД ", max_size=2), _WORDS,
                             st.sampled_from([".", ".", "..", "!", "?!", "…", ""]),
                             st.sampled_from([" ", " ", "  ", "\n", "\u00a0", ""])).map("".join)
+
+
+def best_seconds(run, repeats):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - started)
+    return min(times)
 
 
 class TestTokenize:
@@ -202,17 +215,65 @@ class TestSplitSentences:
         # reference copies the prefix and suffix at every run and takes
         # about 50 times as long
         text = "Он жил в г. Москве... Дом-музей им. Толстого стоит тут!  Правда?! Да. " * 300
+        once = best_seconds(lambda: split_sentences(text, resources.abbreviations), 5)
+        eight = best_seconds(lambda: split_sentences(text * 8, resources.abbreviations), 3)
+        assert eight / once < 24
 
-        def best_seconds(t, repeats):
-            times = []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                split_sentences(t, resources.abbreviations)
-                times.append(time.perf_counter() - started)
-            return min(times)
 
-        once = best_seconds(text, 5)
-        assert best_seconds(text * 8, 3) / once < 24
+class TestChunks:
+    """analyze() and preprocess() read a text as its whitespace chunks,
+    with split_sentences() and tokenize() as their oracles."""
+
+    ALL_CHARACTERS = "".join(map(chr, range(0x110000)))
+
+    def test_split_cuts_at_the_whitespace_of_the_patterns(self):
+        # str.isspace(), str.split() and re's \s agree on every code point
+        text = self.ALL_CHARACTERS
+        assert re.findall(r"\s", text) == list(filter(str.isspace, text))
+        assert "".join(text.split()) == "".join(ch for ch in text if not ch.isspace())
+
+    def test_isalnum_is_the_run_character_class(self):
+        text = self.ALL_CHARACTERS
+        assert re.findall(r"[^\W_]", text) == list(filter(str.isalnum, text))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(SENTENCE_PIECES, st.sampled_from(WHITESPACE + [""])).map("".join),
+                    max_size=12).map("".join),
+           st.one_of(st.just(ABBREVIATIONS), st.none(),
+                     st.frozensets(st.text(alphabet="гт-", min_size=1, max_size=3), max_size=3)))
+    @example("Кот\u3000г.\u2028Москва. Пёс", ABBREVIATIONS)
+    @example("Кот a.B и!» Пёс… Конец", ABBREVIATIONS)
+    @example("Жил-был\x1cкот.\x85Пёс", ABBREVIATIONS)
+    def test_sentences_are_the_spans_of_split_sentences(self, text, abbreviations):
+        t = analyze(text, HeuristicMorphology(), abbreviations)
+        ref = reference_analyze(text, HeuristicMorphology(), abbreviations)
+        assert ((t.sentences, t.sentence_symbols, t.symbol_count, t.n_tokens)
+                == (ref.sentences, ref.sentence_symbols, ref.symbol_count, ref.n_tokens))
+
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @settings(max_examples=150)
+    @given(text=TEXTS | st.text(max_size=60))
+    @example(text="Ма\u0301ма\u3000мыла раму.\u2028Кот-кот,спит…»")
+    def test_preprocess_is_the_tokenize_lemma_chain(self, heuristic, text, resources,
+                                                    heuristic_resources):
+        res = heuristic_resources if heuristic else resources
+        assert (preprocess(text, res.morphology, res.stopwords)
+                == reference_preprocess(text, res.morphology, res.stopwords))
+
+    @pytest.mark.parametrize("make", [lambda n: "кот." * n, lambda n: "а-" * n + "1-а.",
+                                      lambda n: "!?…" * n],
+                             ids=["glued-line", "hyphen-chain", "punctuation-run"])
+    def test_cost_grows_linearly(self, resources, make):
+        # eight times the text takes about eight times as long; searching
+        # the whole hyphen chain for the word before its final period
+        # takes about 64 times as long
+        def read(n):
+            text = make(n)
+            return lambda: (analyze(text, resources.morphology, resources.abbreviations),
+                            preprocess(text, resources.morphology, resources.stopwords))
+
+        once = best_seconds(read(2000), 5)
+        assert best_seconds(read(16000), 3) / once < 24
 
 
 class TestCountSyllables:
