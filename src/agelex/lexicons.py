@@ -8,7 +8,8 @@ index.  All loaders validate ranges and report the offending row number.
 
 A Lexicon reads the four word lexicons of one Resources through a table
 keyed by (lemma, pos): each key is resolved once, on first sight, into a
-LexiconRow, and at most text_analysis.TABLE_CAP rows are kept.  Its
+LexiconRow.  The table keeps at most text_analysis.TABLE_CAP rows, and
+none for a lemma longer than text_analysis.CHUNK_LIMIT characters.  Its
 frequency values are exact integers over one power-of-two scale, so a
 feature family sums them exactly and divides once.
 """
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -317,7 +319,7 @@ class Lexicon:
         # keyed by the pos's place in _POS_ORDER, found by identity: hashing
         # an Enum member runs Python code
         keys = list(zip(lemmas, map(_POS_ORDER.index, pos)))
-        return table_rows(self._rows, keys, self._resolve)
+        return table_rows(self._rows, keys, self._resolve, itemgetter(0))
 
     def _scaled(self, value: float) -> int:
         numerator, denominator = float(value).as_integer_ratio()

@@ -401,6 +401,8 @@ def run_grid(corpus: Corpus, resources: Resources,
     """Train and evaluate every (model, condition) pair on the corpus
     train/test splits, reusing one per-document cache throughout."""
     settings = settings or TrainSettings()
+    if not model_kinds:
+        raise ConfigError(f"no model kinds given; known: {list(MODEL_KINDS)}")
     for kind in model_kinds:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")

@@ -50,10 +50,12 @@ class Resources:
     """Everything feature extraction and vectorization need to run.
 
     Frozen, because what was resolved from a resource is kept: the
-    morphology provider keeps the row of each run and chunk it has read,
-    and lexicon, built from the four word lexicons, the row of each
-    (lemma, pos).  The tables fill as documents are read and hold at
-    most text_analysis.TABLE_CAP rows each.
+    morphology provider keeps the row of each chunk it has read (a word
+    is the chunk of its one run), and lexicon, built from the four word
+    lexicons, the row of each (lemma, pos).  The two tables fill as
+    documents are read, hold at most text_analysis.TABLE_CAP rows each
+    and keep no chunk or lemma longer than text_analysis.CHUNK_LIMIT
+    characters.
     """
 
     morphology: MorphologyProvider

@@ -18,13 +18,15 @@ rule works inside them:
 - A sentence's symbols are the lengths of its chunks.
 
 What a chunk resolves to (its words, letter and character counts and
-trailing terminator run) and what a run resolves to (whether it is a
-word, a word's lemma, part of speech and syllables) depend on the chunk
-or run and the morphology provider alone.  So each provider resolves a
-distinct chunk and run once, on first sight, and keeps the answers in
-tables of at most TABLE_CAP rows each.  split_sentences() and
-tokenize() apply the same rules to a whole text by regular expression;
-the library itself no longer calls them.
+trailing terminator run, and for a chunk that is one word the word's
+lemma, part of speech and syllables) depends on the chunk and the
+morphology provider alone.  So each provider resolves a distinct chunk
+once, on first sight, and keeps its row in one table keyed by chunk
+text; a word is the chunk of its one run, so words read the same
+table.  The table keeps at most TABLE_CAP rows, each for a chunk of at
+most CHUNK_LIMIT characters.  split_sentences() and tokenize() apply
+the same rules to a whole text by regular expression; the library
+itself no longer calls them.
 
 Text enters analyze(), tokenize() and preprocess() through
 normalize_text(): combining acute and grave accents (stress marks in
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
-from operator import itemgetter, not_
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import LexiconError, decode_errors_as
@@ -88,11 +90,11 @@ _SPACE_RE = re.compile(r"\s*")
 _TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 _ACCENT_RE = re.compile("[\u0300\u0301]")
 
-# Most keys a per-type table keeps: the runs and the chunks of a
-# morphology provider and the (lemma, pos) rows of a lexicons.Lexicon.
-# Past it, new keys are resolved on every call and not kept.
+# Most keys a per-type table keeps: the chunks of a morphology provider
+# and the (lemma, pos) rows of a lexicons.Lexicon.  Past it, new keys
+# are resolved on every call and not kept.
 TABLE_CAP = 50_000
-# Longest chunk the chunk table keeps; a longer one is resolved on every
+# Longest chunk or lemma a table keeps; a longer one is resolved on every
 # call, so one long line of text cannot fill memory.
 CHUNK_LIMIT = 48
 
@@ -115,16 +117,24 @@ def normalize_text(text: str) -> str:
     return text
 
 
-def table_rows(table: dict, keys: list, resolve) -> list:
-    """The row of each key: read from the table, or resolve(key), which
-    the table keeps while it holds fewer than TABLE_CAP rows."""
+def table_rows(table: dict, keys: list, resolve, text=None) -> list:
+    """The row of each key: read from the table, or resolve(key), once
+    per distinct key of the call.  The table keeps a new row while it
+    holds fewer than TABLE_CAP rows and the key's text, the key itself
+    or text(key), is at most CHUNK_LIMIT characters long."""
     rows = list(map(table.get, keys))
     if None in rows:
+        new = {}
         for i, row in enumerate(rows):
             if row is None:
-                rows[i] = row = resolve(keys[i])
-                if len(table) < TABLE_CAP:
-                    table[keys[i]] = row
+                key = keys[i]
+                # resolving one key can fill the table with another
+                row = table.get(key) or new.get(key)
+                if row is None:
+                    row = new[key] = resolve(key)
+                    if len(table) < TABLE_CAP and len(text(key) if text else key) <= CHUNK_LIMIT:
+                        table[key] = row
+                rows[i] = row
     return rows
 
 
@@ -203,9 +213,8 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 class MorphologyProvider:
     """Interface for lemma and part-of-speech lookup.
 
-    A provider keeps the row of each run and chunk it has resolved for
-    analyze() and preprocess(), so its answers must not change once it
-    is in use.
+    A provider keeps the row of each chunk it has resolved for analyze()
+    and preprocess(), so its answers must not change once it is in use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -215,74 +224,35 @@ class MorphologyProvider:
         raise NotImplementedError
 
     @cached_property
-    def _runs(self) -> dict[str, tuple]:
+    def _rows(self) -> dict[str, tuple]:
         return {}
 
-    @cached_property
-    def _chunks(self) -> dict[str, tuple]:
-        return {}
-
-    def run_rows(self, runs: list[str]) -> list[tuple]:
-        """For each run, (words, chars, letters, end, lemma, pos,
-        syllables): the row chunk_rows() gives the chunk that is this
-        run alone, then the word's lemma, part of speech and syllables.
-        words is (run,) for a word and () otherwise, chars counts its
-        letters and digits, end is 0, and a run that is not a word has
-        lemma and pos None and 0 syllables.  Unknown words get pos=Other
-        with the lowercased surface as lemma."""
-        return table_rows(self._runs, runs, self._resolve_run)
-
-    def _resolve_run(self, run: str) -> tuple:
-        chars = len(run) - run.count("-")
-        if not _is_word(run):
-            return ((), chars, sum(map(str.isalpha, run)), 0, None, None, 0)
-        lemma, pos = self.analyze(run) or (run.lower(), Pos.OTHER)
-        return ((run,), chars, chars, 0, lemma, pos, count_syllables(run))
-
-    def chunk_rows(self, chunks: list[str]) -> list[tuple]:
+    def rows(self, chunks: list[str]) -> list[tuple]:
         """For each chunk of non-whitespace characters, (words, chars,
-        letters, end): the runs in it that are words, in order, the
-        letters and digits and the letters of all its runs, and the
-        length of the run of sentence terminators it ends in, 0 if none.
+        letters, end, lemma, pos, syllables): the runs in it that are
+        words, in order, the letters and digits and the letters of all
+        its runs, the length of the run of sentence terminators it ends
+        in (0 if none), then, for a chunk that is one word, the word's
+        lemma, part of speech and syllables.  Other chunks have lemma and
+        pos None and 0 syllables.  Unknown words get pos=Other with the
+        lowercased surface as lemma.
 
-        A chunk that is one run reads its run row.  Other chunks of at
-        most CHUNK_LIMIT characters are kept in a table of at most
-        TABLE_CAP rows; the new chunks of a call are resolved together,
-        with one run_rows() call for all their runs.
+        A word is the chunk of its one run, so it reads its row here too.
         """
-        row_of = dict.fromkeys(chunks)
-        distinct = list(row_of)
-        rows = list(map(self._chunks.get, distinct, map(self._runs.get, distinct)))
-        if None in rows:
-            new = list(compress(distinct, map(not_, rows)))
-            # str.isalnum() is the run pattern's character class, so a
-            # chunk that passes it is one run without hyphens
-            is_plain = list(map(str.isalnum, new))
-            plain = list(compress(new, is_plain))
-            other = list(compress(new, map(not_, is_plain)))
-            found = list(map(_RUN_RE.findall, other))
-            # the plain chunks are distinct, so their rows lead
-            runs = list(dict.fromkeys(chain(plain, chain.from_iterable(found))))
-            rows_of_runs = self.run_rows(runs)
-            row_of.update(zip(plain, rows_of_runs))
-            row_of_run = dict(zip(runs, rows_of_runs))
-            table = self._chunks
-            for chunk, chunk_runs in zip(other, found):
-                if chunk_runs == [chunk]:  # a hyphenated run
-                    row_of[chunk] = row_of_run[chunk]
-                    continue
-                if len(chunk_runs) == 1:
-                    words, chars, letters = row_of_run[chunk_runs[0]][:3]
-                else:
-                    parts = list(map(row_of_run.__getitem__, chunk_runs))
-                    words = tuple(chain.from_iterable(map(itemgetter(0), parts)))
-                    chars, letters = sum(map(itemgetter(1), parts)), sum(map(itemgetter(2), parts))
-                row_of[chunk] = row = (words, chars, letters,
-                                       len(chunk) - len(chunk.rstrip(SENTENCE_TERMINATORS)))
-                if len(chunk) <= CHUNK_LIMIT and len(table) < TABLE_CAP:
-                    table[chunk] = row
-        row_of.update(compress(zip(distinct, rows), rows))
-        return list(map(row_of.__getitem__, chunks))
+        return table_rows(self._rows, chunks, self._resolve)
+
+    def _resolve(self, chunk: str) -> tuple:
+        runs = _RUN_RE.findall(chunk)
+        if runs != [chunk]:
+            parts = self.rows(runs)
+            return (tuple(chain.from_iterable(map(itemgetter(0), parts))),
+                    sum(map(itemgetter(1), parts)), sum(map(itemgetter(2), parts)),
+                    len(chunk) - len(chunk.rstrip(SENTENCE_TERMINATORS)), None, None, 0)
+        chars = len(chunk) - chunk.count("-")
+        if not _is_word(chunk):
+            return ((), chars, sum(map(str.isalpha, chunk)), 0, None, None, 0)
+        lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
+        return ((chunk,), chars, chars, 0, lemma, pos, count_syllables(chunk))
 
 
 class DictionaryMorphology(MorphologyProvider):
@@ -389,10 +359,9 @@ class AnalyzedText:
     token in text order; sentences holds (first_token,
     one_past_last_token) ranges into it, and sentence_symbols the
     non-whitespace character count of each sentence span, punctuation
-    included.  text is the analyzed text after normalize_text().
+    included.
     """
 
-    text: str
     tokens: list[int]
     surfaces: list[str]
     lemmas: list[str]
@@ -419,23 +388,22 @@ def analyze(text: str, morphology: MorphologyProvider,
     """Run the full pipeline: sentences, tokens, syllables, morphology.
 
     The text is read through normalize_text() and cut into chunks at
-    whitespace.  Each chunk's row, read from the morphology provider's
-    tables, gives its word runs, counts and trailing terminator run; each
+    whitespace.  Each chunk's row, read from MorphologyProvider.rows(),
+    gives its word runs, counts and trailing terminator run; each
     distinct word's row gives its lemma, part of speech and syllables.
     Unknown surfaces fall back to pos=Other with the lowercased surface
     as lemma.  Sentences end where split_sentences() ends them.  Sentences
     without tokens are dropped, so every token belongs to exactly one
     sentence, but their symbols still count toward symbol_count.
     """
-    text = normalize_text(text)
-    chunks = text.split()
-    rows = morphology.chunk_rows(chunks)
+    chunks = normalize_text(text).split()
+    rows = morphology.rows(chunks)
     words_of_chunks = list(map(itemgetter(0), rows))
     words = list(chain.from_iterable(words_of_chunks))
     word_counts = Counter(words)
     surfaces = list(word_counts)
     type_of = dict(zip(surfaces, count()))
-    types = morphology.run_rows(surfaces)
+    types = morphology.rows(surfaces)
     token_ends = list(accumulate(map(len, words_of_chunks)))
     symbol_ends = list(accumulate(map(len, chunks)))
     sentences, sentence_symbols = [], []
@@ -449,7 +417,7 @@ def analyze(text: str, morphology: MorphologyProvider,
                 sentence_symbols.append(last_symbol - first_symbol)
             first_token, first_symbol = last_token, last_symbol
     return AnalyzedText(
-        text=text, tokens=list(map(type_of.__getitem__, words)), surfaces=surfaces,
+        tokens=list(map(type_of.__getitem__, words)), surfaces=surfaces,
         lemmas=list(map(itemgetter(4), types)), pos=list(map(itemgetter(5), types)),
         syllables=list(map(itemgetter(6), types)),
         counts=list(word_counts.values()),

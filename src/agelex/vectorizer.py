@@ -29,15 +29,13 @@ def preprocess(text: str, morphology: MorphologyProvider,
 
     Steps, in order: drop non-word characters (tokenization), lowercase,
     lemmatize, remove stop words.  Unknown forms keep their lowercased
-    surface as lemma.  The words are read from the morphology provider's
-    chunk table and their lemmas from its run table, the tables analyze()
-    reads, so the words are the tokens of analyze() and tokenize().
+    surface as lemma.  The words and their lemmas are read from the
+    morphology provider's rows, as analyze() reads them, so the words
+    are the tokens of analyze() and tokenize().
     """
-    rows = morphology.chunk_rows(normalize_text(text).split())
+    rows = morphology.rows(normalize_text(text).split())
     words = list(chain.from_iterable(map(itemgetter(0), rows)))
-    surfaces = list(dict.fromkeys(words))
-    lemma_of = dict(zip(surfaces, map(itemgetter(4), morphology.run_rows(surfaces))))
-    return [lemma for lemma in map(lemma_of.__getitem__, words) if lemma not in stopwords]
+    return [lemma for lemma in map(itemgetter(4), morphology.rows(words)) if lemma not in stopwords]
 
 
 def fragment(lemmas: list[str], limit: int = FRAGMENT_LIMIT) -> list[str]:

@@ -468,6 +468,13 @@ class TestGrid:
         assert all(r[0] == "lsvc" for r in rows[1:])
         assert "18 conditions x 1 models" in capsys.readouterr().out
 
+    def test_empty_model_list_is_an_error(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["grid", "--corpus", str(corpus_file), "--out", str(out), "--models", ","])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "grid.tsv").exists()
+
     def test_needs_test_split(self, tmp_path, capsys):
         corpus = make_corpus(n_children=4, n_adult=4, seed=1, test_fraction=0.0)
         path = tmp_path / "train_only.jsonl"

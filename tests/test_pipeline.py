@@ -10,7 +10,7 @@ import agelex.pipeline as pipeline
 from agelex.analysis import metrics
 from agelex.cli import main
 from agelex.corpus import Corpus, Label, Split, write_corpus
-from agelex.errors import ArtifactError
+from agelex.errors import ArtifactError, ConfigError
 from agelex.models import load_model, save_model
 from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainedPipeline,
                              TrainSettings, grid_conditions, label_to_int, run_grid,
@@ -93,6 +93,12 @@ def test_grid_fits_each_tfidf_once_and_transforms_each_document_once(corpus, gri
     _, calls = grid
     assert calls["fit_tfidf"] == 2
     assert calls["transform"] == 2 * len(corpus)
+
+
+@pytest.mark.parametrize("kinds", [(), ("lsvc", "svm")])
+def test_grid_rejects_an_empty_or_unknown_model_list(corpus, resources, kinds):
+    with pytest.raises(ConfigError, match="model kind"):
+        run_grid(corpus, resources, kinds, SETTINGS)
 
 
 def test_shared_cache_trains_what_a_fresh_cache_trains(corpus, resources):

@@ -1,22 +1,55 @@
-"""Resources and the per-type tables it keeps: run and chunk tables on
-the morphology provider and a (lemma, pos) table on its Lexicon."""
+"""Resources and the per-type tables it keeps: a chunk table on the
+morphology provider and a (lemma, pos) table on its Lexicon."""
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import agelex.text_analysis as text_analysis
+from agelex.corpus import Document, Label
+from agelex.features import extract_all
 from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
+from agelex.text_analysis import DictionaryMorphology
 
 from test_features import TEXTS, outcome
 
 OTHER_TEXTS = [doc.text for doc in make_corpus(3, 3, seed=11)]
 
 
-def table_sizes(resources: Resources) -> tuple[int, int, int]:
-    return (len(resources.morphology._runs), len(resources.morphology._chunks),
-            len(resources.lexicon._rows))
+def table_sizes(resources: Resources) -> tuple[int, int]:
+    return len(resources.morphology._rows), len(resources.lexicon._rows)
+
+
+def key_texts(resources: Resources, table: str) -> list[str]:
+    """The chunks the morphology table keeps, or the lemmas of the
+    lexicon table's keys."""
+    if table == "morphology":
+        return list(resources.morphology._rows)
+    return [lemma for lemma, _ in resources.lexicon._rows]
+
+
+class CountingMorphology(DictionaryMorphology):
+    """The bundled dictionary, counting the keys its table resolves and
+    the surfaces analyze() is asked for."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.resolved, self.analyzed = Counter(), Counter()
+
+    def _resolve(self, chunk):
+        self.resolved[chunk] += 1
+        return super()._resolve(chunk)
+
+    def analyze(self, surface):
+        self.analyzed[surface] += 1
+        return super().analyze(surface)
+
+
+def counting_resources() -> Resources:
+    return dataclasses.replace(Resources.bundled(),
+                               morphology=CountingMorphology.load(BUNDLED_FILES["morphology"]))
 
 
 class TestTables:
@@ -38,9 +71,9 @@ class TestTables:
             full = fresh()
             for other in others + OTHER_TEXTS:
                 outcome(other, full)
-            assert table_sizes(full) == (cap, cap, cap)
+            assert table_sizes(full) == (cap, cap)
             assert outcome(text, full) == cold
-            assert table_sizes(full) == (cap, cap, cap)
+            assert table_sizes(full) == (cap, cap)
 
     def test_no_table_outgrows_the_cap(self, monkeypatch):
         monkeypatch.setattr(text_analysis, "TABLE_CAP", 25)
@@ -54,11 +87,49 @@ class TestTables:
 
     def test_chunk_table_keeps_no_long_chunk(self):
         limit = text_analysis.CHUNK_LIMIT
-        long_chunks = ["кот." * limit, "«" + "а" * limit + "»", "!" * (limit + 1)]
+        long_chunks = ["кот." * limit, "«" + "а" * limit + "»", "!" * (limit + 1), "ш" * 200]
         resources = Resources.load()
         outcome(" ".join(long_chunks + ["Кот,", "«Пёс»", "!" * limit]), resources)
-        assert set(resources.morphology._chunks) == {"Кот,", "«Пёс»", "!" * limit}
+        table = set(resources.morphology._rows)
+        assert {"Кот,", "«Пёс»", "!" * limit, "кот", "а" * limit} <= table
+        assert max(map(len, table)) <= limit
         assert outcome(" ".join(long_chunks), resources) == outcome(" ".join(long_chunks), Resources.load())
+
+    @pytest.mark.parametrize("table", ["morphology", "lexicon"])
+    def test_no_table_keeps_a_long_word(self, table):
+        resources = Resources.load()
+        for letter in "абв":
+            extract_all(Document(id="d", text=f"Кот видел {letter * 200_000}.", label=Label.CHILDREN),
+                        resources)
+        texts = key_texts(resources, table)
+        assert texts and max(map(len, texts)) <= text_analysis.CHUNK_LIMIT
+
+    def test_each_chunk_and_word_is_resolved_once_per_provider(self):
+        resources = counting_resources()
+        morphology = resources.morphology
+        outcome("Кот видел бармаглота. " + "бармаглота, " * 100, resources)
+        assert morphology.analyzed["бармаглота"] == 1
+        assert morphology.resolved["бармаглота,"] == morphology.resolved["бармаглота"] == 1
+        for text in OTHER_TEXTS + ["Кот видел бармаглота!"]:
+            outcome(text, resources)
+        assert max(morphology.resolved.values()) == 1
+        assert max(morphology.analyzed.values()) == 1
+        assert set(morphology.resolved) == set(morphology._rows)
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_a_full_table_resolves_each_chunk_once_per_call(self, monkeypatch, cap):
+        monkeypatch.setattr(text_analysis, "TABLE_CAP", cap)
+        text = "Кот видел бармаглота. " + "бармаглота, " * 100 + "ш" * 200 + "."
+        resources = counting_resources()
+        assert outcome(text, resources) == outcome(text, Resources.load())
+        morphology = resources.morphology
+        assert len(morphology._rows) == cap
+        chunks = text.split()
+        before = morphology.resolved.copy()
+        assert morphology.rows(chunks) == Resources.load().morphology.rows(chunks)
+        resolved = morphology.resolved - before
+        assert resolved["бармаглота,"] == resolved["ш" * 200 + "."] == 1
+        assert max(resolved.values()) <= 2  # a word in two new chunks
 
     def test_resources_from_different_frequency_files_share_no_rows(self, tmp_path):
         lines = BUNDLED_FILES["frequency"].read_text(encoding="utf-8").splitlines()
