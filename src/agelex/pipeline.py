@@ -10,8 +10,8 @@ experiment: a baseline bag-of-words model against every combination of
 added feature families and publishing attributes.
 
 Every document is read through a CorpusVectors, which analyzes it once
-and hands out its feature vector, warnings included, and its lemma
-sequence: training, batch prediction, single-text classification, the
+and hands out its feature vector, warnings included, and its tf-idf
+fragment: training, batch prediction, single-text classification, the
 grid and the command-line feature tables all read documents through it.
 It also keeps each tf-idf it fitted and each document's row under a
 tf-idf, so the grid fits one tf-idf per distinct training input and
@@ -33,7 +33,7 @@ from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel,
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScaler,
                          SvdModel, TfidfModel, augment_with_abstract, fit_minmax,
-                         fit_svd, fit_tfidf, fragment, preprocess)
+                         fit_svd, fit_tfidf, has_abstract, preprocess)
 
 MODEL_KINDS = ("rf", "lsvc")
 _COLUMN_OF = {name: i for i, name in enumerate(ALL_FEATURE_NAMES)}
@@ -73,9 +73,9 @@ class CorpusVectors:
     """The one place a Document becomes model inputs.
 
     Computes a document's 56-feature vector, with its extraction
-    warnings, and its preprocessed lemma sequence, with or without the
-    abstract appended, on first use and keeps them.  Entries are keyed by
-    the Document value itself, not its id (a scored batch may repeat an
+    warnings, and its first `limit` lemmas, with or without the abstract
+    appended, on first use and keeps them.  Entries are keyed by the
+    Document value itself, not its id (a scored batch may repeat an
     id with a different text) and not its text (equal previews with
     different metadata stay distinct), so one instance can be shared by
     every model trained and evaluated on the same documents.
@@ -89,7 +89,7 @@ class CorpusVectors:
     def __init__(self, resources: Resources):
         self.resources = resources
         self._features: dict[Document, FeatureVector] = {}
-        self._lemmas: dict[tuple[Document, bool], list[str]] = {}
+        self._fragments: dict[tuple[Document, bool, int], list[str]] = {}
         self._tfidfs: dict[tuple, TfidfModel] = {}
         self._rows: dict[tuple[TfidfModel, int, Document, bool], np.ndarray] = {}
 
@@ -108,31 +108,31 @@ class CorpusVectors:
         warning; documents never read for features are not counted."""
         return sum(warning in fv.warnings for fv in self._features.values())
 
-    def lemmas(self, doc: Document, use_abstract: bool) -> list[str]:
-        key = (doc, use_abstract and doc.abstract is not None)
-        if key not in self._lemmas:
+    def fragment(self, doc: Document, use_abstract: bool, limit: int) -> list[str]:
+        key = (doc, use_abstract and has_abstract(doc.abstract), limit)
+        if key not in self._fragments:
             text = augment_with_abstract(doc.text, doc.abstract) if key[1] else doc.text
-            self._lemmas[key] = preprocess(text, self.resources.morphology,
-                                           self.resources.stopwords)
-        return self._lemmas[key]
+            self._fragments[key] = preprocess(text, self.resources.morphology,
+                                              self.resources.stopwords, limit)
+        return self._fragments[key]
 
     def tfidf(self, docs: list[Document], use_abstract: bool, limit: int,
               max_terms: int) -> TfidfModel:
         """The tf-idf fitted on the documents' first `limit` lemmas."""
-        key = (tuple(docs), use_abstract and any(d.abstract is not None for d in docs),
+        key = (tuple(docs), use_abstract and any(has_abstract(d.abstract) for d in docs),
                limit, max_terms)
         if key not in self._tfidfs:
             self._tfidfs[key] = fit_tfidf(
-                [fragment(self.lemmas(doc, use_abstract), limit) for doc in docs], max_terms)
+                [self.fragment(doc, use_abstract, limit) for doc in docs], max_terms)
         return self._tfidfs[key]
 
     def tfidf_matrix(self, tfidf: TfidfModel, docs: list[Document], use_abstract: bool,
                      limit: int) -> np.ndarray:
         """One tf-idf row per document of its first `limit` lemmas."""
-        keys = [(tfidf, limit, doc, use_abstract and doc.abstract is not None) for doc in docs]
+        keys = [(tfidf, limit, doc, use_abstract and has_abstract(doc.abstract)) for doc in docs]
         missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
         if missing:
-            rows = tfidf.transform_many([fragment(self.lemmas(doc, flag), limit)
+            rows = tfidf.transform_many([self.fragment(doc, flag, limit)
                                          for _, _, doc, flag in missing])
             self._rows.update(zip(missing, rows))
         return np.array([self._rows[key] for key in keys])
@@ -229,11 +229,9 @@ class TrainedPipeline:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedPipeline":
-        recipe = Recipe(
-            use_tfidf=bool(payload["recipe"]["use_tfidf"]),
-            families=tuple(payload["recipe"]["families"]),
-            use_abstract=bool(payload["recipe"]["use_abstract"]),
-        )
+        entry = payload["recipe"]
+        recipe = Recipe(use_tfidf=bool(entry["use_tfidf"]), families=tuple(entry["families"]),
+                        use_abstract=bool(entry["use_abstract"]))
         stored_schema = payload["feature_schema"]
         if recipe.families and stored_schema != schema_hash():
             raise ArtifactError(
@@ -265,17 +263,13 @@ class TrainedPipeline:
         )
         model = model_cls.from_json_dict(model_entry["payload"])
         _check_widths(recipe, tfidf, scaler, svd, model)
-        return cls(
-            recipe=recipe,
-            model_kind=str(payload["model_kind"]),
-            model=model,
-            scaler=scaler,
-            tfidf=tfidf,
-            svd=svd,
-            feature_schema=stored_schema,
-            fragment_limit=int(payload["fragment_limit"]),
-            seed=int(payload["seed"]),
-        )
+        limit, seed = payload["fragment_limit"], payload["seed"]
+        if type(limit) is not int or limit < 1 or type(seed) is not int:  # no bool, float or str
+            raise ArtifactError(f"fragment_limit must be an integer of at least 1 and seed an "
+                                f"integer, got {limit!r} and {seed!r}")
+        return cls(recipe=recipe, model_kind=str(payload["model_kind"]), model=model,
+                   scaler=scaler, tfidf=tfidf, svd=svd, feature_schema=stored_schema,
+                   fragment_limit=limit, seed=seed)
 
 
 def _check_widths(recipe: Recipe, tfidf: TfidfModel | None, scaler: MinMaxScaler,
@@ -332,6 +326,8 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
     settings = settings or TrainSettings()
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}; known: {list(MODEL_KINDS)}")
+    if settings.fragment_limit < 1:
+        raise ConfigError(f"fragment limit must be positive, got {settings.fragment_limit}")
     train_docs = corpus.subset(Split.TRAIN)
     if not train_docs:
         raise ConfigError("corpus has no training documents")

@@ -1,9 +1,9 @@
 """Bag-of-words vectorization and numeric conditioning.
 
-Covers the lemma preprocessing chain, fragment truncation, a smoothed
-tf-idf weighter fitted on training fragments only, min-max scaling with
-training extrema, and a truncated SVD that keeps the smallest basis
-explaining at least the requested share of variance.
+Covers the lemma chain, which reads only as much of a preview, then its
+abstract, as its first fragment_limit lemmas need, a smoothed tf-idf
+fitted on training fragments only, min-max scaling with training extrema
+and a truncated SVD keeping the smallest basis that reaches its target.
 """
 from __future__ import annotations
 
@@ -24,34 +24,38 @@ SVD_TARGET = 0.95
 
 
 def preprocess(text: str, morphology: MorphologyProvider,
-               stopwords: frozenset[str]) -> list[str]:
-    """Turn raw text into a lemma sequence.
-
-    Steps, in order: drop non-word characters (tokenization), lowercase,
-    lemmatize, remove stop words.  Unknown forms keep their lowercased
-    surface as lemma.  The words and their lemmas are read from the
-    morphology provider's rows, as analyze() reads them, so the words
-    are the tokens of analyze() and tokenize().
+               stopwords: frozenset[str], limit: int) -> list[str]:
+    """The fragment of a text: the first `limit` lemmas of its words,
+    lowercased, lemmatized (unknown forms keep their lowercased surface)
+    and minus stop words, read from the morphology provider's rows as
+    analyze() reads them.  Whitespace chunks are read from the start in
+    rounds, 2 * limit and then twice as many each round, until the
+    fragment is full or the text ends; normalize_text() never creates,
+    removes or composes across whitespace, so it runs on them alone.
     """
-    rows = morphology.rows(normalize_text(text).split())
-    words = list(chain.from_iterable(map(itemgetter(0), rows)))
-    return [lemma for lemma in map(itemgetter(4), morphology.rows(words)) if lemma not in stopwords]
-
-
-def fragment(lemmas: list[str], limit: int = FRAGMENT_LIMIT) -> list[str]:
-    """First min(len, limit) lemmas; the rest of the preview is ignored
-    by the bag-of-words path."""
-    if limit <= 0:
+    if limit < 1:
         raise VectorizerError(f"fragment limit must be positive, got {limit}")
-    return list(lemmas[:limit])
+    lemmas, rest, n = [], text, 2 * limit
+    while rest and len(lemmas) < limit:
+        chunks = rest.split(None, n)
+        rest = chunks.pop() if len(chunks) > n else ""
+        rows = morphology.rows(normalize_text(" ".join(chunks)).split())
+        words = list(chain.from_iterable(map(itemgetter(0), rows)))
+        lemmas += [lemma for lemma in map(itemgetter(4), morphology.rows(words))
+                   if lemma not in stopwords]
+        n *= 2
+    return lemmas[:limit]
+
+
+def has_abstract(abstract: str | None) -> bool:
+    """A missing, empty or whitespace-only abstract is none."""
+    return bool(abstract and not abstract.isspace())
 
 
 def augment_with_abstract(preview: str, abstract: str | None) -> str:
     """Join preview and abstract with a single space; documents without
     an abstract pass through unchanged."""
-    if abstract is None or not abstract.strip():
-        return preview
-    return preview + " " + abstract
+    return preview + " " + abstract if has_abstract(abstract) else preview
 
 
 @dataclass(eq=False)

@@ -329,6 +329,14 @@ class TestTrainEvaluate:
         assert rc == 1
         assert "error: fragment limit must be positive" in capsys.readouterr().err
 
+    def test_fragment_limit_must_be_positive_without_tfidf(self, tmp_path, corpus_file, capsys):
+        # the limit is saved in the artifact even when no tf-idf reads it
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--no-tfidf", "--features", "general", "--fragment-limit", "0"])
+        assert rc == 1
+        assert "error: fragment limit must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model_rf.json").exists()
+
     def test_unknown_family_rejected(self, tmp_path, corpus_file, capsys):
         rc = main(["train", "--corpus", str(corpus_file),
                    "--out", str(tmp_path / "o"), "--features", "bogus"])

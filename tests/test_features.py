@@ -245,7 +245,8 @@ def bits(values):
 
 def outcome(text, resources):
     """Every feature value bit for bit and the warnings, or None when
-    extraction finds no tokens, then the analysis and preprocess lemmas."""
+    extraction finds no tokens, then the analysis lemmas and the whole
+    preprocess lemma chain (a text holds fewer tokens than characters)."""
     try:
         fv = extract_all(Document(id="d", text=text, label=Label.CHILDREN), resources)
         features = (bits(fv.values), fv.warnings)
@@ -253,7 +254,7 @@ def outcome(text, resources):
         features = None
     t = analyze(text, resources.morphology, resources.abbreviations)
     return (features, [t.lemmas[i] for i in t.tokens],
-            preprocess(text, resources.morphology, resources.stopwords))
+            preprocess(text, resources.morphology, resources.stopwords, len(text) + 1))
 
 
 class TestAgainstTokenReference:

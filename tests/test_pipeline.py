@@ -17,7 +17,7 @@ from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainedPipeline
                              train_pipeline)
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
-from agelex.vectorizer import TfidfModel
+from agelex.vectorizer import FRAGMENT_LIMIT, TfidfModel
 
 SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
 
@@ -39,7 +39,7 @@ def count_analysis(monkeypatch, names=("extract_all", "preprocess")) -> Counter:
 
 @pytest.fixture(scope="module")
 def corpus():
-    # every third document has no abstract, so its lemmas with and
+    # every third document has no abstract, so its fragments with and
     # without the abstract are the same sequence
     docs = make_corpus(n_children=10, n_adult=10, seed=11).documents
     return Corpus([replace(d, abstract=None) if i % 3 == 0 else d
@@ -156,23 +156,30 @@ def test_equal_texts_with_different_ids_are_each_analyzed(corpus, resources, mon
     vectors = CorpusVectors(resources)
     for d in (doc, twin, doc, twin):
         vectors.features(d)
-        vectors.lemmas(d, use_abstract=False)
+        vectors.fragment(d, False, FRAGMENT_LIMIT)
     assert calls == {"extract_all": 2, "preprocess": 2}
     assert vectors.features(doc) == vectors.features(twin)
 
 
 @pytest.mark.parametrize("heuristic", [False, True])
 def test_preview_lemmas_are_the_analysis_lemmas(resources, heuristic_resources, heuristic):
-    # the tf-idf lemmas of a preview are the stopword-filtered lemma
-    # column of its feature analysis, so one analysis could feed both
+    # the tf-idf fragment of a preview is the head of the stopword-
+    # filtered lemma column of its feature analysis, so one analysis
+    # could feed both; joined previews hold more than 256 lemmas
     res = heuristic_resources if heuristic else resources
     docs = make_corpus(20, 20, seed=3, resources=resources).documents
     docs = docs + [replace(docs[0], id="oov", text="Qwerty КРАСИВЫЙ бежать. Zzz-Yyy Маша РАДОСТЬ!")]
+    docs = docs + [replace(docs[i], id=f"joined{i}", text=" ".join(d.text for d in docs[i:i + n]))
+                   for i, n in ((0, 5), (3, 12), (20, 40))]
     vectors = CorpusVectors(res)
+    longest = 0
     for doc in docs:
         t = analyze(doc.text, res.morphology, res.abbreviations)
-        lemmas = [t.lemmas[i] for i in t.tokens]
-        assert vectors.lemmas(doc, False) == [l for l in lemmas if l not in res.stopwords], doc.id
+        lemmas = [l for l in (t.lemmas[i] for i in t.tokens) if l not in res.stopwords]
+        longest = max(longest, len(lemmas))
+        for limit in (1, 7, FRAGMENT_LIMIT, 2000):
+            assert vectors.fragment(doc, False, limit) == lemmas[:limit], (doc.id, limit)
+    assert longest > 2000
 
 
 def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
@@ -180,10 +187,10 @@ def test_repeated_id_with_another_text_is_not_merged(corpus, resources):
     impostor = replace(second, id=first.id)
     vectors = CorpusVectors(resources)
     vectors.features(first)
-    vectors.lemmas(first, use_abstract=True)
+    vectors.fragment(first, True, FRAGMENT_LIMIT)
     assert vectors.features(impostor) == CorpusVectors(resources).features(second)
-    assert vectors.lemmas(impostor, use_abstract=True) == \
-        CorpusVectors(resources).lemmas(second, use_abstract=True)
+    assert vectors.fragment(impostor, True, FRAGMENT_LIMIT) == \
+        CorpusVectors(resources).fragment(second, True, FRAGMENT_LIMIT)
 
 
 def test_documents_hash_by_value_and_differ_by_label_and_split(corpus, resources, monkeypatch):
@@ -196,7 +203,7 @@ def test_documents_hash_by_value_and_differ_by_label_and_split(corpus, resources
     vectors = CorpusVectors(resources)
     for d in (doc, twin, relabeled, moved, relabeled, twin):
         vectors.features(d)
-        vectors.lemmas(d, use_abstract=False)
+        vectors.fragment(d, False, FRAGMENT_LIMIT)
     assert calls == {"extract_all": 3, "preprocess": 3}
 
 
@@ -269,6 +276,45 @@ def test_pipeline_width_mismatch_rejected(saved_pipelines, tmp_path, case):
     with pytest.raises(ArtifactError) as excinfo:
         load_model(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fragment_limit", 0), ("fragment_limit", -3), ("fragment_limit", 2.7),
+    ("fragment_limit", 2.0), ("fragment_limit", True), ("fragment_limit", "12"),
+    ("fragment_limit", None), ("seed", 1.5), ("seed", False), ("seed", "7"),
+])
+def test_pipeline_integers_must_be_json_integers(saved_pipelines, tmp_path, key, value):
+    # read as int() they would load as another value, or a limit that
+    # classify rejects
+    payload = json.loads(saved_pipelines["lsvc"].read_text(encoding="utf-8"))
+    payload["model"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="fragment_limit must be an integer of at least 1 "
+                                            "and seed an integer") as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
+    recipe = Recipe(use_tfidf=False, families=("general",))
+    with pytest.raises(ConfigError, match="fragment limit must be positive"):
+        train_pipeline(corpus, resources, recipe, "rf", replace(SETTINGS, fragment_limit=0))
+
+
+def test_blank_abstract_is_no_abstract(corpus, resources, monkeypatch):
+    # a whitespace-only abstract is read as none: the same fragment and,
+    # when no document has another, the same tf-idf
+    docs = [replace(d, abstract=" \u3000\n") for d in corpus.subset(Split.TRAIN)]
+    calls = count_analysis(monkeypatch, ("preprocess", "fit_tfidf"))
+    vectors = CorpusVectors(resources)
+    plain = vectors.tfidf(docs, False, FRAGMENT_LIMIT, 100)
+    assert vectors.tfidf(docs, True, FRAGMENT_LIMIT, 100) is plain
+    assert vectors.fragment(docs[0], True, FRAGMENT_LIMIT) is \
+        vectors.fragment(docs[0], False, FRAGMENT_LIMIT)
+    assert np.array_equal(vectors.tfidf_matrix(plain, docs, True, FRAGMENT_LIMIT),
+                          vectors.tfidf_matrix(plain, docs, False, FRAGMENT_LIMIT))
+    assert calls == {"preprocess": len(docs), "fit_tfidf": 1}
 
 
 @pytest.mark.parametrize("corrupt, message", [

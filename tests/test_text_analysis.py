@@ -1,4 +1,6 @@
 """Tokenizer, sentence splitter, syllable counter and morphology."""
+import functools
+import itertools
 import re
 import time
 import unicodedata
@@ -13,7 +15,8 @@ from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   Pos, analyze, count_syllables,
                                   load_abbreviations, normalize_text,
                                   split_sentences, tokenize)
-from agelex.vectorizer import preprocess
+from agelex.synthetic import make_corpus
+from agelex.vectorizer import FRAGMENT_LIMIT, augment_with_abstract, preprocess
 
 from oracles import reference_preprocess
 from test_features import TEXTS, WHITESPACE, reference_analyze
@@ -83,6 +86,18 @@ _WORDS = (st.sampled_from(sorted(ABBREVIATIONS))
 SENTENCE_PIECES = st.tuples(st.text(alphabet="-_1²İД ", max_size=2), _WORDS,
                             st.sampled_from([".", ".", "..", "!", "?!", "…", ""]),
                             st.sampled_from([" ", " ", "  ", "\n", "\u00a0", ""])).map("".join)
+
+
+# runs of whitespace and stress marks, and joined corpus previews
+_SPACES_AND_ACCENTS = st.lists(st.sampled_from(WHITESPACE + ["\u0301", "\u0300", "е\u0300"]),
+                               min_size=1, max_size=4).map("".join)
+_PREVIEWS = st.lists(st.integers(0, 39), min_size=1, max_size=60).map(
+    lambda picks: " ".join(corpus_previews()[i].text for i in picks))
+
+
+@functools.cache
+def corpus_previews():
+    return make_corpus(20, 20, seed=3).documents
 
 
 def best_seconds(run, repeats):
@@ -236,6 +251,26 @@ class TestChunks:
         text = self.ALL_CHARACTERS
         assert re.findall(r"[^\W_]", text) == list(filter(str.isalnum, text))
 
+    def test_normalizing_never_crosses_whitespace(self):
+        # Every whitespace character is a starter whose decomposition is
+        # one whitespace character, and no other character decomposes to
+        # anything holding whitespace.  So normalize_text() keeps each
+        # whitespace character whitespace, makes none, and never reorders
+        # or composes across it (a composite holds whitespace in its
+        # decomposition only if it is whitespace, and whitespace
+        # decomposes to one character, which composes with nothing).
+        # preprocess() may therefore normalize only the chunks it reads.
+        text = self.ALL_CHARACTERS
+        for ch in filter(str.isspace, text):
+            decomposed = unicodedata.normalize("NFD", ch)
+            assert unicodedata.combining(ch) == 0 and len(decomposed) == 1 \
+                and decomposed.isspace(), hex(ord(ch))
+        others = "".join(ch for ch in text if not ch.isspace())
+        assert not any(map(str.isspace, unicodedata.normalize("NFD", others)))
+        # the same, read as whole texts: every character between spaces
+        assert (normalize_text(" ".join(text)).split()
+                == list(itertools.chain.from_iterable(normalize_text(ch).split() for ch in text)))
+
     @settings(max_examples=300)
     @given(st.lists(st.tuples(SENTENCE_PIECES, st.sampled_from(WHITESPACE + [""])).map("".join),
                     max_size=12).map("".join),
@@ -257,20 +292,60 @@ class TestChunks:
     def test_preprocess_is_the_tokenize_lemma_chain(self, heuristic, text, resources,
                                                     heuristic_resources):
         res = heuristic_resources if heuristic else resources
-        assert (preprocess(text, res.morphology, res.stopwords)
+        # a text holds fewer tokens than characters, so this limit keeps
+        # the whole lemma chain
+        assert (preprocess(text, res.morphology, res.stopwords, len(text) + 1)
                 == reference_preprocess(text, res.morphology, res.stopwords))
 
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(TEXTS | _SPACES_AND_ACCENTS | _PREVIEWS, max_size=8),
+           with_abstract=st.booleans(), limit=st.integers(1, 300))
+    @example(parts=["и " * 700, "Кот\u2028ма\u0301ма"], with_abstract=True, limit=300)
+    @example(parts=["\u0301 \u0300 е\u0300", "\u3000" * 3, "кот"], with_abstract=False, limit=1)
+    def test_fragment_is_the_head_of_the_lemma_chain(self, heuristic, parts, with_abstract,
+                                                     limit, resources, heuristic_resources):
+        # the chunks read in rounds, joined previews and their abstracts
+        # included, give the first lemmas of the whole chain
+        res = heuristic_resources if heuristic else resources
+        abstract = corpus_previews()[len(parts)].abstract if with_abstract else None
+        text = augment_with_abstract("".join(parts), abstract)
+        assert (preprocess(text, res.morphology, res.stopwords, limit)
+                == reference_preprocess(text, res.morphology, res.stopwords)[:limit])
+
+    def test_fragment_cost_does_not_grow_with_the_preview(self, resources):
+        # the 256-lemma fragment of a 20,000-token preview reads about as
+        # much of it as the fragment of a 2,000-token one
+        def preview(tokens):
+            texts = []
+            for doc in itertools.cycle(corpus_previews()):
+                texts.append(doc.text)
+                tokens -= len(doc.text.split())
+                if tokens <= 0:
+                    return " ".join(texts)
+
+        def read(text):
+            return lambda: preprocess(text, resources.morphology, resources.stopwords,
+                                      FRAGMENT_LIMIT)
+
+        short, long = preview(2_000), preview(20_000)
+        assert read(short)() == read(long)()
+        assert best_seconds(read(long), 20) / best_seconds(read(short), 20) < 2
+
     @pytest.mark.parametrize("make", [lambda n: "кот." * n, lambda n: "а-" * n + "1-а.",
-                                      lambda n: "!?…" * n],
-                             ids=["glued-line", "hyphen-chain", "punctuation-run"])
+                                      lambda n: "!?…" * n, lambda n: "и " * n],
+                             ids=["glued-line", "hyphen-chain", "punctuation-run",
+                                  "stopword-chunks"])
     def test_cost_grows_linearly(self, resources, make):
         # eight times the text takes about eight times as long; searching
         # the whole hyphen chain for the word before its final period
-        # takes about 64 times as long
+        # takes about 64 times as long.  A fragment of stop words reads
+        # the whole text, in rounds.
         def read(n):
             text = make(n)
             return lambda: (analyze(text, resources.morphology, resources.abbreviations),
-                            preprocess(text, resources.morphology, resources.stopwords))
+                            preprocess(text, resources.morphology, resources.stopwords,
+                                       FRAGMENT_LIMIT))
 
         once = best_seconds(read(2000), 5)
         assert best_seconds(read(16000), 3) / once < 24

@@ -8,41 +8,49 @@ from hypothesis.extra.numpy import arrays
 
 from agelex.errors import VectorizerError
 from agelex.vectorizer import (augment_with_abstract, fit_minmax, fit_svd,
-                               fit_tfidf, fragment, preprocess)
+                               fit_tfidf, has_abstract, preprocess)
 
 
 class TestPreprocess:
+    # each text holds fewer tokens than the limit of 256, so the
+    # fragment is the whole lemma chain
     def test_lemmatization_chain(self, resources):
-        assert preprocess("Кот спит!", resources.morphology, frozenset()) == ["кот", "спать"]
+        assert preprocess("Кот спит!", resources.morphology, frozenset(), 256) == ["кот", "спать"]
 
     def test_stopwords_removed_after_lemmatization(self, resources):
-        out = preprocess("Кот спит!", resources.morphology, frozenset({"спать"}))
+        out = preprocess("Кот спит!", resources.morphology, frozenset({"спать"}), 256)
         assert out == ["кот"]
 
     def test_only_stopwords_empty(self, resources):
-        lemmas = preprocess("Кот", resources.morphology, frozenset({"кот"}))
+        lemmas = preprocess("Кот", resources.morphology, frozenset({"кот"}), 256)
         assert lemmas == []
 
     def test_case_folding_before_lookup(self, resources):
-        assert preprocess("КОТ кот", resources.morphology, frozenset()) == ["кот", "кот"]
+        assert preprocess("КОТ кот", resources.morphology, frozenset(), 256) == ["кот", "кот"]
 
     def test_unknown_forms_keep_surface(self, resources):
-        assert preprocess("Qzqz", resources.morphology, frozenset()) == ["qzqz"]
+        assert preprocess("Qzqz", resources.morphology, frozenset(), 256) == ["qzqz"]
 
 
 class TestFragment:
-    def test_truncates_to_limit(self):
-        assert fragment(["x"] * 300, 256) == ["x"] * 256
+    def test_truncates_to_limit(self, resources):
+        assert preprocess("кот " * 300, resources.morphology, frozenset(), 256) == ["кот"] * 256
 
-    def test_short_input_unchanged(self):
-        assert fragment(list("abcdefghij"), 256) == list("abcdefghij")
+    def test_short_input_unchanged(self, resources):
+        text = "а б в г д е ж з и к"
+        assert preprocess(text, resources.morphology, frozenset(), 256) == text.split()
 
-    def test_empty_input(self):
-        assert fragment([], 256) == []
+    def test_empty_input(self, resources):
+        assert preprocess("", resources.morphology, frozenset(), 256) == []
 
-    def test_non_positive_limit_rejected(self):
-        with pytest.raises(VectorizerError):
-            fragment(["x"], 0)
+    def test_non_positive_limit_rejected(self, resources):
+        for text in ("кот", ""):
+            with pytest.raises(VectorizerError, match="fragment limit"):
+                preprocess(text, resources.morphology, frozenset(), 0)
+
+    def test_stopwords_do_not_count_toward_the_limit(self, resources):
+        text = "и и и кот " * 400
+        assert preprocess(text, resources.morphology, frozenset({"и"}), 300) == ["кот"] * 300
 
 
 class TestAbstractAugmentation:
@@ -54,6 +62,12 @@ class TestAbstractAugmentation:
 
     def test_blank_abstract_passthrough(self):
         assert augment_with_abstract("p", "   ") == "p"
+
+    @pytest.mark.parametrize("abstract,expected", [
+        (None, False), ("", False), ("   ", False), ("\u3000\n", False), ("a", True), (" a ", True)])
+    def test_has_abstract_is_the_augmentation_test(self, abstract, expected):
+        assert has_abstract(abstract) is expected
+        assert (augment_with_abstract("p", abstract) != "p") is expected
 
 
 class TestTfidf:
