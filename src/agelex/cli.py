@@ -4,10 +4,10 @@ Commands: ingest, stats, extract, train, evaluate, grid, informativeness,
 correlations, classify.  Options can come from a key = value config file
 (--config); explicit flags win over the file, the file wins over builtin
 defaults.  The training defaults are TrainSettings' and the resource
-defaults are the bundled files.  Before doing any work every command
-prints its settings block: its corpus and every setting it declares, as
-parsed from its flags.  Outputs land under --out; all errors go to stderr
-with exit code 1.
+defaults are the bundled files.  Each command declares only the settings
+that can change what it writes or prints, and before doing any work it
+prints them as its settings block, its corpus among them.  Outputs land
+under --out; all errors go to stderr with exit code 1.
 """
 from __future__ import annotations
 
@@ -26,32 +26,49 @@ from .pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
                        TrainedPipeline, grid_conditions, label_to_int,
                        run_grid, train_pipeline)
 from .resources import BUNDLED_FILES, Resources
-
-_SPLITS = ("train", "test", "all")
+from .text_analysis import load_abbreviations
 
 # option name -> TrainSettings field
 _TRAIN_FIELDS = {"seed": "seed", "c": "svc_c", "epochs": "svc_max_epochs",
                  "tolerance": "svc_tolerance", "trees": "n_trees",
                  "max_terms": "max_terms", "fragment_limit": "fragment_limit",
                  "svd": "svd", "svd_target": "svd_target"}
+_TRAIN = TrainSettings()
 
-# builtin defaults for options that may also come from a config file
-_DEFAULTS = {
-    **{opt: getattr(TrainSettings(), field) for opt, field in _TRAIN_FIELDS.items()},
-    **dict.fromkeys(BUNDLED_FILES),
-    "out": "out",
-    "model": "lsvc",
-    "features": "none",
-    "tfidf": True,
-    "abstracts": False,
-    "intervals": DEFAULT_INTERVALS,
-    "families": ",".join(QUANTITATIVE_FAMILIES),
-    "split": "train",
-    "models": ",".join(MODEL_KINDS),
-    "test_fraction": None,
-    "heuristic_morph": False,
-    "positive_class": "children",
+# setting -> (builtin default, keywords of its --flag).  A config file may
+# set any of them but corpus, and its values go through the same type and
+# choices as the flag's.
+_SETTINGS = {
+    "corpus": (None, {"required": True}),
+    "out": ("out", {}),
+    "seed": (_TRAIN.seed, {"type": int}),
+    "test_fraction": (None, {"type": float}),
+    **{key: (None, {}) for key in BUNDLED_FILES},
+    "heuristic_morph": (False, {"action": "store_const", "const": True}),
+    "svd": (_TRAIN.svd, {"choices": ("auto", "on", "off")}),
+    "svd_target": (_TRAIN.svd_target, {"type": float}),
+    "c": (_TRAIN.svc_c, {"type": float}),
+    "epochs": (_TRAIN.svc_max_epochs, {"type": int, "help": "LSVC Newton iteration cap"}),
+    "tolerance": (_TRAIN.svc_tolerance, {"type": float, "help": "LSVC gradient-norm tolerance"}),
+    "trees": (_TRAIN.n_trees, {"type": int}),
+    "max_terms": (_TRAIN.max_terms, {"type": int}),
+    "fragment_limit": (_TRAIN.fragment_limit, {"type": int}),
+    "model": ("lsvc", {"choices": MODEL_KINDS}),
+    "features": ("none", {"help": "comma-separated families, 'all' or 'none'"}),
+    "tfidf": (True, {"action": argparse.BooleanOptionalAction}),
+    "abstracts": (False, {"action": argparse.BooleanOptionalAction}),
+    "positive_class": ("children", {"choices": tuple(label.value for label in Label)}),
+    "split": ("train", {"choices": ("train", "test", "all")}),
+    "models": (",".join(MODEL_KINDS), {"help": "comma-separated model kinds (rf,lsvc)"}),
+    "intervals": (DEFAULT_INTERVALS, {"type": int}),
+    "families": (",".join(QUANTITATIVE_FAMILIES), {}),
 }
+_DEFAULTS = {key: default for key, (default, _) in _SETTINGS.items() if key != "corpus"}
+
+_RESOURCES = (*BUNDLED_FILES, "heuristic_morph")
+# only the tf-idf reads the stopwords
+_FEATURE_RESOURCES = tuple(key for key in _RESOURCES if key != "stopwords")
+_FIT = ("svd", "svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -76,25 +93,24 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    default = _DEFAULTS.get(key)
-    if isinstance(default, bool):
+    flag = _SETTINGS[key][1]
+    if "action" in flag:
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}")
-    if isinstance(default, float) or key in ("test_fraction",):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}")
-    return raw
+    parse = flag.get("type", str)
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected "
+                          f"{'an integer' if parse is int else 'a number'}, got {raw!r}")
+    choices = flag.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config key {key!r}: expected one of {list(choices)}, got {raw!r}")
+    return value
 
 
 class Options:
@@ -127,12 +143,13 @@ class Options:
         """Print the command, then its corpus and every config key it
         declares an option for."""
         print(f"command = {self.command}")
-        for key in sorted(k for k in vars(self.args) if k in _DEFAULTS or k == "corpus"):
+        for key in sorted(k for k in vars(self.args) if k in _SETTINGS):
             print(f"{key} = {self._values[key]}")
 
 
 def _load_resources(opts: Options) -> Resources:
-    paths = {key: getattr(opts, key) for key in BUNDLED_FILES}
+    declared = vars(opts.args)
+    paths = {key: getattr(opts, key) for key in BUNDLED_FILES if key in declared}
     return Resources.load(paths, heuristic_fallback=opts.heuristic_morph)
 
 
@@ -155,8 +172,6 @@ def _parse_families(raw: str) -> tuple[str, ...]:
 
 
 def _split_docs(corpus: Corpus, which: str) -> list[Document]:
-    if which not in _SPLITS:
-        raise ConfigError(f"split must be train, test or all, got {which!r}")
     docs = list(corpus) if which == "all" else corpus.subset(Split(which))
     if not docs:
         raise ConfigError(f"corpus has no documents in split {which!r}")
@@ -206,7 +221,7 @@ def _settings(opts: Options) -> TrainSettings:
 def cmd_ingest(opts: Options) -> int:
     corpus = load_corpus(opts.args.corpus)
     if opts.test_fraction is not None:
-        corpus = random_split(corpus, float(opts.test_fraction), opts.seed)
+        corpus = random_split(corpus, opts.test_fraction, opts.seed)
     out = _out_dir(opts)
     write_corpus(corpus, out / "corpus.jsonl")
     n_train = len(corpus.subset(Split.TRAIN))
@@ -216,9 +231,9 @@ def cmd_ingest(opts: Options) -> int:
 
 
 def cmd_stats(opts: Options) -> int:
-    resources = _load_resources(opts)
+    abbreviations = load_abbreviations(opts.abbreviations or BUNDLED_FILES["abbreviations"])
     corpus = load_corpus(opts.args.corpus)
-    stats = corpus_stats(corpus, resources.morphology, resources.abbreviations)
+    stats = corpus_stats(corpus, abbreviations=abbreviations)
     header = ["label", "split", "count", "avg_symbols", "avg_tokens", "avg_sentences"]
     rows = []
     for label in Label:
@@ -295,7 +310,7 @@ def cmd_evaluate(opts: Options) -> int:
 def cmd_grid(opts: Options) -> int:
     resources = _load_resources(opts)
     corpus = load_corpus(opts.args.corpus)
-    kinds = tuple(k.strip() for k in str(opts.models).split(",") if k.strip())
+    kinds = tuple(k.strip() for k in opts.models.split(",") if k.strip())
     vectors = CorpusVectors(resources)
     rows = run_grid(corpus, resources, kinds, _settings(opts), cache=vectors)
     header = ["model", "condition", "accuracy", "f1", "precision", "recall"]
@@ -375,75 +390,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="agelex",
                                      description="age-based text classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--config")
-
-    res = argparse.ArgumentParser(add_help=False)
-    for key in BUNDLED_FILES:
-        res.add_argument(f"--{key}")
-    res.add_argument("--heuristic-morph", action="store_const", const=True)
-
-    corpus = argparse.ArgumentParser(add_help=False)
-    corpus.add_argument("--corpus", required=True)
-
-    fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--svd", choices=["auto", "on", "off"])
-    fit.add_argument("--svd-target", type=float)
-    fit.add_argument("--c", type=float)
-    fit.add_argument("--epochs", type=int, help="LSVC Newton iteration cap")
-    fit.add_argument("--tolerance", type=float, help="LSVC gradient-norm tolerance")
-    fit.add_argument("--trees", type=int)
-    fit.add_argument("--max-terms", type=int)
-    fit.add_argument("--fragment-limit", type=int)
-
-    def cmd(name, func, parents, help_text):
-        p = sub.add_parser(name, parents=parents, help=help_text)
+    # command -> (its function, help, the settings it declares: those that
+    # can change what it writes or prints)
+    commands = {
+        "ingest": (cmd_ingest, "validate a corpus and assign splits",
+                   ("corpus", "seed", "out", "test_fraction")),
+        "stats": (cmd_stats, "per-class corpus summary", ("corpus", "out", "abbreviations")),
+        "extract": (cmd_extract, "write the feature table", ("corpus", "out", *_FEATURE_RESOURCES)),
+        "train": (cmd_train, "train one model",
+                  ("corpus", "seed", "out", *_RESOURCES, *_FIT, "model", "features", "tfidf",
+                   "abstracts", "positive_class")),
+        "evaluate": (cmd_evaluate, "evaluate a trained model",
+                     ("corpus", "out", *_RESOURCES, "split", "positive_class")),
+        "grid": (cmd_grid, "run the full experiment grid",
+                 ("corpus", "seed", "out", *_RESOURCES, *_FIT, "models")),
+        "informativeness": (cmd_informativeness, "rank features by class separation",
+                            ("corpus", "out", *_FEATURE_RESOURCES, "intervals", "families",
+                             "split")),
+        "correlations": (cmd_correlations, "pairwise feature correlations",
+                         ("corpus", "out", *_FEATURE_RESOURCES, "families", "split")),
+        "classify": (cmd_classify, "classify one text", _RESOURCES),
+    }
+    for name, (func, help_text, settings) in commands.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = cmd("ingest", cmd_ingest, [common, corpus], "validate a corpus and assign splits")
-    p.add_argument("--test-fraction", type=float)
-
-    cmd("stats", cmd_stats, [common, res, corpus], "per-class corpus summary")
-    cmd("extract", cmd_extract, [common, res, corpus], "write the feature table")
-
-    p = cmd("train", cmd_train, [common, res, corpus, fit], "train one model")
-    p.add_argument("--model", choices=list(MODEL_KINDS))
-    p.add_argument("--features", help="comma-separated families, 'all' or 'none'")
-    p.add_argument("--tfidf", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--abstracts", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--positive-class", choices=[label.value for label in Label])
-
-    p = cmd("evaluate", cmd_evaluate, [common, res, corpus], "evaluate a trained model")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--split", choices=_SPLITS)
-    p.add_argument("--positive-class", choices=[label.value for label in Label])
-
-    p = cmd("grid", cmd_grid, [common, res, corpus, fit], "run the full experiment grid")
-    p.add_argument("--models", help="comma-separated model kinds (rf,lsvc)")
-
-    p = cmd("informativeness", cmd_informativeness, [common, res, corpus],
-            "rank features by class separation")
-    p.add_argument("--intervals", type=int)
-    p.add_argument("--families")
-    p.add_argument("--split", choices=_SPLITS)
-
-    p = cmd("correlations", cmd_correlations, [common, res, corpus],
-            "pairwise feature correlations")
-    p.add_argument("--families")
-    p.add_argument("--split", choices=_SPLITS)
-
-    p = cmd("classify", cmd_classify, [common, res], "classify one text")
-    p.add_argument("--model-file", required=True)
+        p.add_argument("--config")
+        for key in settings:
+            p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][1])
+        if name in ("evaluate", "classify"):
+            p.add_argument("--model-file", required=True)
+    p = sub.choices["classify"]
     p.add_argument("--text")
     p.add_argument("--input")
     p.add_argument("--abstract")
     p.add_argument("--age-rating")
     p.add_argument("--explain", action="store_true")
-
     return parser
 
 

@@ -31,6 +31,19 @@ def register_model_kind(cls):
     return cls
 
 
+def json_exact(value, kind: type, rule: str, minimum: float = -math.inf):
+    """value, if it is exactly of the JSON type kind (int or bool) and at
+    least minimum; else ArtifactError saying rule.  Read through int() or
+    bool(), a bool, float or string would load as another value."""
+    if type(value) is not kind or value < minimum:
+        raise ArtifactError(f"{rule}, got {value!r}")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _validate_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -120,7 +133,7 @@ class LinearSvcModel:
             bias=float(payload["bias"]),
             hyperparams=dict(payload["hyperparams"]),
             objective_history=tuple(payload["objective_history"]),
-            n_epochs=int(payload["n_epochs"]),
+            n_epochs=json_exact(payload["n_epochs"], int, "n_epochs must be an integer"),
         )
 
 
@@ -362,16 +375,17 @@ class RandomForestModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RandomForestModel":
-        n_features = int(payload["n_features"])
+        n_features = json_exact(payload["n_features"], int, "n_features must be an integer")
         trees = []
         # children lie after their parent and inside the tree, so a walk
         # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
         for k, entry in enumerate(payload["trees"]):
-            nodes = [(int(f), float(t), int(l), int(r), int(nc), int(na))
-                     for f, t, l, r, nc, na in entry["nodes"]]
+            nodes = [(f, float(t), l, r, nc, na) for f, t, l, r, nc, na in entry["nodes"]]
             if not nodes:
                 raise ValueError(f"tree {k} has no nodes")
-            for i, (f, _, l, r, _, _) in enumerate(nodes):
+            for i, (f, _, l, r, nc, na) in enumerate(nodes):
+                if not type(f) is type(l) is type(r) is type(nc) is type(na) is int:
+                    raise ValueError(f"tree {k} node {i}: a feature, child or count is no integer")
                 if f != -1 and not (0 <= f < n_features and i < l < len(nodes)
                                     and i < r < len(nodes)):
                     raise ValueError(f"tree {k} node {i}: feature {f} or children "
@@ -448,10 +462,11 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path):
     """Read a model file back; fails with a clear message on parse
-    errors, version mismatches and unknown kinds."""
+    errors, non-finite numbers, version mismatches and unknown kinds."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise ArtifactError(f"{path}: not a valid model file: {exc}")
     if not isinstance(raw, dict):
         raise ArtifactError(f"{path}: not a valid model file: expected a JSON object")

@@ -28,14 +28,16 @@ from .analysis import MetricsReport, metrics
 from .corpus import Corpus, Document, Label, Split
 from .errors import ArtifactError, ConfigError, ModelError
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_all, schema_hash
-from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel,
+from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_exact,
                      register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScaler,
                          SvdModel, TfidfModel, augment_with_abstract, fit_minmax,
                          fit_svd, fit_tfidf, has_abstract, preprocess)
 
-MODEL_KINDS = ("rf", "lsvc")
+# short model kind -> the model class a pipeline of that kind holds
+_MODEL_CLASSES = {"rf": RandomForestModel, "lsvc": LinearSvcModel}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
 _COLUMN_OF = {name: i for i, name in enumerate(ALL_FEATURE_NAMES)}
 
 
@@ -230,24 +232,26 @@ class TrainedPipeline:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedPipeline":
         entry = payload["recipe"]
-        recipe = Recipe(use_tfidf=bool(entry["use_tfidf"]), families=tuple(entry["families"]),
-                        use_abstract=bool(entry["use_abstract"]))
+        use_tfidf, use_abstract = (json_exact(entry[key], bool, f"recipe.{key} must be a boolean")
+                                   for key in ("use_tfidf", "use_abstract"))
+        recipe = Recipe(use_tfidf, tuple(entry["families"]), use_abstract)
         stored_schema = payload["feature_schema"]
         if recipe.families and stored_schema != schema_hash():
             raise ArtifactError(
                 f"feature schema mismatch: artifact was built with schema {stored_schema}, "
                 f"current code produces {schema_hash()}")
-        model_entry = payload["model"]
-        model_cls = {LinearSvcModel.KIND: LinearSvcModel,
-                     RandomForestModel.KIND: RandomForestModel}.get(model_entry["kind"])
-        if model_cls is None:
-            raise ArtifactError(f"unknown inner model kind {model_entry['kind']!r}")
+        model_kind, model_entry = payload["model_kind"], payload["model"]
+        model_cls = _MODEL_CLASSES.get(model_kind)
+        if model_cls is None or model_entry["kind"] != model_cls.KIND:
+            raise ArtifactError(f"unknown inner model kind {model_entry['kind']!r} "
+                                f"for model_kind {model_kind!r}")
         tfidf = None
         if recipe.use_tfidf:
             tfidf = TfidfModel(
                 vocabulary=tuple(payload["tfidf"]["vocabulary"]),
                 idf=np.asarray(payload["tfidf"]["idf"], dtype=float),
-                n_docs=int(payload["tfidf"]["n_docs"]),
+                n_docs=json_exact(payload["tfidf"]["n_docs"], int,
+                                  "tfidf.n_docs must be an integer of at least 1", minimum=1),
             )
         svd = None
         if "svd" in payload:
@@ -263,11 +267,10 @@ class TrainedPipeline:
         )
         model = model_cls.from_json_dict(model_entry["payload"])
         _check_widths(recipe, tfidf, scaler, svd, model)
-        limit, seed = payload["fragment_limit"], payload["seed"]
-        if type(limit) is not int or limit < 1 or type(seed) is not int:  # no bool, float or str
-            raise ArtifactError(f"fragment_limit must be an integer of at least 1 and seed an "
-                                f"integer, got {limit!r} and {seed!r}")
-        return cls(recipe=recipe, model_kind=str(payload["model_kind"]), model=model,
+        rule = "fragment_limit must be an integer of at least 1 and seed an integer"
+        limit = json_exact(payload["fragment_limit"], int, rule, minimum=1)
+        seed = json_exact(payload["seed"], int, rule)
+        return cls(recipe=recipe, model_kind=model_kind, model=model,
                    scaler=scaler, tfidf=tfidf, svd=svd, feature_schema=stored_schema,
                    fragment_limit=limit, seed=seed)
 

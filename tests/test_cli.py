@@ -114,6 +114,22 @@ class TestConfigFile:
         assert "split" in err and "bogus" in err
 
 
+    @pytest.mark.parametrize("command, lines, table", [
+        ("stats", "frequency = {missing}\nheuristic_morph = yes\n", "stats.tsv"),
+        ("extract", "stopwords = {missing}\n", "features.tsv"),
+    ], ids=["stats", "extract"])
+    def test_settings_the_command_does_not_declare_are_not_read(self, tmp_path, corpus_file,
+                                                                command, lines, table):
+        # one config file can serve every command; each reads only its own keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines.format(missing=tmp_path / "missing.txt"))
+        default, configured = tmp_path / "default", tmp_path / "configured"
+        assert main([command, "--corpus", str(corpus_file), "--out", str(default)]) == 0
+        assert main([command, "--corpus", str(corpus_file), "--out", str(configured),
+                     "--config", str(cfg)]) == 0
+        assert (configured / table).read_bytes() == (default / table).read_bytes()
+
+
 def command_argv(command, corpus_file, model_file, out):
     """A quick run of each command on the shared corpus."""
     base = ["--out", str(out)]
@@ -127,8 +143,7 @@ def command_argv(command, corpus_file, model_file, out):
         "grid": ["grid", *corpus, *base, "--models", "lsvc", "--epochs", "5"],
         "informativeness": ["informativeness", *corpus, *base],
         "correlations": ["correlations", *corpus, *base],
-        "classify": ["classify", *base, "--model-file", str(model_file),
-                     "--text", "Кот спит."],
+        "classify": ["classify", "--model-file", str(model_file), "--text", "Кот спит."],
     }[command]
 
 
@@ -158,18 +173,21 @@ RESOURCE_KEYS = {"morphology", "frequency", "sentiment", "top5000", "familiar",
                  "stopwords", "abbreviations", "coefficients", "heuristic_morph"}
 FIT_KEYS = {"svd", "svd_target", "c", "epochs", "tolerance", "trees", "max_terms",
             "fragment_limit"}
+# each command declares only the settings that can change what it writes
+# or prints: stats reads no morphology, and only the tf-idf reads stopwords
+FEATURE_RESOURCE_KEYS = RESOURCE_KEYS - {"stopwords"}
 SETTINGS_BLOCKS = {
     "ingest": {"seed", "out", "corpus", "test_fraction"},
-    "stats": {"seed", "out", "corpus", *RESOURCE_KEYS},
-    "extract": {"seed", "out", "corpus", *RESOURCE_KEYS},
+    "stats": {"out", "corpus", "abbreviations"},
+    "extract": {"out", "corpus", *FEATURE_RESOURCE_KEYS},
     "train": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "model", "features",
               "tfidf", "abstracts", "positive_class"},
-    "evaluate": {"seed", "out", "corpus", *RESOURCE_KEYS, "split", "positive_class"},
+    "evaluate": {"out", "corpus", *RESOURCE_KEYS, "split", "positive_class"},
     "grid": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "models"},
-    "informativeness": {"seed", "out", "corpus", *RESOURCE_KEYS, "intervals", "families",
+    "informativeness": {"out", "corpus", *FEATURE_RESOURCE_KEYS, "intervals", "families",
                         "split"},
-    "correlations": {"seed", "out", "corpus", *RESOURCE_KEYS, "families", "split"},
-    "classify": {"seed", "out", *RESOURCE_KEYS},
+    "correlations": {"out", "corpus", *FEATURE_RESOURCE_KEYS, "families", "split"},
+    "classify": RESOURCE_KEYS,
 }
 
 
@@ -189,13 +207,17 @@ def test_settings_block_lists_the_declared_settings(tmp_path, corpus_file, model
 def test_file_that_is_not_utf8_is_an_error(tmp_path, corpus_file, model_file, route, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe" + "кот".encode("utf-16-le"))
+    out = ["--out", str(tmp_path / "o")]
     if route == "corpus":
-        argv = ["stats", "--corpus", str(bad)]
+        argv = ["stats", "--corpus", str(bad), *out]
+    elif route in ("config", "abbreviations"):
+        argv = ["stats", "--corpus", str(corpus_file), f"--{route}", str(bad), *out]
     elif route == "input":
         argv = ["classify", "--model-file", str(model_file), "--input", str(bad)]
-    else:
-        argv = ["stats", "--corpus", str(corpus_file), f"--{route}", str(bad)]
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    else:  # a resource that stats does not read
+        argv = ["classify", "--model-file", str(model_file), "--text", "Кот спит.",
+                f"--{route}", str(bad)]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
 

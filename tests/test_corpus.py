@@ -8,6 +8,12 @@ from agelex.corpus import (AgeRating, Corpus, Document, Label, Split,
                            corpus_stats, load_corpus, random_split,
                            write_corpus)
 from agelex.errors import CorpusError
+from agelex.resources import BUNDLED_FILES
+from agelex.text_analysis import DictionaryMorphology, HeuristicMorphology, load_abbreviations
+
+from test_features import TEXTS
+
+ABBREVIATIONS = load_abbreviations(BUNDLED_FILES["abbreviations"])
 
 
 def write_lines(path, lines):
@@ -172,3 +178,17 @@ class TestCorpusStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError, match="empty corpus"):
             corpus_stats(Corpus([]))
+
+    @given(st.lists(st.tuples(TEXTS, st.sampled_from(sorted(ABBREVIATIONS)), TEXTS,
+                              st.sampled_from(Label), st.sampled_from(Split)),
+                    min_size=1, max_size=6))
+    def test_counts_do_not_depend_on_the_morphology(self, resources, records):
+        # why agelex stats reads no morphology file: words, sentences and
+        # symbols are found without a lemma or part of speech
+        corpus = Corpus([Document(id=f"d{i}", text=f"{head} {abbr}. {tail}", label=label,
+                                  split=split)
+                         for i, (head, abbr, tail, label, split) in enumerate(records)])
+        for abbreviations in (None, ABBREVIATIONS):
+            expected = corpus_stats(corpus, resources.morphology, abbreviations)
+            for morphology in (HeuristicMorphology(), DictionaryMorphology({})):
+                assert corpus_stats(corpus, morphology, abbreviations) == expected

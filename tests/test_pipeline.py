@@ -296,6 +296,61 @@ def test_pipeline_integers_must_be_json_integers(saved_pipelines, tmp_path, key,
     assert str(excinfo.value).startswith(f"{path}: ")
 
 
+_NODE_VALUE_ERROR = "tree 0 node 0: a feature, child or count is no integer"
+# (model kind, path to a value in the pipeline payload, the value written
+# there or a function of the value there, what the error says)
+CORRUPT_VALUES = {
+    "nan-weight": ("lsvc", ("model", "payload", "weights", 0), float("nan"),
+                   "not a valid model file: NaN is not a finite number"),
+    "infinite-idf": ("lsvc", ("tfidf", "idf", 0), float("inf"), "Infinity is not a finite number"),
+    "negative-infinite-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1),
+                                    float("-inf"), "-Infinity is not a finite number"),
+    "float-n-docs": ("lsvc", ("tfidf", "n_docs"), 2.7,
+                     "tfidf.n_docs must be an integer of at least 1, got 2.7"),
+    "bool-n-docs": ("lsvc", ("tfidf", "n_docs"), True, "tfidf.n_docs must be an integer"),
+    "string-n-docs": ("rf", ("tfidf", "n_docs"), str, "tfidf.n_docs must be an integer"),
+    "negative-n-docs": ("rf", ("tfidf", "n_docs"), -5,
+                        "tfidf.n_docs must be an integer of at least 1, got -5"),
+    "bool-n-epochs": ("lsvc", ("model", "payload", "n_epochs"), True, "n_epochs must be an integer"),
+    "float-n-epochs": ("lsvc", ("model", "payload", "n_epochs"), 3.9, "n_epochs must be an integer"),
+    "float-n-features": ("rf", ("model", "payload", "n_features"), float,
+                         "n_features must be an integer, got "),
+    "bool-node-feature": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 0), True,
+                          _NODE_VALUE_ERROR),
+    "float-node-left": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 2), float,
+                        _NODE_VALUE_ERROR),
+    "string-node-right": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 3), str,
+                          _NODE_VALUE_ERROR),
+    "float-node-children": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 4), float,
+                            _NODE_VALUE_ERROR),
+    "bool-node-adult": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 5), False,
+                        _NODE_VALUE_ERROR),
+    "string-use-abstract": ("lsvc", ("recipe", "use_abstract"), "false",
+                            "recipe.use_abstract must be a boolean, got 'false'"),
+    "int-use-tfidf": ("rf", ("recipe", "use_tfidf"), 1, "recipe.use_tfidf must be a boolean"),
+    "rf-over-linear-svc": ("lsvc", ("model_kind",), "rf",
+                           "unknown inner model kind 'linear_svc' for model_kind 'rf'"),
+    "lsvc-over-random-forest": ("rf", ("model_kind",), "lsvc",
+                                "unknown inner model kind 'random_forest' for model_kind 'lsvc'"),
+    "unknown-model-kind": ("lsvc", ("model_kind",), "svm", "for model_kind 'svm'"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_VALUES)
+def test_pipeline_value_outside_the_format_rejected(saved_pipelines, tmp_path, case):
+    kind, path, value, message = CORRUPT_VALUES[case]
+    payload = json.loads(saved_pipelines[kind].read_text(encoding="utf-8"))
+    entry = payload["model"]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value(entry[path[-1]]) if callable(value) else value
+    corrupt = tmp_path / "model.json"
+    corrupt.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError) as excinfo:
+        load_model(corrupt)
+    assert str(excinfo.value).startswith(f"{corrupt}: ") and message in str(excinfo.value)
+
+
 def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
     recipe = Recipe(use_tfidf=False, families=("general",))
     with pytest.raises(ConfigError, match="fragment limit must be positive"):
