@@ -17,7 +17,7 @@ from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, extract_all, schema_hash
 from .models import load_model, save_model, train_linear_svc, train_random_forest
 from .pipeline import Recipe, TrainSettings, TrainedPipeline, grid_conditions, run_grid, train_pipeline
 from .resources import Resources
-from .text_analysis import AnalyzedText, analyze, count_syllables, split_sentences, tokenize
+from .text_analysis import AnalyzedText, analyze, count_syllables
 from .vectorizer import fit_minmax, fit_svd, fit_tfidf
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "AgeRating", "Corpus", "Document", "Label", "Split",
     "load_corpus", "random_split", "write_corpus",
     "ALL_FEATURE_NAMES", "FAMILY_NAMES", "extract_all", "schema_hash",
-    "AnalyzedText", "analyze", "count_syllables", "split_sentences", "tokenize",
+    "AnalyzedText", "analyze", "count_syllables",
     "Resources",
     "fit_minmax", "fit_svd", "fit_tfidf",
     "load_model", "save_model", "train_linear_svc", "train_random_forest",

@@ -379,7 +379,7 @@ def cmd_classify(opts: Options) -> int:
     print(f"label = {label.value} ({score_name} = {score:.4f})")
     if opts.args.explain:
         fv = vectors.features(doc)
-        for name, value in zip(fv.names, fv.values):
+        for name, value in zip(ALL_FEATURE_NAMES, fv.values):
             print(f"  {name} = {value:.6f}")
         for warning in fv.warnings:
             print(f"  warning: {warning}")

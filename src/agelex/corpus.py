@@ -109,7 +109,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # the second: nested too deeply
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}")
             if not isinstance(raw, dict):
                 raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")

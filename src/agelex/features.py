@@ -9,14 +9,14 @@ schema_hash(); trained models refuse inputs with a different schema.
 Features are always computed on the full preview text, never on the
 truncated fragments used by the bag-of-words vectorizer.
 
-The five quantitative families come from one pass over the per-type
-table of text_analysis.analyze, in quantitative_features, which reads
-each type's row of a lexicons.Lexicon (Resources.lexicon) once: what the
-word lexicons hold for the type's (lemma, pos).  Both kinds of row are
-resolved once per distinct key and kept for as long as the resources
-live, so every count is a sum of per-type token counts and every
-dictionary mean is an exact integer sum divided once; features.md says
-how means and medians are computed.
+extract_all gives a document's 56 values in ALL_FEATURE_NAMES order and
+its warnings.  Its five quantitative families come from one pass over
+the per-type table of text_analysis.analyze, which reads each type's row
+of a lexicons.Lexicon (Resources.lexicon), what the word lexicons hold
+for its (lemma, pos), once.  Both kinds of row are resolved once per key
+and kept while the resources live, so every count is a sum of per-type
+token counts and every dictionary mean an exact integer sum divided
+once; features.md gives the rules.
 """
 from __future__ import annotations
 
@@ -82,18 +82,15 @@ def schema_hash() -> str:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Named feature values for one document, plus extraction warnings."""
+    """One document's values in ALL_FEATURE_NAMES order, plus warnings."""
 
-    names: tuple[str, ...]
     values: tuple[float, ...]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise FeatureError(f"{len(self.names)} names but {len(self.values)} values")
-        if len(set(self.names)) != len(self.names):
-            raise FeatureError("duplicate feature names")
-        for name, value in zip(self.names, self.values):
+        if len(self.values) != len(ALL_FEATURE_NAMES):
+            raise FeatureError(f"{len(self.values)} values for {len(ALL_FEATURE_NAMES)} features")
+        for name, value in zip(ALL_FEATURE_NAMES, self.values):
             if not math.isfinite(value):
                 raise FeatureError(f"non-finite value for feature {name!r}")
 
@@ -143,7 +140,7 @@ class ReadabilityCoefficients:
         try:
             with decode_errors_as(ConfigError, path):
                 raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the second: nested too deeply
             raise ConfigError(f"{path}: malformed JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object")
@@ -214,10 +211,8 @@ _SENTIMENT_SLOTS = tuple((pol, cat) for pol in (Polarity.NEGATIVE, Polarity.POSI
 
 def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
                          coefficients: ReadabilityCoefficients) -> tuple[list[float], tuple[str, ...]]:
-    if t.n_tokens == 0:
-        raise FeatureError("text has no tokens")
-    if t.n_sentences == 0:
-        raise FeatureError("text has no sentences")
+    """The 51 quantitative values in schema order, by the rules of
+    features.md, and the warnings; t must hold a token, so a sentence."""
     n, sentences = t.n_tokens, t.n_sentences
     lengths: Counter = Counter()
     syllables = polysyllables = many_syllables = difficult = 0
@@ -287,31 +282,6 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     return values, warnings
 
 
-def quantitative_features(t: AnalyzedText, lexicon: Lexicon,
-                          coefficients: ReadabilityCoefficients = DEFAULT_COEFFICIENTS) -> FeatureVector:
-    """The 51 values of the general, readability, lexical, grammatical
-    and sentiment families, in schema order.
-
-    One pass over the type table, with each type's lexicon row, sums
-    every count; each value is then one of those sums divided once.
-
-    - Type-token ratios run over lemmas; ttr_n, ttr_a and ttr_v restrict
-      to tokens tagged Noun, Adj and Verb (proper nouns are not nouns
-      here, in count_n either).  nav is (ttr_a + ttr_n) / ttr_v, with 0
-      when there are no verbs.
-    - Difficult words for the familiar-list index are tokens whose lemma
-      is missing from the familiar list, proper nouns excepted.
-    - Tokens absent from the frequency dictionary are left out of every
-      dictionary average (they do not enter the denominators).  If no
-      token matches at all, every dictionary average is 0 and the vector
-      carries the no_frequency_matches warning.
-    - Sentiment shares are sentiment-bearing tokens by polarity and
-      category over all tokens.
-    """
-    values, warnings = _quantitative_values(t, lexicon, coefficients)
-    return FeatureVector(ALL_FEATURE_NAMES[:len(values)], tuple(values), warnings)
-
-
 _RATING_SLOTS = (AgeRating.R0, AgeRating.R6, AgeRating.R12, AgeRating.R16, AgeRating.R18)
 
 
@@ -326,4 +296,4 @@ def extract_all(doc: Document, resources: "Resources") -> FeatureVector:
         raise FeatureError(f"document {doc.id!r}: text has no tokens")
     values, warnings = _quantitative_values(t, resources.lexicon, resources.coefficients)
     values += [1.0 if doc.age_rating is slot else 0.0 for slot in _RATING_SLOTS]
-    return FeatureVector(ALL_FEATURE_NAMES, tuple(values), warnings)
+    return FeatureVector(tuple(values), warnings)

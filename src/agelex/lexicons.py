@@ -69,9 +69,6 @@ class FrequencyDictionary:
             self._by_key[key] = rec
             self._by_lemma.setdefault(rec.lemma, []).append(rec)
 
-    def __len__(self) -> int:
-        return len(self._by_key)
-
     @property
     def records(self) -> list[FrequencyRecord]:
         return list(self._by_key.values())
@@ -174,9 +171,6 @@ class SentimentLexicon:
     def __init__(self, entries: dict[str, tuple[Polarity, SentimentCategory]]):
         self._entries = entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def entries(self) -> dict[str, tuple[Polarity, SentimentCategory]]:
         return dict(self._entries)
@@ -221,12 +215,8 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
 class WordList:
     """A set of lemmas, optionally with an ipm value per lemma."""
 
-    def __init__(self, name: str, ipm: dict[str, float | None]):
-        self.name = name
+    def __init__(self, ipm: dict[str, float | None]):
         self._ipm = ipm
-
-    def __len__(self) -> int:
-        return len(self._ipm)
 
     def __contains__(self, lemma: str) -> bool:
         return lemma.lower() in self._ipm
@@ -239,14 +229,13 @@ class WordList:
         return self._ipm.get(lemma.lower())
 
 
-def load_word_list(path: str | Path, name: str | None = None) -> WordList:
+def load_word_list(path: str | Path) -> WordList:
     """Load a word list with one lemma per line, optionally followed by a
     tab and a finite ipm value >= 0.  Lemmas are lowercased; repeats
     collapse."""
-    p = Path(path)
     ipm: dict[str, float | None] = {}
     with decode_errors_as(LexiconError, path):
-        lines = p.read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -262,7 +251,7 @@ def load_word_list(path: str | Path, name: str | None = None) -> WordList:
             if value < 0:
                 raise LexiconError(f"{path}: row {lineno}: ipm must be >= 0, got {value}")
         ipm.setdefault(lemma, value)
-    return WordList(name or p.stem, ipm)
+    return WordList(ipm)
 
 
 _POS_ORDER = tuple(Pos)
@@ -298,8 +287,8 @@ class Lexicon:
                  top5000: WordList | None = None, familiar: WordList | None = None):
         self.frequency = frequency if frequency is not None else FrequencyDictionary([])
         self.sentiment = sentiment if sentiment is not None else SentimentLexicon({})
-        self.top5000 = top5000 if top5000 is not None else WordList("top5000", {})
-        self.familiar = familiar if familiar is not None else WordList("familiar", {})
+        self.top5000 = top5000 if top5000 is not None else WordList({})
+        self.familiar = familiar if familiar is not None else WordList({})
         self._rows: dict[tuple[str, int], LexiconRow] = {}
 
     @cached_property

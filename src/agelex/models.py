@@ -40,6 +40,20 @@ def json_exact(value, kind: type, rule: str, minimum: float = -math.inf):
     return value
 
 
+def json_floats(value, ndim: int, what: str):
+    """value as floats: a float for ndim 0, else an array of ndim
+    dimensions; ArtifactError naming what unless it is a JSON number or
+    lists of them nested ndim deep, all finite.  Read through float() or
+    np.asarray(dtype=float), a string or a bool would load as a number,
+    a literal past the float range as infinity, and lists of another
+    depth would fail only when the model is used."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf" or array.ndim != ndim or not np.isfinite(array).all():
+        shape = "a list of " + "lists of " * (ndim - 1) + "finite numbers" if ndim else "a finite number"
+        raise ArtifactError(f"{what} must be {shape}")
+    return float(array) if ndim == 0 else array.astype(float, copy=False)
+
+
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
@@ -129,8 +143,8 @@ class LinearSvcModel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearSvcModel":
         return cls(
-            weights=np.asarray(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
+            weights=json_floats(payload["weights"], 1, "weights"),
+            bias=json_floats(payload["bias"], 0, "bias"),
             hyperparams=dict(payload["hyperparams"]),
             objective_history=tuple(payload["objective_history"]),
             n_epochs=json_exact(payload["n_epochs"], int, "n_epochs must be an integer"),
@@ -380,7 +394,7 @@ class RandomForestModel:
         # children lie after their parent and inside the tree, so a walk
         # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
         for k, entry in enumerate(payload["trees"]):
-            nodes = [(f, float(t), l, r, nc, na) for f, t, l, r, nc, na in entry["nodes"]]
+            nodes = [(f, t, l, r, nc, na) for f, t, l, r, nc, na in entry["nodes"]]
             if not nodes:
                 raise ValueError(f"tree {k} has no nodes")
             for i, (f, _, l, r, nc, na) in enumerate(nodes):
@@ -390,7 +404,9 @@ class RandomForestModel:
                                     and i < r < len(nodes)):
                     raise ValueError(f"tree {k} node {i}: feature {f} or children "
                                      f"{l}, {r} out of range")
-            trees.append(DecisionTree.from_nodes(nodes, np.asarray(entry["bootstrap"], dtype=np.int64)))
+            tree = DecisionTree.from_nodes(nodes, np.asarray(entry["bootstrap"], dtype=np.int64))
+            tree.threshold = json_floats(tree.threshold, 1, f"tree {k} thresholds").tolist()
+            trees.append(tree)
         if not trees:
             raise ValueError("forest has no trees")
         return cls(trees=trees, n_features=n_features,
@@ -466,7 +482,9 @@ def load_model(path: str | Path):
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"),
                          parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a document
+    # nested too deeply for the parser raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ArtifactError(f"{path}: not a valid model file: {exc}")
     if not isinstance(raw, dict):
         raise ArtifactError(f"{path}: not a valid model file: expected a JSON object")

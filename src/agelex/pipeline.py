@@ -29,7 +29,7 @@ from .corpus import Corpus, Document, Label, Split
 from .errors import ArtifactError, ConfigError, ModelError
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_all, schema_hash
 from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_exact,
-                     register_model_kind, train_linear_svc, train_random_forest)
+                     json_floats, register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScaler,
                          SvdModel, TfidfModel, augment_with_abstract, fit_minmax,
@@ -249,21 +249,21 @@ class TrainedPipeline:
         if recipe.use_tfidf:
             tfidf = TfidfModel(
                 vocabulary=tuple(payload["tfidf"]["vocabulary"]),
-                idf=np.asarray(payload["tfidf"]["idf"], dtype=float),
+                idf=json_floats(payload["tfidf"]["idf"], 1, "tfidf.idf"),
                 n_docs=json_exact(payload["tfidf"]["n_docs"], int,
                                   "tfidf.n_docs must be an integer of at least 1", minimum=1),
             )
         svd = None
         if "svd" in payload:
             svd = SvdModel(
-                mean=np.asarray(payload["svd"]["mean"], dtype=float),
-                components=np.asarray(payload["svd"]["components"], dtype=float),
-                retained=float(payload["svd"]["retained"]),
-                target=float(payload["svd"]["target"]),
+                mean=json_floats(payload["svd"]["mean"], 1, "svd.mean"),
+                components=json_floats(payload["svd"]["components"], 2, "svd.components"),
+                retained=json_floats(payload["svd"]["retained"], 0, "svd.retained"),
+                target=json_floats(payload["svd"]["target"], 0, "svd.target"),
             )
         scaler = MinMaxScaler(
-            mins=np.asarray(payload["scaler"]["mins"], dtype=float),
-            ranges=np.asarray(payload["scaler"]["ranges"], dtype=float),
+            mins=json_floats(payload["scaler"]["mins"], 1, "scaler.mins"),
+            ranges=json_floats(payload["scaler"]["ranges"], 1, "scaler.ranges"),
         )
         model = model_cls.from_json_dict(model_entry["payload"])
         _check_widths(recipe, tfidf, scaler, svd, model)

@@ -96,9 +96,9 @@ class Resources:
             abbreviations=load_abbreviations(resolved["abbreviations"]),
             frequency=load_frequency_dict(resolved["frequency"]),
             sentiment=load_sentiment_lexicon(resolved["sentiment"]),
-            top5000=load_word_list(resolved["top5000"], "top5000"),
-            familiar=load_word_list(resolved["familiar"], "familiar"),
-            stopwords=frozenset(load_word_list(resolved["stopwords"], "stopwords").lemmas),
+            top5000=load_word_list(resolved["top5000"]),
+            familiar=load_word_list(resolved["familiar"]),
+            stopwords=frozenset(load_word_list(resolved["stopwords"]).lemmas),
             coefficients=ReadabilityCoefficients.from_file(resolved["coefficients"]),
         )
 

@@ -1,8 +1,8 @@
 """Tokenization, sentence splitting, syllable counting and morphology.
 
 analyze() returns one row per distinct surface (word type), plus a
-column of type ids for the tokens and token ranges for the sentences;
-the feature families work from its per-type counts.
+column of type ids for the tokens and the symbol count of each
+sentence; the feature families work from its per-type counts.
 
 analyze() and vectorizer.preprocess() read a text as its chunks, the
 maximal runs of non-whitespace characters (str.split()), because every
@@ -25,8 +25,8 @@ once, on first sight, and keeps its row in one table keyed by chunk
 text; a word is the chunk of its one run, so words read the same
 table.  The table keeps at most TABLE_CAP rows, each for a chunk of at
 most CHUNK_LIMIT characters.  split_sentences() and tokenize() apply
-the same rules to a whole text by regular expression; the library
-itself no longer calls them.
+the same rules to a whole text by regular expression; the library no
+longer calls them, nor does the agelex package export them.
 
 Text enters analyze(), tokenize() and preprocess() through
 normalize_text(): combining acute and grave accents (stress marks in
@@ -268,9 +268,6 @@ class DictionaryMorphology(MorphologyProvider):
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
         return self._entries.get(surface.lower())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @classmethod
     def load(cls, path: str | Path) -> "DictionaryMorphology":
         """Load a tab-separated file of surface, lemma, pos rows.
@@ -356,10 +353,9 @@ class AnalyzedText:
     its lemma lemmas[i], part of speech pos[i] and syllables[i], and
     counts[i] is how many tokens have that surface.  Types are numbered
     in order of first appearance.  tokens holds the type id of every
-    token in text order; sentences holds (first_token,
-    one_past_last_token) ranges into it, and sentence_symbols the
-    non-whitespace character count of each sentence span, punctuation
-    included.
+    token in text order, and sentence_symbols the non-whitespace
+    character count of each sentence span, punctuation included, for
+    each sentence that holds a token.
     """
 
     tokens: list[int]
@@ -368,7 +364,6 @@ class AnalyzedText:
     pos: list[Pos]
     syllables: list[int]
     counts: list[int]
-    sentences: list[tuple[int, int]]
     sentence_symbols: list[int]
     char_count: int
     letter_count: int
@@ -380,7 +375,7 @@ class AnalyzedText:
 
     @property
     def n_sentences(self) -> int:
-        return len(self.sentences)
+        return len(self.sentence_symbols)
 
 
 def analyze(text: str, morphology: MorphologyProvider,
@@ -406,14 +401,13 @@ def analyze(text: str, morphology: MorphologyProvider,
     types = morphology.rows(surfaces)
     token_ends = list(accumulate(map(len, words_of_chunks)))
     symbol_ends = list(accumulate(map(len, chunks)))
-    sentences, sentence_symbols = [], []
+    sentence_symbols = []
     first_token = first_symbol = 0
     if chunks:
         ends = _sentence_ends(chunks, compress(count(), map(itemgetter(3), rows)), abbreviations)
         for end in ends + [len(chunks) - 1]:
             last_token, last_symbol = token_ends[end], symbol_ends[end]
             if last_token > first_token:
-                sentences.append((first_token, last_token))
                 sentence_symbols.append(last_symbol - first_symbol)
             first_token, first_symbol = last_token, last_symbol
     return AnalyzedText(
@@ -421,7 +415,7 @@ def analyze(text: str, morphology: MorphologyProvider,
         lemmas=list(map(itemgetter(4), types)), pos=list(map(itemgetter(5), types)),
         syllables=list(map(itemgetter(6), types)),
         counts=list(word_counts.values()),
-        sentences=sentences, sentence_symbols=sentence_symbols,
+        sentence_symbols=sentence_symbols,
         # every letter and digit of the text lies in a run
         char_count=sum(map(itemgetter(1), rows)),
         letter_count=sum(map(itemgetter(2), rows)),

@@ -1,6 +1,12 @@
 """Reference formulas and helpers that more than one test module uses."""
-from agelex.features import FAMILY_NAMES
+from agelex.corpus import Document, Label
+from agelex.features import ALL_FEATURE_NAMES, DEFAULT_COEFFICIENTS, FAMILY_NAMES, extract_all
+from agelex.lexicons import FrequencyDictionary, SentimentLexicon, WordList
+from agelex.resources import Resources
 from agelex.text_analysis import Pos, tokenize
+
+# a JSON document nested past the parser's recursion limit
+NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
 
 
 def gini_impurity(counts) -> float:
@@ -12,16 +18,23 @@ def gini_impurity(counts) -> float:
 
 
 def by_family(fv) -> dict[str, dict[str, float]]:
-    """A quantitative_features or extract_all vector sliced by
-    FAMILY_NAMES: family -> {name: value}, for the families it holds."""
-    families, start = {}, 0
-    for family, names in FAMILY_NAMES.items():
-        if start < len(fv.names):
-            assert fv.names[start:start + len(names)] == names
-            families[family] = dict(zip(names, fv.values[start:start + len(names)]))
-        start += len(names)
-    assert start >= len(fv.names)
-    return families
+    """An extract_all vector sliced by FAMILY_NAMES: family -> {name: value}."""
+    assert len(fv.values) == len(ALL_FEATURE_NAMES)
+    values = dict(zip(ALL_FEATURE_NAMES, fv.values))
+    return {family: {name: values[name] for name in names} for family, names in FAMILY_NAMES.items()}
+
+
+def text_features(text, morphology, coefficients=DEFAULT_COEFFICIENTS, frequency=None,
+                  sentiment=None, top5000=None, familiar=None):
+    """extract_all of an unrated document holding text, read with the
+    morphology and no abbreviations, under the given lexicons; a lexicon
+    not given is empty."""
+    resources = Resources(
+        morphology=morphology, abbreviations=frozenset(),
+        frequency=frequency or FrequencyDictionary([]), sentiment=sentiment or SentimentLexicon({}),
+        top5000=top5000 or WordList({}), familiar=familiar or WordList({}),
+        stopwords=frozenset(), coefficients=coefficients)
+    return extract_all(Document(id="d", text=text, label=Label.CHILDREN), resources)
 
 
 def reference_preprocess(text, morphology, stopwords) -> list[str]:

@@ -8,20 +8,20 @@ corpus.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from agelex.analysis import informativeness
-from agelex.corpus import Label, Split, corpus_stats, load_corpus
+from agelex.corpus import Document, Label, Split, corpus_stats, load_corpus
 from agelex.features import (ReadabilityCoefficients, automated_readability,
-                             coleman_liau, dale_chall, flesch_kincaid,
-                             quantitative_features, smog_index)
+                             coleman_liau, dale_chall, extract_all, flesch_kincaid,
+                             smog_index)
 from agelex.models import train_linear_svc, train_random_forest
 from agelex.pipeline import TrainSettings, grid_conditions, run_grid
 from agelex.resources import GRADE_COEFFICIENTS_FILE
 from agelex.synthetic import make_corpus
-from agelex.text_analysis import analyze
 from agelex.vectorizer import fit_svd, fit_tfidf
 
 from oracles import by_family, gini_impurity
@@ -184,10 +184,10 @@ def test_criterion_01_readability_formula_suite(resources):
         assert abs(dale_chall(share, words) - expected) <= 1e-9
 
     for text in _random_texts(50, np.random.default_rng(1)):
-        once = analyze(text, resources.morphology, resources.abbreviations)
-        twice = analyze(text + " " + text, resources.morphology, resources.abbreviations)
-        single = by_family(quantitative_features(once, resources.lexicon))["readability"]
-        doubled = by_family(quantitative_features(twice, resources.lexicon))["readability"]
+        once = Document(id="once", text=text, label=Label.CHILDREN)
+        twice = Document(id="twice", text=text + " " + text, label=Label.CHILDREN)
+        single = by_family(extract_all(once, resources))["readability"]
+        doubled = by_family(extract_all(twice, resources))["readability"]
         for a, b in zip(single.values(), doubled.values()):
             assert abs(a - b) <= 1e-9
     assert time.perf_counter() - started < 1.0
@@ -321,15 +321,14 @@ def test_criterion_06_synthetic_grid_trend(resources):
 
 def test_criterion_07_readability_cross_correlation(resources):
     corpus = make_corpus(n_children=25, n_adult=25, seed=11)
-    grade = ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE)
+    graded_resources = replace(
+        resources, coefficients=ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE))
     fk_grade, fk_default, ari_values = [], [], []
     for doc in corpus:
-        t = analyze(doc.text, resources.morphology, resources.abbreviations)
-        graded = by_family(quantitative_features(t, resources.lexicon, grade))["readability"]
+        graded = by_family(extract_all(doc, graded_resources))["readability"]
         fk_grade.append(graded["index_fk"])
         ari_values.append(graded["index_ari"])
-        fk_default.append(
-            by_family(quantitative_features(t, resources.lexicon))["readability"]["index_fk"])
+        fk_default.append(by_family(extract_all(doc, resources))["readability"]["index_fk"])
     assert float(np.corrcoef(fk_grade, ari_values)[0, 1]) > 0.8
     # the default coefficients score reading ease, not grade level, so the
     # same co-movement shows up with the sign flipped

@@ -18,6 +18,8 @@ from agelex.models import save_model
 from agelex.pipeline import Recipe, TrainSettings, train_pipeline
 from agelex.synthetic import make_corpus
 
+from oracles import NESTED_TOO_DEEPLY
+
 
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
@@ -220,6 +222,22 @@ def test_file_that_is_not_utf8_is_an_error(tmp_path, corpus_file, model_file, ro
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("route", ["corpus", "model-file", "coefficients"])
+def test_json_nested_too_deeply_is_an_error(tmp_path, corpus_file, model_file, route, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(NESTED_TOO_DEEPLY, encoding="utf-8")
+    if route == "corpus":
+        argv = ["stats", "--corpus", str(deep), "--out", str(tmp_path / "o")]
+    elif route == "model-file":
+        argv = ["classify", "--model-file", str(deep), "--text", "Кот спит."]
+    else:
+        argv = ["classify", "--model-file", str(model_file), "--text", "Кот спит.",
+                "--coefficients", str(deep)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
 
 
 class TestStats:

@@ -11,6 +11,7 @@ from agelex.errors import CorpusError
 from agelex.resources import BUNDLED_FILES
 from agelex.text_analysis import DictionaryMorphology, HeuristicMorphology, load_abbreviations
 
+from oracles import NESTED_TOO_DEEPLY
 from test_features import TEXTS
 
 ABBREVIATIONS = load_abbreviations(BUNDLED_FILES["abbreviations"])
@@ -51,6 +52,12 @@ class TestLoadCorpus:
         p = tmp_path / "c.jsonl"
         write_lines(p, ['{"id":"b1","text":"Кот.","label":"children"}', "{oops"])
         with pytest.raises(CorpusError, match="line 2"):
+            load_corpus(p)
+
+    def test_line_nested_too_deeply_reports_line_number(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"id":"b1","text":"Кот.","label":"children"}', NESTED_TOO_DEEPLY])
+        with pytest.raises(CorpusError, match="line 2: malformed JSON"):
             load_corpus(p)
 
     def test_unknown_label_rejected(self, tmp_path):

@@ -17,7 +17,7 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
                              DEFAULT_COEFFICIENTS, FeatureVector,
                              ReadabilityCoefficients, automated_readability,
                              coleman_liau, dale_chall, extract_all,
-                             flesch_kincaid, quantitative_features, smog_index)
+                             flesch_kincaid, smog_index)
 from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
 from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE, Resources
@@ -27,7 +27,7 @@ from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
 from agelex.vectorizer import preprocess
 
 import agelex.features as features_mod
-from oracles import by_family
+from oracles import NESTED_TOO_DEEPLY, by_family, text_features
 
 # Frozen fingerprint of the 56-name schema; a change here is a breaking
 # change for every stored model.
@@ -38,13 +38,11 @@ def dict_morph(entries: dict[str, tuple[str, str]]) -> DictionaryMorphology:
     return DictionaryMorphology({s: (l, Pos(p)) for s, (l, p) in entries.items()})
 
 
-def analyzed(text: str, entries: dict[str, tuple[str, str]]):
-    return analyze(text, dict_morph(entries))
-
-
-def quantitative(t, lexicon=None, coefficients=DEFAULT_COEFFICIENTS):
-    """quantitative_features of t, family -> {name: value}."""
-    return by_family(quantitative_features(t, lexicon or Lexicon(), coefficients))
+def quantitative(text: str, entries: dict[str, tuple[str, str]],
+                 coefficients=DEFAULT_COEFFICIENTS, **lexicons):
+    """The features of text read with dict_morph(entries) under the given
+    lexicons (the others empty), family -> {name: value}."""
+    return by_family(text_features(text, dict_morph(entries), coefficients, **lexicons))
 
 
 # The token-walking analysis and feature families that the per-type
@@ -279,8 +277,8 @@ class TestAgainstTokenReference:
                 == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
         assert len(set(t.surfaces)) == len(t.surfaces)
         assert t.counts == [t.tokens.count(i) for i in range(len(t.surfaces))]
-        assert ((t.sentences, t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count)
-                == (ref.sentences, ref.sentence_symbols, ref.char_count, ref.letter_count,
+        assert ((t.n_sentences, t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count)
+                == (ref.n_sentences, ref.sentence_symbols, ref.char_count, ref.letter_count,
                     ref.symbol_count))
 
     @pytest.mark.parametrize("heuristic", [False, True])
@@ -288,17 +286,14 @@ class TestAgainstTokenReference:
     @given(text=TEXTS)
     def test_families_match(self, heuristic, text, resources, heuristic_resources):
         res = heuristic_resources if heuristic else resources
-        t = analyze(text, res.morphology, res.abbreviations)
         ref = reference_analyze(text, res.morphology, res.abbreviations)
         doc = Document(id="d", text=text, label=Label.CHILDREN, age_rating=AgeRating.R12)
         if not ref.tokens:
             with pytest.raises(FeatureError):
-                quantitative_features(t, res.lexicon)
-            with pytest.raises(FeatureError):
                 extract_all(doc, res)
             return
-        quantitative = quantitative_features(t, res.lexicon)
-        families = {family: list(values.values()) for family, values in by_family(quantitative).items()}
+        fv = extract_all(doc, res)
+        families = {family: list(values.values()) for family, values in by_family(fv).items()}
         general = bits(map(float, reference_general_features(ref)))
         readability = bits(reference_readability_features(ref, res.familiar))
         grammatical = bits(reference_grammatical_features(ref))
@@ -309,7 +304,7 @@ class TestAgainstTokenReference:
         assert bits(families["sentiment"]) == sentiment
         lexical = families["lexical"]
         ref_values, ref_warnings = reference_lexical_features(ref, res.frequency, res.top5000)
-        assert quantitative.warnings == ref_warnings
+        assert fv.warnings == ref_warnings
         assert bits(lexical[:2]) == bits(ref_values[:2])
         attrs = reference_dictionary_attrs(ref, res.frequency)
         exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
@@ -317,8 +312,6 @@ class TestAgainstTokenReference:
         assert bits(lexical[2:]) == bits(exact)
         assert lexical[2:] == pytest.approx(ref_values[2:], rel=1e-12, abs=0.0)
         # the whole vector: the reference families, then the one-hot of 12+
-        fv = extract_all(doc, res)
-        assert (fv.names, fv.warnings) == (ALL_FEATURE_NAMES, ref_warnings)
         assert bits(fv.values) == (general + readability + bits(ref_values[:2]) + bits(exact)
                                    + grammatical + sentiment + bits([0.0, 0.0, 1.0, 0.0, 0.0]))
 
@@ -338,10 +331,9 @@ class TestAgainstTokenReference:
         # the values of a whole dictionary share one scale, however far
         # apart their binary exponents are
         frequency = FrequencyDictionary([FrequencyRecord(*r) for r in records])
-        top5000 = WordList("top5000", top)
+        top5000 = WordList(top)
         text = " ".join(words) + "."
-        fv = quantitative_features(analyze(text, self._MORPH),
-                                   Lexicon(frequency=frequency, top5000=top5000))
+        fv = text_features(text, self._MORPH, frequency=frequency, top5000=top5000)
         lexical = by_family(fv)["lexical"].values()
         ref = reference_analyze(text, self._MORPH)
         ref_values, ref_warnings = reference_lexical_features(ref, frequency, top5000)
@@ -391,17 +383,17 @@ class TestSchema:
 class TestFeatureVector:
     def test_length_mismatch_rejected(self):
         with pytest.raises(FeatureError):
-            FeatureVector(("a", "b"), (1.0,))
+            FeatureVector((1.0,))
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(FeatureError):
-            FeatureVector(("a", "a"), (1.0, 2.0))
+    def test_too_many_values_rejected(self):
+        with pytest.raises(FeatureError, match="57 values for 56 features"):
+            FeatureVector((1.0,) * 57)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(FeatureError, match="a"):
-            FeatureVector(("a",), (float("nan"),))
-        with pytest.raises(FeatureError):
-            FeatureVector(("a",), (float("inf"),))
+        with pytest.raises(FeatureError, match="'avg_words_len'"):
+            FeatureVector((float("nan"),) + (1.0,) * 55)
+        with pytest.raises(FeatureError, match="'age_rating_18'"):
+            FeatureVector((1.0,) * 55 + (float("inf"),))
 
 
 class TestReadabilityFormulas:
@@ -453,6 +445,16 @@ class TestCoefficients:
         p.write_text("{oops", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             ReadabilityCoefficients.from_file(p)
+
+    def test_file_nested_too_deeply_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(NESTED_TOO_DEEPLY, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(p))}: malformed JSON"):
+            ReadabilityCoefficients.from_file(p)
+
+    def test_bundled_file_holds_the_defaults(self):
+        assert ReadabilityCoefficients.from_file(BUNDLED_FILES["coefficients"]) \
+            == ReadabilityCoefficients()
 
     @pytest.mark.parametrize("value", ['"abc"', "null", "true", "false", "[1]", '{"x": 1}'])
     def test_value_that_is_not_a_number_rejected(self, tmp_path, value):
@@ -519,13 +521,11 @@ class TestGeneralFeatures:
     def test_ttr_definition(self):
         # 10 tokens, 7 unique lemmas
         entries = {c: (c, "OTHER") for c in "абвгдеж"}
-        t = analyzed("а б в г д е ж а б в.", entries)
-        fv = quantitative(t)["general"]
+        fv = quantitative("а б в г д е ж а б в.", entries)["general"]
         assert fv["ttr"] == pytest.approx(0.7)
 
     def test_uniform_word_lengths(self):
-        t = analyzed("кот кот кот.", {"кот": ("кот", "NOUN")})
-        fv = quantitative(t)["general"]
+        fv = quantitative("кот кот кот.", {"кот": ("кот", "NOUN")})["general"]
         assert fv["avg_words_len"] == 3.0
         assert fv["med_words_len"] == 3.0
         assert fv["ttr"] == pytest.approx(1 / 3)
@@ -533,63 +533,54 @@ class TestGeneralFeatures:
     def test_nav_ratio(self):
         entries = {"кот": ("кот", "NOUN"), "рыжий": ("рыжий", "ADJ"),
                    "спит": ("спать", "VERB")}
-        t = analyzed("кот кот рыжий рыжий спит спит.", entries)
-        fv = quantitative(t)["general"]
+        fv = quantitative("кот кот рыжий рыжий спит спит.", entries)["general"]
         assert fv["ttr_n"] == pytest.approx(0.5)
         assert fv["ttr_a"] == pytest.approx(0.5)
         assert fv["ttr_v"] == pytest.approx(0.5)
         assert fv["nav"] == pytest.approx(2.0)
 
     def test_nav_zero_when_no_verbs(self):
-        t = analyzed("кот кот.", {"кот": ("кот", "NOUN")})
-        assert quantitative(t)["general"]["nav"] == 0.0
+        assert quantitative("кот кот.", {"кот": ("кот", "NOUN")})["general"]["nav"] == 0.0
 
     def test_proper_nouns_not_counted_in_ttr_n(self):
         entries = {"маша": ("маша", "PROPN"), "кот": ("кот", "NOUN")}
-        t = analyzed("Маша кот.", entries)
-        fv = quantitative(t)["general"]
+        fv = quantitative("Маша кот.", entries)["general"]
         assert fv["ttr_n"] == pytest.approx(1.0)  # only "кот"
 
     def test_many_syllables_share(self):
         # пятиэтажный has 5 vowels; кот has 1
         entries = {"пятиэтажный": ("пятиэтажный", "ADJ"), "кот": ("кот", "NOUN")}
-        t = analyzed("пятиэтажный кот.", entries)
-        assert quantitative(t)["general"]["many_syllables"] == pytest.approx(0.5)
+        assert quantitative("пятиэтажный кот.", entries)["general"]["many_syllables"] == pytest.approx(0.5)
 
     def test_sentence_lengths_in_symbols(self):
-        t = analyzed("Кот спит. Да.", {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")})
-        fv = quantitative(t)["general"]
+        fv = quantitative("Кот спит. Да.", {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")})["general"]
         assert fv["avg_sent_len"] == pytest.approx((8 + 3) / 2)
         assert fv["med_sent_len"] == pytest.approx(5.5)
 
     def test_empty_text_rejected(self):
-        t = analyzed("", {})
         with pytest.raises(FeatureError):
-            quantitative_features(t, Lexicon())
+            quantitative("", {})
 
 
 class TestReadabilityFeatures:
     def test_difficult_words_exclude_familiar_and_proper(self):
         entries = {"маша": ("маша", "PROPN"), "видит": ("видеть", "VERB"),
                    "кота": ("кот", "NOUN")}
-        familiar = WordList("familiar", {"видеть": None})
-        t = analyzed("Маша видит кота.", entries)
-        fv = quantitative(t, Lexicon(familiar=familiar))["readability"]
+        familiar = WordList({"видеть": None})
+        fv = quantitative("Маша видит кота.", entries, familiar=familiar)["readability"]
         # one difficult token of three: share 1/3, 3 words in 1 sentence
         assert fv["index_dc"] == pytest.approx(0.1579 * (100.0 / 3.0) + 0.0496 * 3.0)
 
     def test_all_familiar_leaves_only_length_term(self):
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
-        familiar = WordList("familiar", {"кот": None, "спать": None})
-        t = analyzed("кот спит.", entries)
-        fv = quantitative(t, Lexicon(familiar=familiar))["readability"]
+        familiar = WordList({"кот": None, "спать": None})
+        fv = quantitative("кот спит.", entries, familiar=familiar)["readability"]
         assert fv["index_dc"] == pytest.approx(0.0496 * 2.0)
 
     def test_custom_coefficients_applied(self):
         entries = {"кот": ("кот", "NOUN")}
-        t = analyzed("кот.", entries)
         coef = ReadabilityCoefficients(fk=(1.0, 0.0, 0.0))
-        fv = quantitative(t, Lexicon(), coef)["readability"]
+        fv = quantitative("кот.", entries, coef)["readability"]
         assert fv["index_fk"] == pytest.approx(1.0)
 
 
@@ -600,9 +591,8 @@ def make_freq(rows):
 class TestLexicalFeatures:
     def test_full_top5000_coverage(self):
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
-        top = WordList("top5000", {"кот": 100.0, "спать": 200.0})
-        t = analyzed("кот спит.", entries)
-        fv = quantitative(t, Lexicon(top5000=top))["lexical"]
+        top = WordList({"кот": 100.0, "спать": 200.0})
+        fv = quantitative("кот спит.", entries, top5000=top)["lexical"]
         assert fv["5000_proc"] == 1.0
         assert fv["5000_freq"] == pytest.approx(150.0)
 
@@ -610,8 +600,7 @@ class TestLexicalFeatures:
         entries = {"кот": ("кот", "NOUN"), "пёс": ("пёс", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("пёс", Pos.NOUN, 300.0, 30, 40.0, 15)])
-        t = analyzed("кот пёс.", entries)
-        fv = quantitative(t, Lexicon(frequency=freq))["lexical"]
+        fv = quantitative("кот пёс.", entries, frequency=freq)["lexical"]
         assert fv["words_fr"] == pytest.approx(200.0)
         assert fv["s_fr"] == pytest.approx(200.0)
         assert fv["words_r"] == pytest.approx(20.0)
@@ -622,22 +611,19 @@ class TestLexicalFeatures:
     def test_unmatched_token_skips_denominator(self):
         entries = {"кот": ("кот", "NOUN"), "ёж": ("ёж", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 100.0, 10, 20.0, 5)])
-        t = analyzed("кот ёж.", entries)
-        fv = quantitative(t, Lexicon(frequency=freq))["lexical"]
+        fv = quantitative("кот ёж.", entries, frequency=freq)["lexical"]
         assert fv["words_fr"] == pytest.approx(100.0)
 
     def test_no_matches_warns_and_zeroes(self):
-        t = analyzed("ёж.", {"ёж": ("ёж", "NOUN")})
-        fv = quantitative_features(t, Lexicon())
+        fv = text_features("ёж.", dict_morph({"ёж": ("ёж", "NOUN")}))
         assert fv.warnings == ("no_frequency_matches",)
         assert by_family(fv)["lexical"]["words_fr"] == 0.0
 
     def test_top5000_without_ipm_falls_back_to_dictionary(self):
         entries = {"кот": ("кот", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 123.0, 10, 20.0, 5)])
-        top = WordList("top", {"кот": None})
-        t = analyzed("кот.", entries)
-        assert quantitative(t, Lexicon(frequency=freq, top5000=top))["lexical"]["5000_freq"] == pytest.approx(123.0)
+        top = WordList({"кот": None})
+        assert quantitative("кот.", entries, frequency=freq, top5000=top)["lexical"]["5000_freq"] == pytest.approx(123.0)
 
     def test_pos_specific_lookup_beats_average(self):
         # "печь" noun and verb entries differ; a noun token must take the
@@ -645,57 +631,49 @@ class TestLexicalFeatures:
         entries = {"печь": ("печь", "NOUN")}
         freq = make_freq([("печь", Pos.NOUN, 100.0, 10, 20.0, 5),
                           ("печь", Pos.VERB, 300.0, 30, 40.0, 15)])
-        t = analyzed("печь.", entries)
-        assert quantitative(t, Lexicon(frequency=freq))["lexical"]["words_fr"] == pytest.approx(100.0)
+        assert quantitative("печь.", entries, frequency=freq)["lexical"]["words_fr"] == pytest.approx(100.0)
 
 
 class TestGrammaticalFeatures:
     def test_mixed_pos_shares(self):
         entries = {"кот": ("кот", "NOUN"), "пёс": ("пёс", "NOUN"),
                    "спит": ("спать", "VERB"), "и": ("и", "OTHER")}
-        t = analyzed("кот пёс спит и.", entries)
-        fv = quantitative(t)["grammatical"]
+        fv = quantitative("кот пёс спит и.", entries)["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.5, 0.25, 0.0)
 
     def test_all_adjectives(self):
-        t = analyzed("рыжий рыжий.", {"рыжий": ("рыжий", "ADJ")})
-        fv = quantitative(t)["grammatical"]
+        fv = quantitative("рыжий рыжий.", {"рыжий": ("рыжий", "ADJ")})["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.0, 0.0, 1.0)
 
     def test_bundled_dictionary_example(self, resources):
-        t = analyze("кот спит", resources.morphology)
-        fv = quantitative(t)["grammatical"]
+        fv = by_family(text_features("кот спит", resources.morphology))["grammatical"]
         assert (fv["count_n"], fv["count_v"], fv["count_a"]) == (0.5, 0.5, 0.0)
 
     def test_proper_nouns_are_not_nouns(self):
-        t = analyzed("Маша.", {"маша": ("маша", "PROPN")})
-        assert quantitative(t)["grammatical"]["count_n"] == 0.0
+        assert quantitative("Маша.", {"маша": ("маша", "PROPN")})["grammatical"]["count_n"] == 0.0
 
 
 class TestSentimentFeatures:
-    def _lexicon(self):
-        return Lexicon(sentiment=SentimentLexicon({
+    def _sentiment(self):
+        return SentimentLexicon({
             "ужасный": (Polarity.NEGATIVE, SentimentCategory.OPINION),
             "радость": (Polarity.POSITIVE, SentimentCategory.FEELING),
-        }))
+        })
 
     def test_share_of_matching_tokens(self):
         entries = {c: (c, "OTHER") for c in "абвгдежз"}
         entries["ужасный"] = ("ужасный", "ADJ")
-        t = analyzed("ужасный ужасный а б в г д е ж з.", entries)
-        fv = quantitative(t, self._lexicon())["sentiment"]
+        fv = quantitative("ужасный ужасный а б в г д е ж з.", entries, sentiment=self._sentiment())["sentiment"]
         assert fv["neg_opinion"] == pytest.approx(0.2)
         assert fv["pos_feeling"] == 0.0
 
     def test_no_hits_all_zero(self):
-        t = analyzed("кот.", {"кот": ("кот", "NOUN")})
-        fv = quantitative(t, self._lexicon())["sentiment"]
+        fv = quantitative("кот.", {"кот": ("кот", "NOUN")}, sentiment=self._sentiment())["sentiment"]
         assert all(v == 0.0 for v in fv.values())
 
     def test_lookup_is_by_lemma(self):
         entries = {"ужасного": ("ужасный", "ADJ")}
-        t = analyzed("ужасного.", entries)
-        assert quantitative(t, self._lexicon())["sentiment"]["neg_opinion"] == 1.0
+        assert quantitative("ужасного.", entries, sentiment=self._sentiment())["sentiment"]["neg_opinion"] == 1.0
 
 
 class TestPublishingFeatures:
@@ -723,8 +701,7 @@ class TestExtractAll:
 
     def test_width_and_order(self, resources):
         fv = extract_all(self._doc(), resources)
-        assert fv.names == ALL_FEATURE_NAMES
-        assert len(fv.values) == 56
+        assert len(fv.values) == len(ALL_FEATURE_NAMES) == 56
 
     def test_deterministic(self, resources):
         a = extract_all(self._doc(), resources)
@@ -798,7 +775,7 @@ class TestExtractAll:
 
     def test_fraction_features_bounded(self, resources):
         vector = extract_all(self._doc(), resources)
-        fv = dict(zip(vector.names, vector.values))
+        fv = dict(zip(ALL_FEATURE_NAMES, vector.values))
         for name in ("many_syllables", "ttr", "ttr_n", "ttr_a", "ttr_v",
                      "5000_proc", "count_n", "count_v", "count_a",
                      "neg_opinion", "pos_feeling"):
@@ -818,8 +795,8 @@ class TestExtractAll:
                                   for _ in range(rng.randint(2, 8))).capitalize() + ".")
         text = " ".join(sents)
         entries = {w: (w, "NOUN") for w in words}
-        familiar = Lexicon(familiar=WordList("f", {"кот": None, "и": None}))
-        single = quantitative(analyzed(text, entries), familiar)["readability"]
-        double = quantitative(analyzed(text + " " + text, entries), familiar)["readability"]
+        familiar = WordList({"кот": None, "и": None})
+        single = quantitative(text, entries, familiar=familiar)["readability"]
+        double = quantitative(text + " " + text, entries, familiar=familiar)["readability"]
         for a, b in zip(single.values(), double.values()):
             assert a == pytest.approx(b, abs=1e-9)

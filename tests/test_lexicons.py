@@ -129,7 +129,7 @@ class TestSentimentLexicon:
     def test_header_row_skipped(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("lemma,polarity,category\nужасный,negative,opinion\n", encoding="utf-8")
-        assert len(load_sentiment_lexicon(p)) == 1
+        assert len(load_sentiment_lexicon(p).entries) == 1
 
     def test_loaded_values(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -176,17 +176,16 @@ class TestWordList:
     def test_duplicates_collapse(self, tmp_path):
         p = tmp_path / "w.txt"
         p.write_text("кот\nКот\n", encoding="utf-8")
-        assert len(load_word_list(p)) == 1
+        assert load_word_list(p).lemmas == ["кот"]
 
     def test_loaded_values(self, tmp_path):
         p = tmp_path / "w.txt"
         p.write_text("# comment\nКот\t120.5\nпёс\nёж\t0\n", encoding="utf-8")
-        words = load_word_list(p, "test")
-        assert words.name == "test"
+        words = load_word_list(p)
         assert words.lemmas == ["кот", "пёс", "ёж"]
         assert [words.ipm_of(w) for w in words.lemmas] == [120.5, None, 0.0]
 
     def test_bundled_lists_nonempty(self, resources):
-        assert len(resources.top5000) > 0
-        assert len(resources.familiar) > 0
+        assert len(resources.top5000.lemmas) > 0
+        assert len(resources.familiar.lemmas) > 0
         assert len(resources.stopwords) > 0

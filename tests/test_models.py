@@ -19,7 +19,7 @@ from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
 from agelex.pipeline import run_grid
 from agelex.synthetic import make_corpus
 
-from oracles import gini_impurity
+from oracles import NESTED_TOO_DEEPLY, gini_impurity
 
 
 def separable_blobs(seed, n=60, gap=2.0):
@@ -597,6 +597,12 @@ class TestPersistence:
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"format_version": 1, "kind": "lin', encoding="utf-8")
+        with pytest.raises(ArtifactError, match="not a valid model file"):
+            load_model(p)
+
+    def test_file_nested_too_deeply_rejected(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(NESTED_TOO_DEEPLY, encoding="utf-8")
         with pytest.raises(ArtifactError, match="not a valid model file"):
             load_model(p)
 

@@ -297,6 +297,9 @@ def test_pipeline_integers_must_be_json_integers(saved_pipelines, tmp_path, key,
 
 
 _NODE_VALUE_ERROR = "tree 0 node 0: a feature, child or count is no integer"
+# written as the number literal 1e999, which parses as infinity
+_PAST_FLOAT_RANGE = "<1e999>"
+_NUMBER, _NUMBERS = "must be a finite number", "must be a list of finite numbers"
 # (model kind, path to a value in the pipeline payload, the value written
 # there or a function of the value there, what the error says)
 CORRUPT_VALUES = {
@@ -305,6 +308,28 @@ CORRUPT_VALUES = {
     "infinite-idf": ("lsvc", ("tfidf", "idf", 0), float("inf"), "Infinity is not a finite number"),
     "negative-infinite-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1),
                                     float("-inf"), "-Infinity is not a finite number"),
+    "string-nan-bias": ("lsvc", ("model", "payload", "bias"), "nan", "bias " + _NUMBER),
+    "string-inf-bias": ("lsvc", ("model", "payload", "bias"), "inf", "bias " + _NUMBER),
+    "bool-bias": ("lsvc", ("model", "payload", "bias"), True, "bias " + _NUMBER),
+    "huge-integer-bias": ("lsvc", ("model", "payload", "bias"), 10 ** 400, "bias " + _NUMBER),
+    "overflowing-weight": ("lsvc", ("model", "payload", "weights", 0), _PAST_FLOAT_RANGE,
+                           "weights " + _NUMBERS),
+    "column-of-weights": ("lsvc", ("model", "payload", "weights"),
+                          lambda weights: [[w] for w in weights], "weights " + _NUMBERS),
+    "overflowing-idf": ("lsvc", ("tfidf", "idf", 0), _PAST_FLOAT_RANGE, "tfidf.idf " + _NUMBERS),
+    "overflowing-scaler-min": ("rf", ("scaler", "mins", 0), _PAST_FLOAT_RANGE,
+                               "scaler.mins " + _NUMBERS),
+    "string-scaler-range": ("rf", ("scaler", "ranges", 0), str, "scaler.ranges " + _NUMBERS),
+    "overflowing-svd-mean": ("lsvc", ("svd", "mean", 0), _PAST_FLOAT_RANGE,
+                             "svd.mean " + _NUMBERS),
+    "string-svd-component": ("lsvc", ("svd", "components", 0, 0), str,
+                             "svd.components must be a list of lists of finite numbers"),
+    "string-nan-retained": ("lsvc", ("svd", "retained"), "nan", "svd.retained " + _NUMBER),
+    "overflowing-target": ("lsvc", ("svd", "target"), _PAST_FLOAT_RANGE, "svd.target " + _NUMBER),
+    "overflowing-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1),
+                              _PAST_FLOAT_RANGE, "tree 0 thresholds " + _NUMBERS),
+    "string-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1), str,
+                         "tree 0 thresholds " + _NUMBERS),
     "float-n-docs": ("lsvc", ("tfidf", "n_docs"), 2.7,
                      "tfidf.n_docs must be an integer of at least 1, got 2.7"),
     "bool-n-docs": ("lsvc", ("tfidf", "n_docs"), True, "tfidf.n_docs must be an integer"),
@@ -337,7 +362,7 @@ CORRUPT_VALUES = {
 
 
 @pytest.mark.parametrize("case", CORRUPT_VALUES)
-def test_pipeline_value_outside_the_format_rejected(saved_pipelines, tmp_path, case):
+def test_pipeline_value_outside_the_format_rejected(saved_pipelines, tmp_path, case, capsys):
     kind, path, value, message = CORRUPT_VALUES[case]
     payload = json.loads(saved_pipelines[kind].read_text(encoding="utf-8"))
     entry = payload["model"]
@@ -345,10 +370,13 @@ def test_pipeline_value_outside_the_format_rejected(saved_pipelines, tmp_path, c
         entry = entry[key]
     entry[path[-1]] = value(entry[path[-1]]) if callable(value) else value
     corrupt = tmp_path / "model.json"
-    corrupt.write_text(json.dumps(payload), encoding="utf-8")
+    corrupt.write_text(json.dumps(payload).replace(json.dumps(_PAST_FLOAT_RANGE), "1e999"),
+                       encoding="utf-8")
     with pytest.raises(ArtifactError) as excinfo:
         load_model(corrupt)
     assert str(excinfo.value).startswith(f"{corrupt}: ") and message in str(excinfo.value)
+    assert main(["classify", "--model-file", str(corrupt), "--text", "Кот спит."]) == 1
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
 
 def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
