@@ -10,13 +10,14 @@ Features are always computed on the full preview text, never on the
 truncated fragments used by the bag-of-words vectorizer.
 
 extract_all gives a document's 56 values in ALL_FEATURE_NAMES order and
-its warnings.  Its five quantitative families come from one pass over
-the per-type table of text_analysis.analyze, which reads each type's row
-of a lexicons.Lexicon (Resources.lexicon), what the word lexicons hold
-for its (lemma, pos), once.  Both kinds of row are resolved once per key
-and kept while the resources live, so every count is a sum of per-type
-token counts and every dictionary mean an exact integer sum divided
-once; features.md gives the rules.
+its warnings.  Its five quantitative families are array reductions over
+the per-type table of text_analysis.analyze: every count is a sum of
+per-type token counts, and every dictionary mean an exact integer sum
+divided once.  Lexicon.sums (Resources.lexicon) multiplies the part of
+speech x type matrix of token counts by the types' lexicon rows in one
+int64 product; the length and syllable sums come from the table's own
+columns.  Only the type-token ratios, which count distinct lemmas, and
+the two medians are not sums.  features.md gives the rules.
 """
 from __future__ import annotations
 
@@ -24,16 +25,18 @@ import hashlib
 import json
 import math
 import sys
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .corpus import AgeRating, Document
 from .errors import ConfigError, FeatureError, decode_errors_as
-from .lexicons import Lexicon, Polarity, SentimentCategory
+from .lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT, TOKENS, TOP5000,
+                       TOP_IPM, TOP_IPM_TOKENS, Lexicon)
 from .text_analysis import AnalyzedText, Pos, analyze
 
 if TYPE_CHECKING:
@@ -191,22 +194,18 @@ def dale_chall(difficult_share: float, words_per_sentence: float,
     return base + a * (difficult_share * 100.0) + b * words_per_sentence
 
 
-def _median(counts: Counter) -> float:
-    """Median of integers given as value -> multiplicity, as
-    statistics.median computes it."""
-    order = sorted(counts)
-    ends = list(accumulate(counts[v] for v in order))
-    n = ends[-1]
-    return (order[bisect_right(ends, (n - 1) // 2)] + order[bisect_right(ends, n // 2)]) / 2
+def _median(values, weights=None) -> float:
+    """Median of non-negative integers, values[i] taken weights[i] times
+    or else once, as statistics.median computes it."""
+    ends = np.cumsum(np.bincount(values, weights))
+    low, high = np.searchsorted(ends, [(ends[-1] - 1) // 2, ends[-1] // 2], side="right").tolist()
+    return (low + high) / 2
 
 
 # a part of speech is read by its place in _POS_ORDER: hashing an Enum
 # member runs Python code
 _POS_ORDER = tuple(Pos)
 _NOUN, _VERB, _ADJ, _ADV, _PROPN = map(_POS_ORDER.index, (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN))
-_SENTIMENT_SLOTS = tuple((pol, cat) for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
-                         for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING,
-                                     SentimentCategory.FACT))
 
 
 def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
@@ -214,48 +213,27 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     """The 51 quantitative values in schema order, by the rules of
     features.md, and the warnings; t must hold a token, so a sentence."""
     n, sentences = t.n_tokens, t.n_sentences
-    lengths: Counter = Counter()
-    syllables = polysyllables = many_syllables = difficult = 0
-    hits = hit_tokens = hit_total = 0
-    sentiment = dict.fromkeys(_SENTIMENT_SLOTS, 0)
-    # per part of speech: its tokens, its lemmas, and the (tokens, ipm, r,
-    # d, doc) sums over its tokens in the frequency dictionary
-    pos_tokens = [0] * len(_POS_ORDER)
-    pos_lemmas = [set() for _ in _POS_ORDER]
-    frequency = [(0, 0, 0, 0, 0)] * len(_POS_ORDER)
-    for surface, lemma, p, syl, count, row in zip(
-            t.surfaces, t.lemmas, map(_POS_ORDER.index, t.pos), t.syllables, t.counts,
-            lexicon.rows(t.lemmas, t.pos)):
-        lengths[len(surface)] += count
-        pos_tokens[p] += count
-        pos_lemmas[p].add(lemma)
-        syllables += syl * count
-        if syl > 3:
-            polysyllables += count
-            if syl > 4:
-                many_syllables += count
-        if p != _PROPN and not row.familiar:
-            difficult += count
-        if row.top5000:
-            hits += count
-            if row.top_ipm is not None:
-                hit_tokens += count
-                hit_total += row.top_ipm * count
-        if row.frequency is not None:
-            frequency[p] = tuple(s + v * count for s, v in zip(frequency[p], (1, *row.frequency)))
-        if row.sentiment is not None:
-            sentiment[row.sentiment] += count
+    pos = list(map(_POS_ORDER.index, t.pos))
+    counts = np.array(t.counts)
+    # per part of speech, then over all: the Lexicon.sums columns
+    *by_pos, total = lexicon.sums(t.lemmas, pos, counts)
+    distinct_lemmas = Counter(map(itemgetter(1), set(zip(t.lemmas, pos))))
+    lengths = np.fromiter(map(len, t.surfaces), np.int64, len(t.surfaces))
+    syllables = np.array(t.syllables)
+    syllable_sum, polysyllables, many_syllables, length_sum = (
+        counts @ np.array([syllables, syllables > 3, syllables > 4, lengths]).T).tolist()
 
     def ttr(p: int) -> float:
-        return len(pos_lemmas[p]) / pos_tokens[p] if pos_tokens[p] else 0.0
+        tokens = by_pos[p][TOKENS]
+        return distinct_lemmas[p] / tokens if tokens else 0.0
 
     ttr_n, ttr_a, ttr_v = ttr(_NOUN), ttr(_ADJ), ttr(_VERB)
-    asl, asw = n / sentences, syllables / n
+    asl, asw = n / sentences, syllable_sum / n
     values = [
-        sum(length * count for length, count in lengths.items()) / n,
-        _median(lengths),
+        length_sum / n,
+        _median(lengths, counts),
         sum(t.sentence_symbols) / sentences,
-        _median(Counter(t.sentence_symbols)),
+        _median(t.sentence_symbols),
         asw,
         many_syllables / n,
         len(set(t.lemmas)) / n,
@@ -265,20 +243,20 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
         coleman_liau(t.letter_count / n * 100.0, sentences / n * 100.0, coefficients),
         automated_readability(t.char_count / n, asl, coefficients),
         smog_index(polysyllables, sentences, coefficients),
-        dale_chall(difficult / n, asl, coefficients),
+        dale_chall(total[DIFFICULT] / n, asl, coefficients),
     ]
     # every dictionary sum is exact, over lexicon.scale, and is divided once;
     # the words bucket takes every part of speech, then come s, v, adj, adv
     # and prop
     scale = lexicon.scale
-    values += [hits / n, hit_total / (scale * hit_tokens) if hit_tokens else 0.0]
-    buckets = [tuple(map(sum, zip(*frequency)))]
-    buckets += [frequency[p] for p in (_NOUN, _VERB, _ADJ, _ADV, _PROPN)]
-    values += [bucket[column] / (scale * bucket[0]) if bucket[0] else 0.0
-               for column in range(1, 5) for bucket in buckets]
-    values += [pos_tokens[p] / n for p in (_NOUN, _VERB, _ADJ)]
-    values += [sentiment[slot] / n for slot in _SENTIMENT_SLOTS]
-    warnings = () if buckets[0][0] else ("no_frequency_matches",)
+    hit_tokens = total[TOP_IPM_TOKENS]
+    values += [total[TOP5000] / n, total[TOP_IPM] / (scale * hit_tokens) if hit_tokens else 0.0]
+    buckets = [total] + [by_pos[p] for p in (_NOUN, _VERB, _ADJ, _ADV, _PROPN)]
+    values += [bucket[column] / (scale * bucket[FREQUENCY_TOKENS]) if bucket[FREQUENCY_TOKENS] else 0.0
+               for column in (IPM, R, D, DOC) for bucket in buckets]
+    values += [by_pos[p][TOKENS] / n for p in (_NOUN, _VERB, _ADJ)]
+    values += [total[column] / n for column in SENTIMENT]
+    warnings = () if total[FREQUENCY_TOKENS] else ("no_frequency_matches",)
     return values, warnings
 
 

@@ -8,10 +8,16 @@ index.  All loaders validate ranges and report the offending row number.
 
 A Lexicon reads the four word lexicons of one Resources through a table
 keyed by (lemma, pos): each key is resolved once, on first sight, into a
-LexiconRow.  The table keeps at most text_analysis.TABLE_CAP rows, and
-none for a lemma longer than text_analysis.CHUNK_LIMIT characters.  Its
-frequency values are exact integers over one power-of-two scale, so a
-feature family sums them exactly and divides once.
+row of one int32 array.  A row holds 1, the difficult-word flag, the
+top-5000 hit, whether the hit has an ipm, the frequency-entry flag, the
+sentiment one-hot, then the hit's ipm and the entry's ipm, r, d and doc.
+Each of those five values is an exact integer over one power-of-two
+scale, split into as many 24-bit limbs as the largest such value of the
+lexicons needs.  A text's type counts times the rows then give every
+column sum exactly in int64 for any text under 2**39 tokens, and the
+limbs are joined again as Python integers.  The table keeps at most
+text_analysis.TABLE_CAP rows, and none for a lemma longer than
+text_analysis.CHUNK_LIMIT characters.
 """
 from __future__ import annotations
 
@@ -20,12 +26,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
+import numpy as np
+
+from . import text_analysis
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import Pos, table_rows
+from .text_analysis import Pos, table_keeps
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -255,31 +262,34 @@ def load_word_list(path: str | Path) -> WordList:
 
 
 _POS_ORDER = tuple(Pos)
+_PROPN = _POS_ORDER.index(Pos.PROPN)
+SENTIMENT_SLOTS = tuple((pol, cat) for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
+                        for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING,
+                                    SentimentCategory.FACT))
 
-
-class LexiconRow(NamedTuple):
-    """What the lexicons say about one (lemma, pos).
-
-    top_ipm is the ipm of a top-5000 hit (from the list, else from the
-    frequency dictionary) and frequency the (ipm, r, d, doc) of the
-    dictionary entry (the exact (lemma, pos) record, else the average
-    over the lemma's records), each times Lexicon.scale; either is None
-    when there is no such value.
-    """
-
-    familiar: bool
-    sentiment: tuple[Polarity, SentimentCategory] | None
-    top5000: bool
-    top_ipm: int | None
-    frequency: tuple[int, int, int, int] | None
+# The columns of Lexicon.sums, each a sum over tokens: the tokens, the
+# difficult words (neither familiar nor proper nouns), the top-5000 hits,
+# the hits with an ipm (from the list, else from the frequency entry),
+# the tokens with a frequency entry and the six SENTIMENT_SLOTS, then the
+# hits' ipm and the entries' ipm, r, d and doc, times Lexicon.scale.
+TOKENS, DIFFICULT, TOP5000, TOP_IPM_TOKENS, FREQUENCY_TOKENS = range(5)
+SENTIMENT = range(5, 11)
+TOP_IPM, IPM, R, D, DOC = range(11, 16)
+# a token count below 2**39 times a limb stays below 2**63
+LIMB_BITS = 24
 
 
 class Lexicon:
     """The frequency dictionary, sentiment lexicon, top-5000 list and
-    familiar list, looked up through one table keyed by (lemma, pos).
+    familiar list, looked up through one table keyed by (lemma, pos),
+    the pos by its place in Pos.
 
-    The lexicons must not change once rows have been read.  A missing
-    lexicon is an empty one.
+    The table gives each key it keeps a row id into one int32 array,
+    which grows as keys are first seen; a key it does not keep gets its
+    row for the call only.  A row holds the value of each column of sums
+    for one token: the flags, then each scaled value as limbs, least
+    significant first.  The lexicons must not change once rows have been
+    read.  A missing lexicon is an empty one.
     """
 
     def __init__(self, frequency: FrequencyDictionary | None = None,
@@ -289,43 +299,98 @@ class Lexicon:
         self.sentiment = sentiment if sentiment is not None else SentimentLexicon({})
         self.top5000 = top5000 if top5000 is not None else WordList({})
         self.familiar = familiar if familiar is not None else WordList({})
-        self._rows: dict[tuple[str, int], LexiconRow] = {}
+        self._ids: dict[tuple[str, int], int] = {}
 
     @cached_property
-    def scale(self) -> int:
-        """The least power of two that makes every ipm, r, d and doc value
-        a row can hold an integer: each finite float is an integer over a
-        power of two, so this is the largest of those denominators."""
+    def _scaling(self) -> tuple[int, np.ndarray]:
+        """The scale, the least power of two that makes every ipm, r, d
+        and doc value a row can hold an integer (each finite float is an
+        integer over a power of two, so this is the largest of those
+        denominators), and the weight of each limb: as many limbs as the
+        largest scaled value needs."""
         records = self.frequency.records
         averages = (self.frequency.lookup_any(lemma) for lemma in {rec.lemma for rec in records})
         values = [float(v) for rec in records for v in (rec.ipm, rec.r, rec.d, rec.doc)]
         values += [v for stats in averages for v in (stats.ipm, stats.r, stats.d, stats.doc)]
         values += [v for v in map(self.top5000.ipm_of, self.top5000.lemmas) if v is not None]
-        return max((v.as_integer_ratio()[1] for v in values), default=1)
+        ratios = [v.as_integer_ratio() for v in values]
+        scale = max((d for _, d in ratios), default=1)
+        largest = max((abs(n) * (scale // d) for n, d in ratios), default=0)
+        limbs = max(1, -(-largest.bit_length() // LIMB_BITS))
+        return scale, np.array([1 << (LIMB_BITS * k) for k in range(limbs)], dtype=object)
 
-    def rows(self, lemmas: list[str], pos: list[Pos]) -> list[LexiconRow]:
-        """The row of each (lemma, pos) pair."""
-        # keyed by the pos's place in _POS_ORDER, found by identity: hashing
-        # an Enum member runs Python code
-        keys = list(zip(lemmas, map(_POS_ORDER.index, pos)))
-        return table_rows(self._rows, keys, self._resolve, itemgetter(0))
+    @property
+    def scale(self) -> int:
+        return self._scaling[0]
 
-    def _scaled(self, value: float) -> int:
-        numerator, denominator = float(value).as_integer_ratio()
-        return numerator * (self.scale // denominator)
+    def sums(self, lemmas: list[str], pos: list[int], counts: np.ndarray) -> list[list[int]]:
+        """For each part of speech, by its place in Pos, and then for all
+        tokens, the sum of each column over those tokens: a text's type i
+        is lemma lemmas[i] with part of speech pos[i], a place in Pos, and
+        counts[i] tokens."""
+        by_pos = np.zeros((len(_POS_ORDER), len(counts)), np.int64)
+        by_pos[pos, np.arange(len(counts))] = counts
+        # one exact int64 product: NumPy multiplies integers without BLAS
+        sums = by_pos @ self._rows(lemmas, pos)
+        sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
+        weights = self._scaling[1]
+        values = sums[:, TOP_IPM:].reshape(len(sums), -1, len(weights)).astype(object) @ weights
+        return [flags + exact for flags, exact in zip(sums[:, :TOP_IPM].tolist(), values.tolist())]
 
-    def _resolve(self, key: tuple[str, int]) -> LexiconRow:
-        lemma, pos = key[0], _POS_ORDER[key[1]]
-        entry = self.frequency.lookup(lemma, pos) or self.frequency.lookup_any(lemma)
+    @cached_property
+    def _array(self) -> np.ndarray:
+        # row i is the row of the key with id i, for i < len(self._ids)
+        return np.zeros((64, TOP_IPM + 5 * len(self._scaling[1])), np.int32)
+
+    def _rows(self, lemmas: list[str], pos: list[int]) -> np.ndarray:
+        """The row of each (lemma, pos), one line each."""
+        try:
+            return self._array[np.fromiter(map(self._ids.get, zip(lemmas, pos)), np.intp, len(pos))]
+        except TypeError:  # the id of a key the table lacks reads as None
+            keys = list(zip(lemmas, pos))
+        fresh = {}  # the rows of new keys the table does not keep
+        for key in dict.fromkeys(key for key in keys if key not in self._ids):
+            row = self._row(key)
+            if table_keeps(self._ids, key[0]):
+                self._ids[key] = self._append(row)
+            else:
+                fresh[key] = row
+        rows = self._array[[self._ids.get(key, 0) for key in keys]]
+        unkept = [i for i, key in enumerate(keys) if key in fresh]
+        if unkept:
+            rows[unkept] = [fresh[keys[i]] for i in unkept]
+        return rows
+
+    def _append(self, row: list[int]) -> int:
+        n = len(self._ids)
+        if n == len(self._array):
+            grown = np.zeros((min(2 * n, text_analysis.TABLE_CAP), self._array.shape[1]), np.int32)
+            grown[:n] = self._array
+            self._array = grown
+        self._array[n] = row
+        return n
+
+    def _row(self, key: tuple[str, int]) -> list[int]:
+        lemma, pos = key
+        entry = (self.frequency.lookup(lemma, _POS_ORDER[pos])
+                 or self.frequency.lookup_any(lemma))
         top5000 = lemma in self.top5000
         ipm = self.top5000.ipm_of(lemma) if top5000 else None
         if top5000 and ipm is None and entry is not None:
             ipm = entry.ipm
-        return LexiconRow(
-            familiar=lemma in self.familiar,
-            sentiment=self.sentiment.lookup(lemma),
-            top5000=top5000,
-            top_ipm=None if ipm is None else self._scaled(ipm),
-            frequency=None if entry is None else tuple(
-                map(self._scaled, (entry.ipm, entry.r, entry.d, entry.doc))),
-        )
+        sentiment = self.sentiment.lookup(lemma)
+        values = [ipm or 0.0] + ([entry.ipm, entry.r, entry.d, entry.doc] if entry else [0.0] * 4)
+        return ([1, pos != _PROPN and lemma not in self.familiar, top5000, ipm is not None,
+                 entry is not None] + [slot == sentiment for slot in SENTIMENT_SLOTS]
+                + [limb for value in values for limb in self._limbs(value)])
+
+    def _limbs(self, value: float) -> list[int]:
+        """value times the scale, an integer, as limbs: each but the last,
+        which keeps the sign, in 0 .. 2**LIMB_BITS - 1."""
+        scale, weights = self._scaling
+        numerator, denominator = float(value).as_integer_ratio()
+        scaled, limbs = numerator * (scale // denominator), []
+        for _ in weights[1:]:
+            scaled, limb = divmod(scaled, 1 << LIMB_BITS)
+            limbs.append(limb)
+        return limbs + [scaled]

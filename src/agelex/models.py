@@ -47,11 +47,28 @@ def json_floats(value, ndim: int, what: str):
     np.asarray(dtype=float), a string or a bool would load as a number,
     a literal past the float range as infinity, and lists of another
     depth would fail only when the model is used."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf" or array.ndim != ndim or not np.isfinite(array).all():
+    array = _json_array(value, "iuf", ndim)
+    if array is None or not np.isfinite(array).all():
         shape = "a list of " + "lists of " * (ndim - 1) + "finite numbers" if ndim else "a finite number"
         raise ArtifactError(f"{what} must be {shape}")
     return float(array) if ndim == 0 else array.astype(float, copy=False)
+
+
+def _json_array(value, kinds: str, ndim: int) -> np.ndarray | None:
+    """value as an array if it is JSON numbers nested ndim deep that
+    NumPy reads as one of the dtype kinds, with no true or false among
+    them; else None.  NumPy reads a true or false among numbers as 1 or
+    0, so only the places that hold 1 or 0 are looked up in value."""
+    array = np.asarray(value)
+    if array.dtype.kind not in kinds or array.ndim != ndim:
+        return None
+    for place in zip(*np.nonzero((array == 0) | (array == 1))) if ndim else ():
+        item = value
+        for i in place:
+            item = item[i]
+        if type(item) is bool:
+            return None
+    return array
 
 
 def _reject_constant(name: str):
@@ -390,10 +407,18 @@ class RandomForestModel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RandomForestModel":
         n_features = json_exact(payload["n_features"], int, "n_features must be an integer")
+        entries = payload["trees"]
+        if not entries:
+            raise ValueError("forest has no trees")
+        # every bootstrap is as long as the one training set it indexes
+        bootstraps = _json_array([entry["bootstrap"] for entry in entries], "i", 2)
+        if bootstraps is None or bootstraps.min() < 0 or bootstraps.max() >= bootstraps.shape[1]:
+            raise ValueError("bootstraps must be lists of integers i with 0 <= i < n, "
+                             "all of one length n")
         trees = []
         # children lie after their parent and inside the tree, so a walk
         # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
-        for k, entry in enumerate(payload["trees"]):
+        for k, (entry, bootstrap) in enumerate(zip(entries, bootstraps.astype(np.int64, copy=False))):
             nodes = [(f, t, l, r, nc, na) for f, t, l, r, nc, na in entry["nodes"]]
             if not nodes:
                 raise ValueError(f"tree {k} has no nodes")
@@ -404,11 +429,9 @@ class RandomForestModel:
                                     and i < r < len(nodes)):
                     raise ValueError(f"tree {k} node {i}: feature {f} or children "
                                      f"{l}, {r} out of range")
-            tree = DecisionTree.from_nodes(nodes, np.asarray(entry["bootstrap"], dtype=np.int64))
+            tree = DecisionTree.from_nodes(nodes, bootstrap)
             tree.threshold = json_floats(tree.threshold, 1, f"tree {k} thresholds").tolist()
             trees.append(tree)
-        if not trees:
-            raise ValueError("forest has no trees")
         return cls(trees=trees, n_features=n_features,
                    hyperparams=dict(payload["hyperparams"]))
 

@@ -247,8 +247,13 @@ class TrainedPipeline:
                                 f"for model_kind {model_kind!r}")
         tfidf = None
         if recipe.use_tfidf:
+            vocabulary = payload["tfidf"]["vocabulary"]
+            # a repeated term would leave a column that always reads 0
+            if (type(vocabulary) is not list or not all(type(term) is str for term in vocabulary)
+                    or len(set(vocabulary)) != len(vocabulary)):
+                raise ArtifactError("tfidf.vocabulary must be a list of distinct strings")
             tfidf = TfidfModel(
-                vocabulary=tuple(payload["tfidf"]["vocabulary"]),
+                vocabulary=tuple(vocabulary),
                 idf=json_floats(payload["tfidf"]["idf"], 1, "tfidf.idf"),
                 n_docs=json_exact(payload["tfidf"]["n_docs"], int,
                                   "tfidf.n_docs must be an integer of at least 1", minimum=1),

@@ -117,11 +117,17 @@ def normalize_text(text: str) -> str:
     return text
 
 
-def table_rows(table: dict, keys: list, resolve, text=None) -> list:
+def table_keeps(table: dict, text: str) -> bool:
+    """Whether a per-type table keeps the row of a new key whose text is
+    text: while it holds fewer than TABLE_CAP rows and the text is at
+    most CHUNK_LIMIT characters long."""
+    return len(table) < TABLE_CAP and len(text) <= CHUNK_LIMIT
+
+
+def table_rows(table: dict, keys: list[str], resolve) -> list:
     """The row of each key: read from the table, or resolve(key), once
-    per distinct key of the call.  The table keeps a new row while it
-    holds fewer than TABLE_CAP rows and the key's text, the key itself
-    or text(key), is at most CHUNK_LIMIT characters long."""
+    per distinct key of the call.  The table keeps a new row as
+    table_keeps says."""
     rows = list(map(table.get, keys))
     if None in rows:
         new = {}
@@ -132,7 +138,7 @@ def table_rows(table: dict, keys: list, resolve, text=None) -> list:
                 row = table.get(key) or new.get(key)
                 if row is None:
                     row = new[key] = resolve(key)
-                    if len(table) < TABLE_CAP and len(text(key) if text else key) <= CHUNK_LIMIT:
+                    if table_keeps(table, key):
                         table[key] = row
                 rows[i] = row
     return rows

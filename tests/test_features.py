@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import mean, median
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,9 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
                              ReadabilityCoefficients, automated_readability,
                              coleman_liau, dale_chall, extract_all,
                              flesch_kincaid, smog_index)
-from agelex.lexicons import (FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
+from agelex.lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT,
+                             SENTIMENT_SLOTS, TOKENS, TOP5000, TOP_IPM, TOP_IPM_TOKENS,
+                             FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
 from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE, Resources
 from agelex.synthetic import make_corpus
@@ -27,7 +30,9 @@ from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
 from agelex.vectorizer import preprocess
 
 import agelex.features as features_mod
-from oracles import NESTED_TOO_DEEPLY, by_family, text_features
+import agelex.text_analysis as text_analysis
+from oracles import (NESTED_TOO_DEEPLY, by_family, reference_lexicon_row,
+                     reference_quantitative_values, text_features)
 
 # Frozen fingerprint of the 56-name schema; a change here is a breaking
 # change for every stored model.
@@ -342,6 +347,111 @@ class TestAgainstTokenReference:
                  for i in range(4) for b in _REF_BUCKET_ORDER]
         assert fv.warnings == ref_warnings
         assert bits(lexical) == bits(ref_values[:2]) + bits(exact)
+
+
+# per morphology and table cap, one Resources whose tables fill over
+# the examples of a test
+_CAPPED: dict[tuple[bool, int], Resources] = {}
+
+
+def walk_outcome(text, heuristic, cap):
+    """extract_all's quantitative values bit for bit and its warnings,
+    then the type walk's, read with TABLE_CAP at cap; None when the text
+    has no tokens."""
+    resources = _CAPPED.setdefault((heuristic, cap), Resources.load(heuristic_fallback=heuristic))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(text_analysis, "TABLE_CAP", cap)
+        try:
+            fv = extract_all(Document(id="d", text=text, label=Label.CHILDREN), resources)
+        except FeatureError:
+            return None
+        values, warnings = reference_quantitative_values(
+            analyze(text, resources.morphology, resources.abbreviations), resources)
+    assert len(resources.lexicon._ids) <= cap
+    return (bits(fv.values[:51]), fv.warnings), (bits(values), warnings)
+
+
+class TestIntegerReduction:
+    """The product of the per-type rows against the walk over the types
+    that adds each type's terms one by one."""
+
+    @pytest.mark.parametrize("heuristic", [False, True])
+    @pytest.mark.parametrize("cap", [text_analysis.TABLE_CAP, 0, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(text=TEXTS)
+    def test_extract_all_equals_the_type_walk(self, heuristic, cap, text):
+        result = walk_outcome(text, heuristic, cap)
+        if result is not None:
+            assert result[0] == result[1]
+
+    @pytest.mark.parametrize("cap", [text_analysis.TABLE_CAP, 100])
+    def test_a_growing_table_equals_the_type_walk(self, cap):
+        # 1,500 distinct words, read twice: the row array grows by
+        # doubling, up to the cap, and then serves every kept row
+        text = distinct_words(0, 1500) + " " + make_corpus(2, 2, seed=3).documents[0].text
+        _CAPPED.pop((True, cap), None)
+        for _ in range(2):
+            reduced, walked = walk_outcome(text, True, cap)
+            assert reduced == walked
+        resources = _CAPPED[(True, cap)]
+        t = analyze(text, resources.morphology)
+        assert len(resources.lexicon._ids) == min(cap, len(set(zip(t.lemmas, t.pos)))) >= 100
+
+    # binary exponents from -82 to 83, so the scale is 2**82 and the
+    # largest scaled value, doc 10**25 times it, needs seven limbs; the
+    # ipm of пёс has 53 one bits, so its limbs are as large as limbs get
+    _RECORDS = [FrequencyRecord("кот", Pos.NOUN, 2.0 ** 70 + 2.0 ** 18, 7, 0.1, 10 ** 25),
+                FrequencyRecord("кот", Pos.VERB, 0.3, 100, 99.5, 3),
+                FrequencyRecord("пёс", Pos.NOUN, (2 ** 53 - 1) * 2.0 ** -40, 0, 2.0 ** -30, 0),
+                FrequencyRecord("дом", Pos.PROPN, 1e-9, 50, 0.0, 2 ** 60)]
+    _TOP5000 = WordList({"кот": 2.0 ** 80, "пёс": None, "дом": 3.5, "ёж": None})
+    _SENTIMENT = SentimentLexicon({"пёс": (Polarity.POSITIVE, SentimentCategory.FACT)})
+    _FAMILIAR = WordList({"дом": None})
+
+    def test_sums_past_three_limbs_are_exact(self):
+        lexicon = Lexicon(FrequencyDictionary(self._RECORDS), self._SENTIMENT, self._TOP5000,
+                          self._FAMILIAR)
+        assert len(lexicon._scaling[1]) > 3
+        types = [("кот", Pos.NOUN), ("кот", Pos.ADJ), ("пёс", Pos.NOUN), ("дом", Pos.PROPN),
+                 ("дом", Pos.NOUN), ("ёж", Pos.OTHER), ("кот", Pos.NOUN)]
+        # a text of 2**39 - 1 tokens, the most the limbs keep exact
+        counts = [2 ** 37, 3, 2 ** 38 - 11, 1, 2 ** 36, 5, 2 ** 36 + 1]
+        assert sum(counts) == 2 ** 39 - 1
+        pos = [list(Pos).index(p) for _, p in types]
+        sums = lexicon.sums([lemma for lemma, _ in types], pos, np.array(counts))
+        expected = [[0] * (DOC + 1) for _ in range(len(Pos) + 1)]
+        for (lemma, p), count in zip(types, counts):
+            familiar, slot, top5000, top_ipm, values = reference_lexicon_row(lexicon, lemma, p)
+            row = [0] * (DOC + 1)
+            row[TOKENS] = 1
+            row[DIFFICULT] = p is not Pos.PROPN and not familiar
+            row[TOP5000] = top5000
+            row[TOP_IPM_TOKENS] = top_ipm is not None
+            row[FREQUENCY_TOKENS] = values is not None
+            if slot is not None:
+                row[SENTIMENT[SENTIMENT_SLOTS.index(slot)]] = 1
+            for column, value in zip((TOP_IPM, IPM, R, D, DOC), (top_ipm, *(values or [None] * 4))):
+                if value is not None:
+                    scaled = value * lexicon.scale
+                    assert scaled.denominator == 1
+                    row[column] = int(scaled)
+            for line in (expected[list(Pos).index(p)], expected[-1]):
+                line[:] = [s + v * count for s, v in zip(line, row)]
+        assert sums == expected
+        assert all(type(v) is int for line in sums for v in line)
+
+    def test_means_past_three_limbs_equal_the_type_walk(self):
+        entries = {"кот": ("кот", "NOUN"), "коты": ("кот", "ADJ"), "пёс": ("пёс", "NOUN"),
+                   "дом": ("дом", "PROPN"), "ёж": ("ёж", "OTHER")}
+        text = "Кот пёс дом коты. Ёж кот кот пёс! Дом дом ёж."
+        lexicons = dict(frequency=FrequencyDictionary(self._RECORDS), top5000=self._TOP5000,
+                        sentiment=self._SENTIMENT, familiar=self._FAMILIAR)
+        fv = text_features(text, dict_morph(entries), **lexicons)
+        resources = Resources(morphology=dict_morph(entries), abbreviations=frozenset(),
+                              stopwords=frozenset(), coefficients=DEFAULT_COEFFICIENTS, **lexicons)
+        values, warnings = reference_quantitative_values(
+            analyze(text, resources.morphology), resources)
+        assert (bits(fv.values[:51]), fv.warnings) == (bits(values), warnings)
 
 
 class TestStressMarksAndDecomposedLetters:
@@ -728,8 +838,8 @@ class TestExtractAll:
 
     def test_one_lexicon_read_and_one_vector_per_document(self, resources, monkeypatch):
         reads, built = [], []
-        rows, post_init = Lexicon.rows, FeatureVector.__post_init__
-        monkeypatch.setattr(Lexicon, "rows", lambda self, *a: reads.append(a) or rows(self, *a))
+        sums, post_init = Lexicon.sums, FeatureVector.__post_init__
+        monkeypatch.setattr(Lexicon, "sums", lambda self, *a: reads.append(a) or sums(self, *a))
         monkeypatch.setattr(FeatureVector, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
         fv = extract_all(self._doc(), resources)

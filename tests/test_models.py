@@ -641,6 +641,27 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match="no trees"):
             load_model(p)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: ["3", 2.7] + b[2:],
+        lambda b: [2.7] + b[1:],
+        lambda b: [True] + b[1:],
+        lambda b: [-1] + b[1:],
+        lambda b: [len(b)] + b[1:],
+        lambda b: b[1:],  # shorter than the other tree's
+        lambda b: [b],
+    ], ids=["strings-and-floats", "float", "bool", "negative", "past-the-end", "shorter", "nested"])
+    def test_bootstrap_outside_the_training_set_rejected(self, tmp_path, corrupt):
+        X, y = separable_blobs(16, gap=0.7)
+        p = tmp_path / "f.json"
+        save_model(train_random_forest(X, y, n_trees=2, seed=3), p)
+        payload = json.loads(p.read_text(encoding="utf-8"))
+        tree = payload["model"]["trees"][1]
+        assert load_model(p).trees[1].bootstrap.tolist() == tree["bootstrap"]
+        tree["bootstrap"] = corrupt(tree["bootstrap"])
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="corrupt model payload"):
+            load_model(p)
+
     def test_unregistered_object_rejected(self, tmp_path):
         with pytest.raises(ArtifactError):
             save_model(object(), tmp_path / "x.json")

@@ -358,6 +358,17 @@ CORRUPT_VALUES = {
     "lsvc-over-random-forest": ("rf", ("model_kind",), "lsvc",
                                 "unknown inner model kind 'random_forest' for model_kind 'lsvc'"),
     "unknown-model-kind": ("lsvc", ("model_kind",), "svm", "for model_kind 'svm'"),
+    "repeated-term": ("lsvc", ("tfidf", "vocabulary"), lambda terms: [terms[0]] + terms[:-1],
+                      "tfidf.vocabulary must be a list of distinct strings"),
+    "number-term": ("rf", ("tfidf", "vocabulary", 0), 7,
+                    "tfidf.vocabulary must be a list of distinct strings"),
+    "string-of-terms": ("rf", ("tfidf", "vocabulary"), "".join,
+                        "tfidf.vocabulary must be a list of distinct strings"),
+    "bool-among-weights": ("lsvc", ("model", "payload", "weights", 1), True, "weights " + _NUMBERS),
+    "bool-among-components": ("lsvc", ("svd", "components", 0, 0), False,
+                              "svd.components must be a list of lists of finite numbers"),
+    "bool-among-thresholds": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1), False,
+                              "tree 0 thresholds " + _NUMBERS),
 }
 
 

@@ -3,6 +3,7 @@ morphology provider and a (lemma, pos) table on its Lexicon."""
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ OTHER_TEXTS = [doc.text for doc in make_corpus(3, 3, seed=11)]
 
 
 def table_sizes(resources: Resources) -> tuple[int, int]:
-    return len(resources.morphology._rows), len(resources.lexicon._rows)
+    return len(resources.morphology._rows), len(resources.lexicon._ids)
 
 
 def key_texts(resources: Resources, table: str) -> list[str]:
@@ -27,7 +28,7 @@ def key_texts(resources: Resources, table: str) -> list[str]:
     lexicon table's keys."""
     if table == "morphology":
         return list(resources.morphology._rows)
-    return [lemma for lemma, _ in resources.lexicon._rows]
+    return [lemma for lemma, _ in resources.lexicon._ids]
 
 
 class CountingMorphology(DictionaryMorphology):
@@ -145,8 +146,9 @@ class TestTables:
         for i, text in enumerate(texts):
             for key in ("bundled", "doubled", "bundled"):
                 assert outcome(text, both[key]) == expected[key][i]
-        rows = [set(map(id, res.lexicon._rows.values())) for res in both.values()]
-        assert rows[0] and rows[1] and not rows[0] & rows[1]
+        lexicons = [res.lexicon for res in both.values()]
+        assert lexicons[0]._ids and lexicons[1]._ids
+        assert not np.shares_memory(lexicons[0]._array, lexicons[1]._array)
 
 
 class TestResources:
