@@ -45,7 +45,7 @@ _SETTINGS = {
     "test_fraction": (None, {"type": float}),
     **{key: (None, {}) for key in BUNDLED_FILES},
     "heuristic_morph": (False, {"action": "store_const", "const": True}),
-    "svd": (_TRAIN.svd, {"choices": ("auto", "on", "off")}),
+    "svd": (_TRAIN.svd, {"choices": ("auto", "off")}),
     "svd_target": (_TRAIN.svd_target, {"type": float}),
     "c": (_TRAIN.svc_c, {"type": float}),
     "epochs": (_TRAIN.svc_max_epochs, {"type": int, "help": "LSVC Newton iteration cap"}),
@@ -281,6 +281,10 @@ def cmd_train(opts: Options) -> int:
     if opts.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
         print(f"solver: Newton iterations = {trained.model.n_epochs}, {verdict}")
+        svd = trained.model.hyperparams.get("svd")
+        if svd is not None:
+            print(f"svd: k = {svd['k']} of {trained.model.n_features} columns, "
+                  f"retained {svd['retained']:.4f} (target {svd['target']})")
     print(f"training accuracy = {report.accuracy:.4f}, f1 = {report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
     _report_warnings(vectors)

@@ -4,10 +4,12 @@ A Recipe says which inputs a model sees: the tf-idf bag of words (fitted
 on 256-lemma training fragments, optionally with the abstract appended
 to the preview) and any subset of the six feature families computed on
 full previews.  train_pipeline fits the vectorizers and scaler on the
-training split only, optionally applies the variance-preserving SVD, and
-trains one of the two classifiers.  The grid mirrors the published
-experiment: a baseline bag-of-words model against every combination of
-added feature families and publishing attributes.
+training split only and trains one of the two classifiers.  The linear
+SVC is fitted on a variance-preserving SVD of the scaled matrix unless
+that is turned off, and the SVD is then folded into its weights, so a
+trained pipeline is only its vectorizers, scaler and model.  The grid
+mirrors the published experiment: a baseline bag-of-words model against
+every combination of added feature families and publishing attributes.
 
 Every document is read through a CorpusVectors, which analyzes it once
 and hands out its feature vector, warnings included, and its tf-idf
@@ -20,7 +22,7 @@ transforms each document once per fitted tf-idf.  Pass one instance as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_ex
                      json_floats, register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScaler,
-                         SvdModel, TfidfModel, augment_with_abstract, fit_minmax,
-                         fit_svd, fit_tfidf, has_abstract, preprocess)
+                         TfidfModel, augment_with_abstract, fit_minmax, fit_svd,
+                         fit_tfidf, has_abstract, preprocess)
 
 # short model kind -> the model class a pipeline of that kind holds
 _MODEL_CLASSES = {"rf": RandomForestModel, "lsvc": LinearSvcModel}
@@ -143,11 +145,11 @@ class CorpusVectors:
 @register_model_kind
 @dataclass
 class TrainedPipeline:
-    """A fitted recipe: vectorizers, scaler, optional SVD and the model.
+    """A fitted recipe: vectorizers, scaler and the model.
 
     The design matrix layout is the tf-idf block (when enabled) followed
     by the selected family columns in schema order; min-max scaling spans
-    the whole matrix and the SVD basis, when present, sits after scaling.
+    the whole matrix, and the model reads the scaled columns.
     """
 
     KIND = "pipeline"
@@ -157,7 +159,6 @@ class TrainedPipeline:
     model: LinearSvcModel | RandomForestModel
     scaler: MinMaxScaler
     tfidf: TfidfModel | None = None
-    svd: SvdModel | None = None
     feature_schema: str = field(default_factory=schema_hash)
     fragment_limit: int = FRAGMENT_LIMIT
     seed: int = 42
@@ -173,10 +174,7 @@ class TrainedPipeline:
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
     def _design_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
-        matrix = self.scaler.transform(self._raw_matrix(docs, vectors))
-        if self.svd is not None:
-            matrix = self.svd.transform(matrix)
-        return matrix
+        return self.scaler.transform(self._raw_matrix(docs, vectors))
 
     def predict_documents(self, docs: list[Document], resources: Resources,
                           cache: CorpusVectors | None = None) -> np.ndarray:
@@ -220,17 +218,13 @@ class TrainedPipeline:
                 "idf": self.tfidf.idf.tolist(),
                 "n_docs": self.tfidf.n_docs,
             }
-        if self.svd is not None:
-            payload["svd"] = {
-                "mean": self.svd.mean.tolist(),
-                "components": self.svd.components.tolist(),
-                "retained": self.svd.retained,
-                "target": self.svd.target,
-            }
         return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedPipeline":
+        if "svd" in payload:
+            raise ArtifactError("the pipeline has an svd stage, which the linear SVC's "
+                                "weights now hold; retrain the model")
         entry = payload["recipe"]
         use_tfidf, use_abstract = (json_exact(entry[key], bool, f"recipe.{key} must be a boolean")
                                    for key in ("use_tfidf", "use_abstract"))
@@ -258,30 +252,22 @@ class TrainedPipeline:
                 n_docs=json_exact(payload["tfidf"]["n_docs"], int,
                                   "tfidf.n_docs must be an integer of at least 1", minimum=1),
             )
-        svd = None
-        if "svd" in payload:
-            svd = SvdModel(
-                mean=json_floats(payload["svd"]["mean"], 1, "svd.mean"),
-                components=json_floats(payload["svd"]["components"], 2, "svd.components"),
-                retained=json_floats(payload["svd"]["retained"], 0, "svd.retained"),
-                target=json_floats(payload["svd"]["target"], 0, "svd.target"),
-            )
         scaler = MinMaxScaler(
             mins=json_floats(payload["scaler"]["mins"], 1, "scaler.mins"),
             ranges=json_floats(payload["scaler"]["ranges"], 1, "scaler.ranges"),
         )
         model = model_cls.from_json_dict(model_entry["payload"])
-        _check_widths(recipe, tfidf, scaler, svd, model)
+        _check_widths(recipe, tfidf, scaler, model)
         rule = "fragment_limit must be an integer of at least 1 and seed an integer"
         limit = json_exact(payload["fragment_limit"], int, rule, minimum=1)
         seed = json_exact(payload["seed"], int, rule)
         return cls(recipe=recipe, model_kind=model_kind, model=model,
-                   scaler=scaler, tfidf=tfidf, svd=svd, feature_schema=stored_schema,
+                   scaler=scaler, tfidf=tfidf, feature_schema=stored_schema,
                    fragment_limit=limit, seed=seed)
 
 
 def _check_widths(recipe: Recipe, tfidf: TfidfModel | None, scaler: MinMaxScaler,
-                  svd: SvdModel | None, model: LinearSvcModel | RandomForestModel) -> None:
+                  model: LinearSvcModel | RandomForestModel) -> None:
     """Each stage of a loaded pipeline must read as many columns as the
     stage before it writes, so a corrupt file fails on load and not on
     its first classify."""
@@ -294,15 +280,8 @@ def _check_widths(recipe: Recipe, tfidf: TfidfModel | None, scaler: MinMaxScaler
     if scaler.mins.shape != (width,) or scaler.ranges.shape != (width,):
         raise ArtifactError(f"scaler mins/ranges have shapes {scaler.mins.shape}/"
                             f"{scaler.ranges.shape}, but the design matrix has {width} columns")
-    if svd is not None:
-        if svd.mean.shape != (width,) or svd.components.ndim != 2 \
-                or svd.components.shape[1] != width:
-            raise ArtifactError(f"svd mean/components have shapes {svd.mean.shape}/"
-                                f"{svd.components.shape}, but the scaler has {width} columns")
-        width = svd.k
     if model.n_features != width:
-        raise ArtifactError(f"model reads {model.n_features} columns, but the "
-                            f"{'svd' if svd is not None else 'scaler'} gives {width}")
+        raise ArtifactError(f"model reads {model.n_features} columns, but the scaler gives {width}")
 
 
 @dataclass
@@ -316,15 +295,15 @@ class TrainSettings:
     n_trees: int = 100
     max_terms: int = MAX_VOCABULARY
     fragment_limit: int = FRAGMENT_LIMIT
-    svd: str = "auto"  # auto: apply for lsvc only
+    # auto: fit the lsvc on the SVD that keeps svd_target of the scaled
+    # matrix's variance, then fold the SVD into its weights; off: fit it
+    # on the scaled matrix.  The forest never uses the SVD.
+    svd: str = "auto"
     svd_target: float = SVD_TARGET
 
-    def svd_applies(self, model_kind: str) -> bool:
-        if self.svd == "auto":
-            return model_kind == "lsvc"
-        if self.svd in ("on", "off"):
-            return self.svd == "on"
-        raise ConfigError(f"svd must be auto, on or off, got {self.svd!r}")
+    def __post_init__(self):
+        if self.svd not in ("auto", "off"):
+            raise ConfigError(f"svd must be auto or off, got {self.svd!r}")
 
 
 def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
@@ -352,16 +331,22 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
     raw = draft._raw_matrix(train_docs, vectors)
     draft.scaler = fit_minmax(raw)
     X = draft.scaler.transform(raw)
-    if settings.svd_applies(model_kind):
-        draft.svd = fit_svd(X, settings.svd_target)
-        X = draft.svd.transform(X)
     y = np.array([label_to_int(d.label) for d in train_docs], dtype=np.int64)
-    if model_kind == "lsvc":
-        draft.model = train_linear_svc(X, y, C=settings.svc_c,
-                                       max_epochs=settings.svc_max_epochs,
-                                       tolerance=settings.svc_tolerance)
-    else:
+    if model_kind == "rf":
         draft.model = train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
+        return draft
+    svd = fit_svd(X, settings.svd_target) if settings.svd == "auto" else None
+    model = train_linear_svc(X if svd is None else svd.transform(X), y, C=settings.svc_c,
+                             max_epochs=settings.svc_max_epochs, tolerance=settings.svc_tolerance)
+    if svd is not None:
+        # with components C and mean μ, the margin of a scaled row s is
+        # w·C(s − μ) + b = (Cᵀw)·s + b − (Cᵀw)·μ, so a copy of the solver's
+        # model reads the scaler's columns
+        weights = svd.components.T @ model.weights
+        model = replace(model, weights=weights, bias=float(model.bias - weights @ svd.mean),
+                        hyperparams={**model.hyperparams, "svd": {
+                            "k": svd.k, "retained": svd.retained, "target": svd.target}})
+    draft.model = model
     return draft
 
 

@@ -152,7 +152,9 @@ class SvdModel:
     """Truncated SVD basis fitted on a centered training matrix.
 
     components has orthonormal rows; retained is the achieved share of
-    total variance, always at least the requested target.
+    total variance.  fit_svd accepts a share within 1e-12 below the
+    target, so that rounding in the cumulative sum adds no component: at
+    target 1.0, retained can read 0.9999999999999994.
     """
 
     mean: np.ndarray

@@ -102,6 +102,15 @@ class TestConfigFile:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
+    def test_svd_on_rejected(self, tmp_path, corpus_file, capsys):
+        cfg = tmp_path / "svd.cfg"
+        cfg.write_text("svd = on\n")
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config key 'svd': expected one of "
+                                                  "['auto', 'off'], got 'on'")
+
     @pytest.mark.parametrize("command", ["evaluate", "informativeness"])
     def test_bad_split_rejected(self, tmp_path, corpus_file, model_file, command, capsys):
         # argparse choices do not see values that come from the file
@@ -417,6 +426,31 @@ class TestTrainEvaluate:
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("solver: Newton iterations = ")]
         assert len(lines) == 1 and lines[0].endswith(ending)
+
+    @pytest.mark.parametrize("flags", [["--model", "lsvc"], ["--model", "lsvc", "--svd", "off"],
+                                       ["--model", "rf", "--trees", "5"]],
+                             ids=["lsvc", "lsvc-svd-off", "rf"])
+    def test_train_reports_the_folded_svd(self, tmp_path, corpus_file, flags, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
+                   "--features", "general"] + flags)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        svd_lines = [i for i, line in enumerate(lines) if line.startswith("svd: ")]
+        if flags != ["--model", "lsvc"]:
+            assert svd_lines == []
+            return
+        assert len(svd_lines) == 1
+        assert lines[svd_lines[0] - 1].startswith("solver: Newton iterations = ")
+        model = json.loads((tmp_path / "model_lsvc.json").read_text())["model"]["model"]["payload"]
+        svd = model["hyperparams"]["svd"]
+        assert lines[svd_lines[0]] == (f"svd: k = {svd['k']} of {len(model['weights'])} columns, "
+                                       f"retained {svd['retained']:.4f} (target 0.95)")
+
+    def test_svd_on_is_not_a_choice(self, tmp_path, corpus_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path), "--svd", "on"])
+        assert excinfo.value.code != 0
+        assert "invalid choice: 'on'" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -16,8 +16,10 @@ from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            _children_votes, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
-from agelex.pipeline import run_grid
+from agelex.corpus import Split
+from agelex.pipeline import CorpusVectors, run_grid, train_pipeline
 from agelex.synthetic import make_corpus
+from agelex.vectorizer import fit_svd
 
 from oracles import NESTED_TOO_DEEPLY, gini_impurity
 
@@ -63,6 +65,38 @@ def reference_sgd_svc(X, y, C=1.0, max_epochs=200, tolerance=1e-5, seed=42):
         if improvement < tolerance:
             break
     return w, b
+
+
+@pytest.fixture(scope="module")
+def lsvc_grid_fits(resources):
+    """For each of a grid's 18 lsvc fits: the scaled training matrix and
+    the SVD fitted on it, the solver's inputs and model, the trained
+    pipeline's model and the scaled test matrix it reads."""
+    corpus = make_corpus(30, 30, seed=5)
+    svds, solves, pipelines = [], [], []
+
+    def recording_svd(X, target):
+        svds.append((X, fit_svd(X, target)))
+        return svds[-1][1]
+
+    def recording_svc(X, y, **kwargs):
+        solves.append((X, y, kwargs, train_linear_svc(X, y, **kwargs)))
+        return solves[-1][3]
+
+    def recording_train(*args):
+        pipelines.append(train_pipeline(*args))
+        return pipelines[-1]
+
+    cache = CorpusVectors(resources)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agelex.pipeline, "fit_svd", recording_svd)
+        mp.setattr(agelex.pipeline, "train_linear_svc", recording_svc)
+        mp.setattr(agelex.pipeline, "train_pipeline", recording_train)
+        run_grid(corpus, resources, ("lsvc",), cache=cache)
+    test_docs = corpus.subset(Split.TEST)
+    return [{"scaled": scaled, "svd": svd, "X": X, "y": y, "kwargs": kwargs, "model": model,
+             "folded": trained.model, "scaled_test": trained._design_matrix(test_docs, cache)}
+            for (scaled, svd), (X, y, kwargs, model), trained in zip(svds, solves, pipelines)]
 
 
 class TestLinearSvc:
@@ -130,24 +164,35 @@ class TestLinearSvc:
         assert m1.bias == m2.bias
         assert m1.hyperparams == m2.hyperparams
 
-    def test_grid_fits_reach_the_reference_objective(self, resources, monkeypatch):
-        fits = []
-
-        def recording(X, y, **kwargs):
-            model = train_linear_svc(X, y, **kwargs)
-            fits.append((X, y, kwargs, model))
-            return model
-
-        monkeypatch.setattr(agelex.pipeline, "train_linear_svc", recording)
-        run_grid(make_corpus(30, 30, seed=5), resources, ("lsvc",))
-        assert len(fits) == 18
-        for X, y, kwargs, model in fits:
+    def test_grid_fits_reach_the_reference_objective(self, lsvc_grid_fits):
+        assert len(lsvc_grid_fits) == 18
+        for fit in lsvc_grid_fits:
+            X, y, kwargs, model = fit["X"], fit["y"], fit["kwargs"], fit["model"]
             w, b = reference_sgd_svc(X, y)
             assert svc_objective(model.weights, model.bias, X, y, kwargs["C"]) \
                 <= svc_objective(w, b, X, y, kwargs["C"])
             assert model.hyperparams["converged"] is True
             assert model.hyperparams["grad_norm"] <= kwargs["tolerance"]
             assert model.n_epochs == len(model.objective_history) - 1
+
+    def test_grid_fits_fold_the_svd_into_the_weights(self, lsvc_grid_fits):
+        # the components are orthonormal, so ||C'w|| = ||w||, and the
+        # margins do not change: the folded model keeps the objective
+        assert len(lsvc_grid_fits) == 18
+        for fit in lsvc_grid_fits:
+            svd, model, folded = fit["svd"], fit["model"], fit["folded"]
+            assert "svd" not in model.hyperparams and model.n_features == svd.k
+            assert folded.hyperparams["svd"] == {"k": svd.k, "retained": svd.retained,
+                                                 "target": svd.target}
+            objective = svc_objective(folded.weights, folded.bias, fit["scaled"], fit["y"],
+                                      fit["kwargs"]["C"])
+            assert objective == pytest.approx(model.objective_history[-1], rel=1e-9, abs=0)
+            for scaled in (fit["scaled"], fit["scaled_test"]):
+                unfolded = svd.transform(scaled) @ model.weights + model.bias
+                gap = np.abs(scaled @ folded.weights + folded.bias - unfolded)
+                assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(unfolded)))
+                assert np.array_equal(folded.predict_many(scaled),
+                                      model.predict_many(svd.transform(scaled)))
 
     def test_iteration_cap_reports_not_converged(self):
         X, y = separable_blobs(6, gap=0.3)

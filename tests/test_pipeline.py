@@ -227,13 +227,8 @@ def test_saved_pipeline_predicts_identically(corpus, resources, tmp_path, kind):
     docs = list(corpus)
     assert loaded.predict_documents(docs, resources).tolist() == \
         trained.predict_documents(docs, resources).tolist()
-    # labels match exactly; the lsvc margin may differ in the last bits
-    # because the fitted SVD basis is not C-contiguous and the loaded one is
     for doc in docs:
-        label, score = loaded.classify(doc, resources)
-        expected_label, expected_score = trained.classify(doc, resources)
-        assert label is expected_label
-        assert score == pytest.approx(expected_score, abs=1e-12)
+        assert loaded.classify(doc, resources) == trained.classify(doc, resources)
 
 
 def _drop_last(values):
@@ -246,9 +241,7 @@ CORRUPT_WIDTHS = {
     "idf-shorter-than-vocabulary": ("lsvc", lambda m: m["tfidf"].update(idf=_drop_last(m["tfidf"]["idf"]))),
     "scaler-one-column-short": ("rf", lambda m: m["scaler"].update(
         mins=_drop_last(m["scaler"]["mins"]), ranges=_drop_last(m["scaler"]["ranges"]))),
-    "svd-one-column-short": ("lsvc", lambda m: m["svd"].update(
-        mean=_drop_last(m["svd"]["mean"]), components=[_drop_last(r) for r in m["svd"]["components"]])),
-    "lsvc-weights-not-svd-k": ("lsvc", lambda m: m["model"]["payload"].update(
+    "lsvc-weights-not-scaler-width": ("lsvc", lambda m: m["model"]["payload"].update(
         weights=_drop_last(m["model"]["payload"]["weights"]))),
     "forest-features-not-scaler-width": ("rf", lambda m: m["model"]["payload"].update(
         n_features=m["model"]["payload"]["n_features"] + 1)),
@@ -320,12 +313,6 @@ CORRUPT_VALUES = {
     "overflowing-scaler-min": ("rf", ("scaler", "mins", 0), _PAST_FLOAT_RANGE,
                                "scaler.mins " + _NUMBERS),
     "string-scaler-range": ("rf", ("scaler", "ranges", 0), str, "scaler.ranges " + _NUMBERS),
-    "overflowing-svd-mean": ("lsvc", ("svd", "mean", 0), _PAST_FLOAT_RANGE,
-                             "svd.mean " + _NUMBERS),
-    "string-svd-component": ("lsvc", ("svd", "components", 0, 0), str,
-                             "svd.components must be a list of lists of finite numbers"),
-    "string-nan-retained": ("lsvc", ("svd", "retained"), "nan", "svd.retained " + _NUMBER),
-    "overflowing-target": ("lsvc", ("svd", "target"), _PAST_FLOAT_RANGE, "svd.target " + _NUMBER),
     "overflowing-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1),
                               _PAST_FLOAT_RANGE, "tree 0 thresholds " + _NUMBERS),
     "string-threshold": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1), str,
@@ -365,8 +352,6 @@ CORRUPT_VALUES = {
     "string-of-terms": ("rf", ("tfidf", "vocabulary"), "".join,
                         "tfidf.vocabulary must be a list of distinct strings"),
     "bool-among-weights": ("lsvc", ("model", "payload", "weights", 1), True, "weights " + _NUMBERS),
-    "bool-among-components": ("lsvc", ("svd", "components", 0, 0), False,
-                              "svd.components must be a list of lists of finite numbers"),
     "bool-among-thresholds": ("rf", ("model", "payload", "trees", 0, "nodes", 0, 1), False,
                               "tree 0 thresholds " + _NUMBERS),
 }
@@ -388,6 +373,25 @@ def test_pipeline_value_outside_the_format_rejected(saved_pipelines, tmp_path, c
     assert str(excinfo.value).startswith(f"{corrupt}: ") and message in str(excinfo.value)
     assert main(["classify", "--model-file", str(corrupt), "--text", "Кот спит."]) == 1
     assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def test_pipeline_with_an_svd_stage_must_be_retrained(saved_pipelines, tmp_path):
+    # the linear SVC's weights hold the SVD, so no pipeline file has one
+    payload = json.loads(saved_pipelines["lsvc"].read_text(encoding="utf-8"))
+    assert "svd" not in payload["model"]
+    width = len(payload["model"]["scaler"]["mins"])
+    payload["model"]["svd"] = {"mean": [0.0] * width, "components": [[1.0] + [0.0] * (width - 1)],
+                               "retained": 0.95, "target": 0.95}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="retrain") as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_svd_is_auto_or_off():
+    with pytest.raises(ConfigError, match="svd must be auto or off, got 'on'"):
+        TrainSettings(svd="on")
 
 
 def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
