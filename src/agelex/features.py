@@ -93,9 +93,10 @@ class FeatureVector:
     def __post_init__(self):
         if len(self.values) != len(ALL_FEATURE_NAMES):
             raise FeatureError(f"{len(self.values)} values for {len(ALL_FEATURE_NAMES)} features")
-        for name, value in zip(ALL_FEATURE_NAMES, self.values):
-            if not math.isfinite(value):
-                raise FeatureError(f"non-finite value for feature {name!r}")
+        if not all(map(math.isfinite, self.values)):
+            name = next(name for name, value in zip(ALL_FEATURE_NAMES, self.values)
+                        if not math.isfinite(value))
+            raise FeatureError(f"non-finite value for feature {name!r}")
 
 
 # Readability coefficient triples.  Signs are part of the value, so a

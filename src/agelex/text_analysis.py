@@ -17,16 +17,16 @@ rule works inside them:
   ("a.B", "!»") ends no sentence.
 - A sentence's symbols are the lengths of its chunks.
 
-What a chunk resolves to (its words, letter and character counts and
-trailing terminator run, and for a chunk that is one word the word's
-lemma, part of speech and syllables) depends on the chunk and the
-morphology provider alone.  So each provider resolves a distinct chunk
-once, on first sight, and keeps its row in one table keyed by chunk
-text; a word is the chunk of its one run, so words read the same
-table.  The table keeps at most TABLE_CAP rows, each for a chunk of at
-most CHUNK_LIMIT characters.  split_sentences() and tokenize() apply
-the same rules to a whole text by regular expression; the library no
-longer calls them, nor does the agelex package export them.
+What a chunk resolves to depends on the chunk and the morphology
+provider alone.  So each provider resolves a distinct chunk once, on
+first sight, and gives its row an id in one table (see
+MorphologyProvider); a word is the chunk of its one run, so words read
+the same table.  analyze() is then one gather of a text's rows and one
+sum over each sentence's.  The table keeps at most TABLE_CAP rows, each
+for a chunk of at most CHUNK_LIMIT characters.  split_sentences() and
+tokenize() apply the same rules to a whole text by regular expression;
+the library no longer calls them, nor does the agelex package export
+them.
 
 Text enters analyze(), tokenize() and preprocess() through
 normalize_text(): combining acute and grave accents (stress marks in
@@ -43,13 +43,14 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import LexiconError, decode_errors_as
 
@@ -84,7 +85,8 @@ SENTENCE_TERMINATORS = ".!?…"
 _RUN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 _TERMINATOR_CHARS = tuple(SENTENCE_TERMINATORS)
 _TERMINATOR_RE = re.compile("[" + re.escape(SENTENCE_TERMINATORS) + "]+")
-_WORD_AT_END_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*\Z", re.UNICODE)
+_WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
+_WORD_AT_END_RE = re.compile(_WORD_RE.pattern + r"\Z", re.UNICODE)
 _SPACE_RE = re.compile(r"\s*")
 # first through last non-space character
 _TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
@@ -122,26 +124,6 @@ def table_keeps(table: dict, text: str) -> bool:
     text: while it holds fewer than TABLE_CAP rows and the text is at
     most CHUNK_LIMIT characters long."""
     return len(table) < TABLE_CAP and len(text) <= CHUNK_LIMIT
-
-
-def table_rows(table: dict, keys: list[str], resolve) -> list:
-    """The row of each key: read from the table, or resolve(key), once
-    per distinct key of the call.  The table keeps a new row as
-    table_keeps says."""
-    rows = list(map(table.get, keys))
-    if None in rows:
-        new = {}
-        for i, row in enumerate(rows):
-            if row is None:
-                key = keys[i]
-                # resolving one key can fill the table with another
-                row = table.get(key) or new.get(key)
-                if row is None:
-                    row = new[key] = resolve(key)
-                    if table_keeps(table, key):
-                        table[key] = row
-                rows[i] = row
-    return rows
 
 
 def count_syllables(word: str) -> int:
@@ -216,11 +198,27 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
     return frozenset(out)
 
 
-class MorphologyProvider:
-    """Interface for lemma and part-of-speech lookup.
+# The columns of a row of a MorphologyProvider's chunk table: the
+# chunk's words, its length, its letters and digits and its letters
+# (analyze() sums these four), the row id of its word when it holds
+# exactly one (else -1), and whether it ends in a run of sentence
+# terminators and whether it starts uppercase (1 or 0).
+WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER = range(7)
 
-    A provider keeps the row of each chunk it has resolved for analyze()
-    and preprocess(), so its answers must not change once it is in use.
+
+class MorphologyProvider:
+    """Interface for lemma and part-of-speech lookup, and the chunk table
+    that analyze() and preprocess() read through it.
+
+    The table gives each chunk it keeps a row id, as lexicons.Lexicon
+    does: a dict maps the chunk to its id, one int64 array holds the
+    columns of each row, and a list the rest: the chunk, then, for a
+    chunk that is one word, the word's lemma, part of speech and
+    syllables (else None, None and 0), the chunk's abbreviation key and,
+    for a chunk of two or more words, their row ids (else None).  A chunk
+    the table does not keep gets a row for one call only, with an id past
+    the kept rows.  A provider's answers must not change once it is in
+    use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -229,36 +227,113 @@ class MorphologyProvider:
         must not depend on the case of the surface."""
         raise NotImplementedError
 
+    def lemmas(self, chunks: list[str]) -> list[str]:
+        """The lemma of each word of the chunks, in order.  Unknown words
+        get the lowercased surface."""
+        ids = self._row_ids(chunks)
+        words = self._words(ids, self._array.take(ids, axis=0)).tolist()
+        return list(map(itemgetter(1), map(self._rows.__getitem__, words)))
+
     @cached_property
-    def _rows(self) -> dict[str, tuple]:
+    def _ids(self) -> dict[str, int]:
         return {}
 
-    def rows(self, chunks: list[str]) -> list[tuple]:
-        """For each chunk of non-whitespace characters, (words, chars,
-        letters, end, lemma, pos, syllables): the runs in it that are
-        words, in order, the letters and digits and the letters of all
-        its runs, the length of the run of sentence terminators it ends
-        in (0 if none), then, for a chunk that is one word, the word's
-        lemma, part of speech and syllables.  Other chunks have lemma and
-        pos None and 0 syllables.  Unknown words get pos=Other with the
-        lowercased surface as lemma.
+    @cached_property
+    def _array(self) -> np.ndarray:
+        # line i holds the columns of row i, for i < len(self._rows)
+        return np.zeros((64, 7), np.int64)
 
-        A word is the chunk of its one run, so it reads its row here too.
-        """
-        return table_rows(self._rows, chunks, self._resolve)
+    @cached_property
+    def _rows(self) -> list[tuple]:
+        return []
 
-    def _resolve(self, chunk: str) -> tuple:
-        runs = _RUN_RE.findall(chunk)
-        if runs != [chunk]:
-            parts = self.rows(runs)
-            return (tuple(chain.from_iterable(map(itemgetter(0), parts))),
-                    sum(map(itemgetter(1), parts)), sum(map(itemgetter(2), parts)),
-                    len(chunk) - len(chunk.rstrip(SENTENCE_TERMINATORS)), None, None, 0)
-        chars = len(chunk) - chunk.count("-")
-        if not _is_word(chunk):
-            return ((), chars, sum(map(str.isalpha, chunk)), 0, None, None, 0)
-        lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
-        return ((chunk,), chars, chars, 0, lemma, pos, count_syllables(chunk))
+    def _row_ids(self, chunks: list[str]) -> np.ndarray:
+        """The row id of each chunk.  A chunk the table lacks, and each
+        word of it, is resolved once per call.  The table keeps its row as
+        table_keeps says; any other row lasts until the next call that
+        resolves a chunk."""
+        ids = self._ids
+        row_ids = np.fromiter(map(ids.get, chunks, repeat(-1)), np.intp, len(chunks))
+        new = (row_ids < 0).nonzero()[0]
+        if not len(new):
+            return row_ids
+        new_chunks = list(map(chunks.__getitem__, new.tolist()))
+        del self._rows[len(ids):]
+        fresh: dict[str, tuple] = {}  # the rows of this call only
+        for chunk in dict.fromkeys(new_chunks):
+            if chunk not in ids and chunk not in fresh:
+                self._resolve(chunk, fresh)
+        local = dict(zip(fresh, count(len(ids))))
+        for columns, words, row in fresh.values():
+            self._append(columns, [ids[w] if w in ids else local[w] for w in words], row)
+        row_ids[new] = [ids[c] if c in ids else local[c] for c in new_chunks]
+        return row_ids
+
+    def _resolve(self, chunk: str, fresh: dict[str, tuple]) -> None:
+        """Resolve a chunk the table lacks, and each word of it (a run in
+        it that is a word) that the table and fresh lack, then keep its
+        row as table_keeps says, or else put it in fresh.  A kept chunk's
+        words are kept: none is longer, and each was resolved while the
+        table had room.  Unknown words get pos=Other with the lowercased
+        surface as lemma."""
+        words = [run for run in _RUN_RE.findall(chunk) if _is_word(run)]
+        for word in words:
+            if word != chunk and word not in self._ids and word not in fresh:
+                self._resolve(word, fresh)
+        # every letter and digit lies in a run, and a hyphen is neither
+        columns = [len(words), len(chunk), sum(map(str.isalnum, chunk)),
+                   sum(map(str.isalpha, chunk)), -1, chunk.endswith(_TERMINATOR_CHARS),
+                   chunk[0].isupper()]
+        lemma, pos, syllables = None, None, 0
+        if words == [chunk]:
+            lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
+            syllables = count_syllables(chunk)
+        row = chunk, lemma, pos, syllables, _abbreviation_key(chunk)
+        if table_keeps(self._ids, chunk):
+            self._ids[chunk] = len(self._ids)
+            self._append(columns, list(map(self._ids.__getitem__, words)), row)
+        else:
+            fresh[chunk] = columns, words, row
+
+    def _append(self, columns: list[int], word_ids: list[int], row: tuple) -> None:
+        """Give a chunk's row, whose words have row ids word_ids, the
+        next id."""
+        n = len(self._rows)
+        if n == len(self._array):  # only rows for one call outgrow the cap
+            grown = np.zeros((2 * n if n >= TABLE_CAP else min(2 * n, TABLE_CAP), 7), np.int64)
+            grown[:n] = self._array
+            self._array = grown
+        if len(word_ids) == 1:
+            columns[WORD] = word_ids[0]
+        self._array[n] = columns
+        self._rows.append((*row, word_ids if len(word_ids) > 1 else None))
+
+    def _words(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The row id of each word, in order, of the chunks whose row ids
+        are ids and whose columns are rows."""
+        n = rows[:, WORDS]
+        words = np.repeat(rows[:, WORD], n)
+        multi = (n > 1).nonzero()[0]
+        if len(multi):
+            for i, end in zip(multi.tolist(), np.cumsum(n)[multi].tolist()):
+                words[end - n[i]:end] = self._rows[ids[i]][-1]
+        return words
+
+
+def _abbreviation_key(chunk: str) -> str | None:
+    """For a chunk that ends in a single period, the lowercased maximal
+    word before it (None if there is none): the sentence does not end
+    there when that is an abbreviation.  split_sentences() reads the word
+    in a window of the longest abbreviation's length plus two, but a
+    window that cuts the word starts at a letter, or at a hyphen just
+    before one, so what it reads is longer than every abbreviation (and
+    lowercasing never shortens), as the whole word is: the two rules
+    agree.  The word is matched on the reversed chunk, from its end, so
+    the cost is linear.  None for any other chunk."""
+    if not chunk.endswith(".") or chunk.endswith(_TERMINATOR_CHARS, 0, len(chunk) - 1):
+        return None
+    word = _WORD_RE.match(chunk[-2::-1])
+    return word.group(0)[::-1].lower() if word is not None else None
 
 
 class DictionaryMorphology(MorphologyProvider):
@@ -389,68 +464,41 @@ def analyze(text: str, morphology: MorphologyProvider,
     """Run the full pipeline: sentences, tokens, syllables, morphology.
 
     The text is read through normalize_text() and cut into chunks at
-    whitespace.  Each chunk's row, read from MorphologyProvider.rows(),
-    gives its word runs, counts and trailing terminator run; each
-    distinct word's row gives its lemma, part of speech and syllables.
-    Unknown surfaces fall back to pos=Other with the lowercased surface
-    as lemma.  Sentences end where split_sentences() ends them.  Sentences
-    without tokens are dropped, so every token belongs to exactly one
-    sentence, but their symbols still count toward symbol_count.
+    whitespace.  One gather of the chunks' rows in the morphology
+    provider's table, and one sum of them over each sentence, give each
+    sentence's tokens and symbols and the text's character counts.  The
+    words' row ids give the types, in order of first appearance, with
+    their lemma, part of speech and syllables.  A sentence ends where
+    split_sentences() ends it: after a chunk that ends in a terminator
+    run and comes before one that starts uppercase, unless the chunk's
+    abbreviation key is an abbreviation, and at the last chunk.
+    Sentences without tokens are dropped, so every token belongs to
+    exactly one sentence, but their symbols still count toward
+    symbol_count.
     """
     chunks = normalize_text(text).split()
-    rows = morphology.rows(chunks)
-    words_of_chunks = list(map(itemgetter(0), rows))
-    words = list(chain.from_iterable(words_of_chunks))
-    word_counts = Counter(words)
-    surfaces = list(word_counts)
-    type_of = dict(zip(surfaces, count()))
-    types = morphology.rows(surfaces)
-    token_ends = list(accumulate(map(len, words_of_chunks)))
-    symbol_ends = list(accumulate(map(len, chunks)))
-    sentence_symbols = []
-    first_token = first_symbol = 0
-    if chunks:
-        ends = _sentence_ends(chunks, compress(count(), map(itemgetter(3), rows)), abbreviations)
-        for end in ends + [len(chunks) - 1]:
-            last_token, last_symbol = token_ends[end], symbol_ends[end]
-            if last_token > first_token:
-                sentence_symbols.append(last_symbol - first_symbol)
-            first_token, first_symbol = last_token, last_symbol
+    if not chunks:
+        return AnalyzedText([], [], [], [], [], [], [], 0, 0, 0)
+    ids = morphology._row_ids(chunks)
+    rows = morphology._array.take(ids, axis=0)
+    words = morphology._words(ids, rows)
+    word_counts = Counter(words.tolist())
+    types = list(word_counts)
+    type_of = np.empty(len(morphology._rows), np.intp)
+    type_of.put(types, np.arange(len(types)))
+    ends = (rows[:-1, TERM] & rows[1:, UPPER]).nonzero()[0]
+    if abbreviations and len(ends):
+        keys = map(itemgetter(4), map(morphology._rows.__getitem__, ids[ends].tolist()))
+        abbreviated = [i for i, key in enumerate(keys) if key in abbreviations]
+        if abbreviated:
+            ends = np.delete(ends, abbreviated)
+    # the tokens, symbols, letters and digits, and letters of each sentence
+    sentences = np.add.reduceat(rows[:, :WORD], np.concatenate(([0], ends + 1)), axis=0)
+    _, symbol_count, char_count, letter_count = sentences.sum(axis=0).tolist()
+    type_rows = list(map(morphology._rows.__getitem__, types))
+    surfaces, lemmas, pos, syllables = (list(map(itemgetter(k), type_rows)) for k in range(4))
     return AnalyzedText(
-        tokens=list(map(type_of.__getitem__, words)), surfaces=surfaces,
-        lemmas=list(map(itemgetter(4), types)), pos=list(map(itemgetter(5), types)),
-        syllables=list(map(itemgetter(6), types)),
-        counts=list(word_counts.values()),
-        sentence_symbols=sentence_symbols,
-        # every letter and digit of the text lies in a run
-        char_count=sum(map(itemgetter(1), rows)),
-        letter_count=sum(map(itemgetter(2), rows)),
-        symbol_count=symbol_ends[-1] if chunks else 0,
-    )
-
-
-def _sentence_ends(chunks: list[str], candidates: Iterable[int],
-                   abbreviations: frozenset[str] | None) -> list[int]:
-    """The candidates, indices of chunks that end in a terminator run,
-    that end a sentence by the rule of split_sentences(): the last chunk
-    and each one followed by a chunk that starts uppercase, unless it ends
-    in a single period after an abbreviation."""
-    last = len(chunks) - 1
-    ends = [i for i in candidates if i == last or chunks[i + 1][0].isupper()]
-    if abbreviations:
-        longest = max(map(len, abbreviations))
-        abbreviated = {chunk for chunk in set(map(chunks.__getitem__, ends))
-                       if _after_abbreviation(chunk, abbreviations, longest)}
-        ends = [i for i in ends if chunks[i] not in abbreviated]
-    return ends
-
-
-def _after_abbreviation(chunk: str, abbreviations: frozenset[str], longest: int) -> bool:
-    """Whether the chunk ends in a single period after a word of the
-    abbreviation list.  The word is read at most two characters past the
-    longest abbreviation, as split_sentences() reads it, so the cost does
-    not grow with the chunk."""
-    if not chunk.endswith(".") or chunk.endswith(_TERMINATOR_CHARS, 0, len(chunk) - 1):
-        return False
-    word = _WORD_AT_END_RE.search(chunk, max(0, len(chunk) - longest - 3), len(chunk) - 1)
-    return word is not None and word.group(0).lower() in abbreviations
+        tokens=type_of.take(words).tolist(), surfaces=surfaces, lemmas=lemmas, pos=pos,
+        syllables=syllables, counts=list(word_counts.values()),
+        sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH].tolist(),
+        char_count=char_count, letter_count=letter_count, symbol_count=symbol_count)

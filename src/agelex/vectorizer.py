@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +26,8 @@ def preprocess(text: str, morphology: MorphologyProvider,
                stopwords: frozenset[str], limit: int) -> list[str]:
     """The fragment of a text: the first `limit` lemmas of its words,
     lowercased, lemmatized (unknown forms keep their lowercased surface)
-    and minus stop words, read from the morphology provider's rows as
-    analyze() reads them.  Whitespace chunks are read from the start in
+    and minus stop words, read from the morphology provider's table as
+    analyze() reads it.  Whitespace chunks are read from the start in
     rounds, 2 * limit and then twice as many each round, until the
     fragment is full or the text ends; normalize_text() never creates,
     removes or composes across whitespace, so it runs on them alone.
@@ -39,9 +38,7 @@ def preprocess(text: str, morphology: MorphologyProvider,
     while rest and len(lemmas) < limit:
         chunks = rest.split(None, n)
         rest = chunks.pop() if len(chunks) > n else ""
-        rows = morphology.rows(normalize_text(" ".join(chunks)).split())
-        words = list(chain.from_iterable(map(itemgetter(0), rows)))
-        lemmas += [lemma for lemma in map(itemgetter(4), morphology.rows(words))
+        lemmas += [lemma for lemma in morphology.lemmas(normalize_text(" ".join(chunks)).split())
                    if lemma not in stopwords]
         n *= 2
     return lemmas[:limit]
@@ -131,9 +128,17 @@ class MinMaxScaler:
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.mins.shape[0]:
             raise VectorizerError(f"expected {self.mins.shape[0]} columns, got {X.shape[-1]}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(self.ranges > 0, (X - self.mins) / np.where(self.ranges > 0, self.ranges, 1.0), 0.0)
-        return np.clip(scaled, 0.0, 1.0)
+        divisors, constant = self._divisors
+        scaled = (X - self.mins) / divisors
+        scaled[..., constant] = 0.0
+        return np.clip(scaled, 0.0, 1.0, out=scaled)
+
+    @cached_property
+    def _divisors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's range, or 1 for a constant column, and the
+        constant columns' indices."""
+        constant = ~(self.ranges > 0)
+        return np.where(constant, 1.0, self.ranges), constant.nonzero()[0]
 
 
 def fit_minmax(X: np.ndarray) -> MinMaxScaler:

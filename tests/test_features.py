@@ -10,7 +10,7 @@ from statistics import mean, median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agelex.corpus import AgeRating, Document, Label
 from agelex.errors import ConfigError, FeatureError
@@ -260,6 +260,17 @@ def outcome(text, resources):
             preprocess(text, resources.morphology, resources.stopwords, len(text) + 1))
 
 
+# per morphology and table cap, one Resources whose tables fill over
+# the examples of a test
+_CAPPED: dict[tuple[bool, int], Resources] = {}
+
+
+def capped_resources(heuristic: bool, cap: int) -> Resources:
+    if (heuristic, cap) not in _CAPPED:
+        _CAPPED[heuristic, cap] = Resources.load(heuristic_fallback=heuristic)
+    return _CAPPED[heuristic, cap]
+
+
 class TestAgainstTokenReference:
     """The per-type analysis and families against the token walk.
 
@@ -272,11 +283,21 @@ class TestAgainstTokenReference:
     """
 
     @pytest.mark.parametrize("heuristic", [False, True])
-    @settings(max_examples=150)
+    @pytest.mark.parametrize("cap", [text_analysis.TABLE_CAP, 0, 3])
+    @settings(max_examples=150, deadline=None)
     @given(text=TEXTS)
-    def test_analysis_matches(self, heuristic, text, resources, heuristic_resources):
-        res = heuristic_resources if heuristic else resources
-        t = analyze(text, res.morphology, res.abbreviations)
+    @example(text="Кот a.B и кот—пёс.")  # chunks of two words
+    @example(text="Кот видел " + "ш" * (text_analysis.CHUNK_LIMIT + 1) + ". Пёс спал.")
+    @example(text="Жил абвгдеж-г. Пёс")  # an abbreviation after a hyphen
+    @example(text="Жил абв-гдежзи. Пёс")  # the bundled list's window starts at the hyphen
+    def test_analysis_matches(self, heuristic, cap, text):
+        # the rows kept for one call, past the cap or CHUNK_LIMIT, read
+        # like the kept ones
+        res = capped_resources(heuristic, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(text_analysis, "TABLE_CAP", cap)
+            t = analyze(text, res.morphology, res.abbreviations)
+        assert len(res.morphology._ids) <= cap
         ref = reference_analyze(text, res.morphology, res.abbreviations)
         assert ([(t.surfaces[i], t.lemmas[i], t.pos[i], t.syllables[i]) for i in t.tokens]
                 == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
@@ -349,16 +370,11 @@ class TestAgainstTokenReference:
         assert bits(lexical) == bits(ref_values[:2]) + bits(exact)
 
 
-# per morphology and table cap, one Resources whose tables fill over
-# the examples of a test
-_CAPPED: dict[tuple[bool, int], Resources] = {}
-
-
 def walk_outcome(text, heuristic, cap):
     """extract_all's quantitative values bit for bit and its warnings,
     then the type walk's, read with TABLE_CAP at cap; None when the text
     has no tokens."""
-    resources = _CAPPED.setdefault((heuristic, cap), Resources.load(heuristic_fallback=heuristic))
+    resources = capped_resources(heuristic, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(text_analysis, "TABLE_CAP", cap)
         try:

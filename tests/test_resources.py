@@ -20,14 +20,14 @@ OTHER_TEXTS = [doc.text for doc in make_corpus(3, 3, seed=11)]
 
 
 def table_sizes(resources: Resources) -> tuple[int, int]:
-    return len(resources.morphology._rows), len(resources.lexicon._ids)
+    return len(resources.morphology._ids), len(resources.lexicon._ids)
 
 
 def key_texts(resources: Resources, table: str) -> list[str]:
     """The chunks the morphology table keeps, or the lemmas of the
     lexicon table's keys."""
     if table == "morphology":
-        return list(resources.morphology._rows)
+        return list(resources.morphology._ids)
     return [lemma for lemma, _ in resources.lexicon._ids]
 
 
@@ -39,9 +39,9 @@ class CountingMorphology(DictionaryMorphology):
         super().__init__(entries)
         self.resolved, self.analyzed = Counter(), Counter()
 
-    def _resolve(self, chunk):
+    def _resolve(self, chunk, fresh):
         self.resolved[chunk] += 1
-        return super()._resolve(chunk)
+        return super()._resolve(chunk, fresh)
 
     def analyze(self, surface):
         self.analyzed[surface] += 1
@@ -91,7 +91,7 @@ class TestTables:
         long_chunks = ["кот." * limit, "«" + "а" * limit + "»", "!" * (limit + 1), "ш" * 200]
         resources = Resources.load()
         outcome(" ".join(long_chunks + ["Кот,", "«Пёс»", "!" * limit]), resources)
-        table = set(resources.morphology._rows)
+        table = set(resources.morphology._ids)
         assert {"Кот,", "«Пёс»", "!" * limit, "кот", "а" * limit} <= table
         assert max(map(len, table)) <= limit
         assert outcome(" ".join(long_chunks), resources) == outcome(" ".join(long_chunks), Resources.load())
@@ -115,7 +115,7 @@ class TestTables:
             outcome(text, resources)
         assert max(morphology.resolved.values()) == 1
         assert max(morphology.analyzed.values()) == 1
-        assert set(morphology.resolved) == set(morphology._rows)
+        assert set(morphology.resolved) == set(morphology._ids)
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_a_full_table_resolves_each_chunk_once_per_call(self, monkeypatch, cap):
@@ -124,10 +124,10 @@ class TestTables:
         resources = counting_resources()
         assert outcome(text, resources) == outcome(text, Resources.load())
         morphology = resources.morphology
-        assert len(morphology._rows) == cap
+        assert len(morphology._ids) == cap
         chunks = text.split()
         before = morphology.resolved.copy()
-        assert morphology.rows(chunks) == Resources.load().morphology.rows(chunks)
+        assert morphology.lemmas(chunks) == Resources.load().morphology.lemmas(chunks)
         resolved = morphology.resolved - before
         assert resolved["бармаглота,"] == resolved["ш" * 200 + "."] == 1
         assert max(resolved.values()) <= 2  # a word in two new chunks

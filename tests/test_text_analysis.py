@@ -333,14 +333,15 @@ class TestChunks:
         assert best_seconds(read(long), 20) / best_seconds(read(short), 20) < 2
 
     @pytest.mark.parametrize("make", [lambda n: "кот." * n, lambda n: "а-" * n + "1-а.",
-                                      lambda n: "!?…" * n, lambda n: "и " * n],
-                             ids=["glued-line", "hyphen-chain", "punctuation-run",
-                                  "stopword-chunks"])
+                                      lambda n: "а-" * n + "-г.", lambda n: "!?…" * n,
+                                      lambda n: "и " * n],
+                             ids=["glued-line", "hyphen-chain", "hyphen-abbreviation",
+                                  "punctuation-run", "stopword-chunks"])
     def test_cost_grows_linearly(self, resources, make):
         # eight times the text takes about eight times as long; searching
-        # the whole hyphen chain for the word before its final period
-        # takes about 64 times as long.  A fragment of stop words reads
-        # the whole text, in rounds.
+        # the whole hyphen chain for the word before its final period, an
+        # abbreviation or not, takes about 64 times as long.  A fragment
+        # of stop words reads the whole text, in rounds.
         def read(n):
             text = make(n)
             return lambda: (analyze(text, resources.morphology, resources.abbreviations),
