@@ -229,11 +229,14 @@ def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
 
 @dataclass
 class DecisionTree:
-    """One tree as parallel node columns in pre-order.
+    """One tree as parallel node columns, the root first and every child
+    after its parent.
 
     Node i sends x to left[i] when x[feature[i]] <= threshold[i] and to
     right[i] otherwise; feature -1 marks a leaf, which predicts children
-    when n_children[i] >= n_adult[i].
+    when n_children[i] >= n_adult[i].  train_random_forest writes the
+    nodes level by level, each level in the order of the parents, a left
+    child before its sibling.
     """
 
     feature: list[int]
@@ -253,12 +256,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def add_leaf(self, n_children: int, n_adult: int) -> None:
-        """Append a leaf holding the given label counts."""
-        for column, value in zip((self.feature, self.threshold, self.left, self.right, self.n_children,
-                                  self.n_adult), (-1, 0.0, -1, -1, n_children, n_adult)):
-            column.append(value)
-
 
 def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
     """Number of trees whose leaf for the row x predicts children."""
@@ -274,9 +271,49 @@ def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
     return votes
 
 
-# (row, feature) elements searched at once; larger batches hold more
-# memory and are no faster
-_BATCH_ELEMENTS = 8192
+# (row, feature) elements searched at once; of 8192 to 65536, this was the
+# fastest on the grid's forests, and larger chunks hold more memory
+_BATCH_ELEMENTS = 16384
+
+# A node's stream is the SplitMix64 generator (Steele, Lea & Flood, OOPSLA
+# 2014) seeded with the node's key, a root's key being its tree's seed.
+# Output 1 is its left child's key, output 2 its right child's and outputs
+# 3 on its feature draws, so the draws depend only on the tree and the
+# node's path from the root (counter-based, as in Salmon et al., SC 2011).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_LEFT, _RIGHT, _DRAWS = 1, 2, 3
+
+
+def _splitmix64(keys: np.ndarray, outputs) -> np.ndarray:
+    """The given outputs (counting from 1) of the streams seeded with
+    keys, one line per key.  Array arithmetic on uint64 wraps without an
+    overflow warning, which the generator relies on."""
+    z = keys[:, None] + np.asarray(outputs, dtype=np.uint64) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _draw_features(keys: np.ndarray, p: int, k: int) -> np.ndarray:
+    """For each node key, k distinct features of range(p) in a uniformly
+    random order, from 2k outputs of its stream: Floyd's algorithm picks
+    the set from the first k (Bentley & Floyd, CACM 1987), and a stable
+    sort of the next k orders it.  An output r picks from range(b) as
+    ((r >> 32) * b) >> 32, so each value's chance is within 2**-32 of 1/b,
+    and the cost grows with k, not p."""
+    draws = _splitmix64(keys, np.arange(_DRAWS, _DRAWS + 2 * k))
+    bounds = np.arange(p - k + 1, p + 1, dtype=np.uint64)
+    picks = ((draws[:, :k] >> np.uint64(32)) * bounds >> np.uint64(32)).astype(np.int64)
+    sample = np.empty((len(keys), k), dtype=np.int64)
+    for i in range(k):
+        # step i picks from range(p - k + i + 1) and takes p - k + i itself
+        # if the pick is already taken
+        seen = (sample[:, :i] == picks[:, i, None]).any(axis=1)
+        sample[:, i] = np.where(seen, p - k + i, picks[:, i])
+    return np.take_along_axis(sample, np.argsort(draws[:, k:], axis=1, kind="stable"), axis=1)
 
 
 def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
@@ -299,21 +336,23 @@ def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
     return X, y01, codes.ravel(), values
 
 
-def _best_splits(tables, batch):
-    """The best cut of each node of batch, a list of (rows, drawn
-    features): None where nothing separates, else (weighted Gini
-    impurity, feature, threshold, left, right), where left and right are
-    (rows, children's count) of the rows with x[feature] <= threshold and
-    of the rest.  One sort orders all elements by (node, drawn feature,
-    rank, label), and each node takes its first minimum: ties go to the
-    first feature drawn, then the lowest threshold, whatever else is in
-    the batch."""
+def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarray) -> tuple:
+    """The best cut of each node of a chunk, where node j holds the rows
+    rows[offsets[j]:offsets[j + 1]] and drew the features feats[j].
+
+    Returns (feature, threshold, child_rows, child_counts).  A node's
+    feature is -1 and its threshold 0.0 where nothing separates its rows;
+    else they give the cut with the lowest weighted Gini impurity, ties
+    going to the first feature drawn, then the lowest threshold.
+    child_rows holds, for each node that splits, in order, the rows with
+    x[feature] <= threshold and then the rest, and child_counts has one
+    line per child: its (adult, children) label counts.  One sort orders
+    all elements by (node, drawn feature, rank, label), so a node's cut
+    does not depend on the rest of the chunk."""
     X, y01, codes, values = tables
     n = len(X)
-    rows = np.concatenate([r for r, _ in batch])
-    feats = np.array([f for _, f in batch])
     m, k = feats.shape
-    sizes = np.array([len(r) for r, _ in batch])
+    sizes = np.diff(offsets)
     node = np.repeat(np.arange(m), sizes)
     # key = 2n * segment + code, where segment = k * node + slot
     key = np.sort((np.arange(0, 2 * n * k * m, 2 * n).reshape(m, k)[node]
@@ -341,7 +380,7 @@ def _best_splits(tables, batch):
     found = np.flatnonzero(best < np.inf)
     hits = np.flatnonzero(weighted[:-1] == np.repeat(best, np.diff(bounds)))
     at = cut[hits[np.searchsorted(hits, bounds[found])]]
-    f, threshold = np.zeros(m, dtype=np.int64), np.full(m, np.inf)
+    f, threshold = np.full(m, -1), np.zeros(m)
     f[found] = feats[found, rank_key[at] // n - k * found]
     lo, hi = values[rank_key[at] % n, f[found]], values[rank_key[at + 1] % n, f[found]]
     with np.errstate(over="ignore"):
@@ -349,17 +388,12 @@ def _best_splits(tables, batch):
     # a midpoint that rounds up to hi (adjacent floats) or overflows would
     # send every row left, and the child would repeat its parent forever
     threshold[found] = np.where(mid < hi, mid, lo)
-    # partition as prediction does; children are copies that keep no batch array alive
-    right = X[rows, f[node]] > threshold[node]
-    counts = np.bincount(4 * node + 2 * right + y01[rows], minlength=4 * m).reshape(m, 2, 2)
-    ends = [(0, 0)] + np.cumsum(counts.sum(axis=2), axis=0).tolist()
-    left_rows, right_rows = rows[~right], rows[right]
-    splits = [None] * m
-    for j, w, fj, t, (cl, cr) in zip(found.tolist(), best[found].tolist(), f[found].tolist(),
-                                      threshold[found].tolist(), counts[found, :, 1].tolist()):
-        (l0, r0), (l1, r1) = ends[j], ends[j + 1]
-        splits[j] = (w, fj, t, (left_rows[l0:l1].copy(), cl), (right_rows[r0:r1].copy(), cr))
-    return splits
+    # partition as prediction does
+    splitting = f[node] >= 0
+    rows, node = rows[splitting], node[splitting]
+    side = 2 * node + (X[rows, f[node]] > threshold[node])
+    child_counts = np.bincount(2 * side + y01[rows], minlength=4 * m).reshape(m, 2, 2)[found]
+    return f, threshold, rows[np.argsort(side, kind="stable")], child_counts.reshape(-1, 2)
 
 
 @register_model_kind
@@ -440,51 +474,83 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     """Train a forest of fully grown Gini trees on bootstrap samples.
 
     Each tree draws a bootstrap of the training set (same size, with
-    replacement) and considers ceil(sqrt(p)) random features per node.
-    Each tree has its own generator, seeded from seed, and draws from it
-    its bootstrap and then each node's features, in the tree's pre-order.
-    The trees grow in lock-step: each step takes the next node to split
-    from every unfinished tree and searches them together.  The forest is
-    the one grown a tree at a time, a pure function of (X, y, n_trees, seed).
+    replacement) from its own generator, seeded from seed, and considers
+    ceil(sqrt(p)) features per node, drawn by _draw_features from a key
+    that depends only on the tree and the node's path from the root.  So
+    all trees grow together, one level at a time: every node of a level
+    draws, is searched and is partitioned by array operations, in chunks
+    of at most _BATCH_ELEMENTS (row, feature) elements or of one node that
+    has more.  The forest is the one grown a tree at a time, depth first,
+    a pure function of (X, y, n_trees, seed).
     """
     X, y = _validate_training_inputs(X, y)
     if n_trees < 1:
         raise ModelError(f"n_trees must be >= 1, got {n_trees}")
     n, p = X.shape
     y01 = ((y + 1) // 2).astype(np.int64)
-    max_features = max(1, math.ceil(math.sqrt(p)))
+    k = max(1, math.ceil(math.sqrt(p)))
     tables = _split_tables(X, y01)
     tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
-    rngs = [np.random.default_rng(int(s)) for s in tree_seeds]
-    bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
-    trees = [DecisionTree([], [], [], [], [], [], rows) for rows in bootstraps]
-    # per tree: (rows, their children's count, index of the node whose
-    # right child they are, or -1: a left child directly follows its parent)
-    stacks = [[(rows, int(y01[rows].sum()), -1)] for rows in bootstraps]
-    while any(stacks):
-        batch, owners, size = [], [], 0
-        for t, stack in enumerate(stacks):
-            while stack:
-                rows, n_children, parent = stack.pop()
-                if parent >= 0:
-                    trees[t].right[parent] = trees[t].n_nodes
-                trees[t].add_leaf(n_children, len(rows) - n_children)
-                if 0 < n_children < len(rows):
-                    batch.append((rows, rngs[t].choice(p, size=max_features, replace=False)))
-                    owners.append(t)
-                    size += len(rows) * max_features
-                    break
-            if batch and (t == n_trees - 1 or size >= _BATCH_ELEMENTS):
-                # each owner's popped node is still the last node of its tree
-                for o, split in zip(owners, _best_splits(tables, batch)):
-                    if split:
-                        tree, i = trees[o], trees[o].n_nodes - 1
-                        tree.feature[i], tree.threshold[i], tree.left[i] = split[1], split[2], i + 1
-                        stacks[o] += [(*split[4], i), (*split[3], -1)]
-                batch, owners, size = [], [], 0
+    bootstraps = [np.random.default_rng(int(s)).integers(0, n, size=n) for s in tree_seeds]
+    # the nodes of one level, by tree and then in node order: their tree,
+    # key, (adult, children) counts and, one node after another, their rows
+    tree = np.arange(n_trees)
+    key = tree_seeds.astype(np.uint64)
+    rows = np.concatenate(bootstraps)
+    n_children = y01[rows].reshape(n_trees, n).sum(axis=1)
+    counts = np.stack([n - n_children, n_children], axis=1)
+    written = np.zeros(n_trees, dtype=np.int64)  # each tree's nodes in the levels done
+    levels = []  # each level's tree and node columns
+    while True:
+        feature, threshold = np.full(len(tree), -1), np.zeros(len(tree))
+        mixed = counts.min(axis=1) > 0
+        if mixed.any():
+            # only a node holding both classes is searched
+            sizes = counts.sum(axis=1)
+            rows = rows[np.repeat(mixed, sizes)]
+            offsets = np.concatenate([[0], np.cumsum(sizes[mixed])])
+            feats = _draw_features(key[mixed], p, k)
+            elements = offsets * k
+            parts, a = [], 0
+            while a < len(feats):
+                b = max(a + 1, int(np.searchsorted(elements, elements[a] + _BATCH_ELEMENTS, "right")) - 1)
+                parts.append(_best_splits(tables, rows[offsets[a]:offsets[b]],
+                                          offsets[a:b + 1] - offsets[a], feats[a:b]))
+                a = b
+            del rows  # before the children's rows are joined, which lowers the peak
+            feature[mixed], threshold[mixed], rows, child_counts = map(np.concatenate, zip(*parts))
+            del parts
+        written += np.bincount(tree, minlength=n_trees)
+        # the j-th node of a tree's level to split has the children
+        # written + 2j and written + 2j + 1
+        internal = np.flatnonzero(feature >= 0)
+        owner = tree[internal]
+        splits = np.bincount(owner, minlength=n_trees)
+        j = np.arange(len(internal)) - (np.cumsum(splits) - splits)[owner]
+        left, right = np.full(len(tree), -1), np.full(len(tree), -1)
+        left[internal] = written[owner] + 2 * j
+        right[internal] = left[internal] + 1
+        levels.append((tree, feature, threshold, left, right, counts[:, 1], counts[:, 0]))
+        if not len(internal):
+            break
+        tree = np.repeat(owner, 2)
+        key = _splitmix64(key[internal], [_LEFT, _RIGHT]).ravel()
+        counts = child_counts
+    # each tree's nodes, level by level
+    tree, *columns = map(np.concatenate, zip(*levels))
+    del levels
+    order = np.argsort(tree, kind="stable")
+    ends = np.cumsum(written).tolist()
+    trees = [[] for _ in range(n_trees)]
+    for column in columns:
+        values = column[order].tolist()
+        for nodes, a, b in zip(trees, [0] + ends, ends):
+            nodes.append(values[a:b])
+    trees = [DecisionTree(*nodes, bootstrap=sample) for nodes, sample in zip(trees, bootstraps)]
     return RandomForestModel(
         trees=trees, n_features=p,
-        hyperparams={"n_trees": n_trees, "seed": seed, "max_features": max_features},
+        hyperparams={"n_trees": n_trees, "seed": seed, "max_features": k,
+                     "feature_draws": "path-splitmix64-floyd"},
     )
 
 

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -204,6 +204,8 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 # exactly one (else -1), and whether it ends in a run of sentence
 # terminators and whether it starts uppercase (1 or 0).
 WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER = range(7)
+# Where a row's entry in the table's list holds its words' row ids and lemmas
+_WORD_IDS, _LEMMAS = 5, 6
 
 
 class MorphologyProvider:
@@ -214,8 +216,9 @@ class MorphologyProvider:
     does: a dict maps the chunk to its id, one int64 array holds the
     columns of each row, and a list the rest: the chunk, then, for a
     chunk that is one word, the word's lemma, part of speech and
-    syllables (else None, None and 0), the chunk's abbreviation key and,
-    for a chunk of two or more words, their row ids (else None).  A chunk
+    syllables (else None, None and 0), the chunk's abbreviation key, for
+    a chunk of two or more words their row ids (else None), and the tuple
+    of its words' lemmas, which lemmas() reads.  A chunk
     the table does not keep gets a row for one call only, with an id past
     the kept rows.  A provider's answers must not change once it is in
     use.
@@ -230,9 +233,12 @@ class MorphologyProvider:
     def lemmas(self, chunks: list[str]) -> list[str]:
         """The lemma of each word of the chunks, in order.  Unknown words
         get the lowercased surface."""
-        ids = self._row_ids(chunks)
-        words = self._words(ids, self._array.take(ids, axis=0)).tolist()
-        return list(map(itemgetter(1), map(self._rows.__getitem__, words)))
+        try:  # no NumPy call while every chunk has a kept row
+            ids = list(map(self._ids.__getitem__, chunks))
+        except KeyError:
+            ids = self._row_ids(chunks).tolist()
+        rows = map(self._rows.__getitem__, ids)
+        return list(chain.from_iterable(map(itemgetter(_LEMMAS), rows)))
 
     @cached_property
     def _ids(self) -> dict[str, int]:
@@ -306,7 +312,10 @@ class MorphologyProvider:
         if len(word_ids) == 1:
             columns[WORD] = word_ids[0]
         self._array[n] = columns
-        self._rows.append((*row, word_ids if len(word_ids) > 1 else None))
+        # a chunk that is a word holds its own lemma; any other chunk's
+        # words have rows already
+        lemmas = (row[1],) if row[1] is not None else tuple(self._rows[w][1] for w in word_ids)
+        self._rows.append((*row, word_ids if len(word_ids) > 1 else None, lemmas))
 
     def _words(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The row id of each word, in order, of the chunks whose row ids
@@ -316,7 +325,7 @@ class MorphologyProvider:
         multi = (n > 1).nonzero()[0]
         if len(multi):
             for i, end in zip(multi.tolist(), np.cumsum(n)[multi].tolist()):
-                words[end - n[i]:end] = self._rows[ids[i]][-1]
+                words[end - n[i]:end] = self._rows[ids[i]][_WORD_IDS]
         return words
 
 

@@ -2,6 +2,8 @@
 import json
 import math
 import tracemalloc
+import warnings
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ import agelex.pipeline
 from agelex.errors import ArtifactError, ModelError
 from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            LinearSvcModel, RandomForestModel, _best_splits,
-                           _children_votes, _newton_step, _split_tables,
+                           _children_votes, _draw_features, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
 from agelex.corpus import Split
@@ -316,32 +318,64 @@ def reference_block_split(X, y01, idx, feats):
     return float(weighted[k, j]), int(feats[k]), threshold
 
 
-def reference_build_tree(X, y01, rng, max_features) -> DecisionTree:
+_M64 = 2 ** 64 - 1
+
+
+def splitmix64(key: int, output: int) -> int:
+    """Output `output` (counting from 1) of the SplitMix64 generator
+    seeded with key, in Python integers."""
+    z = (key + output * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def reference_draw(key: int, p: int, k: int) -> list[int]:
+    """The features a node with this key draws: Floyd's algorithm on
+    outputs 3 to k + 2 of its stream picks k of range(p), each output r
+    choosing from range(b) as ((r >> 32) * b) >> 32, and outputs k + 3 to
+    2k + 2 order them (a stable sort)."""
+    sample = []
+    for i, j in enumerate(range(p - k, p)):
+        pick = ((splitmix64(key, 3 + i) >> 32) * (j + 1)) >> 32
+        sample.append(j if pick in sample else pick)
+    order = sorted(range(k), key=lambda i: splitmix64(key, 3 + k + i))
+    return [sample[i] for i in order]
+
+
+def reference_build_tree(X, y01, seed, max_features) -> DecisionTree:
     """One tree grown on its own, depth first, on a bootstrap sample of
-    the rows drawn from rng: the oracle for the lock-step forest."""
+    the rows drawn from a generator seeded with seed: the oracle for the
+    level-wise forest.  The root's key is seed; output 1 of a node's
+    stream keys its left child, output 2 its right child.  Nodes are in
+    pre-order."""
     n, p = X.shape
-    bootstrap = rng.integers(0, n, size=n)
+    bootstrap = np.random.default_rng(seed).integers(0, n, size=n)
     X, y01 = X[bootstrap], y01[bootstrap]
     nodes: list[list] = []
-    # (rows, parent index, slot of the parent's left (2) or right (3) child)
-    stack = [(np.arange(n), -1, 2)]
+    # (rows, key, parent index, slot of the parent's left (2) or right (3) child)
+    stack = [(np.arange(n), seed, -1, 2)]
     while stack:
-        idx, parent, side = stack.pop()
+        idx, key, parent, side = stack.pop()
         if parent >= 0:
             nodes[parent][side] = len(nodes)
         n_adult, n_children = np.bincount(y01[idx], minlength=2).tolist()
         split = None
-        if len(idx) >= 2 and n_adult > 0 and n_children > 0:
-            split = reference_block_split(X, y01, idx, rng.choice(p, size=max_features, replace=False))
+        if n_adult > 0 and n_children > 0:
+            split = reference_block_split(X, y01, idx, np.array(reference_draw(key, p, max_features)))
         if split is None:
             nodes.append([-1, 0.0, -1, -1, n_children, n_adult])
             continue
         _, f, threshold = split
         mask = X[idx, f] <= threshold
-        stack.append((idx[~mask], len(nodes), 3))
-        stack.append((idx[mask], len(nodes), 2))
+        stack.append((idx[~mask], splitmix64(key, 2), len(nodes), 3))
+        stack.append((idx[mask], splitmix64(key, 1), len(nodes), 2))
         nodes.append([f, threshold, -1, -1, n_children, n_adult])
     return DecisionTree.from_nodes(nodes, bootstrap)
+
+
+def tree_seeds(seed, n_trees) -> list[int]:
+    return np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees).tolist()
 
 
 def reference_forest(X, y, n_trees, seed) -> RandomForestModel:
@@ -349,28 +383,57 @@ def reference_forest(X, y, n_trees, seed) -> RandomForestModel:
     X = np.asarray(X, dtype=float)
     y01 = ((np.asarray(y) + 1) // 2).astype(np.int64)
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
-    tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
-    trees = [reference_build_tree(X, y01, np.random.default_rng(int(s)), max_features)
-             for s in tree_seeds]
+    trees = [reference_build_tree(X, y01, s, max_features) for s in tree_seeds(seed, n_trees)]
     return RandomForestModel(trees=trees, n_features=X.shape[1],
-                             hyperparams={"n_trees": n_trees, "seed": seed,
-                                          "max_features": max_features})
+                             hyperparams={"n_trees": n_trees, "seed": seed, "max_features": max_features,
+                                          "feature_draws": "path-splitmix64-floyd"})
+
+
+def in_level_order(forest: RandomForestModel) -> dict:
+    """The forest's JSON payload with each tree's nodes renumbered level
+    by level, each level in the order of the parents, left child first."""
+    payload = forest.to_json_dict()
+    for tree in payload["trees"]:
+        nodes, order = tree["nodes"], [0]
+        for i in order:  # grows while it is read: a breadth-first walk
+            if nodes[i][0] >= 0:
+                order += nodes[i][2:4]
+        new = {old: i for i, old in enumerate(order)}
+        new[-1] = -1
+        tree["nodes"] = [[f, t, new[left], new[right], nc, na]
+                         for f, t, left, right, nc, na in map(nodes.__getitem__, order)]
+    return payload
 
 
 def batched(X, y01, nodes, parts=None):
-    """_best_splits on the nodes, searched as one batch or in the given
-    consecutive parts, as plain tuples: (weighted impurity, feature,
-    threshold, left rows, left children, right rows, right children)."""
+    """_best_splits on the nodes, searched as one chunk or in the given
+    consecutive parts, as plain tuples: None where nothing separates,
+    else (feature, threshold, left rows, left children, right rows,
+    right children)."""
     tables = _split_tables(X, y01)
-    parts = parts or [nodes]
-    return [None if s is None else (*s[:3], s[3][0].tolist(), s[3][1], s[4][0].tolist(), s[4][1])
-            for part in parts for s in _best_splits(tables, part)]
+    out = []
+    for part in parts or [nodes]:
+        rows = np.concatenate([r for r, _ in part])
+        offsets = np.cumsum([0] + [len(r) for r, _ in part])
+        feature, threshold, child_rows, child_counts = _best_splits(
+            tables, rows, offsets, np.array([feats for _, feats in part]))
+        assert len(child_counts) == 2 * np.count_nonzero(feature >= 0)
+        ends = np.cumsum(child_counts.sum(axis=1))
+        children = iter(zip(np.split(child_rows, ends[:-1]), child_counts[:, 1].tolist()))
+        for f, t in zip(feature.tolist(), threshold.tolist()):
+            if f < 0:
+                assert t == 0.0
+                out.append(None)
+            else:
+                (left, n_left), (right, n_right) = next(children), next(children)
+                out.append((f, t, left.tolist(), n_left, right.tolist(), n_right))
+    return out
 
 
 def search(X, y01, idx, feats):
-    """(weighted impurity, feature, threshold) of one node, or None."""
+    """(feature, threshold) of one node, or None."""
     split = batched(X, y01, [(idx, feats)])[0]
-    return split and split[:3]
+    return split and split[:2]
 
 
 def small_int_matrix(draw, n, p):
@@ -412,7 +475,8 @@ class TestSplitSearch:
     @settings(max_examples=150, deadline=None)
     @given(split_problems())
     def test_equals_one_feature_at_a_time(self, problem):
-        assert search(*problem) == reference_best_split(*problem)
+        reference = reference_best_split(*problem)
+        assert search(*problem) == (reference and reference[1:])
 
     @settings(max_examples=100, deadline=None)
     @given(split_batches())
@@ -422,9 +486,10 @@ class TestSplitSearch:
         assert together == batched(X, y01, nodes, parts)
         assert together == [batched(X, y01, [node])[0] for node in nodes]
         for (idx, feats), split in zip(nodes, together):
-            assert (split and split[:3]) == reference_best_split(X, y01, idx, feats)
+            reference = reference_best_split(X, y01, idx, feats)
+            assert (split and split[:2]) == (reference and reference[1:])
             if split:
-                _, f, threshold, left, n_left, right, n_right = split
+                f, threshold, left, n_left, right, n_right = split
                 goes_left = X[idx, f] <= threshold
                 assert left == idx[goes_left].tolist() and right == idx[~goes_left].tolist()
                 assert (n_left, n_right) == (y01[left].sum(), y01[right].sum())
@@ -435,16 +500,15 @@ class TestSplitSearch:
         X = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0]])
         y01 = np.array([0, 1, 0])
         idx = np.arange(3)
-        expected = (1 / 3, 2, 0.5)
-        assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == expected
-        assert search(X, y01, idx, np.array([1, 2, 0])) == expected
-        assert search(X, y01, idx, np.array([0, 2]))[1:] == (0, 0.5)
+        assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == (1 / 3, 2, 0.5)
+        assert search(X, y01, idx, np.array([1, 2, 0])) == (2, 0.5)
+        assert search(X, y01, idx, np.array([0, 2])) == (0, 0.5)
         # both columns separate perfectly; the first drawn wins although
         # the other one's cut has the lower threshold
         X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
         y01 = np.array([0, 0, 1])
-        assert search(X, y01, idx, np.array([0, 1])) == (0.0, 0, 1.5)
-        assert search(X, y01, idx, np.array([1, 0])) == (0.0, 1, 0.5)
+        assert search(X, y01, idx, np.array([0, 1])) == (0, 1.5)
+        assert search(X, y01, idx, np.array([1, 0])) == (1, 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("lo, hi", [
@@ -454,10 +518,10 @@ class TestSplitSearch:
     def test_threshold_separates_the_cut_values(self, lo, hi):
         X = np.array([[lo], [hi]])
         y01 = np.array([0, 1])
-        assert search(X, y01, np.arange(2), np.array([0])) == (0.0, 0, lo)
+        assert search(X, y01, np.arange(2), np.array([0])) == (0, lo)
         forest = train_random_forest(X, np.array([ADULT, CHILDREN]), n_trees=5, seed=0)
         assert forest.predict_many(X).tolist() == [ADULT, CHILDREN]
-        assert forest.to_json_dict() == reference_forest(X, [ADULT, CHILDREN], 5, 0).to_json_dict()
+        assert forest.to_json_dict() == in_level_order(reference_forest(X, [ADULT, CHILDREN], 5, 0))
 
     def test_nothing_separates(self):
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -481,6 +545,53 @@ def forest_problems(draw):
     return X, np.array(y), draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1))
 
 
+class TestFeatureDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5), st.integers(1, 400), st.data())
+    def test_k_distinct_features_as_the_reference_draws(self, keys, p, data):
+        k = data.draw(st.integers(1, min(p, 25)))
+        drawn = _draw_features(np.array(keys, dtype=np.uint64), p, k)
+        assert drawn.shape == (len(keys), k)
+        for key, row in zip(keys, drawn.tolist()):
+            assert len(set(row)) == k and 0 <= min(row) and max(row) < p
+            assert row == reference_draw(key, p, k)
+
+    def test_each_feature_is_as_likely_in_each_place(self):
+        # 12,000 nodes draw 3 of 7 features.  Each (place, feature) pair is
+        # expected 1,714.3 times, standard deviation 38.3, and each feature
+        # 5,142.9 times, standard deviation 54.2; the bounds are about 5.2
+        # standard deviations.  A skewed pick, a slip in Floyd's steps or a
+        # missing shuffle moves some count by hundreds.
+        drawn = _draw_features(np.arange(12_000, dtype=np.uint64), 7, 3)
+        by_place = np.stack([np.bincount(drawn[:, s], minlength=7) for s in range(3)])
+        assert np.abs(by_place - 12_000 / 7).max() < 200
+        assert np.abs(by_place.sum(axis=0) - 3 * 12_000 / 7).max() < 280
+
+    def test_no_overflow_warning(self):
+        # the generator wraps around 2**64 on purpose
+        keys = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+        X, y = separable_blobs(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _draw_features(keys, 300, 18)
+            train_random_forest(X, y, n_trees=3, seed=2 ** 63)
+
+
+def cut_impurity(y01, goes_left) -> float:
+    """Weighted Gini impurity of sending the rows goes_left marks left, in
+    the float expression the search evaluates, so that equal impurities
+    compare equal as the search sees them; it is the weighted oracle
+    gini_impurity up to rounding."""
+    n, ln, lp = float(len(y01)), float(goes_left.sum()), float(y01[goes_left].sum())
+    rn, rp = n - ln, float(y01.sum()) - lp
+    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
+    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
+    weighted = (ln * gl + rn * gr) / n
+    assert math.isclose(weighted, (ln * gini_impurity((lp, ln - lp)) + rn * gini_impurity((rp, rn - rp))) / n,
+                        abs_tol=1e-12)
+    return weighted
+
+
 class TestRandomForest:
     @settings(max_examples=100, deadline=None)
     @given(forest_problems(), st.sampled_from([1, 40, 8192]))
@@ -488,14 +599,14 @@ class TestRandomForest:
         X, y, n_trees, seed = problem
         with mock.patch.object(agelex.models, "_BATCH_ELEMENTS", batch_elements):
             forest = train_random_forest(X, y, n_trees=n_trees, seed=seed)
-        assert forest.to_json_dict() == reference_forest(X, y, n_trees, seed).to_json_dict()
+        assert forest.to_json_dict() == in_level_order(reference_forest(X, y, n_trees, seed))
 
     def test_leaf_with_both_classes_when_nothing_separates(self):
         # rows 0 and 1 are equal but differ in label
         X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
         y = np.array([ADULT, CHILDREN, CHILDREN, ADULT])
         forest = train_random_forest(X, y, n_trees=12, seed=4)
-        assert forest.to_json_dict() == reference_forest(X, y, 12, 4).to_json_dict()
+        assert forest.to_json_dict() == in_level_order(reference_forest(X, y, 12, 4))
         assert any(f == -1 and nc > 0 and na > 0 for tree in forest.trees
                    for f, nc, na in zip(tree.feature, tree.n_children, tree.n_adult))
 
@@ -511,7 +622,61 @@ class TestRandomForest:
         run_grid(make_corpus(20, 20, seed=5), resources, ("rf",))
         assert len(fits) == 18
         for X, y, kwargs, model in fits:
-            assert model.to_json_dict() == reference_forest(X, y, **kwargs).to_json_dict()
+            assert model.to_json_dict() == in_level_order(reference_forest(X, y, **kwargs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest_problems())
+    def test_every_split_is_the_best_cut_of_its_draws(self, problem):
+        # follow each node's rows and key from the root: every node is
+        # reached from a parent before it, and nothing is left unreached
+        X, y, n_trees, seed = problem
+        forest = train_random_forest(X, y, n_trees=n_trees, seed=seed)
+        y01 = (y + 1) // 2
+        k = forest.hyperparams["max_features"]
+        for tree, key in zip(forest.trees, tree_seeds(seed, n_trees)):
+            reached = {0: (tree.bootstrap, key)}
+            for i in range(tree.n_nodes):
+                rows, key = reached.pop(i)
+                labels = y01[rows]
+                assert (tree.n_children[i], tree.n_adult[i]) == (labels.sum(), len(rows) - labels.sum())
+                # every cut of the drawn features, in draw order, then by threshold
+                cuts = [(cut_impurity(labels, X[rows, f] <= lo), f, lo, hi)
+                        for f in reference_draw(key, X.shape[1], k)
+                        for lo, hi in pairwise(sorted(set(X[rows, f].tolist())))]
+                if tree.feature[i] < 0:
+                    assert labels.min() == labels.max() or not cuts
+                    continue
+                assert labels.min() < labels.max()
+                best = min(cut[0] for cut in cuts)
+                _, f, lo, hi = next(cut for cut in cuts if cut[0] == best)
+                assert (tree.feature[i], tree.threshold[i]) == (f, (lo + hi) / 2)
+                assert i < tree.left[i] < tree.right[i]
+                goes_left = X[rows, f] <= tree.threshold[i]
+                reached[tree.left[i]] = rows[goes_left], splitmix64(key, 1)
+                reached[tree.right[i]] = rows[~goes_left], splitmix64(key, 2)
+            assert not reached
+
+    def test_tree_count_and_chunk_size_do_not_change_a_tree(self):
+        X, y = separable_blobs(9, gap=0.3)
+        with mock.patch.object(agelex.models, "_BATCH_ELEMENTS", 1):
+            few = train_random_forest(X, y, n_trees=3, seed=8)
+        many = train_random_forest(X, y, n_trees=9, seed=8)
+        assert few.to_json_dict()["trees"] == many.to_json_dict()["trees"][:3]
+
+    def test_chunks_hold_at_most_the_element_limit(self):
+        X, y = separable_blobs(9, gap=0.3)
+        chunks = []
+
+        def recording(tables, rows, offsets, feats):
+            chunks.append((len(rows) * feats.shape[1], len(feats)))
+            return _best_splits(tables, rows, offsets, feats)
+
+        # a root holds 60 rows and draws 2 features, 120 elements
+        with mock.patch.object(agelex.models, "_BATCH_ELEMENTS", 100), \
+                mock.patch.object(agelex.models, "_best_splits", recording):
+            train_random_forest(X, y, n_trees=20, seed=3)
+        assert all(elements <= 100 or nodes == 1 for elements, nodes in chunks)
+        assert any(elements > 100 for elements, _ in chunks) and any(nodes > 1 for _, nodes in chunks)
 
     def test_working_memory_does_not_grow_with_tree_count(self):
         # the trees grow together, so an uncapped batch would hold every
@@ -631,6 +796,19 @@ class TestPersistence:
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(loaded.predict_many(probe), forest.predict_many(probe))
         assert loaded.to_json_dict()["trees"] == forest.to_json_dict()["trees"]
+
+    def test_forest_file_without_feature_draws_loads(self, tmp_path):
+        # the layout written before the level-wise forest: nodes in
+        # pre-order and no feature_draws entry
+        nodes = [[0, 0.5, 1, 4, 2, 2], [1, 0.5, 2, 3, 1, 1], [-1, 0.0, -1, -1, 0, 1],
+                 [-1, 0.0, -1, -1, 1, 0], [-1, 0.0, -1, -1, 1, 1]]
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "random_forest", "model": {
+            "n_features": 2, "hyperparams": {"n_trees": 1, "seed": 42, "max_features": 2},
+            "trees": [{"bootstrap": [0, 1, 2, 3], "nodes": nodes}]}}), encoding="utf-8")
+        model = load_model(p)
+        assert model.predict_many(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])).tolist() == \
+            [ADULT, CHILDREN, CHILDREN]
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
         p = tmp_path / "m.json"
