@@ -37,7 +37,7 @@ from .corpus import AgeRating, Document
 from .errors import ConfigError, FeatureError, decode_errors_as
 from .lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT, TOKENS, TOP5000,
                        TOP_IPM, TOP_IPM_TOKENS, Lexicon)
-from .text_analysis import AnalyzedText, Pos, analyze
+from .text_analysis import POS_ORDER, AnalyzedText, Pos, analyze
 
 if TYPE_CHECKING:
     from .resources import Resources
@@ -203,10 +203,7 @@ def _median(values, weights=None) -> float:
     return (low + high) / 2
 
 
-# a part of speech is read by its place in _POS_ORDER: hashing an Enum
-# member runs Python code
-_POS_ORDER = tuple(Pos)
-_NOUN, _VERB, _ADJ, _ADV, _PROPN = map(_POS_ORDER.index, (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN))
+_NOUN, _VERB, _ADJ, _ADV, _PROPN = map(POS_ORDER.index, (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV, Pos.PROPN))
 
 
 def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
@@ -214,7 +211,7 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     """The 51 quantitative values in schema order, by the rules of
     features.md, and the warnings; t must hold a token, so a sentence."""
     n, sentences = t.n_tokens, t.n_sentences
-    pos = list(map(_POS_ORDER.index, t.pos))
+    pos = list(map(POS_ORDER.index, t.pos))
     counts = np.array(t.counts)
     # per part of speech, then over all: the Lexicon.sums columns
     *by_pos, total = lexicon.sums(t.lemmas, pos, counts)

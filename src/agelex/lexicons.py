@@ -32,7 +32,7 @@ import numpy as np
 
 from . import text_analysis
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import Pos, table_keeps
+from .text_analysis import POS_ORDER, Pos, table_keeps
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -261,8 +261,7 @@ def load_word_list(path: str | Path) -> WordList:
     return WordList(ipm)
 
 
-_POS_ORDER = tuple(Pos)
-_PROPN = _POS_ORDER.index(Pos.PROPN)
+_PROPN = POS_ORDER.index(Pos.PROPN)
 SENTIMENT_SLOTS = tuple((pol, cat) for pol in (Polarity.NEGATIVE, Polarity.POSITIVE)
                         for cat in (SentimentCategory.OPINION, SentimentCategory.FEELING,
                                     SentimentCategory.FACT))
@@ -328,7 +327,7 @@ class Lexicon:
         tokens, the sum of each column over those tokens: a text's type i
         is lemma lemmas[i] with part of speech pos[i], a place in Pos, and
         counts[i] tokens."""
-        by_pos = np.zeros((len(_POS_ORDER), len(counts)), np.int64)
+        by_pos = np.zeros((len(POS_ORDER), len(counts)), np.int64)
         by_pos[pos, np.arange(len(counts))] = counts
         # one exact int64 product: NumPy multiplies integers without BLAS
         sums = by_pos @ self._rows(lemmas, pos)
@@ -372,7 +371,7 @@ class Lexicon:
 
     def _row(self, key: tuple[str, int]) -> list[int]:
         lemma, pos = key
-        entry = (self.frequency.lookup(lemma, _POS_ORDER[pos])
+        entry = (self.frequency.lookup(lemma, POS_ORDER[pos])
                  or self.frequency.lookup_any(lemma))
         top5000 = lemma in self.top5000
         ipm = self.top5000.ipm_of(lemma) if top5000 else None

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -47,28 +49,17 @@ def json_floats(value, ndim: int, what: str):
     np.asarray(dtype=float), a string or a bool would load as a number,
     a literal past the float range as infinity, and lists of another
     depth would fail only when the model is used."""
-    array = _json_array(value, "iuf", ndim)
-    if array is None or not np.isfinite(array).all():
+    array = np.asarray(value)
+    valid = array.dtype.kind in "iuf" and array.ndim == ndim and np.isfinite(array).all()
+    if valid and ndim:
+        # NumPy reads a true or false among numbers as 1 or 0, so only the
+        # places that hold 1 or 0 are looked up in value
+        places = zip(*np.nonzero((array == 0) | (array == 1)))
+        valid = not any(type(reduce(getitem, place, value)) is bool for place in places)
+    if not valid:
         shape = "a list of " + "lists of " * (ndim - 1) + "finite numbers" if ndim else "a finite number"
         raise ArtifactError(f"{what} must be {shape}")
     return float(array) if ndim == 0 else array.astype(float, copy=False)
-
-
-def _json_array(value, kinds: str, ndim: int) -> np.ndarray | None:
-    """value as an array if it is JSON numbers nested ndim deep that
-    NumPy reads as one of the dtype kinds, with no true or false among
-    them; else None.  NumPy reads a true or false among numbers as 1 or
-    0, so only the places that hold 1 or 0 are looked up in value."""
-    array = np.asarray(value)
-    if array.dtype.kind not in kinds or array.ndim != ndim:
-        return None
-    for place in zip(*np.nonzero((array == 0) | (array == 1))) if ndim else ():
-        item = value
-        for i in place:
-            item = item[i]
-        if type(item) is bool:
-            return None
-    return array
 
 
 def _reject_constant(name: str):
@@ -245,12 +236,6 @@ class DecisionTree:
     right: list[int]
     n_children: list[int]
     n_adult: list[int]
-    bootstrap: np.ndarray
-
-    @classmethod
-    def from_nodes(cls, nodes, bootstrap: np.ndarray) -> "DecisionTree":
-        """Columns from a non-empty list of node six-tuples."""
-        return cls(*map(list, zip(*nodes)), bootstrap=bootstrap)
 
     @property
     def n_nodes(self) -> int:
@@ -429,11 +414,8 @@ class RandomForestModel:
             "n_features": self.n_features,
             "hyperparams": dict(self.hyperparams),
             "trees": [
-                {
-                    "bootstrap": tree.bootstrap.tolist(),
-                    "nodes": [list(node) for node in zip(tree.feature, tree.threshold, tree.left,
-                                                         tree.right, tree.n_children, tree.n_adult)],
-                }
+                {"nodes": [list(node) for node in zip(tree.feature, tree.threshold, tree.left,
+                                                      tree.right, tree.n_children, tree.n_adult)]}
                 for tree in self.trees
             ],
         }
@@ -444,15 +426,10 @@ class RandomForestModel:
         entries = payload["trees"]
         if not entries:
             raise ValueError("forest has no trees")
-        # every bootstrap is as long as the one training set it indexes
-        bootstraps = _json_array([entry["bootstrap"] for entry in entries], "i", 2)
-        if bootstraps is None or bootstraps.min() < 0 or bootstraps.max() >= bootstraps.shape[1]:
-            raise ValueError("bootstraps must be lists of integers i with 0 <= i < n, "
-                             "all of one length n")
         trees = []
         # children lie after their parent and inside the tree, so a walk
         # stops within n_nodes steps; load_model wraps ValueError as ArtifactError
-        for k, (entry, bootstrap) in enumerate(zip(entries, bootstraps.astype(np.int64, copy=False))):
+        for k, entry in enumerate(entries):
             nodes = [(f, t, l, r, nc, na) for f, t, l, r, nc, na in entry["nodes"]]
             if not nodes:
                 raise ValueError(f"tree {k} has no nodes")
@@ -463,7 +440,7 @@ class RandomForestModel:
                                     and i < r < len(nodes)):
                     raise ValueError(f"tree {k} node {i}: feature {f} or children "
                                      f"{l}, {r} out of range")
-            tree = DecisionTree.from_nodes(nodes, bootstrap)
+            tree = DecisionTree(*map(list, zip(*nodes)))
             tree.threshold = json_floats(tree.threshold, 1, f"tree {k} thresholds").tolist()
             trees.append(tree)
         return cls(trees=trees, n_features=n_features,
@@ -491,12 +468,12 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     k = max(1, math.ceil(math.sqrt(p)))
     tables = _split_tables(X, y01)
     tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
-    bootstraps = [np.random.default_rng(int(s)).integers(0, n, size=n) for s in tree_seeds]
     # the nodes of one level, by tree and then in node order: their tree,
-    # key, (adult, children) counts and, one node after another, their rows
+    # key, (adult, children) counts and, one node after another, their
+    # rows, at the roots each tree's bootstrap
     tree = np.arange(n_trees)
     key = tree_seeds.astype(np.uint64)
-    rows = np.concatenate(bootstraps)
+    rows = np.concatenate([np.random.default_rng(int(s)).integers(0, n, size=n) for s in tree_seeds])
     n_children = y01[rows].reshape(n_trees, n).sum(axis=1)
     counts = np.stack([n - n_children, n_children], axis=1)
     written = np.zeros(n_trees, dtype=np.int64)  # each tree's nodes in the levels done
@@ -546,9 +523,8 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
         values = column[order].tolist()
         for nodes, a, b in zip(trees, [0] + ends, ends):
             nodes.append(values[a:b])
-    trees = [DecisionTree(*nodes, bootstrap=sample) for nodes, sample in zip(trees, bootstraps)]
     return RandomForestModel(
-        trees=trees, n_features=p,
+        trees=[DecisionTree(*nodes) for nodes in trees], n_features=p,
         hyperparams={"n_trees": n_trees, "seed": seed, "max_features": k,
                      "feature_draws": "path-splitmix64-floyd"},
     )

@@ -74,6 +74,10 @@ class Pos(Enum):
             return None
 
 
+# a part of speech is read by its place in POS_ORDER, as Lexicon.sums
+# takes it: hashing an Enum member runs Python code
+POS_ORDER = tuple(Pos)
+
 CYRILLIC_VOWELS = "аеёиоуыэюя"
 LATIN_VOWELS = "aeiouy"
 _VOWELS = frozenset(CYRILLIC_VOWELS + LATIN_VOWELS)

@@ -343,14 +343,19 @@ def reference_draw(key: int, p: int, k: int) -> list[int]:
     return [sample[i] for i in order]
 
 
+def tree_bootstrap(seed, n) -> np.ndarray:
+    """The bootstrap sample of a tree with this seed on n rows: n row
+    indices drawn with replacement by a generator seeded with seed."""
+    return np.random.default_rng(seed).integers(0, n, size=n)
+
+
 def reference_build_tree(X, y01, seed, max_features) -> DecisionTree:
-    """One tree grown on its own, depth first, on a bootstrap sample of
-    the rows drawn from a generator seeded with seed: the oracle for the
-    level-wise forest.  The root's key is seed; output 1 of a node's
-    stream keys its left child, output 2 its right child.  Nodes are in
-    pre-order."""
+    """One tree grown on its own, depth first, on tree_bootstrap(seed):
+    the oracle for the level-wise forest.  The root's key is seed; output
+    1 of a node's stream keys its left child, output 2 its right child.
+    Nodes are in pre-order."""
     n, p = X.shape
-    bootstrap = np.random.default_rng(seed).integers(0, n, size=n)
+    bootstrap = tree_bootstrap(seed, n)
     X, y01 = X[bootstrap], y01[bootstrap]
     nodes: list[list] = []
     # (rows, key, parent index, slot of the parent's left (2) or right (3) child)
@@ -371,7 +376,12 @@ def reference_build_tree(X, y01, seed, max_features) -> DecisionTree:
         stack.append((idx[~mask], splitmix64(key, 2), len(nodes), 3))
         stack.append((idx[mask], splitmix64(key, 1), len(nodes), 2))
         nodes.append([f, threshold, -1, -1, n_children, n_adult])
-    return DecisionTree.from_nodes(nodes, bootstrap)
+    return tree_from_nodes(nodes)
+
+
+def tree_from_nodes(nodes) -> DecisionTree:
+    """A tree's columns from its list of node six-tuples."""
+    return DecisionTree(*map(list, zip(*nodes)))
 
 
 def tree_seeds(seed, n_trees) -> list[int]:
@@ -634,7 +644,7 @@ class TestRandomForest:
         y01 = (y + 1) // 2
         k = forest.hyperparams["max_features"]
         for tree, key in zip(forest.trees, tree_seeds(seed, n_trees)):
-            reached = {0: (tree.bootstrap, key)}
+            reached = {0: (tree_bootstrap(key, len(X)), key)}
             for i in range(tree.n_nodes):
                 rows, key = reached.pop(i)
                 labels = y01[rows]
@@ -711,8 +721,8 @@ class TestRandomForest:
         X, y = separable_blobs(6, gap=0.6)
         f1 = train_random_forest(X, y, n_trees=5, seed=1)
         f2 = train_random_forest(X, y, n_trees=5, seed=2)
-        assert any(not np.array_equal(t1.bootstrap, t2.bootstrap)
-                   for t1, t2 in zip(f1.trees, f2.trees))
+        assert all(tree.n_nodes > 1 for tree in f1.trees + f2.trees)
+        assert f1.to_json_dict()["trees"] != f2.to_json_dict()["trees"]
 
     def test_vote_fraction(self):
         X, y = separable_blobs(8)
@@ -723,9 +733,9 @@ class TestRandomForest:
 
     def test_tie_resolves_to_children(self):
         always_children = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                       n_children=[3], n_adult=[1], bootstrap=np.array([0, 1]))
+                                       n_children=[3], n_adult=[1])
         always_adult = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                    n_children=[1], n_adult=[3], bootstrap=np.array([0, 1]))
+                                    n_children=[1], n_adult=[3])
         forest = RandomForestModel(trees=[always_children, always_adult], n_features=2)
         label, score = forest.predict(np.zeros(2))
         assert label == CHILDREN
@@ -797,18 +807,49 @@ class TestPersistence:
         assert np.array_equal(loaded.predict_many(probe), forest.predict_many(probe))
         assert loaded.to_json_dict()["trees"] == forest.to_json_dict()["trees"]
 
+    def test_forest_file_holds_only_nodes_and_saves_back_identically(self, tmp_path):
+        X, y = separable_blobs(14, gap=0.7)
+        p, again = tmp_path / "f.json", tmp_path / "again.json"
+        save_model(train_random_forest(X, y, n_trees=7, seed=2), p)
+        trees = json.loads(p.read_text(encoding="utf-8"))["model"]["trees"]
+        assert len(trees) == 7 and all(tree.keys() == {"nodes"} for tree in trees)
+        save_model(load_model(p), again)
+        assert again.read_bytes() == p.read_bytes()
+
     def test_forest_file_without_feature_draws_loads(self, tmp_path):
         # the layout written before the level-wise forest: nodes in
-        # pre-order and no feature_draws entry
-        nodes = [[0, 0.5, 1, 4, 2, 2], [1, 0.5, 2, 3, 1, 1], [-1, 0.0, -1, -1, 0, 1],
+        # pre-order, no feature_draws entry and a bootstrap list per tree.
+        # Loading ignores the lists, valid, malformed or absent.
+        first = [[0, 0.5, 1, 4, 2, 2], [1, 0.5, 2, 3, 1, 1], [-1, 0.0, -1, -1, 0, 1],
                  [-1, 0.0, -1, -1, 1, 0], [-1, 0.0, -1, -1, 1, 1]]
-        p = tmp_path / "f.json"
-        p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "random_forest", "model": {
-            "n_features": 2, "hyperparams": {"n_trees": 1, "seed": 42, "max_features": 2},
-            "trees": [{"bootstrap": [0, 1, 2, 3], "nodes": nodes}]}}), encoding="utf-8")
-        model = load_model(p)
-        assert model.predict_many(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])).tolist() == \
-            [ADULT, CHILDREN, CHILDREN]
+        second = [[1, 0.5, 1, 2, 2, 2], [-1, 0.0, -1, -1, 0, 2], [-1, 0.0, -1, -1, 2, 0]]
+        hyperparams = {"n_trees": 2, "seed": 42, "max_features": 2}
+        expected = RandomForestModel(trees=[tree_from_nodes(first), tree_from_nodes(second)],
+                                     n_features=2, hyperparams=hyperparams)
+        save_model(expected, tmp_path / "expected.json")
+        probe = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert expected.predict_many(probe).tolist() == [ADULT, CHILDREN, CHILDREN, CHILDREN]
+        for bootstraps in [
+            [[0, 1, 2, 3], [3, 3, 0, 1]],
+            [["3", 2.7, 0, 1], [0, 1, 2, 3]],  # strings and floats
+            [[True, False, 0, 1], [0, 1, 2, 3]],
+            [[0, 1, 2, 3], [0, 1]],  # ragged
+            [[-1, 4, 0, 1], [[0, 1, 2, 3]]],  # outside the training set, nested
+            [None, None],  # absent
+        ]:
+            trees = [{"nodes": first}, {"nodes": second}]
+            for tree, bootstrap in zip(trees, bootstraps):
+                if bootstrap is not None:
+                    tree["bootstrap"] = bootstrap
+            p = tmp_path / "f.json"
+            p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "random_forest", "model": {
+                "n_features": 2, "hyperparams": hyperparams, "trees": trees}}), encoding="utf-8")
+            model = load_model(p)
+            assert model.to_json_dict() == expected.to_json_dict(), bootstraps
+            assert model.predict_many(probe).tolist() == expected.predict_many(probe).tolist()
+            assert [model.predict(row) for row in probe] == [expected.predict(row) for row in probe]
+            save_model(model, p)
+            assert p.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
         p = tmp_path / "m.json"
@@ -862,27 +903,6 @@ class TestPersistence:
         payload["model"]["trees"] = []
         p.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArtifactError, match="no trees"):
-            load_model(p)
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda b: ["3", 2.7] + b[2:],
-        lambda b: [2.7] + b[1:],
-        lambda b: [True] + b[1:],
-        lambda b: [-1] + b[1:],
-        lambda b: [len(b)] + b[1:],
-        lambda b: b[1:],  # shorter than the other tree's
-        lambda b: [b],
-    ], ids=["strings-and-floats", "float", "bool", "negative", "past-the-end", "shorter", "nested"])
-    def test_bootstrap_outside_the_training_set_rejected(self, tmp_path, corrupt):
-        X, y = separable_blobs(16, gap=0.7)
-        p = tmp_path / "f.json"
-        save_model(train_random_forest(X, y, n_trees=2, seed=3), p)
-        payload = json.loads(p.read_text(encoding="utf-8"))
-        tree = payload["model"]["trees"][1]
-        assert load_model(p).trees[1].bootstrap.tolist() == tree["bootstrap"]
-        tree["bootstrap"] = corrupt(tree["bootstrap"])
-        p.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ArtifactError, match="corrupt model payload"):
             load_model(p)
 
     def test_unregistered_object_rejected(self, tmp_path):
