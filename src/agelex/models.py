@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import getitem
 from pathlib import Path
 
@@ -258,7 +258,7 @@ def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
 
 # (row, feature) elements searched at once; of 8192 to 65536, this was the
 # fastest on the grid's forests, and larger chunks hold more memory
-_BATCH_ELEMENTS = 16384
+_BATCH_ELEMENTS = 32768
 
 # A node's stream is the SplitMix64 generator (Steele, Lea & Flood, OOPSLA
 # 2014) seeded with the node's key, a root's key being its tree's seed.
@@ -304,7 +304,8 @@ def _draw_features(keys: np.ndarray, p: int, k: int) -> np.ndarray:
 def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
     """(X, y01, codes, values) for _best_splits.  codes[f * n + i] is twice
     the dense rank of X[i, f] in column f (equal values share a rank) plus
-    row i's label; values[r, f] is the value of rank r in column f."""
+    row i's label, in the narrowest unsigned type that holds 2n; values[r, f]
+    is the value of rank r in column f."""
     n, p = X.shape
     cols = np.arange(p)[:, None]
     order = np.argsort(X.T, axis=1)
@@ -316,14 +317,21 @@ def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
     del sorted_x  # before codes is built, which lowers the peak
     ranks *= 2
     ranks += y01[order]
-    codes = np.empty((p, n), dtype=np.int64)
+    codes = np.empty((p, n), dtype=np.min_scalar_type(2 * n))
     codes[cols, order] = ranks
     return X, y01, codes.ravel(), values
 
 
+# A cut's float score rounds three times, so it lies within a relative
+# 2**-51 of its exact value, and the exact best cut of a node scores at
+# least its best float score times 1 - 2**-50; _NEAR keeps a wider margin
+_NEAR = 1.0 - 2.0 ** -48
+
+
 def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarray) -> tuple:
     """The best cut of each node of a chunk, where node j holds the rows
-    rows[offsets[j]:offsets[j + 1]] and drew the features feats[j].
+    rows[offsets[j]:offsets[j + 1]], at least two, and drew the features
+    feats[j].
 
     Returns (feature, threshold, child_rows, child_counts).  A node's
     feature is -1 and its threshold 0.0 where nothing separates its rows;
@@ -333,38 +341,67 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
     x[feature] <= threshold and then the rest, and child_counts has one
     line per child: its (adult, children) label counts.  One sort orders
     all elements by (node, drawn feature, rank, label), so a node's cut
-    does not depend on the rest of the chunk."""
+    does not depend on the rest of the chunk.
+
+    Impurities compare exactly.  A cut of a node of N rows, P of them
+    children, that sends ln rows, lp of them children, left and the rn
+    others, rp of them children, right has weighted Gini 2 (P - g) / N,
+    where g = lp^2/ln + rp^2/rn = (lp^2 rn + rp^2 ln) / (ln rn); so the
+    best cut has the largest g.  Each cut's g is scored in floats, and the
+    cuts of a node within a rounding margin (_NEAR) of its best score are
+    compared as integer fractions: by int64 cross products, which are at
+    most N^5 / 16, while N^5 < 2^67, and as Python integers beyond."""
     X, y01, codes, values = tables
     n = len(X)
     m, k = feats.shape
     sizes = np.diff(offsets)
     node = np.repeat(np.arange(m), sizes)
-    # key = 2n * segment + code, where segment = k * node + slot
-    key = np.sort((np.arange(0, 2 * n * k * m, 2 * n).reshape(m, k)[node]
-                   + codes[(feats * n)[node] + rows[:, None]]).ravel())
+    # key = 2n * segment + code, where segment = k * node + slot, in the
+    # narrowest type that holds it, which sorts fastest
+    key_type = np.int32 if 2 * n * k * m <= 2 ** 31 else np.int64
+    key = np.repeat(np.arange(0, 2 * n * k * m, 2 * n, dtype=key_type).reshape(m, k), sizes, axis=0)
+    key += codes.take(np.repeat(feats * n, sizes, axis=0) + rows[:, None])
+    key = np.sort(key.ravel())
     rank_key = key >> 1
-    pos_prefix = np.concatenate([[0], np.cumsum(key & 1)])
+    pos_prefix = np.zeros(len(key) + 1, dtype=key_type)
+    np.cumsum(key & 1, dtype=key_type, out=pos_prefix[1:])
     seg_sizes = np.repeat(sizes, k)
     seg_ends = np.cumsum(seg_sizes)
+    seg_first = seg_ends - seg_sizes
     distinct = rank_key[1:] != rank_key[:-1]
     distinct[seg_ends[:-1] - 1] = False
     cut = np.flatnonzero(distinct)
-    seg = rank_key[cut] // n
-    first = (seg_ends - seg_sizes)[seg]
-    ln = (cut + 1 - first).astype(float)
-    n_rows = seg_sizes[seg].astype(float)
-    rn = n_rows - ln
-    lp = pos_prefix[cut + 1] - pos_prefix[first]
-    rp = pos_prefix[seg_ends[seg]] - pos_prefix[cut + 1]
-    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
-    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-    weighted = np.append((ln * gl + rn * gr) / n_rows, np.inf)
-    # node j's cuts are bounds[j]:bounds[j + 1]; the inf keeps reduceat in range
-    bounds = np.searchsorted(seg, np.arange(0, k * (m + 1), k))
-    best = np.where(bounds[:-1] < bounds[1:], np.minimum.reduceat(weighted, bounds[:-1]), np.inf)
-    found = np.flatnonzero(best < np.inf)
-    hits = np.flatnonzero(weighted[:-1] == np.repeat(best, np.diff(bounds)))
-    at = cut[hits[np.searchsorted(hits, bounds[found])]]
+    seg_cuts = np.add.reduceat(distinct, seg_first)
+    seg_pos = pos_prefix[seg_first]
+    ln = cut + 1 - np.repeat(seg_first, seg_cuts)
+    rn = np.repeat(seg_sizes, seg_cuts) - ln
+    lp = pos_prefix[cut + 1] - np.repeat(seg_pos, seg_cuts)
+    rp = np.repeat(pos_prefix[seg_ends] - seg_pos, seg_cuts) - lp
+    score = lp * (lp / ln) + rp * (rp / rn)
+    # node j's cuts start at bounds[j]; found are the nodes with a cut
+    bounds = np.append(0, np.cumsum(seg_cuts.reshape(m, k).sum(axis=1)))
+    found = np.flatnonzero(bounds[:-1] < bounds[1:])
+    starts = bounds[found]
+    n_cuts = np.diff(np.append(starts, len(cut)))
+    near = np.flatnonzero(score >= np.repeat(np.maximum.reduceat(score, starts) * _NEAR, n_cuts))
+    # found node i's near cuts are near[tops[i]:tops[i] + n_near[i]]
+    tops = np.searchsorted(near, starts)
+    n_near = np.diff(np.append(tops, len(near)))
+    exact = np.int64 if int(sizes.max()) ** 5 < 2 ** 67 else object
+    near_ln, near_rn, near_lp, near_rp = (count[near].astype(exact) for count in (ln, rn, lp, rp))
+    num = near_lp * near_lp * near_rn + near_rp * near_rp * near_ln
+    den = near_ln * near_rn
+    while True:
+        # move each node's top to its first near cut of a strictly larger
+        # g, until none has one; the top is then its first largest
+        top = np.repeat(tops, n_near)
+        better = np.flatnonzero(num * den[top] > num[top] * den)
+        if not len(better):
+            break
+        owner = np.repeat(np.arange(len(found)), n_near)[better]
+        firsts = np.append(True, owner[1:] != owner[:-1])
+        tops[owner[firsts]] = better[firsts]
+    at = cut[near[tops]]
     f, threshold = np.full(m, -1), np.zeros(m)
     f[found] = feats[found, rank_key[at] // n - k * found]
     lo, hi = values[rank_key[at] % n, f[found]], values[rank_key[at + 1] % n, f[found]]
@@ -378,7 +415,9 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
     rows, node = rows[splitting], node[splitting]
     side = 2 * node + (X[rows, f[node]] > threshold[node])
     child_counts = np.bincount(2 * side + y01[rows], minlength=4 * m).reshape(m, 2, 2)[found]
-    return f, threshold, rows[np.argsort(side, kind="stable")], child_counts.reshape(-1, 2)
+    # a stable sort of the narrowest type that holds the sides is the fastest
+    order = np.argsort(side.astype(np.min_scalar_type(2 * m)), kind="stable")
+    return f, threshold, rows[order], child_counts.reshape(-1, 2)
 
 
 @register_model_kind
@@ -447,33 +486,53 @@ class RandomForestModel:
                    hyperparams=dict(payload["hyperparams"]))
 
 
+@lru_cache(maxsize=1)
+def _bootstraps(seed: int, n_trees: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tree_seeds, rows): a generator seeded with seed gives each tree a
+    seed, and the tree's own generator, seeded with that, draws its
+    bootstrap, n row ids of range(n) with replacement; rows holds the
+    bootstraps one after another.  The grid fits one forest per condition
+    with the same seed, tree count and training size, so the last draw is
+    kept, read-only."""
+    tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
+    rows = np.concatenate([np.random.default_rng(int(s)).integers(0, n, size=n) for s in tree_seeds])
+    tree_seeds.flags.writeable = rows.flags.writeable = False
+    return tree_seeds, rows
+
+
 def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomForestModel:
     """Train a forest of fully grown Gini trees on bootstrap samples.
 
     Each tree draws a bootstrap of the training set (same size, with
-    replacement) from its own generator, seeded from seed, and considers
-    ceil(sqrt(p)) features per node, drawn by _draw_features from a key
-    that depends only on the tree and the node's path from the root.  So
-    all trees grow together, one level at a time: every node of a level
-    draws, is searched and is partitioned by array operations, in chunks
-    of at most _BATCH_ELEMENTS (row, feature) elements or of one node that
-    has more.  The forest is the one grown a tree at a time, depth first,
-    a pure function of (X, y, n_trees, seed).
+    replacement) from its own generator, seeded from seed (a non-negative
+    integer), and considers ceil(sqrt(p)) features per node, drawn by
+    _draw_features from a key that depends only on the tree and the
+    node's path from the root.  So all trees grow together, one level at
+    a time: every node of a level draws, is searched and is partitioned by
+    array operations, in chunks of at most _BATCH_ELEMENTS (row, feature)
+    elements or of one node that has more.  The forest is the one grown a
+    tree at a time, depth first, a pure function of (X, y, n_trees, seed).
+
+    Each node splits at the cut of the lowest weighted Gini impurity over
+    its drawn features, compared exactly (see _best_splits).  The last
+    fit's bootstraps, n_trees * n row ids, stay held after it returns, for
+    the next fit with the same seed, tree count and row count.
     """
     X, y = _validate_training_inputs(X, y)
     if n_trees < 1:
         raise ModelError(f"n_trees must be >= 1, got {n_trees}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     n, p = X.shape
     y01 = ((y + 1) // 2).astype(np.int64)
     k = max(1, math.ceil(math.sqrt(p)))
     tables = _split_tables(X, y01)
-    tree_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_trees)
+    tree_seeds, rows = _bootstraps(int(seed), n_trees, n)
     # the nodes of one level, by tree and then in node order: their tree,
     # key, (adult, children) counts and, one node after another, their
     # rows, at the roots each tree's bootstrap
     tree = np.arange(n_trees)
     key = tree_seeds.astype(np.uint64)
-    rows = np.concatenate([np.random.default_rng(int(s)).integers(0, n, size=n) for s in tree_seeds])
     n_children = y01[rows].reshape(n_trees, n).sum(axis=1)
     counts = np.stack([n - n_children, n_children], axis=1)
     written = np.zeros(n_trees, dtype=np.int64)  # each tree's nodes in the levels done
@@ -525,7 +584,7 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
             nodes.append(values[a:b])
     return RandomForestModel(
         trees=[DecisionTree(*nodes) for nodes in trees], n_features=p,
-        hyperparams={"n_trees": n_trees, "seed": seed, "max_features": k,
+        hyperparams={"n_trees": n_trees, "seed": int(seed), "max_features": k,
                      "feature_draws": "path-splitmix64-floyd"},
     )
 

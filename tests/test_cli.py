@@ -386,6 +386,13 @@ class TestTrainEvaluate:
         assert "error: fragment limit must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o" / "model_rf.json").exists()
 
+    def test_negative_forest_seed_is_an_error(self, tmp_path, corpus_file, capsys):
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--model", "rf", "--features", "general", "--no-tfidf", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer, got -1")
+        assert not (tmp_path / "o" / "model_rf.json").exists()
+
     def test_unknown_family_rejected(self, tmp_path, corpus_file, capsys):
         rc = main(["train", "--corpus", str(corpus_file),
                    "--out", str(tmp_path / "o"), "--features", "bogus"])
@@ -555,6 +562,14 @@ class TestGrid:
         rc = main(["grid", "--corpus", str(corpus_file), "--out", str(out), "--models", ","])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "grid.tsv").exists()
+
+    def test_negative_forest_seed_is_an_error(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["grid", "--corpus", str(corpus_file), "--out", str(out), "--models", "rf",
+                   "--trees", "3", "--seed", "-5"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer, got -5")
         assert not (out / "grid.tsv").exists()
 
     def test_needs_test_split(self, tmp_path, capsys):

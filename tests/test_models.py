@@ -3,7 +3,8 @@ import json
 import math
 import tracemalloc
 import warnings
-from itertools import pairwise
+from fractions import Fraction
+from itertools import pairwise, product
 from unittest import mock
 
 import numpy as np
@@ -262,60 +263,70 @@ class TestGini:
         assert 0.0 <= gini_impurity((3, 7)) <= 0.5
 
 
+def cut_fraction(ln, lp, rn, rp) -> Fraction:
+    """Weighted Gini impurity, as an exact fraction, of a cut sending ln
+    rows, lp of them children, left and rn rows, rp of them children,
+    right: (ln gini_left + rn gini_right) / (ln + rn), where a side of s
+    rows and c children has gini 2 c (s - c) / s^2."""
+    return (Fraction(2 * lp * (ln - lp), ln) + Fraction(2 * rp * (rn - rp), rn)) / (ln + rn)
+
+
+def cut_impurity(y01, goes_left) -> Fraction:
+    """Weighted Gini impurity of sending the rows goes_left marks left, as
+    an exact fraction; it is the weighted oracle gini_impurity up to
+    rounding."""
+    n, ln, lp = len(y01), int(goes_left.sum()), int(y01[goes_left].sum())
+    rn, rp = n - ln, int(y01.sum()) - lp
+    weighted = cut_fraction(ln, lp, rn, rp)
+    assert math.isclose(weighted, (ln * gini_impurity((lp, ln - lp)) + rn * gini_impurity((rp, rn - rp))) / n,
+                        abs_tol=1e-12)
+    return weighted
+
+
 def reference_best_split(X, y01, idx, feats):
-    """The split search one drawn feature at a time: the oracle for
-    _best_splits, which searches a batch of nodes at once."""
-    n = len(idx)
+    """The split search one drawn feature at a time, one cut at a time, in
+    exact fractions: the oracle for _best_splits, which searches a batch of
+    nodes at once.  Ties go to the first feature drawn, then the lowest
+    threshold."""
+    labels = y01[idx]
     best = None
     for f in feats:
         vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y01[idx][order]
-        distinct = np.nonzero(sv[1:] > sv[:-1])[0]
-        if distinct.size == 0:
-            continue
-        pos_prefix = np.cumsum(sy)
-        total_pos = pos_prefix[-1]
-        ln = distinct + 1.0
-        rn = n - ln
-        lp = pos_prefix[distinct]
-        rp = total_pos - lp
-        gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
-        gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-        weighted = (ln * gl + rn * gr) / n
-        j = int(np.argmin(weighted))
-        if best is None or weighted[j] < best[0]:
-            lo, hi = sv[distinct[j]], sv[distinct[j] + 1]
-            threshold = float((lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo)
-            best = (float(weighted[j]), int(f), threshold)
+        for lo, hi in pairwise(sorted(set(vals.tolist()))):
+            goes_left = vals <= lo
+            impurity = cut_impurity(labels, goes_left)
+            if best is None or impurity < best[0]:
+                threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
+                best = (impurity, int(f), threshold)
     return best
 
 
 def reference_block_split(X, y01, idx, feats):
     """The split search of reference_build_tree: all drawn features of one
     node at once, one sort of each column of the (len(idx), len(feats))
-    block, ties to the first feature drawn and then the lowest threshold.
-    The threshold is the midpoint of the cut, or its lower value where the
-    midpoint rounds up to the upper one or overflows."""
+    block, and each cut's impurity as an exact fraction; ties go to the
+    first feature drawn and then the lowest threshold.  The threshold is
+    the midpoint of the cut, or its lower value where the midpoint rounds
+    up to the upper one or overflows."""
     n = len(idx)
     vals = X[idx[:, None], feats]
     order = np.argsort(vals, axis=0)
     sv = np.sort(vals, axis=0)
-    pos_prefix = np.cumsum(y01[idx][order], axis=0)
-    ln = np.arange(1.0, n)[:, None]
-    rn = n - ln
-    lp = pos_prefix[:-1]
-    rp = pos_prefix[-1] - lp
-    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
-    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-    weighted = np.where(sv[1:] > sv[:-1], (ln * gl + rn * gr) / n, np.inf).T
-    k, j = divmod(int(weighted.argmin()), n - 1)
-    if weighted[k, j] == np.inf:
+    pos_prefix = np.cumsum(y01[idx][order], axis=0).T.tolist()
+    total = pos_prefix[0][-1]
+    best = None
+    for slot, f in enumerate(feats.tolist()):
+        for j in np.flatnonzero(sv[1:, slot] > sv[:-1, slot]).tolist():
+            lp = pos_prefix[slot][j]
+            impurity = cut_fraction(j + 1, lp, n - j - 1, total - lp)
+            if best is None or impurity < best[0]:
+                best = (impurity, f, j, slot)
+    if best is None:
         return None
-    lo, hi = sv[j, k], sv[j + 1, k]
+    impurity, f, j, slot = best
+    lo, hi = sv[j, slot], sv[j + 1, slot]
     threshold = float((lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo)
-    return float(weighted[k, j]), int(feats[k]), threshold
+    return impurity, f, threshold
 
 
 _M64 = 2 ** 64 - 1
@@ -481,6 +492,49 @@ def split_batches(draw):
     return X, y01, nodes, parts
 
 
+def block_profiles(n):
+    """Every column of n values up to the order of the rows: its runs of
+    equal values in increasing order, each as (rows, children among them)."""
+    if n == 0:
+        yield ()
+        return
+    for size in range(1, n + 1):
+        for children in range(size + 1):
+            for rest in block_profiles(n - size):
+                yield ((size, children),) + rest
+
+
+def profile_column(profile):
+    """(labels, values) of a column with this block profile: each run's
+    children and then its adults, each row valued by its run's number."""
+    labels = [label for size, children in profile for label in [1] * children + [0] * (size - children)]
+    return np.array(labels), np.repeat(np.arange(len(profile)), [size for size, _ in profile]).astype(float)
+
+
+def two_column_node(first, second):
+    """(X, y01) of a node whose columns 0 and 1 have the block profiles
+    first and second, which hold the same number of children."""
+    y01, X0 = profile_column(first)
+    labels, values = profile_column(second)
+    X1 = np.zeros(len(y01))
+    for label in (0, 1):
+        X1[y01 == label] = values[labels == label]
+    return np.stack([X0, X1], axis=1), y01
+
+
+def profile_best_cut(profile):
+    """(impurity, threshold) of the first lowest-impurity cut of a column
+    with this block profile, or None for a single run."""
+    n, total = sum(size for size, _ in profile), sum(children for _, children in profile)
+    best, ln, lp = None, 0, 0
+    for value, (size, children) in enumerate(profile[:-1]):
+        ln, lp = ln + size, lp + children
+        impurity = cut_fraction(ln, lp, n - ln, total - lp)
+        if best is None or impurity < best[0]:
+            best = (impurity, value + 0.5)
+    return best
+
+
 class TestSplitSearch:
     @settings(max_examples=150, deadline=None)
     @given(split_problems())
@@ -510,7 +564,7 @@ class TestSplitSearch:
         X = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0]])
         y01 = np.array([0, 1, 0])
         idx = np.arange(3)
-        assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == (1 / 3, 2, 0.5)
+        assert reference_best_split(X, y01, idx, np.array([1, 2, 0])) == (Fraction(1, 3), 2, 0.5)
         assert search(X, y01, idx, np.array([1, 2, 0])) == (2, 0.5)
         assert search(X, y01, idx, np.array([0, 2])) == (0, 0.5)
         # both columns separate perfectly; the first drawn wins although
@@ -519,6 +573,77 @@ class TestSplitSearch:
         y01 = np.array([0, 0, 1])
         assert search(X, y01, idx, np.array([0, 1])) == (0, 1.5)
         assert search(X, y01, idx, np.array([1, 0])) == (1, 0.5)
+
+    def test_every_small_node_splits_at_its_exact_best_cut(self):
+        # every node of 2 to 6 rows and two drawn columns, up to the order
+        # of its rows and to increasing maps of each column, since the cut
+        # depends only on each column's runs of equal values and the labels
+        # in them; both draw orders, as each pair comes in either order
+        for n in range(2, 7):
+            groups = {}
+            for profile in block_profiles(n):
+                groups.setdefault(sum(children for _, children in profile), []).append(profile)
+            for profiles in groups.values():
+                labels, values = map(np.array, zip(*map(profile_column, profiles)))
+                # pair (i, j): column 0 and the labels of profile i, and in
+                # column 1 profile j's values of children and of adults
+                # given to profile i's children and adults, in order
+                order = np.argsort(-labels, axis=1, kind="stable")
+                inverse = np.argsort(order, axis=1)
+                g = len(profiles)
+                X = np.stack([np.repeat(values, g, axis=0),
+                              np.take_along_axis(values, order, axis=1)[:, inverse].swapaxes(0, 1).reshape(-1, n)],
+                             axis=2).reshape(-1, 2)
+                y01 = np.repeat(labels, g, axis=0).ravel()
+                tables = _split_tables(X, y01)
+                got = []
+                for a in range(0, g * g, 400):
+                    m = min(400, g * g - a)
+                    feature, threshold, _, _ = _best_splits(tables, np.arange(a * n, (a + m) * n),
+                                                            np.arange(m + 1) * n, np.tile([0, 1], (m, 1)))
+                    got += zip(feature.tolist(), threshold.tolist())
+                best = list(map(profile_best_cut, profiles))
+                for (i, j), split in zip(product(range(g), repeat=2), got):
+                    cuts = [(cut[0], f, cut[1]) for f, cut in enumerate((best[i], best[j])) if cut]
+                    # min keeps the first of equal impurities: column 0, drawn first
+                    expected = min(cuts, key=lambda cut: cut[0])[1:] if cuts else (-1, 0.0)
+                    assert split == expected, (profiles[i], profiles[j])
+
+    def test_a_tie_that_floats_broke_goes_to_the_first_drawn_feature(self):
+        # a node of a forest of the perfbench experiment grid (seed 7,
+        # condition grammatical, tree 52): 16 rows, 4 of them children.
+        # The drawn column 0 sends 10 rows with all 4 children left, column
+        # 1 sends 15 rows with 3 children left; both cuts have weighted
+        # Gini 3/10, but the float expression gave the second
+        # 0.29999999999999993 and the first 0.3, so the split went to
+        # column 1
+        y01 = np.array([1] * 4 + [0] * 12)
+        X = np.zeros((16, 2))
+        X[10:, 0] = 1.0
+        X[3, 1] = 1.0
+        idx = np.arange(16)
+        assert cut_impurity(y01, X[:, 0] <= 0) == cut_impurity(y01, X[:, 1] <= 0) == Fraction(3, 10)
+        assert search(X, y01, idx, np.array([0, 1])) == (0, 0.5)
+        assert search(X, y01, idx, np.array([1, 0])) == (1, 0.5)
+
+    @pytest.mark.parametrize("n, n_children, first, second", [
+        (8000, 4001, (3001, 1499), (2999, 1498)),     # cross products in int64
+        (20000, 10017, (5295, 2652), (1176, 589)),    # beyond int64: Python integers
+    ])
+    def test_a_large_node_compares_cuts_exactly(self, n, n_children, first, second):
+        # found by brute-force search: the second cut has the lower
+        # impurity, but both cuts' g = lp^2/ln + rp^2/rn round to the same
+        # float, so a float search would take the first drawn
+        def g(ln, lp):
+            rn, rp = n - ln, n_children - lp
+            return lp * (lp / ln) + rp * (rp / rn)
+
+        assert g(*first) == g(*second)
+        assert (cut_fraction(*second, n - second[0], n_children - second[1])
+                < cut_fraction(*first, n - first[0], n_children - first[1]))
+        X, y01 = two_column_node(((first[0], first[1]), (n - first[0], n_children - first[1])),
+                                 ((second[0], second[1]), (n - second[0], n_children - second[1])))
+        assert search(X, y01, np.arange(n), np.array([0, 1])) == (1, 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("lo, hi", [
@@ -585,21 +710,6 @@ class TestFeatureDraws:
             warnings.simplefilter("error")
             _draw_features(keys, 300, 18)
             train_random_forest(X, y, n_trees=3, seed=2 ** 63)
-
-
-def cut_impurity(y01, goes_left) -> float:
-    """Weighted Gini impurity of sending the rows goes_left marks left, in
-    the float expression the search evaluates, so that equal impurities
-    compare equal as the search sees them; it is the weighted oracle
-    gini_impurity up to rounding."""
-    n, ln, lp = float(len(y01)), float(goes_left.sum()), float(y01[goes_left].sum())
-    rn, rp = n - ln, float(y01.sum()) - lp
-    gl = 1.0 - (lp ** 2 + (ln - lp) ** 2) / ln ** 2
-    gr = 1.0 - (rp ** 2 + (rn - rp) ** 2) / rn ** 2
-    weighted = (ln * gl + rn * gr) / n
-    assert math.isclose(weighted, (ln * gini_impurity((lp, ln - lp)) + rn * gini_impurity((rp, rn - rp))) / n,
-                        abs_tol=1e-12)
-    return weighted
 
 
 class TestRandomForest:
@@ -709,6 +819,37 @@ class TestRandomForest:
 
         train_random_forest(X, y, n_trees=1, seed=1)
         assert working_bytes(200) <= working_bytes(25) + 1024 * 1024
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        X, y = separable_blobs(2)
+        with pytest.raises(ModelError, match="seed must be a non-negative integer"):
+            train_random_forest(X, y, n_trees=2, seed=seed)
+
+    def test_numpy_integer_seed_is_saved_as_an_integer(self, tmp_path):
+        X, y = separable_blobs(2)
+        forest = train_random_forest(X, y, n_trees=2, seed=np.int64(3))
+        assert forest.to_json_dict() == train_random_forest(X, y, n_trees=2, seed=3).to_json_dict()
+        save_model(forest, tmp_path / "forest.json")
+        assert load_model(tmp_path / "forest.json").hyperparams["seed"] == 3
+
+    def test_fits_with_equal_draws_share_one_read_only_bootstrap(self):
+        X, y = separable_blobs(9, gap=0.3)
+        draws = agelex.models._bootstraps
+        draws.cache_clear()
+        # -X has the row count of X, so its fit reuses the draw; one row
+        # fewer, then another seed, draws afresh
+        for X_, y_, seed in [(X, y, 3), (-X, y, 3), (X[1:], y[1:], 3), (X[1:], y[1:], 4)]:
+            forest = train_random_forest(X_, y_, n_trees=6, seed=seed)
+            assert forest.to_json_dict() == in_level_order(reference_forest(X_, y_, 6, seed))
+        assert draws.cache_info()[:2] == (1, 3)  # hits, misses
+        seeds, rows = draws(4, 6, len(X) - 1)
+        assert draws.cache_info().hits == 2
+        assert seeds.tolist() == tree_seeds(4, 6)
+        assert rows.tolist() == np.concatenate([tree_bootstrap(s, len(X) - 1) for s in seeds.tolist()]).tolist()
+        for array in (seeds, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_same_seed_bit_identical(self):
         X, y = separable_blobs(6, gap=0.6)
