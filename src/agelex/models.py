@@ -519,8 +519,9 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     the next fit with the same seed, tree count and row count.
     """
     X, y = _validate_training_inputs(X, y)
-    if n_trees < 1:
-        raise ModelError(f"n_trees must be >= 1, got {n_trees}")
+    if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)) or n_trees < 1:
+        raise ModelError(f"n_trees must be an integer of at least 1, got {n_trees!r}")
+    n_trees = int(n_trees)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     n, p = X.shape
@@ -595,9 +596,11 @@ def save_model(model, path: str | Path) -> None:
     if kind not in _MODEL_KINDS:
         raise ArtifactError(f"cannot serialize object of type {type(model).__name__}")
     payload = {"format_version": FORMAT_VERSION, "kind": kind, "model": model.to_json_dict()}
+    # serialized whole before the file is opened, so an error leaves no
+    # partial file
+    text = json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path: str | Path):

@@ -16,9 +16,11 @@ and hands out its feature vector, warnings included, and its tf-idf
 fragment: training, batch prediction, single-text classification, the
 grid and the command-line feature tables all read documents through it.
 It also keeps each tf-idf it fitted and each document's row under a
-tf-idf, so the grid fits one tf-idf per distinct training input and
-transforms each document once per fitted tf-idf.  Pass one instance as
-``cache`` to reuse all of this across calls on the same documents.
+tf-idf.  Pass one instance as ``cache`` to reuse all of this across
+calls on the same documents.
+
+The grid fits the models train_pipeline would, each on its columns of
+one scaled matrix per split and abstract flag (see _grid_designs).
 """
 from __future__ import annotations
 
@@ -82,7 +84,9 @@ class CorpusVectors:
     Document value itself, not its id (a scored batch may repeat an
     id with a different text) and not its text (equal previews with
     different metadata stay distinct), so one instance can be shared by
-    every model trained and evaluated on the same documents.
+    every model trained and evaluated on the same documents.  A kept
+    plain fragment that holds `limit` lemmas is also the fragment with
+    the abstract, which only lemmas after the preview's would read.
 
     It also keeps each tf-idf it fits, keyed by the training documents,
     abstract flag, fragment limit and max_terms, and each document's row
@@ -115,9 +119,15 @@ class CorpusVectors:
     def fragment(self, doc: Document, use_abstract: bool, limit: int) -> list[str]:
         key = (doc, use_abstract and has_abstract(doc.abstract), limit)
         if key not in self._fragments:
-            text = augment_with_abstract(doc.text, doc.abstract) if key[1] else doc.text
-            self._fragments[key] = preprocess(text, self.resources.morphology,
-                                              self.resources.stopwords, limit)
+            plain = self._fragments.get((doc, False, limit))
+            if key[1] and plain is not None and len(plain) == limit:
+                # normalizing never acts across whitespace, so a preview
+                # that fills the fragment is read before its abstract
+                self._fragments[key] = plain
+            else:
+                text = augment_with_abstract(doc.text, doc.abstract) if key[1] else doc.text
+                self._fragments[key] = preprocess(text, self.resources.morphology,
+                                                  self.resources.stopwords, limit)
         return self._fragments[key]
 
     def tfidf(self, docs: list[Document], use_abstract: bool, limit: int,
@@ -194,9 +204,7 @@ class TrainedPipeline:
     def evaluate(self, docs: list[Document], resources: Resources,
                  cache: CorpusVectors | None = None,
                  positive: Label = Label.CHILDREN) -> MetricsReport:
-        pred = self.predict_documents(docs, resources, cache)
-        gold = np.array([label_to_int(d.label) for d in docs], dtype=np.int64)
-        return metrics(pred, gold, positive)
+        return metrics(self.predict_documents(docs, resources, cache), _labels(docs), positive)
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -306,6 +314,39 @@ class TrainSettings:
             raise ConfigError(f"svd must be auto or off, got {self.svd!r}")
 
 
+def _training_documents(corpus: Corpus, settings: TrainSettings) -> list[Document]:
+    if settings.fragment_limit < 1:
+        raise ConfigError(f"fragment limit must be positive, got {settings.fragment_limit}")
+    train_docs = corpus.subset(Split.TRAIN)
+    if not train_docs:
+        raise ConfigError("corpus has no training documents")
+    return train_docs
+
+
+def _labels(docs: list[Document]) -> np.ndarray:
+    return np.array([label_to_int(d.label) for d in docs], dtype=np.int64)
+
+
+def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
+               settings: TrainSettings) -> LinearSvcModel | RandomForestModel:
+    """The model of a pipeline of the given kind, fitted on its scaled
+    design matrix."""
+    if kind == "rf":
+        return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
+    svd = fit_svd(X, settings.svd_target) if settings.svd == "auto" else None
+    model = train_linear_svc(X if svd is None else svd.transform(X), y, C=settings.svc_c,
+                             max_epochs=settings.svc_max_epochs, tolerance=settings.svc_tolerance)
+    if svd is None:
+        return model
+    # with components C and mean μ, the margin of a scaled row s is
+    # w·C(s − μ) + b = (Cᵀw)·s + b − (Cᵀw)·μ, so a copy of the solver's
+    # model reads the scaler's columns
+    weights = svd.components.T @ model.weights
+    return replace(model, weights=weights, bias=float(model.bias - weights @ svd.mean),
+                   hyperparams={**model.hyperparams, "svd": {
+                       "k": svd.k, "retained": svd.retained, "target": svd.target}})
+
+
 def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
                    model_kind: str, settings: TrainSettings | None = None,
                    cache: CorpusVectors | None = None) -> TrainedPipeline:
@@ -313,11 +354,7 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
     settings = settings or TrainSettings()
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}; known: {list(MODEL_KINDS)}")
-    if settings.fragment_limit < 1:
-        raise ConfigError(f"fragment limit must be positive, got {settings.fragment_limit}")
-    train_docs = corpus.subset(Split.TRAIN)
-    if not train_docs:
-        raise ConfigError("corpus has no training documents")
+    train_docs = _training_documents(corpus, settings)
 
     vectors = cache if cache is not None else CorpusVectors(resources)
     draft = TrainedPipeline(
@@ -330,23 +367,8 @@ def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
                                     settings.fragment_limit, settings.max_terms)
     raw = draft._raw_matrix(train_docs, vectors)
     draft.scaler = fit_minmax(raw)
-    X = draft.scaler.transform(raw)
-    y = np.array([label_to_int(d.label) for d in train_docs], dtype=np.int64)
-    if model_kind == "rf":
-        draft.model = train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
-        return draft
-    svd = fit_svd(X, settings.svd_target) if settings.svd == "auto" else None
-    model = train_linear_svc(X if svd is None else svd.transform(X), y, C=settings.svc_c,
-                             max_epochs=settings.svc_max_epochs, tolerance=settings.svc_tolerance)
-    if svd is not None:
-        # with components C and mean μ, the margin of a scaled row s is
-        # w·C(s − μ) + b = (Cᵀw)·s + b − (Cᵀw)·μ, so a copy of the solver's
-        # model reads the scaler's columns
-        weights = svd.components.T @ model.weights
-        model = replace(model, weights=weights, bias=float(model.bias - weights @ svd.mean),
-                        hyperparams={**model.hyperparams, "svd": {
-                            "k": svd.k, "retained": svd.retained, "target": svd.target}})
-    draft.model = model
+    draft.model = _fit_model(model_kind, draft.scaler.transform(raw), _labels(train_docs),
+                             settings)
     return draft
 
 
@@ -382,13 +404,56 @@ class GridRow:
     report: MetricsReport
 
 
+def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], list[Document]],
+                  settings: TrainSettings,
+                  vectors: CorpusVectors) -> dict[bool | None, tuple[int, list[np.ndarray]]]:
+    """The scaled train and test designs the recipes read, by tf-idf
+    abstract flag: the tf-idf fitted without (False) or with (True)
+    abstracts, then all 56 features, or the features alone (None) when
+    no recipe reads a tf-idf.  Each maps to its tf-idf width and its two
+    matrices.  A block no recipe reads is not built.
+
+    Min-max scaling is fitted column by column on the training rows, so
+    a recipe's scaled design is a column slice of these."""
+    limit = settings.fragment_limit
+    features = None
+    if any(recipe.families for recipe in recipes):
+        features = [vectors.feature_matrix(docs, ALL_FEATURE_NAMES) for docs in splits]
+    designs = {}
+    # plain fragments first, which the abstract ones of full previews reuse
+    flags = sorted({recipe.use_abstract for recipe in recipes if recipe.use_tfidf})
+    for flag in flags or ([None] if features is not None else []):
+        width, raw = 0, features
+        if flag is not None:
+            tfidf = vectors.tfidf(splits[0], flag, limit, settings.max_terms)
+            width = len(tfidf.vocabulary)
+            raw = [vectors.tfidf_matrix(tfidf, docs, flag, limit) for docs in splits]
+            if features is not None:
+                raw = [np.hstack(blocks) for blocks in zip(raw, features)]
+        scaler = fit_minmax(raw[0])
+        designs[flag] = width, [scaler.transform(X) for X in raw]
+    return designs
+
+
+def _recipe_designs(designs: dict, recipe: Recipe) -> list[np.ndarray]:
+    """The recipe's scaled train and test designs: its columns of one of
+    _grid_designs, taken into C-contiguous copies (X[:, columns] would
+    give Fortran-ordered ones), the layout train_pipeline fits on."""
+    width, matrices = designs[recipe.use_abstract if recipe.use_tfidf else next(iter(designs))]
+    columns = list(range(width)) if recipe.use_tfidf else []
+    columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
+    return [X.take(columns, axis=1) for X in matrices]
+
+
 def run_grid(corpus: Corpus, resources: Resources,
              model_kinds: tuple[str, ...] = MODEL_KINDS,
              settings: TrainSettings | None = None,
              conditions: list[tuple[str, Recipe]] | None = None,
              cache: CorpusVectors | None = None) -> list[GridRow]:
     """Train and evaluate every (model, condition) pair on the corpus
-    train/test splits, reusing one per-document cache throughout."""
+    train/test splits, as train_pipeline and evaluate would, reading
+    each document through one cache and each condition's scaled designs
+    as columns of _grid_designs."""
     settings = settings or TrainSettings()
     if not model_kinds:
         raise ConfigError(f"no model kinds given; known: {list(MODEL_KINDS)}")
@@ -398,10 +463,15 @@ def run_grid(corpus: Corpus, resources: Resources,
     test_docs = corpus.subset(Split.TEST)
     if not test_docs:
         raise ConfigError("corpus has no test documents; assign splits first")
-    cache = cache if cache is not None else CorpusVectors(resources)
+    train_docs = _training_documents(corpus, settings)
+    conditions = conditions if conditions is not None else grid_conditions()
+    designs = _grid_designs([recipe for _, recipe in conditions], (train_docs, test_docs),
+                            settings, cache if cache is not None else CorpusVectors(resources))
+    y, gold = _labels(train_docs), _labels(test_docs)
     rows = []
     for kind in model_kinds:
-        for name, recipe in (conditions if conditions is not None else grid_conditions()):
-            trained = train_pipeline(corpus, resources, recipe, kind, settings, cache)
-            rows.append(GridRow(kind, name, trained.evaluate(test_docs, resources, cache)))
+        for name, recipe in conditions:
+            X_train, X_test = _recipe_designs(designs, recipe)
+            model = _fit_model(kind, X_train, y, settings)
+            rows.append(GridRow(kind, name, metrics(model.predict_many(X_test), gold)))
     return rows

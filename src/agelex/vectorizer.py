@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -76,21 +77,25 @@ class TfidfModel:
             self._index = {term: i for i, term in enumerate(self.vocabulary)}
 
     def transform(self, lemmas: list[str]) -> np.ndarray:
-        counts = Counter(lemmas)
-        vec = np.zeros(len(self.vocabulary))
-        for term, count in counts.items():
-            i = self._index.get(term)
-            if i is not None:
-                vec[i] = count * self.idf[i]
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        return self.transform_many([lemmas])[0]
 
     def transform_many(self, documents: list[list[str]]) -> np.ndarray:
-        if not documents:
-            return np.zeros((0, len(self.vocabulary)))
-        return np.vstack([self.transform(doc) for doc in documents])
+        """One row per fragment: its in-vocabulary term counts times idf,
+        counted for all fragments by one bincount over (row, term) keys,
+        each row divided by its own np.linalg.norm."""
+        width = len(self.vocabulary)
+        # out-of-vocabulary lemmas count in a last column, dropped below
+        terms = list(chain.from_iterable(documents))
+        ids = np.fromiter(map(self._index.get, terms, repeat(width)), np.intp, len(terms))
+        starts = np.arange(len(documents)) * (width + 1)
+        keys = np.repeat(starts, [len(doc) for doc in documents]) + ids
+        counts = np.bincount(keys, minlength=len(documents) * (width + 1))
+        rows = counts.reshape(len(documents), width + 1)[:, :width] * self.idf
+        for row in rows:
+            norm = np.linalg.norm(row)
+            if norm > 0:
+                row /= norm
+        return rows
 
 
 def fit_tfidf(documents: list[list[str]], max_terms: int = MAX_VOCABULARY) -> TfidfModel:

@@ -19,8 +19,7 @@ from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            _children_votes, _draw_features, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
-from agelex.corpus import Split
-from agelex.pipeline import CorpusVectors, run_grid, train_pipeline
+from agelex.pipeline import run_grid
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import fit_svd
 
@@ -73,10 +72,10 @@ def reference_sgd_svc(X, y, C=1.0, max_epochs=200, tolerance=1e-5, seed=42):
 @pytest.fixture(scope="module")
 def lsvc_grid_fits(resources):
     """For each of a grid's 18 lsvc fits: the scaled training matrix and
-    the SVD fitted on it, the solver's inputs and model, the trained
-    pipeline's model and the scaled test matrix it reads."""
+    the SVD fitted on it, the solver's inputs and model, the folded model
+    the grid evaluates and the scaled test matrix it reads."""
     corpus = make_corpus(30, 30, seed=5)
-    svds, solves, pipelines = [], [], []
+    svds, solves, designs, folded = [], [], [], []
 
     def recording_svd(X, target):
         svds.append((X, fit_svd(X, target)))
@@ -86,20 +85,25 @@ def lsvc_grid_fits(resources):
         solves.append((X, y, kwargs, train_linear_svc(X, y, **kwargs)))
         return solves[-1][3]
 
-    def recording_train(*args):
-        pipelines.append(train_pipeline(*args))
-        return pipelines[-1]
+    def recording_designs(*args):
+        designs.append(recipe_designs(*args))
+        return designs[-1]
 
-    cache = CorpusVectors(resources)
+    def recording_fit(*args):
+        folded.append(fit_model(*args))
+        return folded[-1]
+
+    recipe_designs, fit_model = agelex.pipeline._recipe_designs, agelex.pipeline._fit_model
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(agelex.pipeline, "fit_svd", recording_svd)
         mp.setattr(agelex.pipeline, "train_linear_svc", recording_svc)
-        mp.setattr(agelex.pipeline, "train_pipeline", recording_train)
-        run_grid(corpus, resources, ("lsvc",), cache=cache)
-    test_docs = corpus.subset(Split.TEST)
+        mp.setattr(agelex.pipeline, "_recipe_designs", recording_designs)
+        mp.setattr(agelex.pipeline, "_fit_model", recording_fit)
+        run_grid(corpus, resources, ("lsvc",))
     return [{"scaled": scaled, "svd": svd, "X": X, "y": y, "kwargs": kwargs, "model": model,
-             "folded": trained.model, "scaled_test": trained._design_matrix(test_docs, cache)}
-            for (scaled, svd), (X, y, kwargs, model), trained in zip(svds, solves, pipelines)]
+             "folded": folded_model, "scaled_test": scaled_test}
+            for (scaled, svd), (X, y, kwargs, model), folded_model, (_, scaled_test)
+            in zip(svds, solves, folded, designs)]
 
 
 class TestLinearSvc:
@@ -826,6 +830,21 @@ class TestRandomForest:
         with pytest.raises(ModelError, match="seed must be a non-negative integer"):
             train_random_forest(X, y, n_trees=2, seed=seed)
 
+    @pytest.mark.parametrize("n_trees", [0, True, 1.5, "3", None])
+    def test_tree_count_must_be_a_positive_integer(self, n_trees):
+        X, y = separable_blobs(2)
+        with pytest.raises(ModelError, match="n_trees must be an integer of at least 1"):
+            train_random_forest(X, y, n_trees=n_trees, seed=1)
+
+    def test_numpy_integer_tree_count_is_saved_as_an_integer(self, tmp_path):
+        X, y = separable_blobs(2)
+        forest = train_random_forest(X, y, n_trees=np.int64(2), seed=3)
+        assert type(forest.hyperparams["n_trees"]) is int
+        assert forest.to_json_dict() == train_random_forest(X, y, n_trees=2, seed=3).to_json_dict()
+        save_model(forest, tmp_path / "forest.json")
+        loaded = load_model(tmp_path / "forest.json")
+        assert loaded.hyperparams["n_trees"] == loaded.n_trees == 2
+
     def test_numpy_integer_seed_is_saved_as_an_integer(self, tmp_path):
         X, y = separable_blobs(2)
         forest = train_random_forest(X, y, n_trees=2, seed=np.int64(3))
@@ -936,6 +955,16 @@ class TestPersistence:
         assert model.predict(np.array([0.0, 1.0])) == (ADULT, -0.25)
         assert np.array_equal(model.predict_many(np.array([[0.0, 1.0], [1.0, 0.0]])),
                               [ADULT, CHILDREN])
+
+    def test_unserializable_model_leaves_the_file_as_it_was(self, tmp_path):
+        X, y = separable_blobs(13)
+        model = train_linear_svc(X, y)
+        model.hyperparams["note"] = object()
+        p = tmp_path / "m.json"
+        p.write_bytes(b"an earlier model\n")
+        with pytest.raises(TypeError):
+            save_model(model, p)
+        assert p.read_bytes() == b"an earlier model\n"
 
     def test_forest_round_trip(self, tmp_path):
         X, y = separable_blobs(14, gap=0.7)

@@ -12,12 +12,12 @@ from agelex.cli import main
 from agelex.corpus import Corpus, Label, Split, write_corpus
 from agelex.errors import ArtifactError, ConfigError
 from agelex.models import load_model, save_model
-from agelex.pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainedPipeline,
+from agelex.pipeline import (MODEL_KINDS, CorpusVectors, GridRow, Recipe, TrainedPipeline,
                              TrainSettings, grid_conditions, label_to_int, run_grid,
                              train_pipeline)
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
-from agelex.vectorizer import FRAGMENT_LIMIT, TfidfModel
+from agelex.vectorizer import FRAGMENT_LIMIT, TfidfModel, augment_with_abstract, preprocess
 
 SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
 
@@ -52,13 +52,13 @@ def grid(corpus, resources):
     it made."""
     with pytest.MonkeyPatch.context() as mp:
         calls = count_analysis(mp, ("extract_all", "preprocess", "fit_tfidf"))
-        transform = TfidfModel.transform
+        transform_many = TfidfModel.transform_many
 
-        def counted_transform(self, lemmas):
-            calls["transform"] += 1
-            return transform(self, lemmas)
+        def counted_transform_many(self, documents):
+            calls["transform"] += len(documents)
+            return transform_many(self, documents)
 
-        mp.setattr(TfidfModel, "transform", counted_transform)
+        mp.setattr(TfidfModel, "transform_many", counted_transform_many)
         rows = run_grid(corpus, resources, settings=SETTINGS)
     return rows, calls
 
@@ -79,20 +79,89 @@ def test_grid_cache_fresh_predict_and_classify_agree(corpus, resources, grid):
             assert metrics(via_cache, gold) == reports[(kind, name)], (kind, name)
 
 
-def test_grid_analyzes_each_document_once(corpus, grid):
+def test_grid_analyzes_each_document_once(corpus, resources, grid):
+    # the plain fragment of a preview that fills it is also its fragment
+    # with the abstract, so only short previews are read a second time
     _, calls = grid
+    vectors = CorpusVectors(resources)
     with_abstract = sum(1 for d in corpus if d.abstract is not None)
-    assert 0 < with_abstract < len(corpus)
+    short = sum(1 for d in corpus if d.abstract is not None
+                and len(vectors.fragment(d, False, FRAGMENT_LIMIT)) < FRAGMENT_LIMIT)
+    assert 0 < short < with_abstract < len(corpus)
     assert calls["extract_all"] == len(corpus)
-    assert calls["preprocess"] == len(corpus) + with_abstract
+    assert calls["preprocess"] == len(corpus) + short
 
 
 def test_grid_fits_each_tfidf_once_and_transforms_each_document_once(corpus, grid):
-    # a grid's tf-idf depends only on the abstract flag, so its 22
-    # bag-of-words fits share two, and each transforms every document once
+    # a grid's tf-idf depends only on the abstract flag, so it fits two,
+    # and each transforms every document once
     _, calls = grid
     assert calls["fit_tfidf"] == 2
     assert calls["transform"] == 2 * len(corpus)
+
+
+def test_grid_rows_are_train_pipeline_and_evaluate(corpus, resources, grid):
+    rows, _ = grid
+    test_docs = corpus.subset(Split.TEST)
+    expected = []
+    for kind in MODEL_KINDS:
+        for name, recipe in grid_conditions():
+            fresh = CorpusVectors(resources)
+            trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS, fresh)
+            expected.append(GridRow(kind, name, trained.evaluate(test_docs, resources, fresh)))
+    assert rows == expected
+
+
+def test_grid_designs_are_the_pipeline_design_matrices(corpus, resources):
+    conditions = grid_conditions()
+    splits = (corpus.subset(Split.TRAIN), corpus.subset(Split.TEST))
+    designs = pipeline._grid_designs([recipe for _, recipe in conditions], splits, SETTINGS,
+                                     CorpusVectors(resources))
+    assert sorted(designs) == [False, True]
+    for name, recipe in conditions:
+        fresh = CorpusVectors(resources)
+        trained = train_pipeline(corpus, resources, recipe, "lsvc", SETTINGS, fresh)
+        for X, docs in zip(pipeline._recipe_designs(designs, recipe), splits):
+            expected = trained._design_matrix(docs, fresh)
+            assert X.flags.c_contiguous, name
+            assert X.shape == expected.shape and X.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("inputs, idle", [
+    ("baseline", "extract_all"), ("baseline+abstracts", "extract_all"), ("all", "preprocess"),
+])
+def test_grid_reads_only_the_inputs_its_conditions_use(corpus, resources, monkeypatch,
+                                                       inputs, idle):
+    # a training text no dictionary word is in raises a warning only in
+    # a grid that computes features
+    docs = list(corpus)
+    docs[0] = replace(docs[0], text="Lorem ipsum dolor sit amet. Consectetur adipiscing elit.")
+    conditions = [(name, recipe) for name, recipe in grid_conditions() if name == inputs]
+    calls = count_analysis(monkeypatch)
+    vectors = CorpusVectors(resources)
+    rows = run_grid(Corpus(docs), resources, ("lsvc",), SETTINGS, conditions, vectors)
+    assert [row.condition for row in rows] == [inputs]
+    assert calls[idle] == 0 and sum(calls.values()) > 0
+    assert vectors.warning_count("no_frequency_matches") == (idle == "preprocess")
+
+
+@pytest.mark.parametrize("limit", [3, FRAGMENT_LIMIT, 5000])
+def test_fragment_with_abstract_is_the_augmented_preview_read(corpus, resources, limit,
+                                                             monkeypatch):
+    vectors = CorpusVectors(resources)
+    plain = {d: vectors.fragment(d, False, limit) for d in corpus}
+    calls = count_analysis(monkeypatch, ("preprocess",))
+    full = [d for d in corpus if d.abstract is not None and len(plain[d]) == limit]
+    for d in corpus:
+        expected = preprocess(augment_with_abstract(d.text, d.abstract), resources.morphology,
+                              resources.stopwords, limit)
+        assert vectors.fragment(d, True, limit) == expected, d.id
+    # a full preview reuses its plain fragment; only a short one with an
+    # abstract is read again
+    with_abstract = sum(1 for d in corpus if d.abstract is not None)
+    assert calls["preprocess"] == with_abstract - len(full)
+    if limit == FRAGMENT_LIMIT:
+        assert 0 < len(full) < with_abstract
 
 
 @pytest.mark.parametrize("kinds", [(), ("lsvc", "svm")])

@@ -1,9 +1,10 @@
 """Preprocessing chain, tf-idf, min-max scaling and truncated SVD."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agelex.errors import VectorizerError
@@ -70,6 +71,19 @@ class TestAbstractAugmentation:
         assert (augment_with_abstract("p", abstract) != "p") is expected
 
 
+def reference_tfidf_row(model, lemmas) -> np.ndarray:
+    """One fragment's row, counted term by term."""
+    vec = np.zeros(len(model.vocabulary))
+    for term, count in Counter(lemmas).items():
+        if term in model.vocabulary:
+            i = model.vocabulary.index(term)
+            vec[i] = count * model.idf[i]
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
 class TestTfidf:
     def test_single_fragment_fixture(self):
         # one training fragment ["a","a","b"]: df = 1 for both terms, so
@@ -115,6 +129,24 @@ class TestTfidf:
         m1, m2 = fit_tfidf(docs), fit_tfidf(docs)
         assert m1.vocabulary == m2.vocabulary
         assert np.array_equal(m1.idf, m2.idf)
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=40), min_size=1,
+                    max_size=8),
+           st.lists(st.lists(st.sampled_from("abcdefghijklm"), max_size=40), max_size=6),
+           st.integers(1, 12))
+    def test_transform_many_is_the_stacked_rows(self, train, queries, max_terms):
+        assume(any(train))
+        model = fit_tfidf(train, max_terms)
+        # empty, all out of vocabulary, one repeated term
+        queries += [[], ["zzz", "yyy", "zzz"], [model.vocabulary[-1]] * 7]
+        rows = model.transform_many(queries)
+        assert rows.shape == (len(queries), len(model.vocabulary))
+        assert rows.tobytes() == np.vstack([model.transform(q) for q in queries]).tobytes()
+        assert rows.tobytes() == np.vstack([reference_tfidf_row(model, q)
+                                            for q in queries]).tobytes()
+
+    def test_transform_many_of_no_fragments(self):
+        assert fit_tfidf([["a", "b"]]).transform_many([]).shape == (0, 2)
 
     @given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=12), min_size=1, max_size=8),
            st.lists(st.sampled_from("abcdefgh"), max_size=12))
