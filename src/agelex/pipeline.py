@@ -12,15 +12,15 @@ mirrors the published experiment: a baseline bag-of-words model against
 every combination of added feature families and publishing attributes.
 
 Every document is read through a CorpusVectors, which analyzes it once
-and hands out its feature vector, warnings included, and its tf-idf
-fragment: training, batch prediction, single-text classification, the
+and keeps its feature vector, warnings included, and its tf-idf
+fragments: training, batch prediction, single-text classification, the
 grid and the command-line feature tables all read documents through it.
-It also keeps each tf-idf it fitted and each document's row under a
-tf-idf.  Pass one instance as ``cache`` to reuse all of this across
-calls on the same documents.
+Pass one instance as ``cache`` to reuse them across calls on the same
+documents.
 
-The grid fits the models train_pipeline would, each on its columns of
-one scaled matrix per split and abstract flag (see _grid_designs).
+Training has one path: each grid condition, and train_pipeline's one
+recipe, fits on its columns of one scaled design per abstract flag (see
+_grid_designs), so a trained pipeline's model is the grid's fit.
 """
 from __future__ import annotations
 
@@ -87,19 +87,12 @@ class CorpusVectors:
     every model trained and evaluated on the same documents.  A kept
     plain fragment that holds `limit` lemmas is also the fragment with
     the abstract, which only lemmas after the preview's would read.
-
-    It also keeps each tf-idf it fits, keyed by the training documents,
-    abstract flag, fragment limit and max_terms, and each document's row
-    under any TfidfModel, a loaded one too, which must not be changed in
-    place once it has rows here.
     """
 
     def __init__(self, resources: Resources):
         self.resources = resources
         self._features: dict[Document, FeatureVector] = {}
         self._fragments: dict[tuple[Document, bool, int], list[str]] = {}
-        self._tfidfs: dict[tuple, TfidfModel] = {}
-        self._rows: dict[tuple[TfidfModel, int, Document, bool], np.ndarray] = {}
 
     def features(self, doc: Document) -> FeatureVector:
         if doc not in self._features:
@@ -107,9 +100,9 @@ class CorpusVectors:
         return self._features[doc]
 
     def feature_matrix(self, docs: list[Document], names: tuple[str, ...]) -> np.ndarray:
-        """One row per document: the named features, in the given order."""
+        """One C-contiguous row per document: the named features, in order."""
         columns = [_COLUMN_OF[name] for name in names]
-        return np.array([self.features(doc).values for doc in docs])[:, columns]
+        return np.array([self.features(doc).values for doc in docs]).take(columns, axis=1)
 
     def warning_count(self, warning: str) -> int:
         """Documents whose features were computed so far and raised the
@@ -130,26 +123,9 @@ class CorpusVectors:
                                                   self.resources.stopwords, limit)
         return self._fragments[key]
 
-    def tfidf(self, docs: list[Document], use_abstract: bool, limit: int,
-              max_terms: int) -> TfidfModel:
-        """The tf-idf fitted on the documents' first `limit` lemmas."""
-        key = (tuple(docs), use_abstract and any(has_abstract(d.abstract) for d in docs),
-               limit, max_terms)
-        if key not in self._tfidfs:
-            self._tfidfs[key] = fit_tfidf(
-                [self.fragment(doc, use_abstract, limit) for doc in docs], max_terms)
-        return self._tfidfs[key]
-
-    def tfidf_matrix(self, tfidf: TfidfModel, docs: list[Document], use_abstract: bool,
-                     limit: int) -> np.ndarray:
-        """One tf-idf row per document of its first `limit` lemmas."""
-        keys = [(tfidf, limit, doc, use_abstract and has_abstract(doc.abstract)) for doc in docs]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
-        if missing:
-            rows = tfidf.transform_many([self.fragment(doc, flag, limit)
-                                         for _, _, doc, flag in missing])
-            self._rows.update(zip(missing, rows))
-        return np.array([self._rows[key] for key in keys])
+    def fragments(self, docs: list[Document], use_abstract: bool, limit: int) -> list[list[str]]:
+        """One fragment per document, as fragment() gives it."""
+        return [self.fragment(doc, use_abstract, limit) for doc in docs]
 
 
 @register_model_kind
@@ -173,18 +149,15 @@ class TrainedPipeline:
     fragment_limit: int = FRAGMENT_LIMIT
     seed: int = 42
 
-    def _raw_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
+    def _design_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
         blocks = []
         if self.recipe.use_tfidf:
             assert self.tfidf is not None
-            blocks.append(vectors.tfidf_matrix(self.tfidf, docs, self.recipe.use_abstract,
-                                               self.fragment_limit))
+            blocks.append(self.tfidf.transform_many(
+                vectors.fragments(docs, self.recipe.use_abstract, self.fragment_limit)))
         if self.recipe.families:
             blocks.append(vectors.feature_matrix(docs, self.recipe.feature_names))
-        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-
-    def _design_matrix(self, docs: list[Document], vectors: CorpusVectors) -> np.ndarray:
-        return self.scaler.transform(self._raw_matrix(docs, vectors))
+        return self.scaler.transform(blocks[0] if len(blocks) == 1 else np.hstack(blocks))
 
     def predict_documents(self, docs: list[Document], resources: Resources,
                           cache: CorpusVectors | None = None) -> np.ndarray:
@@ -347,29 +320,28 @@ def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
                        "k": svd.k, "retained": svd.retained, "target": svd.target}})
 
 
+def _check_model_kinds(model_kinds: tuple[str, ...]) -> None:
+    if not model_kinds:
+        raise ConfigError(f"no model kinds given; known: {list(MODEL_KINDS)}")
+    for kind in model_kinds:
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
+
+
 def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
                    model_kind: str, settings: TrainSettings | None = None,
                    cache: CorpusVectors | None = None) -> TrainedPipeline:
-    """Fit a recipe on the corpus training split."""
+    """Fit a recipe on the corpus training split: the grid's fit of it."""
     settings = settings or TrainSettings()
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {model_kind!r}; known: {list(MODEL_KINDS)}")
+    _check_model_kinds((model_kind,))
     train_docs = _training_documents(corpus, settings)
-
-    vectors = cache if cache is not None else CorpusVectors(resources)
-    draft = TrainedPipeline(
-        recipe=recipe, model_kind=model_kind,
-        model=None, scaler=None,  # type: ignore[arg-type]
-        fragment_limit=settings.fragment_limit, seed=settings.seed,
-    )
-    if recipe.use_tfidf:
-        draft.tfidf = vectors.tfidf(train_docs, recipe.use_abstract,
-                                    settings.fragment_limit, settings.max_terms)
-    raw = draft._raw_matrix(train_docs, vectors)
-    draft.scaler = fit_minmax(raw)
-    draft.model = _fit_model(model_kind, draft.scaler.transform(raw), _labels(train_docs),
-                             settings)
-    return draft
+    designs = _grid_designs([recipe], (train_docs,), settings,
+                            cache if cache is not None else CorpusVectors(resources))
+    tfidf, scaler, (X,) = _recipe_design(designs, recipe)
+    return TrainedPipeline(recipe=recipe, model_kind=model_kind,
+                           model=_fit_model(model_kind, X, _labels(train_docs), settings),
+                           scaler=scaler, tfidf=tfidf,
+                           fragment_limit=settings.fragment_limit, seed=settings.seed)
 
 
 # Conditions of the experiment grid, in report order.  "baseline" is the
@@ -404,17 +376,18 @@ class GridRow:
     report: MetricsReport
 
 
-def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], list[Document]],
+def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
                   settings: TrainSettings,
-                  vectors: CorpusVectors) -> dict[bool | None, tuple[int, list[np.ndarray]]]:
-    """The scaled train and test designs the recipes read, by tf-idf
-    abstract flag: the tf-idf fitted without (False) or with (True)
-    abstracts, then all 56 features, or the features alone (None) when
-    no recipe reads a tf-idf.  Each maps to its tf-idf width and its two
-    matrices.  A block no recipe reads is not built.
+                  vectors: CorpusVectors) -> dict[bool | None, tuple]:
+    """The designs the recipes read, by tf-idf abstract flag: the tf-idf
+    fitted on the first split without (False) or with (True) abstracts,
+    then all 56 features, or the features alone (None) when no recipe
+    reads a tf-idf.  Each maps to its tf-idf (or None), the scaler fitted
+    on the first split, and one scaled matrix per split.  A block no
+    recipe reads is not built.
 
-    Min-max scaling is fitted column by column on the training rows, so
-    a recipe's scaled design is a column slice of these."""
+    Min-max scaling is fitted column by column, so a recipe's scaler and
+    scaled designs are column slices of these (see _recipe_design)."""
     limit = settings.fragment_limit
     features = None
     if any(recipe.families for recipe in recipes):
@@ -423,26 +396,30 @@ def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], list[Docu
     # plain fragments first, which the abstract ones of full previews reuse
     flags = sorted({recipe.use_abstract for recipe in recipes if recipe.use_tfidf})
     for flag in flags or ([None] if features is not None else []):
-        width, raw = 0, features
+        tfidf, raw = None, features
         if flag is not None:
-            tfidf = vectors.tfidf(splits[0], flag, limit, settings.max_terms)
-            width = len(tfidf.vocabulary)
-            raw = [vectors.tfidf_matrix(tfidf, docs, flag, limit) for docs in splits]
+            tfidf = fit_tfidf(vectors.fragments(splits[0], flag, limit), settings.max_terms)
+            raw = [tfidf.transform_many(vectors.fragments(docs, flag, limit)) for docs in splits]
             if features is not None:
                 raw = [np.hstack(blocks) for blocks in zip(raw, features)]
         scaler = fit_minmax(raw[0])
-        designs[flag] = width, [scaler.transform(X) for X in raw]
+        designs[flag] = tfidf, scaler, [scaler.transform(X) for X in raw]
     return designs
 
 
-def _recipe_designs(designs: dict, recipe: Recipe) -> list[np.ndarray]:
-    """The recipe's scaled train and test designs: its columns of one of
-    _grid_designs, taken into C-contiguous copies (X[:, columns] would
-    give Fortran-ordered ones), the layout train_pipeline fits on."""
-    width, matrices = designs[recipe.use_abstract if recipe.use_tfidf else next(iter(designs))]
+def _recipe_design(designs: dict, recipe: Recipe
+                   ) -> tuple[TfidfModel | None, MinMaxScaler, list[np.ndarray]]:
+    """The recipe's tf-idf, scaler and scaled designs: its columns of one
+    of _grid_designs, the matrices taken into C-contiguous copies
+    (X[:, columns] would give Fortran-ordered ones)."""
+    tfidf, scaler, matrices = designs[recipe.use_abstract if recipe.use_tfidf
+                                      else next(iter(designs))]
+    width = len(tfidf.vocabulary) if tfidf is not None else 0
     columns = list(range(width)) if recipe.use_tfidf else []
     columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
-    return [X.take(columns, axis=1) for X in matrices]
+    return (tfidf if recipe.use_tfidf else None,
+            MinMaxScaler(scaler.mins[columns], scaler.ranges[columns]),
+            [X.take(columns, axis=1) for X in matrices])
 
 
 def run_grid(corpus: Corpus, resources: Resources,
@@ -455,11 +432,7 @@ def run_grid(corpus: Corpus, resources: Resources,
     each document through one cache and each condition's scaled designs
     as columns of _grid_designs."""
     settings = settings or TrainSettings()
-    if not model_kinds:
-        raise ConfigError(f"no model kinds given; known: {list(MODEL_KINDS)}")
-    for kind in model_kinds:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
+    _check_model_kinds(model_kinds)
     test_docs = corpus.subset(Split.TEST)
     if not test_docs:
         raise ConfigError("corpus has no test documents; assign splits first")
@@ -471,7 +444,7 @@ def run_grid(corpus: Corpus, resources: Resources,
     rows = []
     for kind in model_kinds:
         for name, recipe in conditions:
-            X_train, X_test = _recipe_designs(designs, recipe)
+            _, _, (X_train, X_test) = _recipe_design(designs, recipe)
             model = _fit_model(kind, X_train, y, settings)
             rows.append(GridRow(kind, name, metrics(model.predict_many(X_test), gold)))
     return rows

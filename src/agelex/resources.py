@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError
 from .features import ReadabilityCoefficients
 from .lexicons import (FrequencyDictionary, Lexicon, SentimentLexicon, WordList,
                        load_frequency_dict, load_sentiment_lexicon, load_word_list)
@@ -85,7 +86,7 @@ class Resources:
         resolved = dict(BUNDLED_FILES)
         for key, value in (paths or {}).items():
             if key not in resolved:
-                raise KeyError(f"unknown resource {key!r}")
+                raise ConfigError(f"unknown resource {key!r}; known: {list(BUNDLED_FILES)}")
             if value is not None:
                 resolved[key] = Path(value)
         morphology: MorphologyProvider = DictionaryMorphology.load(resolved["morphology"])

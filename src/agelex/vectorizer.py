@@ -64,7 +64,7 @@ class TfidfModel:
     count, ties broken lexicographically.  idf uses add-one smoothing:
     ln((1 + N) / (1 + df)) + 1.  Rows are L2-normalized, so a transformed
     vector has norm 1, or 0 when no term is in vocabulary.  Models compare
-    and hash by identity, so a fitted model can key the rows it produced.
+    by identity.
     """
 
     vocabulary: tuple[str, ...]
@@ -152,8 +152,10 @@ def fit_minmax(X: np.ndarray) -> MinMaxScaler:
         raise VectorizerError("minmax scaling needs a non-empty 2-d matrix")
     if not np.all(np.isfinite(X)):
         raise VectorizerError("minmax scaling input contains non-finite values")
-    mins = X.min(axis=0)
-    ranges = X.max(axis=0) - mins
+    # of 0.0 and -0.0, min() and max() return either, by memory layout;
+    # adding 0.0 makes it 0.0, so a fit on some columns is the full fit's
+    mins = X.min(axis=0) + 0.0
+    ranges = (X.max(axis=0) + 0.0) - mins
     return MinMaxScaler(mins=mins, ranges=ranges)
 
 

@@ -85,24 +85,24 @@ def lsvc_grid_fits(resources):
         solves.append((X, y, kwargs, train_linear_svc(X, y, **kwargs)))
         return solves[-1][3]
 
-    def recording_designs(*args):
-        designs.append(recipe_designs(*args))
+    def recording_design(*args):
+        designs.append(recipe_design(*args))
         return designs[-1]
 
     def recording_fit(*args):
         folded.append(fit_model(*args))
         return folded[-1]
 
-    recipe_designs, fit_model = agelex.pipeline._recipe_designs, agelex.pipeline._fit_model
+    recipe_design, fit_model = agelex.pipeline._recipe_design, agelex.pipeline._fit_model
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(agelex.pipeline, "fit_svd", recording_svd)
         mp.setattr(agelex.pipeline, "train_linear_svc", recording_svc)
-        mp.setattr(agelex.pipeline, "_recipe_designs", recording_designs)
+        mp.setattr(agelex.pipeline, "_recipe_design", recording_design)
         mp.setattr(agelex.pipeline, "_fit_model", recording_fit)
         run_grid(corpus, resources, ("lsvc",))
     return [{"scaled": scaled, "svd": svd, "X": X, "y": y, "kwargs": kwargs, "model": model,
              "folded": folded_model, "scaled_test": scaled_test}
-            for (scaled, svd), (X, y, kwargs, model), folded_model, (_, scaled_test)
+            for (scaled, svd), (X, y, kwargs, model), folded_model, (_, _, (_, scaled_test))
             in zip(svds, solves, folded, designs)]
 
 

@@ -17,7 +17,8 @@ from agelex.pipeline import (MODEL_KINDS, CorpusVectors, GridRow, Recipe, Traine
                              train_pipeline)
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import analyze
-from agelex.vectorizer import FRAGMENT_LIMIT, TfidfModel, augment_with_abstract, preprocess
+from agelex.vectorizer import (FRAGMENT_LIMIT, TfidfModel, augment_with_abstract, fit_tfidf,
+                              preprocess)
 
 SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
 
@@ -121,10 +122,39 @@ def test_grid_designs_are_the_pipeline_design_matrices(corpus, resources):
     for name, recipe in conditions:
         fresh = CorpusVectors(resources)
         trained = train_pipeline(corpus, resources, recipe, "lsvc", SETTINGS, fresh)
-        for X, docs in zip(pipeline._recipe_designs(designs, recipe), splits):
+        tfidf, scaler, matrices = pipeline._recipe_design(designs, recipe)
+        assert (tfidf is None) == (trained.tfidf is None), name
+        if tfidf is not None:
+            assert tfidf.vocabulary == trained.tfidf.vocabulary, name
+            assert tfidf.idf.tobytes() == trained.tfidf.idf.tobytes(), name
+        assert scaler.mins.tobytes() == trained.scaler.mins.tobytes(), name
+        assert scaler.ranges.tobytes() == trained.scaler.ranges.tobytes(), name
+        for X, docs in zip(matrices, splits):
+            # the model scores the same bytes in the same layout as the grid
             expected = trained._design_matrix(docs, fresh)
-            assert X.flags.c_contiguous, name
+            assert X.flags.c_contiguous and expected.flags.c_contiguous, name
             assert X.shape == expected.shape and X.tobytes() == expected.tobytes(), name
+
+
+def test_grid_fits_are_the_trained_pipelines_models(corpus, resources):
+    # training one recipe fits the model the grid fits for its condition,
+    # on the same design in the same memory layout, to the last bit
+    fits = []
+
+    def recording_fit(*args):
+        fits.append(fit_model(*args))
+        return fits[-1]
+
+    fit_model = pipeline._fit_model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_fit_model", recording_fit)
+        run_grid(corpus, resources, settings=SETTINGS)
+    conditions = [(kind, recipe) for kind in MODEL_KINDS for _, recipe in grid_conditions()]
+    assert len(fits) == len(conditions) == 36
+    for fit, (kind, recipe) in zip(fits, conditions):
+        trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS)
+        assert json.dumps(fit.to_json_dict()) == json.dumps(trained.model.to_json_dict()), \
+            (kind, recipe)
 
 
 @pytest.mark.parametrize("inputs, idle", [
@@ -470,18 +500,19 @@ def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resource
 
 
 def test_blank_abstract_is_no_abstract(corpus, resources, monkeypatch):
-    # a whitespace-only abstract is read as none: the same fragment and,
-    # when no document has another, the same tf-idf
+    # a whitespace-only abstract is read as none: the same fragments, so
+    # the same tf-idf and the same rows
     docs = [replace(d, abstract=" \u3000\n") for d in corpus.subset(Split.TRAIN)]
-    calls = count_analysis(monkeypatch, ("preprocess", "fit_tfidf"))
+    calls = count_analysis(monkeypatch, ("preprocess",))
     vectors = CorpusVectors(resources)
-    plain = vectors.tfidf(docs, False, FRAGMENT_LIMIT, 100)
-    assert vectors.tfidf(docs, True, FRAGMENT_LIMIT, 100) is plain
-    assert vectors.fragment(docs[0], True, FRAGMENT_LIMIT) is \
-        vectors.fragment(docs[0], False, FRAGMENT_LIMIT)
-    assert np.array_equal(vectors.tfidf_matrix(plain, docs, True, FRAGMENT_LIMIT),
-                          vectors.tfidf_matrix(plain, docs, False, FRAGMENT_LIMIT))
-    assert calls == {"preprocess": len(docs), "fit_tfidf": 1}
+    plain, augmented = (vectors.fragments(docs, flag, FRAGMENT_LIMIT) for flag in (False, True))
+    assert all(a is b for a, b in zip(augmented, plain))
+    tfidfs = [fit_tfidf(fragments, 100) for fragments in (plain, augmented)]
+    assert tfidfs[0].vocabulary == tfidfs[1].vocabulary
+    assert tfidfs[0].idf.tobytes() == tfidfs[1].idf.tobytes()
+    assert (tfidfs[0].transform_many(plain).tobytes()
+            == tfidfs[1].transform_many(augmented).tobytes())
+    assert calls == {"preprocess": len(docs)}
 
 
 @pytest.mark.parametrize("corrupt, message", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import agelex.text_analysis as text_analysis
 from agelex.corpus import Document, Label
+from agelex.errors import ConfigError
 from agelex.features import extract_all
 from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
@@ -162,3 +163,8 @@ class TestResources:
         assert twin.lexicon is not resources.lexicon
         assert twin == resources
         assert "lexicon=" not in repr(resources)
+
+    def test_unknown_resource_key_is_a_config_error(self):
+        # a bad key fails like any bad input, with an AgelexError
+        with pytest.raises(ConfigError, match="unknown resource 'morphologie'"):
+            Resources.load({"morphologie": BUNDLED_FILES["morphology"]})

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agelex.errors import VectorizerError
@@ -160,6 +160,18 @@ class TestTfidf:
         assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
 
+@st.composite
+def scaling_inputs(draw):
+    """A finite training matrix, some of its columns constant, rows to
+    scale with it and a list of its columns, repeats allowed."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    X, Z = (draw(arrays(np.float64, (rows, p), elements=st.floats(-1e6, 1e6)))
+            for rows in (n, 3))
+    for j in draw(st.sets(st.integers(0, p - 1))):
+        X[:, j] = X[0, j]
+    return X, Z, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
+
+
 class TestMinMax:
     def test_basic_column(self):
         scaler = fit_minmax(np.array([[0.0], [5.0], [10.0]]))
@@ -190,6 +202,23 @@ class TestMinMax:
         scaler = fit_minmax(X)
         out = scaler.transform(X)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaling_inputs())
+    # which signed zero a column's min() returns can depend on the memory
+    # layout: NumPy 2.4.6 gives -0.0 here for the C-ordered matrix and 0.0
+    # for its Fortran-ordered column selection
+    @example((np.array([[0.0, 2.0]] * 8 + [[-0.0, 2.0], [1.0, 2.0]]),
+              np.array([[-0.0, 2.0]]), [0, 0, 1]))
+    def test_fitting_commutes_with_column_selection(self, inputs):
+        # the grid fits one scaler on all columns and hands each model
+        # its columns of it, which is a fit on those columns alone
+        X, Z, cols = inputs
+        full, sub = fit_minmax(X), fit_minmax(X[:, cols])
+        assert sub.mins.tobytes() == full.mins[cols].tobytes()
+        assert sub.ranges.tobytes() == full.ranges[cols].tobytes()
+        for rows in (X, Z):
+            assert sub.transform(rows[:, cols]).tobytes() == full.transform(rows)[:, cols].tobytes()
 
 
 class TestSvd:
