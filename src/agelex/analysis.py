@@ -94,8 +94,11 @@ def rank_features(X, y, names, n_intervals: int = DEFAULT_INTERVALS) -> list[Fea
     return sorted(scores, key=lambda s: (-s.score, s.name))
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationResult:
+    """A correlation matrix over named columns; results compare by
+    identity."""
+
     names: tuple[str, ...]
     matrix: np.ndarray
     zero_variance: tuple[str, ...]

@@ -11,13 +11,15 @@ truncated fragments used by the bag-of-words vectorizer.
 
 extract_all gives a document's 56 values in ALL_FEATURE_NAMES order and
 its warnings.  Its five quantitative families are array reductions over
-the per-type table of text_analysis.analyze: every count is a sum of
-per-type token counts, and every dictionary mean an exact integer sum
-divided once.  Lexicon.sums (Resources.lexicon) multiplies the part of
-speech x type matrix of token counts by the types' lexicon rows in one
-int64 product; the length and syllable sums come from the table's own
-columns.  Only the type-token ratios, which count distinct lemmas, and
-the two medians are not sums.  features.md gives the rules.
+the types of text_analysis.analyze, read by their row ids alone: every
+count is a sum of per-type token counts, and every dictionary mean an
+exact integer sum divided once.  Lexicon.sums (Resources.lexicon)
+gathers the types' lexicon rows by their word row ids and multiplies
+the (part of speech + total) x type matrix of token counts by them and
+by the types' syllable and length columns in one int64 product; it
+counts the distinct (lemma id, pos) keys for the type-token ratios.
+Only those ratios and the two medians are not sums.  features.md gives
+the rules.
 """
 from __future__ import annotations
 
@@ -25,9 +27,7 @@ import hashlib
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,7 +37,7 @@ from .corpus import AgeRating, Document
 from .errors import ConfigError, FeatureError, decode_errors_as
 from .lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT, TOKENS, TOP5000,
                        TOP_IPM, TOP_IPM_TOKENS, Lexicon)
-from .text_analysis import POS_ORDER, AnalyzedText, Pos, analyze
+from .text_analysis import LENGTH, POS_ORDER, SYLLABLES, AnalyzedText, Pos, analyze
 
 if TYPE_CHECKING:
     from .resources import Resources
@@ -211,30 +211,27 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     """The 51 quantitative values in schema order, by the rules of
     features.md, and the warnings; t must hold a token, so a sentence."""
     n, sentences = t.n_tokens, t.n_sentences
-    pos = list(map(POS_ORDER.index, t.pos))
-    counts = np.array(t.counts)
-    # per part of speech, then over all: the Lexicon.sums columns
-    *by_pos, total = lexicon.sums(t.lemmas, pos, counts)
-    distinct_lemmas = Counter(map(itemgetter(1), set(zip(t.lemmas, pos))))
-    lengths = np.fromiter(map(len, t.surfaces), np.int64, len(t.surfaces))
-    syllables = np.array(t.syllables)
-    syllable_sum, polysyllables, many_syllables, length_sum = (
-        counts @ np.array([syllables, syllables > 3, syllables > 4, lengths]).T).tolist()
+    syllables, lengths = t.types[:, SYLLABLES], t.types[:, LENGTH]
+    # per part of speech, then over all: the Lexicon.sums columns, then
+    # the syllables, polysyllables, words of many syllables and word
+    # lengths, then the distinct lemmas
+    *by_pos, total = lexicon.sums(t, np.array([syllables, syllables > 3, syllables > 4, lengths]).T)
+    syllable_sum, polysyllables, many_syllables, length_sum, lemmas = total[DOC + 1:]
 
     def ttr(p: int) -> float:
         tokens = by_pos[p][TOKENS]
-        return distinct_lemmas[p] / tokens if tokens else 0.0
+        return by_pos[p][-1] / tokens if tokens else 0.0
 
     ttr_n, ttr_a, ttr_v = ttr(_NOUN), ttr(_ADJ), ttr(_VERB)
     asl, asw = n / sentences, syllable_sum / n
     values = [
         length_sum / n,
-        _median(lengths, counts),
+        _median(lengths, t.counts),
         sum(t.sentence_symbols) / sentences,
         _median(t.sentence_symbols),
         asw,
         many_syllables / n,
-        len(set(t.lemmas)) / n,
+        lemmas / n,
         ttr_n, ttr_a, ttr_v,
         (ttr_a + ttr_n) / ttr_v if ttr_v > 0 else 0.0,
         flesch_kincaid(asl, asw, coefficients),

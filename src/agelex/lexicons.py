@@ -17,7 +17,9 @@ lexicons needs.  A text's type counts times the rows then give every
 column sum exactly in int64 for any text under 2**39 tokens, and the
 limbs are joined again as Python integers.  The table keeps at most
 text_analysis.TABLE_CAP rows, and none for a lemma longer than
-text_analysis.CHUNK_LIMIT characters.
+text_analysis.CHUNK_LIMIT characters.  It also links each word row of
+the morphology provider's chunk table to its row, on first sight, so a
+text's rows are one gather by its types' word row ids.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import text_analysis
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import POS_ORDER, Pos, table_keeps
+from .text_analysis import POS_ORDER, AnalyzedText, Pos, distinct, table_keeps
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -287,8 +289,12 @@ class Lexicon:
     which grows as keys are first seen; a key it does not keep gets its
     row for the call only.  A row holds the value of each column of sums
     for one token: the flags, then each scaled value as limbs, least
-    significant first.  The lexicons must not change once rows have been
-    read.  A missing lexicon is an empty one.
+    significant first, then the key's lemma id, the row id of the first
+    key of its lemma.  An int array maps each word row id of one
+    provider's chunk table to the row of its (lemma, pos), filled when
+    the word row is first seen, so a Lexicon serves the word rows of one
+    provider.  The lexicons must not change once rows have been read.  A
+    missing lexicon is an empty one.
     """
 
     def __init__(self, frequency: FrequencyDictionary | None = None,
@@ -299,6 +305,8 @@ class Lexicon:
         self.top5000 = top5000 if top5000 is not None else WordList({})
         self.familiar = familiar if familiar is not None else WordList({})
         self._ids: dict[tuple[str, int], int] = {}
+        # entry i is the row id of the key of the kept word row i, or -1
+        self._of_word = np.full(64, -1, np.int32)
 
     @cached_property
     def _scaling(self) -> tuple[int, np.ndarray]:
@@ -322,43 +330,69 @@ class Lexicon:
     def scale(self) -> int:
         return self._scaling[0]
 
-    def sums(self, lemmas: list[str], pos: list[int], counts: np.ndarray) -> list[list[int]]:
+    def sums(self, t: AnalyzedText, columns: np.ndarray) -> list[list[int]]:
         """For each part of speech, by its place in Pos, and then for all
-        tokens, the sum of each column over those tokens: a text's type i
-        is lemma lemmas[i] with part of speech pos[i], a place in Pos, and
-        counts[i] tokens."""
-        by_pos = np.zeros((len(POS_ORDER), len(counts)), np.int64)
-        by_pos[pos, np.arange(len(counts))] = counts
+        of t's tokens: the sum over those tokens of each column of sums,
+        then of each of columns, which holds a line of integers per type
+        of t, then the number of distinct lemmas."""
+        pos, rows = t.types[:, text_analysis.POS], self._rows(t)
+        by_pos = np.zeros((len(POS_ORDER) + 1, len(pos)), np.int64)
+        by_pos[pos, np.arange(len(pos))] = by_pos[-1] = t.counts
         # one exact int64 product: NumPy multiplies integers without BLAS
-        sums = by_pos @ self._rows(lemmas, pos)
-        sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
+        sums = by_pos @ np.concatenate((rows[:, :-1], columns), axis=1)
         weights = self._scaling[1]
-        values = sums[:, TOP_IPM:].reshape(len(sums), -1, len(weights)).astype(object) @ weights
-        return [flags + exact for flags, exact in zip(sums[:, :TOP_IPM].tolist(), values.tolist())]
+        end = TOP_IPM + 5 * len(weights)
+        values = sums[:, TOP_IPM:end].reshape(len(sums), 5, len(weights)).astype(object) @ weights
+        # the distinct (lemma id, pos) keys, and so lemma ids, in order
+        keys = distinct(rows[:, -1] * len(POS_ORDER) + pos)[0]
+        lemmas = np.bincount(keys % len(POS_ORDER), minlength=len(POS_ORDER)).tolist()
+        lemmas.append(len(distinct(keys // len(POS_ORDER))[0]))
+        return [flags + exact + extra + [n] for flags, exact, extra, n
+                in zip(sums[:, :TOP_IPM].tolist(), values.tolist(), sums[:, end:].tolist(), lemmas)]
 
     @cached_property
     def _array(self) -> np.ndarray:
-        # row i is the row of the key with id i, for i < len(self._ids)
-        return np.zeros((64, TOP_IPM + 5 * len(self._scaling[1])), np.int32)
+        # row i is the row of the key with id i, then its lemma id, for
+        # i < len(self._ids)
+        return np.zeros((64, TOP_IPM + 5 * len(self._scaling[1]) + 1), np.int32)
 
-    def _rows(self, lemmas: list[str], pos: list[int]) -> np.ndarray:
-        """The row of each (lemma, pos), one line each."""
-        try:
-            return self._array[np.fromiter(map(self._ids.get, zip(lemmas, pos)), np.intp, len(pos))]
-        except TypeError:  # the id of a key the table lacks reads as None
-            keys = list(zip(lemmas, pos))
+    def _rows(self, t: AnalyzedText) -> np.ndarray:
+        """The row of the (lemma, pos) of each type of t, then its lemma
+        id, one line each.  Once a word row the chunk table keeps has been
+        seen, and the table here keeps its key, one gather finds its row."""
+        if len(self._of_word) <= t.kept:
+            self._of_word = np.concatenate((self._of_word, np.full(t.kept, -1, np.int32)))
+        ids = self._of_word.take(t.word_ids, mode="clip")
+        ids[t.word_ids.searchsorted(t.kept):] = -1  # rows of t's call alone
+        rows = self._array.take(ids, axis=0)
+        if ids.min(initial=0) >= 0:
+            return rows
+        lemmas, pos, words = t.lemmas, t.types[:, text_analysis.POS].tolist(), t.word_ids.tolist()
         fresh = {}  # the rows of new keys the table does not keep
-        for key in dict.fromkeys(key for key in keys if key not in self._ids):
-            row = self._row(key)
-            if table_keeps(self._ids, key[0]):
-                self._ids[key] = self._append(row)
-            else:
-                fresh[key] = row
-        rows = self._array[[self._ids.get(key, 0) for key in keys]]
-        unkept = [i for i, key in enumerate(keys) if key in fresh]
-        if unkept:
-            rows[unkept] = [fresh[keys[i]] for i in unkept]
+        for i in (ids < 0).nonzero()[0].tolist():
+            key = lemmas[i], pos[i]
+            if key not in self._ids and key not in fresh:
+                row = self._row(key) + [self._lemma_id(key[0], fresh)]
+                if table_keeps(self._ids, key[0]):
+                    self._ids[key] = self._append(row)
+                else:
+                    fresh[key] = row
+            rows[i] = fresh[key] if key in fresh else self._array[self._ids[key]]
+            if key in self._ids and words[i] < t.kept:
+                self._of_word[words[i]] = self._ids[key]
         return rows
+
+    def _lemma_id(self, lemma: str, fresh: dict) -> int:
+        """The lemma id of a new key of lemma: that of lemma's keys in
+        the table or in fresh, else the new row's id if the table keeps
+        it, else an id below 0 for this call.  Once a table is full, or
+        for a lemma too long, no key of lemma is kept later."""
+        for p in range(len(POS_ORDER)):
+            if (lemma, p) in self._ids:
+                return int(self._array[self._ids[lemma, p], -1])
+            if (lemma, p) in fresh:
+                return fresh[lemma, p][-1]
+        return len(self._ids) if table_keeps(self._ids, lemma) else -1 - len(fresh)
 
     def _append(self, row: list[int]) -> int:
         n = len(self._ids)

@@ -112,9 +112,10 @@ def svc_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: floa
 
 
 @register_model_kind
-@dataclass
+@dataclass(eq=False)
 class LinearSvcModel:
-    """Fitted linear classifier with squared-hinge training history."""
+    """Fitted linear classifier with squared-hinge training history;
+    compares by identity."""
 
     KIND = "linear_svc"
 

@@ -129,13 +129,14 @@ class CorpusVectors:
 
 
 @register_model_kind
-@dataclass
+@dataclass(eq=False)
 class TrainedPipeline:
     """A fitted recipe: vectorizers, scaler and the model.
 
     The design matrix layout is the tf-idf block (when enabled) followed
     by the selected family columns in schema order; min-max scaling spans
-    the whole matrix, and the model reads the scaled columns.
+    the whole matrix, and the model reads the scaled columns.  Pipelines
+    compare by identity.
     """
 
     KIND = "pipeline"

@@ -52,11 +52,13 @@ class Resources:
 
     Frozen, because what was resolved from a resource is kept: the
     morphology provider keeps the row of each chunk it has read (a word
-    is the chunk of its one run), and lexicon, built from the four word
-    lexicons, the row of each (lemma, pos).  The two tables fill as
-    documents are read, hold at most text_analysis.TABLE_CAP rows each
-    and keep no chunk or lemma longer than text_analysis.CHUNK_LIMIT
-    characters.
+    is the chunk of its one run), with a word's part of speech and
+    syllables, and lexicon, built from the four word lexicons, the row
+    of each (lemma, pos) and which of them each word row reads.  So each
+    Resources has its own lexicon, while several may share a provider.
+    The two tables fill as documents are read, hold at most
+    text_analysis.TABLE_CAP rows each and keep no chunk or lemma longer
+    than text_analysis.CHUNK_LIMIT characters.
     """
 
     morphology: MorphologyProvider

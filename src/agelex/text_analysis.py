@@ -1,8 +1,9 @@
 """Tokenization, sentence splitting, syllable counting and morphology.
 
-analyze() returns one row per distinct surface (word type), plus a
-column of type ids for the tokens and the symbol count of each
-sentence; the feature families work from its per-type counts.
+analyze() returns a text's distinct words (types) as their row ids in
+the chunk table, each with its token count and its row's integer
+columns (length, part of speech, syllables), and the symbol count of
+each sentence; the feature families read nothing else per type.
 
 analyze() and vectorizer.preprocess() read a text as its chunks, the
 maximal runs of non-whitespace characters (str.split()), because every
@@ -34,7 +35,8 @@ Russian) are dropped and the rest is NFC-composed, so a stressed or
 decomposed spelling reads like the plain one.
 
 All routines are pure functions of their inputs, so repeated calls on the
-same text yield identical results.  The module is Cyrillic-first but every
+same text yield identical results; only the row ids analyze() reports
+depend on what the provider read before.  The module is Cyrillic-first but every
 rule also covers Latin letters, since previews occasionally quote foreign
 titles or names.
 """
@@ -42,8 +44,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, repeat
@@ -130,6 +131,16 @@ def table_keeps(table: dict, text: str) -> bool:
     return len(table) < TABLE_CAP and len(text) <= CHUNK_LIMIT
 
 
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-d integer array, in increasing order,
+    and how often each occurs: np.unique(values, return_counts=True) in
+    fewer NumPy calls."""
+    ordered = np.sort(values)
+    # where each run of equal values ends
+    ends = np.flatnonzero(np.concatenate((ordered[1:] != ordered[:-1], [len(ordered) > 0])))
+    return ordered[ends], ends - np.concatenate(([-1], ends[:-1]))
+
+
 def count_syllables(word: str) -> int:
     """Count vowels in the word, with a floor of one per the convention
     that every pronounceable token carries at least one syllable."""
@@ -206,10 +217,13 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 # chunk's words, its length, its letters and digits and its letters
 # (analyze() sums these four), the row id of its word when it holds
 # exactly one (else -1), and whether it ends in a run of sentence
-# terminators and whether it starts uppercase (1 or 0).
-WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER = range(7)
-# Where a row's entry in the table's list holds its words' row ids and lemmas
-_WORD_IDS, _LEMMAS = 5, 6
+# terminators and whether it starts uppercase (1 or 0); then, for a
+# chunk that is one word, the word's part of speech by its place in
+# POS_ORDER and its syllables (else -1 and 0).
+WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER, POS, SYLLABLES = range(9)
+# Where a row's entry in the table's list holds its abbreviation key, its
+# words' row ids and their lemmas
+_ABBREVIATION, _WORD_IDS, _LEMMAS = 2, 3, 4
 
 
 class MorphologyProvider:
@@ -219,13 +233,12 @@ class MorphologyProvider:
     The table gives each chunk it keeps a row id, as lexicons.Lexicon
     does: a dict maps the chunk to its id, one int64 array holds the
     columns of each row, and a list the rest: the chunk, then, for a
-    chunk that is one word, the word's lemma, part of speech and
-    syllables (else None, None and 0), the chunk's abbreviation key, for
-    a chunk of two or more words their row ids (else None), and the tuple
-    of its words' lemmas, which lemmas() reads.  A chunk
-    the table does not keep gets a row for one call only, with an id past
-    the kept rows.  A provider's answers must not change once it is in
-    use.
+    chunk that is one word, the word's lemma (else None), the chunk's
+    abbreviation key, for a chunk of two or more words their row ids
+    (else None), and the tuple of its words' lemmas, which lemmas()
+    reads.  A chunk the table does not keep gets a row for one call
+    only, with an id past the kept rows.  A provider's answers must not
+    change once it is in use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -251,7 +264,7 @@ class MorphologyProvider:
     @cached_property
     def _array(self) -> np.ndarray:
         # line i holds the columns of row i, for i < len(self._rows)
-        return np.zeros((64, 7), np.int64)
+        return np.zeros((64, 9), np.int64)
 
     @cached_property
     def _rows(self) -> list[tuple]:
@@ -263,10 +276,11 @@ class MorphologyProvider:
         table_keeps says; any other row lasts until the next call that
         resolves a chunk."""
         ids = self._ids
-        row_ids = np.fromiter(map(ids.get, chunks, repeat(-1)), np.intp, len(chunks))
+        try:  # no default to pass while every chunk has a kept row
+            return np.fromiter(map(ids.__getitem__, chunks), np.intp, len(chunks))
+        except KeyError:
+            row_ids = np.fromiter(map(ids.get, chunks, repeat(-1)), np.intp, len(chunks))
         new = (row_ids < 0).nonzero()[0]
-        if not len(new):
-            return row_ids
         new_chunks = list(map(chunks.__getitem__, new.tolist()))
         del self._rows[len(ids):]
         fresh: dict[str, tuple] = {}  # the rows of this call only
@@ -293,12 +307,12 @@ class MorphologyProvider:
         # every letter and digit lies in a run, and a hyphen is neither
         columns = [len(words), len(chunk), sum(map(str.isalnum, chunk)),
                    sum(map(str.isalpha, chunk)), -1, chunk.endswith(_TERMINATOR_CHARS),
-                   chunk[0].isupper()]
-        lemma, pos, syllables = None, None, 0
+                   chunk[0].isupper(), -1, 0]
+        lemma = None
         if words == [chunk]:
             lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
-            syllables = count_syllables(chunk)
-        row = chunk, lemma, pos, syllables, _abbreviation_key(chunk)
+            columns[POS], columns[SYLLABLES] = POS_ORDER.index(pos), count_syllables(chunk)
+        row = chunk, lemma, _abbreviation_key(chunk)
         if table_keeps(self._ids, chunk):
             self._ids[chunk] = len(self._ids)
             self._append(columns, list(map(self._ids.__getitem__, words)), row)
@@ -310,7 +324,7 @@ class MorphologyProvider:
         next id."""
         n = len(self._rows)
         if n == len(self._array):  # only rows for one call outgrow the cap
-            grown = np.zeros((2 * n if n >= TABLE_CAP else min(2 * n, TABLE_CAP), 7), np.int64)
+            grown = np.zeros((2 * n if n >= TABLE_CAP else min(2 * n, TABLE_CAP), 9), np.int64)
             grown[:n] = self._array
             self._array = grown
         if len(word_ids) == 1:
@@ -439,37 +453,67 @@ class HeuristicMorphology(MorphologyProvider):
         return (low, Pos.OTHER)
 
 
-@dataclass
+@dataclass(eq=False)
 class AnalyzedText:
-    """Tokenized, sentence-split and morphologically annotated text.
+    """Tokenized, sentence-split and morphologically annotated text;
+    analyses compare by identity.
 
-    Row i of the type table is the distinct surface surfaces[i], with
-    its lemma lemmas[i], part of speech pos[i] and syllables[i], and
-    counts[i] is how many tokens have that surface.  Types are numbered
-    in order of first appearance.  tokens holds the type id of every
-    token in text order, and sentence_symbols the non-whitespace
-    character count of each sentence span, punctuation included, for
-    each sentence that holds a token.
+    Type i, of the distinct words in increasing order of row id in the
+    provider's chunk table, is row word_ids[i], with the columns types[i]
+    and counts[i] tokens.  words holds each token's row id, in text
+    order, and sentence_symbols the non-whitespace characters of each
+    sentence span that holds a token.  Row ids below kept are the
+    table's for good; the others last until its next resolving call, so
+    the views (surfaces, lemmas, pos, syllables, tokens), built when
+    read, take strings from a copy of those rows made during the call.
     """
 
-    tokens: list[int]
-    surfaces: list[str]
-    lemmas: list[str]
-    pos: list[Pos]
-    syllables: list[int]
-    counts: list[int]
+    words: np.ndarray
+    word_ids: np.ndarray
+    types: np.ndarray
+    counts: np.ndarray
     sentence_symbols: list[int]
     char_count: int
     letter_count: int
     symbol_count: int
+    kept: int = 0
+    # the provider's list of rows, and a copy of its entries past kept
+    _table: list = field(default_factory=list, repr=False)
+    _tail: list = field(default_factory=list, repr=False)
 
     @property
     def n_tokens(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
     @property
     def n_sentences(self) -> int:
         return len(self.sentence_symbols)
+
+    @property
+    def surfaces(self) -> list[str]:
+        return [self._entry(i)[0] for i in self.word_ids.tolist()]
+
+    @property
+    def lemmas(self) -> list[str]:
+        return [self._entry(i)[1] for i in self.word_ids.tolist()]
+
+    @property
+    def pos(self) -> list[Pos]:
+        return list(map(POS_ORDER.__getitem__, self.types[:, POS].tolist()))
+
+    @property
+    def syllables(self) -> list[int]:
+        return self.types[:, SYLLABLES].tolist()
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """The type id of every token, in text order."""
+        type_of = np.zeros(self.word_ids.max(initial=-1) + 1, np.intp)
+        type_of[self.word_ids] = np.arange(len(self.word_ids))
+        return type_of.take(self.words)
+
+    def _entry(self, word_id: int) -> tuple:
+        return self._table[word_id] if word_id < self.kept else self._tail[word_id - self.kept]
 
 
 def analyze(text: str, morphology: MorphologyProvider,
@@ -480,38 +524,35 @@ def analyze(text: str, morphology: MorphologyProvider,
     whitespace.  One gather of the chunks' rows in the morphology
     provider's table, and one sum of them over each sentence, give each
     sentence's tokens and symbols and the text's character counts.  The
-    words' row ids give the types, in order of first appearance, with
-    their lemma, part of speech and syllables.  A sentence ends where
-    split_sentences() ends it: after a chunk that ends in a terminator
-    run and comes before one that starts uppercase, unless the chunk's
-    abbreviation key is an abbreviation, and at the last chunk.
-    Sentences without tokens are dropped, so every token belongs to
-    exactly one sentence, but their symbols still count toward
+    words' distinct row ids are the types, and one gather of their rows
+    gives each type's length, part of speech and syllables.  A sentence
+    ends where split_sentences() ends it: after a chunk that ends in a
+    terminator run and comes before one that starts uppercase, unless
+    the chunk's abbreviation key is an abbreviation, and at the last
+    chunk.  Sentences without tokens are dropped, so every token belongs
+    to exactly one sentence, but their symbols still count toward
     symbol_count.
     """
     chunks = normalize_text(text).split()
     if not chunks:
-        return AnalyzedText([], [], [], [], [], [], [], 0, 0, 0)
+        empty = np.zeros(0, np.intp)
+        return AnalyzedText(empty, empty, np.zeros((0, 9), np.int64), empty, [], 0, 0, 0)
     ids = morphology._row_ids(chunks)
-    rows = morphology._array.take(ids, axis=0)
+    rows = morphology._array[:, :POS].take(ids, axis=0)  # the word columns are read per type
     words = morphology._words(ids, rows)
-    word_counts = Counter(words.tolist())
-    types = list(word_counts)
-    type_of = np.empty(len(morphology._rows), np.intp)
-    type_of.put(types, np.arange(len(types)))
+    word_ids, counts = distinct(words)
     ends = (rows[:-1, TERM] & rows[1:, UPPER]).nonzero()[0]
     if abbreviations and len(ends):
-        keys = map(itemgetter(4), map(morphology._rows.__getitem__, ids[ends].tolist()))
+        keys = map(itemgetter(_ABBREVIATION), map(morphology._rows.__getitem__, ids[ends].tolist()))
         abbreviated = [i for i, key in enumerate(keys) if key in abbreviations]
         if abbreviated:
             ends = np.delete(ends, abbreviated)
     # the tokens, symbols, letters and digits, and letters of each sentence
     sentences = np.add.reduceat(rows[:, :WORD], np.concatenate(([0], ends + 1)), axis=0)
     _, symbol_count, char_count, letter_count = sentences.sum(axis=0).tolist()
-    type_rows = list(map(morphology._rows.__getitem__, types))
-    surfaces, lemmas, pos, syllables = (list(map(itemgetter(k), type_rows)) for k in range(4))
+    kept = len(morphology._ids)
     return AnalyzedText(
-        tokens=type_of.take(words).tolist(), surfaces=surfaces, lemmas=lemmas, pos=pos,
-        syllables=syllables, counts=list(word_counts.values()),
-        sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH].tolist(),
-        char_count=char_count, letter_count=letter_count, symbol_count=symbol_count)
+        words=words, word_ids=word_ids, types=morphology._array.take(word_ids, axis=0),
+        counts=counts, sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH].tolist(),
+        char_count=char_count, letter_count=letter_count, symbol_count=symbol_count,
+        kept=kept, _table=morphology._rows, _tail=morphology._rows[kept:])

@@ -118,12 +118,13 @@ def fit_tfidf(documents: list[list[str]], max_terms: int = MAX_VOCABULARY) -> Tf
     return TfidfModel(vocabulary=vocabulary, idf=idf, n_docs=n)
 
 
-@dataclass
+@dataclass(eq=False)
 class MinMaxScaler:
     """Column-wise scaling to [0, 1] with training extrema.
 
     Constant columns map to 0; values outside the training range are
-    clipped, so test rows stay inside the unit box.
+    clipped, so test rows stay inside the unit box.  Scalers compare by
+    identity.
     """
 
     mins: np.ndarray
@@ -159,14 +160,15 @@ def fit_minmax(X: np.ndarray) -> MinMaxScaler:
     return MinMaxScaler(mins=mins, ranges=ranges)
 
 
-@dataclass
+@dataclass(eq=False)
 class SvdModel:
     """Truncated SVD basis fitted on a centered training matrix.
 
     components has orthonormal rows; retained is the achieved share of
     total variance.  fit_svd accepts a share within 1e-12 below the
     target, so that rounding in the cumulative sum adds no component: at
-    target 1.0, retained can read 0.9999999999999994.
+    target 1.0, retained can read 0.9999999999999994.  Models compare by
+    identity.
     """
 
     mean: np.ndarray

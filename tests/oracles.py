@@ -98,7 +98,7 @@ def reference_quantitative_values(t, resources) -> tuple[list[float], tuple[str,
     pos_tokens = dict.fromkeys(Pos, 0)
     pos_lemmas = {p: set() for p in Pos}
     frequency = dict.fromkeys(Pos, (0, 0, 0, 0, 0))
-    for surface, lemma, p, syl, count in zip(t.surfaces, t.lemmas, t.pos, t.syllables, t.counts):
+    for surface, lemma, p, syl, count in zip(t.surfaces, t.lemmas, t.pos, t.syllables, t.counts.tolist()):
         familiar, slot, top5000, top_ipm, values = reference_lexicon_row(resources, lemma, p)
         lengths[len(surface)] += count
         pos_tokens[p] += count

@@ -141,6 +141,11 @@ class TestRankFeatures:
 
 
 class TestCorrelationMatrix:
+    def test_compares_by_identity(self):
+        X = np.random.default_rng(0).normal(size=(10, 3))
+        first, second = (correlation_matrix(X, ("a", "b", "c")) for _ in range(2))
+        assert (first == first, first == second) == (True, False)
+
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
         col = rng.normal(size=30)

@@ -1,4 +1,5 @@
 """Feature families, the 56-column schema and the readability formulas."""
+import dataclasses
 import json
 import math
 import re
@@ -302,7 +303,8 @@ class TestAgainstTokenReference:
         assert ([(t.surfaces[i], t.lemmas[i], t.pos[i], t.syllables[i]) for i in t.tokens]
                 == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
         assert len(set(t.surfaces)) == len(t.surfaces)
-        assert t.counts == [t.tokens.count(i) for i in range(len(t.surfaces))]
+        tokens = t.tokens.tolist()
+        assert t.counts.tolist() == [tokens.count(i) for i in range(len(t.surfaces))]
         assert ((t.n_sentences, t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count)
                 == (ref.n_sentences, ref.sentence_symbols, ref.char_count, ref.letter_count,
                     ref.symbol_count))
@@ -430,16 +432,22 @@ class TestIntegerReduction:
         assert len(lexicon._scaling[1]) > 3
         types = [("кот", Pos.NOUN), ("кот", Pos.ADJ), ("пёс", Pos.NOUN), ("дом", Pos.PROPN),
                  ("дом", Pos.NOUN), ("ёж", Pos.OTHER), ("кот", Pos.NOUN)]
-        # a text of 2**39 - 1 tokens, the most the limbs keep exact
+        # a text of 2**39 - 1 tokens, the most the limbs keep exact: one
+        # surface per type, read once, then counted as often as these say
         counts = [2 ** 37, 3, 2 ** 38 - 11, 1, 2 ** 36, 5, 2 ** 36 + 1]
         assert sum(counts) == 2 ** 39 - 1
-        pos = [list(Pos).index(p) for _, p in types]
-        sums = lexicon.sums([lemma for lemma, _ in types], pos, np.array(counts))
-        expected = [[0] * (DOC + 1) for _ in range(len(Pos) + 1)]
-        for (lemma, p), count in zip(types, counts):
+        surfaces = ["слово" + letter for letter in "абвгдеж"]
+        morphology = DictionaryMorphology(dict(zip(surfaces, types)))
+        t = analyze(" ".join(surfaces) + ".", morphology)
+        count_of = dict(zip(surfaces, counts))
+        t = dataclasses.replace(t, counts=np.array([count_of[s] for s in t.surfaces]))
+        # one more column, of ones, sums each bucket's tokens again
+        sums = lexicon.sums(t, np.ones((len(types), 1), np.int64))
+        expected = [[0] * (DOC + 2) for _ in range(len(Pos) + 1)]
+        for lemma, p, count in zip(t.lemmas, t.pos, t.counts.tolist()):
             familiar, slot, top5000, top_ipm, values = reference_lexicon_row(lexicon, lemma, p)
-            row = [0] * (DOC + 1)
-            row[TOKENS] = 1
+            row = [0] * (DOC + 2)
+            row[TOKENS] = row[DOC + 1] = 1
             row[DIFFICULT] = p is not Pos.PROPN and not familiar
             row[TOP5000] = top5000
             row[TOP_IPM_TOKENS] = top_ipm is not None
@@ -453,6 +461,9 @@ class TestIntegerReduction:
                     row[column] = int(scaled)
             for line in (expected[list(Pos).index(p)], expected[-1]):
                 line[:] = [s + v * count for s, v in zip(line, row)]
+        # then the distinct lemmas of each part of speech, and of all
+        for line, p in zip(expected, [*Pos, None]):
+            line.append(len({lemma for lemma, q in zip(t.lemmas, t.pos) if p in (q, None)}))
         assert sums == expected
         assert all(type(v) is int for line in sums for v in line)
 

@@ -107,6 +107,11 @@ def lsvc_grid_fits(resources):
 
 
 class TestLinearSvc:
+    def test_compares_by_identity(self):
+        X, y = np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([ADULT, CHILDREN])
+        first, second = train_linear_svc(X, y), train_linear_svc(X, y)
+        assert (first == first, first == second) == (True, False)
+
     def test_separable_two_point_set(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([ADULT, CHILDREN])

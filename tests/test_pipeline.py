@@ -357,6 +357,12 @@ def saved_pipelines(corpus, resources, tmp_path_factory):
     return paths
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_pipelines_compare_by_identity(saved_pipelines, kind):
+    first, second = (load_model(saved_pipelines[kind]) for _ in range(2))
+    assert (first == first, first == second) == (True, False)
+
+
 @pytest.mark.parametrize("case", CORRUPT_WIDTHS)
 def test_pipeline_width_mismatch_rejected(saved_pipelines, tmp_path, case):
     kind, corrupt = CORRUPT_WIDTHS[case]

@@ -2,6 +2,7 @@
 morphology provider and a (lemma, pos) table on its Lexicon."""
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import agelex.text_analysis as text_analysis
 from agelex.corpus import Document, Label
 from agelex.errors import ConfigError
 from agelex.features import extract_all
+from agelex.lexicons import load_frequency_dict
 from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import DictionaryMorphology
@@ -30,6 +32,25 @@ def key_texts(resources: Resources, table: str) -> list[str]:
     if table == "morphology":
         return list(resources.morphology._ids)
     return [lemma for lemma, _ in resources.lexicon._ids]
+
+
+def doubled_frequency_file(tmp_path) -> Path:
+    """The bundled frequency dictionary with every ipm doubled."""
+    lines = BUNDLED_FILES["frequency"].read_text(encoding="utf-8").splitlines()
+    doubled = [lines[0]] + ["\t".join([lemma, pos, str(2 * float(ipm)), r, d, doc])
+                            for lemma, pos, ipm, r, d, doc in map(str.split, lines[1:])]
+    path = tmp_path / "frequency.tsv"
+    path.write_text("\n".join(doubled) + "\n", encoding="utf-8")
+    return path
+
+
+def separate_outcomes(texts, doubled_path) -> dict[str, list]:
+    """The outcome of each text read by fresh bundled resources and by
+    fresh resources with the doubled frequency file, which differ."""
+    expected = {key: [outcome(text, Resources.load(paths)) for text in texts]
+                for key, paths in (("bundled", None), ("doubled", {"frequency": doubled_path}))}
+    assert expected["bundled"] != expected["doubled"]
+    return expected
 
 
 class CountingMorphology(DictionaryMorphology):
@@ -134,15 +155,9 @@ class TestTables:
         assert max(resolved.values()) <= 2  # a word in two new chunks
 
     def test_resources_from_different_frequency_files_share_no_rows(self, tmp_path):
-        lines = BUNDLED_FILES["frequency"].read_text(encoding="utf-8").splitlines()
-        doubled = [lines[0]] + ["\t".join([lemma, pos, str(2 * float(ipm)), r, d, doc])
-                                for lemma, pos, ipm, r, d, doc in map(str.split, lines[1:])]
-        path = tmp_path / "frequency.tsv"
-        path.write_text("\n".join(doubled) + "\n", encoding="utf-8")
+        path = doubled_frequency_file(tmp_path)
         texts = OTHER_TEXTS[:3]
-        expected = {key: [outcome(text, Resources.load(paths)) for text in texts]
-                    for key, paths in (("bundled", None), ("doubled", {"frequency": path}))}
-        assert expected["bundled"] != expected["doubled"]
+        expected = separate_outcomes(texts, path)
         both = {"bundled": Resources.load(), "doubled": Resources.load({"frequency": path})}
         for i, text in enumerate(texts):
             for key in ("bundled", "doubled", "bundled"):
@@ -150,6 +165,23 @@ class TestTables:
         lexicons = [res.lexicon for res in both.values()]
         assert lexicons[0]._ids and lexicons[1]._ids
         assert not np.shares_memory(lexicons[0]._array, lexicons[1]._array)
+
+    @pytest.mark.parametrize("first", ["bundled", "doubled"])
+    def test_resources_sharing_a_provider_keep_their_own_lexicon_rows(self, tmp_path, first):
+        # the link from a word's chunk row to its lexicon row lives with
+        # each Resources' lexicon, so the shared provider's row ids lead
+        # each one to its own rows, whichever reads a text first
+        path = doubled_frequency_file(tmp_path)
+        texts = OTHER_TEXTS[:3]
+        expected = separate_outcomes(texts, path)
+        bundled = Resources.load()
+        both = {"bundled": bundled,
+                "doubled": dataclasses.replace(bundled, frequency=load_frequency_dict(path))}
+        assert both["doubled"].morphology is bundled.morphology
+        order = [first] + [key for key in both if key != first]
+        for i, text in enumerate(texts):
+            for key in order + order:
+                assert outcome(text, both[key]) == expected[key][i]
 
 
 class TestResources:

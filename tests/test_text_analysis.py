@@ -5,6 +5,7 @@ import re
 import time
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,12 +13,13 @@ from agelex.errors import LexiconError
 from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   _NOUN_SUFFIXES, _VERB_SUFFIXES,
                                   DictionaryMorphology, HeuristicMorphology,
-                                  Pos, analyze, count_syllables,
+                                  Pos, analyze, count_syllables, distinct,
                                   load_abbreviations, normalize_text,
                                   split_sentences, tokenize)
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import FRAGMENT_LIMIT, augment_with_abstract, preprocess
 
+import agelex.text_analysis as text_analysis
 from oracles import reference_preprocess
 from test_features import TEXTS, WHITESPACE, reference_analyze
 
@@ -25,6 +27,13 @@ CYR_WORDS = st.text(alphabet="абвгдежзиклмнопрстуфхцчшщ
 
 _WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*")
 _TERMINATOR_RE = re.compile("[.!?…]+")
+
+
+def analysis_fields(t) -> tuple:
+    """Every field and view of an analysis, as lists and numbers."""
+    return (t.words.tolist(), t.word_ids.tolist(), t.types.tolist(), t.counts.tolist(),
+            t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count, t.kept,
+            t.surfaces, t.lemmas, t.pos, t.syllables, t.tokens.tolist())
 
 
 def reference_split_sentences(text, abbreviations=None):
@@ -509,7 +518,30 @@ class TestAnalyze:
         text = "Кот спит. Пёс бежит! Маша читает?"
         first = analyze(text, morph)
         second = analyze(text, morph)
-        assert first == second
+        assert analysis_fields(first) == analysis_fields(second)
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.integers(-50, 50), max_size=40))
+    def test_distinct_is_unique_with_counts(self, values):
+        values = np.array(values, dtype=np.int64)
+        assert [a.tolist() for a in distinct(values)] == [
+            a.tolist() for a in np.unique(values, return_counts=True)]
+
+    def test_compares_by_identity(self, morph):
+        first, second = (analyze("Кот спит.", morph) for _ in range(2))
+        assert (first == first, first == second) == (True, False)
+
+    @pytest.mark.parametrize("cap", [0, text_analysis.TABLE_CAP])
+    def test_views_outlast_the_next_call(self, monkeypatch, cap):
+        # under cap 0 no row is kept, and the rows of one call last only
+        # until the next call resolves a chunk
+        monkeypatch.setattr(text_analysis, "TABLE_CAP", cap)
+        morph = HeuristicMorphology()
+        t = analyze("Кот видел бармаглота. Бармаглот спал!", morph)
+        views = t.surfaces, t.lemmas, t.pos, t.syllables
+        assert views[0] and views[2] != [Pos.OTHER] * len(views[2])
+        analyze("Пёс бежит домой. Синий дом стоит!", morph)
+        assert (t.surfaces, t.lemmas, t.pos, t.syllables) == views
 
 
 class TestAbbreviations:

@@ -173,6 +173,11 @@ def scaling_inputs(draw):
 
 
 class TestMinMax:
+    def test_compares_by_identity(self):
+        # a generated __eq__ would compare the arrays and raise
+        first, second = (fit_minmax(np.array([[0.0, 1.0], [5.0, 2.0]])) for _ in range(2))
+        assert (first == first, first == second) == (True, False)
+
     def test_basic_column(self):
         scaler = fit_minmax(np.array([[0.0], [5.0], [10.0]]))
         out = scaler.transform(np.array([[0.0], [5.0], [10.0]]))
@@ -222,6 +227,11 @@ class TestMinMax:
 
 
 class TestSvd:
+    def test_compares_by_identity(self):
+        X = np.random.default_rng(0).normal(size=(10, 4))
+        first, second = fit_svd(X, 0.9), fit_svd(X, 0.9)
+        assert (first == first, first == second) == (True, False)
+
     def test_rank_one_matrix(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=(30, 1))
