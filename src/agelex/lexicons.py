@@ -6,20 +6,19 @@ lemmas to (polarity, category), and plain word lists such as the top-5000
 frequency list or the familiar-words list used by the Dale-Chall style
 index.  All loaders validate ranges and report the offending row number.
 
-A Lexicon reads the four word lexicons of one Resources through a table
-keyed by (lemma, pos): each key is resolved once, on first sight, into a
-row of one int32 array.  A row holds 1, the difficult-word flag, the
-top-5000 hit, whether the hit has an ipm, the frequency-entry flag, the
-sentiment one-hot, then the hit's ipm and the entry's ipm, r, d and doc.
-Each of those five values is an exact integer over one power-of-two
-scale, split into as many 24-bit limbs as the largest such value of the
-lexicons needs.  A text's type counts times the rows then give every
-column sum exactly in int64 for any text under 2**39 tokens, and the
-limbs are joined again as Python integers.  The table keeps at most
-text_analysis.TABLE_CAP rows, and none for a lemma longer than
-text_analysis.CHUNK_LIMIT characters.  It also links each word row of
-the morphology provider's chunk table to its row, on first sight, so a
-text's rows are one gather by its types' word row ids.
+A Lexicon reads the four word lexicons of one Resources through a
+text_analysis.RowTable keyed by (lemma, pos): each key is resolved once,
+on first sight, into an int32 row.  A row holds 1, the difficult-word
+flag, the top-5000 hit, whether the hit has an ipm, the frequency-entry
+flag, the sentiment one-hot, then the hit's ipm and the entry's ipm, r,
+d and doc.  Each of those five values is an exact integer over one
+power-of-two scale, split into as many 24-bit limbs as the largest such
+value of the lexicons needs.  A text's type counts times the rows then
+give every column sum exactly in int64 for any text under 2**39 tokens,
+and the limbs are joined again as Python integers.  The Lexicon also
+links each word row of the morphology provider's chunk table to its
+row, on first sight, so a text's rows are one gather by its types' word
+row ids.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import text_analysis
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import POS_ORDER, AnalyzedText, Pos, distinct, table_keeps
+from .text_analysis import POS_ORDER, AnalyzedText, Pos, RowTable, distinct
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -285,16 +284,14 @@ class Lexicon:
     familiar list, looked up through one table keyed by (lemma, pos),
     the pos by its place in Pos.
 
-    The table gives each key it keeps a row id into one int32 array,
-    which grows as keys are first seen; a key it does not keep gets its
-    row for the call only.  A row holds the value of each column of sums
-    for one token: the flags, then each scaled value as limbs, least
-    significant first, then the key's lemma id, the row id of the first
-    key of its lemma.  An int array maps each word row id of one
-    provider's chunk table to the row of its (lemma, pos), filled when
-    the word row is first seen, so a Lexicon serves the word rows of one
-    provider.  The lexicons must not change once rows have been read.  A
-    missing lexicon is an empty one.
+    The table is a RowTable whose row holds the value of each column of
+    sums for one token: the flags, then each scaled value as limbs,
+    least significant first, then the key's lemma id, the row id of the
+    first key of its lemma that the table holds.  An int array maps each
+    word row id of one provider's chunk table to the row of its (lemma,
+    pos), filled when the word row is first seen, so a Lexicon serves
+    the word rows of one provider.  The lexicons must not change once
+    rows have been read.  A missing lexicon is an empty one.
     """
 
     def __init__(self, frequency: FrequencyDictionary | None = None,
@@ -304,7 +301,6 @@ class Lexicon:
         self.sentiment = sentiment if sentiment is not None else SentimentLexicon({})
         self.top5000 = top5000 if top5000 is not None else WordList({})
         self.familiar = familiar if familiar is not None else WordList({})
-        self._ids: dict[tuple[str, int], int] = {}
         # entry i is the row id of the key of the kept word row i, or -1
         self._of_word = np.full(64, -1, np.int32)
 
@@ -351,10 +347,8 @@ class Lexicon:
                 in zip(sums[:, :TOP_IPM].tolist(), values.tolist(), sums[:, end:].tolist(), lemmas)]
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        # row i is the row of the key with id i, then its lemma id, for
-        # i < len(self._ids)
-        return np.zeros((64, TOP_IPM + 5 * len(self._scaling[1]) + 1), np.int32)
+    def _table(self) -> RowTable:
+        return RowTable(TOP_IPM + 5 * len(self._scaling[1]) + 1, np.int32, lambda key: len(key[0]))
 
     def _rows(self, t: AnalyzedText) -> np.ndarray:
         """The row of the (lemma, pos) of each type of t, then its lemma
@@ -364,44 +358,28 @@ class Lexicon:
             self._of_word = np.concatenate((self._of_word, np.full(t.kept, -1, np.int32)))
         ids = self._of_word.take(t.word_ids, mode="clip")
         ids[t.word_ids.searchsorted(t.kept):] = -1  # rows of t's call alone
-        rows = self._array.take(ids, axis=0)
-        if ids.min(initial=0) >= 0:
-            return rows
-        lemmas, pos, words = t.lemmas, t.types[:, text_analysis.POS].tolist(), t.word_ids.tolist()
-        fresh = {}  # the rows of new keys the table does not keep
-        for i in (ids < 0).nonzero()[0].tolist():
-            key = lemmas[i], pos[i]
-            if key not in self._ids and key not in fresh:
-                row = self._row(key) + [self._lemma_id(key[0], fresh)]
-                if table_keeps(self._ids, key[0]):
-                    self._ids[key] = self._append(row)
-                else:
-                    fresh[key] = row
-            rows[i] = fresh[key] if key in fresh else self._array[self._ids[key]]
-            if key in self._ids and words[i] < t.kept:
-                self._of_word[words[i]] = self._ids[key]
-        return rows
+        if ids.min(initial=0) < 0:
+            new = (ids < 0).nonzero()[0]
+            lemmas, pos = t.lemmas, t.types[new, text_analysis.POS].tolist()
+            found = self._table.resolve([(lemmas[i], p) for i, p in zip(new.tolist(), pos)],
+                                        self._new_rows)
+            ids[new], words = found, t.word_ids[new]
+            linked = (words < t.kept) & (found < len(self._table.ids))
+            self._of_word[words[linked]] = found[linked]
+        return self._table.array.take(ids, axis=0)
 
-    def _lemma_id(self, lemma: str, fresh: dict) -> int:
-        """The lemma id of a new key of lemma: that of lemma's keys in
-        the table or in fresh, else the new row's id if the table keeps
-        it, else an id below 0 for this call.  Once a table is full, or
-        for a lemma too long, no key of lemma is kept later."""
-        for p in range(len(POS_ORDER)):
-            if (lemma, p) in self._ids:
-                return int(self._array[self._ids[lemma, p], -1])
-            if (lemma, p) in fresh:
-                return fresh[lemma, p][-1]
-        return len(self._ids) if table_keeps(self._ids, lemma) else -1 - len(fresh)
-
-    def _append(self, row: list[int]) -> int:
-        n = len(self._ids)
-        if n == len(self._array):
-            grown = np.zeros((min(2 * n, text_analysis.TABLE_CAP), self._array.shape[1]), np.int32)
-            grown[:n] = self._array
-            self._array = grown
-        self._array[n] = row
-        return n
+    def _new_rows(self, keys: list[tuple[str, int]], start: int) -> list[list[int]]:
+        """The row of each new key, keys[i] taking row id start + i, then
+        its lemma id: that of the lemma's older keys, else the row id of
+        its first key here.  The kept keys come first, so a kept row's
+        lemma id is a kept row's id."""
+        ids, lemma_ids = self._table.ids, {}
+        for i, (lemma, _) in enumerate(keys, start):
+            if lemma not in lemma_ids:
+                older = [ids[lemma, p] for p in range(len(POS_ORDER))
+                         if ids.get((lemma, p), start) < start]
+                lemma_ids[lemma] = int(self._table.array[older[0], -1]) if older else i
+        return [self._row(key) + [lemma_ids[key[0]]] for key in keys]
 
     def _row(self, key: tuple[str, int]) -> list[int]:
         lemma, pos = key

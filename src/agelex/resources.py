@@ -56,9 +56,8 @@ class Resources:
     syllables, and lexicon, built from the four word lexicons, the row
     of each (lemma, pos) and which of them each word row reads.  So each
     Resources has its own lexicon, while several may share a provider.
-    The two tables fill as documents are read, hold at most
-    text_analysis.TABLE_CAP rows each and keep no chunk or lemma longer
-    than text_analysis.CHUNK_LIMIT characters.
+    The two tables fill as documents are read, as text_analysis.RowTable
+    says.
     """
 
     morphology: MorphologyProvider

@@ -20,11 +20,10 @@ rule works inside them:
 
 What a chunk resolves to depends on the chunk and the morphology
 provider alone.  So each provider resolves a distinct chunk once, on
-first sight, and gives its row an id in one table (see
-MorphologyProvider); a word is the chunk of its one run, so words read
-the same table.  analyze() is then one gather of a text's rows and one
-sum over each sentence's.  The table keeps at most TABLE_CAP rows, each
-for a chunk of at most CHUNK_LIMIT characters.  split_sentences() and
+first sight, and gives its row an id in its chunk table, a RowTable;
+a word is the chunk of its one run, so words read the same table.
+analyze() is then one gather of a text's rows and one sum over each
+sentence's.  split_sentences() and
 tokenize() apply the same rules to a whole text by regular expression;
 the library no longer calls them, nor does the agelex package export
 them.
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -97,13 +97,57 @@ _SPACE_RE = re.compile(r"\s*")
 _TRIMMED_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 _ACCENT_RE = re.compile("[\u0300\u0301]")
 
-# Most keys a per-type table keeps: the chunks of a morphology provider
-# and the (lemma, pos) rows of a lexicons.Lexicon.  Past it, new keys
-# are resolved on every call and not kept.
+# Most keys a RowTable keeps
 TABLE_CAP = 50_000
-# Longest chunk or lemma a table keeps; a longer one is resolved on every
-# call, so one long line of text cannot fill memory.
+# Longest key text a RowTable keeps
 CHUNK_LIMIT = 48
+
+
+class RowTable:
+    """A per-type table: a row id and a row of integer columns for each
+    key read.  A MorphologyProvider keeps one keyed by chunk, and a
+    lexicons.Lexicon one keyed by (lemma, pos), whose text is the lemma.
+
+    ids maps each kept key to its row id, and line i of array holds the
+    columns of row i; each user gives the width and dtype.  A new key is
+    kept, for good, while fewer than TABLE_CAP keys are kept and its
+    text is at most CHUNK_LIMIT characters long, so one long line of
+    text cannot fill memory.  Any other key of a call gets an id past
+    the kept rows, in tail, and its row lasts until the next call to
+    resolve(), which resolves it again.  The array doubles up to
+    TABLE_CAP rows, and past that grows only to hold the kept rows and
+    one call's.  Row ids follow the order keys are first read in, and
+    no output may depend on them.
+    """
+
+    def __init__(self, width: int, dtype: type, length: Callable = len):
+        self.ids: dict = {}
+        self.tail: dict = {}
+        self.array = np.zeros((64, width), dtype)
+        self._length = length  # of a key's text
+
+    def resolve(self, keys: list, rows: Callable[[list, int], list]) -> np.ndarray:
+        """The row id of each of keys.  The keys not kept are resolved as
+        one batch: the kept ones first, in the order of keys, then the
+        rest; rows(new, start) gives the columns of each, new[i] taking
+        row id start + i, when ids and tail already hold every new key."""
+        ids, start = self.ids, len(self.ids)
+        new = [key for key in dict.fromkeys(keys) if key not in ids]
+        kept = [key for key in new if self._length(key) <= CHUNK_LIMIT][:max(TABLE_CAP - start, 0)]
+        ids.update(zip(kept, count(start)))
+        self.tail = dict(zip([key for key in new if key not in ids], count(len(ids))))
+        end = len(ids) + len(self.tail)
+        if end > len(self.array):
+            grown = np.zeros((max(end, min(2 * len(self.array), TABLE_CAP)), self.array.shape[1]),
+                             self.array.dtype)
+            grown[:start] = self.array[:start]
+            self.array = grown
+        if new:
+            self.array[start:end] = rows(kept + list(self.tail), start)
+        found = np.fromiter(map(ids.get, keys, repeat(-1)), np.intp, len(keys))
+        missing = (found < 0).nonzero()[0].tolist()
+        found[missing] = [self.tail[keys[i]] for i in missing]
+        return found
 
 
 def normalize_text(text: str) -> str:
@@ -122,13 +166,6 @@ def normalize_text(text: str) -> str:
     for _ in range(2):
         text = unicodedata.normalize("NFC", _ACCENT_RE.sub("", text))
     return text
-
-
-def table_keeps(table: dict, text: str) -> bool:
-    """Whether a per-type table keeps the row of a new key whose text is
-    text: while it holds fewer than TABLE_CAP rows and the text is at
-    most CHUNK_LIMIT characters long."""
-    return len(table) < TABLE_CAP and len(text) <= CHUNK_LIMIT
 
 
 def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,15 +267,12 @@ class MorphologyProvider:
     """Interface for lemma and part-of-speech lookup, and the chunk table
     that analyze() and preprocess() read through it.
 
-    The table gives each chunk it keeps a row id, as lexicons.Lexicon
-    does: a dict maps the chunk to its id, one int64 array holds the
-    columns of each row, and a list the rest: the chunk, then, for a
-    chunk that is one word, the word's lemma (else None), the chunk's
-    abbreviation key, for a chunk of two or more words their row ids
-    (else None), and the tuple of its words' lemmas, which lemmas()
-    reads.  A chunk the table does not keep gets a row for one call
-    only, with an id past the kept rows.  A provider's answers must not
-    change once it is in use.
+    The table is a RowTable of the columns above.  A list holds the rest
+    of each row, by row id: the chunk, then, for a chunk that is one
+    word, the word's lemma (else None), the chunk's abbreviation key,
+    for a chunk of two or more words their row ids (else None), and the
+    tuple of its words' lemmas, which lemmas() reads.  A provider's
+    answers must not change once it is in use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -251,89 +285,62 @@ class MorphologyProvider:
         """The lemma of each word of the chunks, in order.  Unknown words
         get the lowercased surface."""
         try:  # no NumPy call while every chunk has a kept row
-            ids = list(map(self._ids.__getitem__, chunks))
+            ids = list(map(self._table.ids.__getitem__, chunks))
         except KeyError:
             ids = self._row_ids(chunks).tolist()
         rows = map(self._rows.__getitem__, ids)
         return list(chain.from_iterable(map(itemgetter(_LEMMAS), rows)))
 
     @cached_property
-    def _ids(self) -> dict[str, int]:
-        return {}
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        # line i holds the columns of row i, for i < len(self._rows)
-        return np.zeros((64, 9), np.int64)
+    def _table(self) -> RowTable:
+        return RowTable(9, np.int64)
 
     @cached_property
     def _rows(self) -> list[tuple]:
         return []
 
     def _row_ids(self, chunks: list[str]) -> np.ndarray:
-        """The row id of each chunk.  A chunk the table lacks, and each
-        word of it, is resolved once per call.  The table keeps its row as
-        table_keeps says; any other row lasts until the next call that
-        resolves a chunk."""
-        ids = self._ids
+        """The row id of each chunk.  The chunks the table lacks, and
+        each word of them (a run in them that is a word), are resolved
+        once per call, as one batch."""
+        ids = self._table.ids
         try:  # no default to pass while every chunk has a kept row
             return np.fromiter(map(ids.__getitem__, chunks), np.intp, len(chunks))
         except KeyError:
-            row_ids = np.fromiter(map(ids.get, chunks, repeat(-1)), np.intp, len(chunks))
-        new = (row_ids < 0).nonzero()[0]
-        new_chunks = list(map(chunks.__getitem__, new.tolist()))
-        del self._rows[len(ids):]
-        fresh: dict[str, tuple] = {}  # the rows of this call only
-        for chunk in dict.fromkeys(new_chunks):
-            if chunk not in ids and chunk not in fresh:
-                self._resolve(chunk, fresh)
-        local = dict(zip(fresh, count(len(ids))))
-        for columns, words, row in fresh.values():
-            self._append(columns, [ids[w] if w in ids else local[w] for w in words], row)
-        row_ids[new] = [ids[c] if c in ids else local[c] for c in new_chunks]
-        return row_ids
+            pass
+        # each word goes before every chunk, so it has a row before its
+        # chunks do, and a kept chunk's words are kept: none is longer
+        words = [run for chunk in dict.fromkeys(chunks) if chunk not in ids
+                 for run in _RUN_RE.findall(chunk) if _is_word(run)]
+        return self._table.resolve(words + chunks, self._resolve)[len(words):]
 
-    def _resolve(self, chunk: str, fresh: dict[str, tuple]) -> None:
-        """Resolve a chunk the table lacks, and each word of it (a run in
-        it that is a word) that the table and fresh lack, then keep its
-        row as table_keeps says, or else put it in fresh.  A kept chunk's
-        words are kept: none is longer, and each was resolved while the
-        table had room.  Unknown words get pos=Other with the lowercased
-        surface as lemma."""
-        words = [run for run in _RUN_RE.findall(chunk) if _is_word(run)]
-        for word in words:
-            if word != chunk and word not in self._ids and word not in fresh:
-                self._resolve(word, fresh)
-        # every letter and digit lies in a run, and a hyphen is neither
-        columns = [len(words), len(chunk), sum(map(str.isalnum, chunk)),
+    def _resolve(self, chunks: list[str], start: int) -> list[list[int]]:
+        """The columns of the row of each new chunk, chunks[i] taking row
+        id start + i, whose words come before it.  Their entries replace
+        those of the last call's rows in the list.  Unknown words get
+        pos=Other with the lowercased surface as lemma."""
+        ids, tail = self._table.ids, self._table.tail
+        del self._rows[start:]
+        columns = []
+        for i, chunk in enumerate(chunks, start):
+            words = [run for run in _RUN_RE.findall(chunk) if _is_word(run)]
+            # every letter and digit lies in a run, and a hyphen is neither
+            row = [len(words), len(chunk), sum(map(str.isalnum, chunk)),
                    sum(map(str.isalpha, chunk)), -1, chunk.endswith(_TERMINATOR_CHARS),
                    chunk[0].isupper(), -1, 0]
-        lemma = None
-        if words == [chunk]:
-            lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
-            columns[POS], columns[SYLLABLES] = POS_ORDER.index(pos), count_syllables(chunk)
-        row = chunk, lemma, _abbreviation_key(chunk)
-        if table_keeps(self._ids, chunk):
-            self._ids[chunk] = len(self._ids)
-            self._append(columns, list(map(self._ids.__getitem__, words)), row)
-        else:
-            fresh[chunk] = columns, words, row
-
-    def _append(self, columns: list[int], word_ids: list[int], row: tuple) -> None:
-        """Give a chunk's row, whose words have row ids word_ids, the
-        next id."""
-        n = len(self._rows)
-        if n == len(self._array):  # only rows for one call outgrow the cap
-            grown = np.zeros((2 * n if n >= TABLE_CAP else min(2 * n, TABLE_CAP), 9), np.int64)
-            grown[:n] = self._array
-            self._array = grown
-        if len(word_ids) == 1:
-            columns[WORD] = word_ids[0]
-        self._array[n] = columns
-        # a chunk that is a word holds its own lemma; any other chunk's
-        # words have rows already
-        lemmas = (row[1],) if row[1] is not None else tuple(self._rows[w][1] for w in word_ids)
-        self._rows.append((*row, word_ids if len(word_ids) > 1 else None, lemmas))
+            if words == [chunk]:
+                lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
+                row[POS], row[SYLLABLES] = POS_ORDER.index(pos), count_syllables(chunk)
+                word_ids, lemmas = [i], (lemma,)
+            else:
+                lemma, word_ids = None, [ids[w] if w in ids else tail[w] for w in words]
+                lemmas = tuple(self._rows[w][1] for w in word_ids)
+            if len(word_ids) == 1:
+                row[WORD] = word_ids[0]
+            columns.append(row)
+            self._rows.append((chunk, lemma, _abbreviation_key(chunk),
+                               word_ids if len(word_ids) > 1 else None, lemmas))
+        return columns
 
     def _words(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The row id of each word, in order, of the chunks whose row ids
@@ -538,7 +545,8 @@ def analyze(text: str, morphology: MorphologyProvider,
         empty = np.zeros(0, np.intp)
         return AnalyzedText(empty, empty, np.zeros((0, 9), np.int64), empty, [], 0, 0, 0)
     ids = morphology._row_ids(chunks)
-    rows = morphology._array[:, :POS].take(ids, axis=0)  # the word columns are read per type
+    table = morphology._table
+    rows = table.array[:, :POS].take(ids, axis=0)  # the word columns are read per type
     words = morphology._words(ids, rows)
     word_ids, counts = distinct(words)
     ends = (rows[:-1, TERM] & rows[1:, UPPER]).nonzero()[0]
@@ -550,9 +558,9 @@ def analyze(text: str, morphology: MorphologyProvider,
     # the tokens, symbols, letters and digits, and letters of each sentence
     sentences = np.add.reduceat(rows[:, :WORD], np.concatenate(([0], ends + 1)), axis=0)
     _, symbol_count, char_count, letter_count = sentences.sum(axis=0).tolist()
-    kept = len(morphology._ids)
+    kept = len(table.ids)
     return AnalyzedText(
-        words=words, word_ids=word_ids, types=morphology._array.take(word_ids, axis=0),
+        words=words, word_ids=word_ids, types=table.array.take(word_ids, axis=0),
         counts=counts, sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH].tolist(),
         char_count=char_count, letter_count=letter_count, symbol_count=symbol_count,
         kept=kept, _table=morphology._rows, _tail=morphology._rows[kept:])

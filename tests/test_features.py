@@ -298,7 +298,7 @@ class TestAgainstTokenReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(text_analysis, "TABLE_CAP", cap)
             t = analyze(text, res.morphology, res.abbreviations)
-        assert len(res.morphology._ids) <= cap
+        assert len(res.morphology._table.ids) <= cap
         ref = reference_analyze(text, res.morphology, res.abbreviations)
         assert ([(t.surfaces[i], t.lemmas[i], t.pos[i], t.syllables[i]) for i in t.tokens]
                 == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
@@ -385,7 +385,7 @@ def walk_outcome(text, heuristic, cap):
             return None
         values, warnings = reference_quantitative_values(
             analyze(text, resources.morphology, resources.abbreviations), resources)
-    assert len(resources.lexicon._ids) <= cap
+    assert len(resources.lexicon._table.ids) <= cap
     return (bits(fv.values[:51]), fv.warnings), (bits(values), warnings)
 
 
@@ -413,7 +413,7 @@ class TestIntegerReduction:
             assert reduced == walked
         resources = _CAPPED[(True, cap)]
         t = analyze(text, resources.morphology)
-        assert len(resources.lexicon._ids) == min(cap, len(set(zip(t.lemmas, t.pos)))) >= 100
+        assert len(resources.lexicon._table.ids) == min(cap, len(set(zip(t.lemmas, t.pos)))) >= 100
 
     # binary exponents from -82 to 83, so the scale is 2**82 and the
     # largest scaled value, doc 10**25 times it, needs seven limbs; the

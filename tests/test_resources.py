@@ -1,6 +1,7 @@
 """Resources and the per-type tables it keeps: a chunk table on the
 morphology provider and a (lemma, pos) table on its Lexicon."""
 import dataclasses
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -23,15 +24,15 @@ OTHER_TEXTS = [doc.text for doc in make_corpus(3, 3, seed=11)]
 
 
 def table_sizes(resources: Resources) -> tuple[int, int]:
-    return len(resources.morphology._ids), len(resources.lexicon._ids)
+    return len(resources.morphology._table.ids), len(resources.lexicon._table.ids)
 
 
 def key_texts(resources: Resources, table: str) -> list[str]:
     """The chunks the morphology table keeps, or the lemmas of the
     lexicon table's keys."""
     if table == "morphology":
-        return list(resources.morphology._ids)
-    return [lemma for lemma, _ in resources.lexicon._ids]
+        return list(resources.morphology._table.ids)
+    return [lemma for lemma, _ in resources.lexicon._table.ids]
 
 
 def doubled_frequency_file(tmp_path) -> Path:
@@ -61,9 +62,9 @@ class CountingMorphology(DictionaryMorphology):
         super().__init__(entries)
         self.resolved, self.analyzed = Counter(), Counter()
 
-    def _resolve(self, chunk, fresh):
-        self.resolved[chunk] += 1
-        return super()._resolve(chunk, fresh)
+    def _resolve(self, chunks, start):
+        self.resolved.update(chunks)
+        return super()._resolve(chunks, start)
 
     def analyze(self, surface):
         self.analyzed[surface] += 1
@@ -108,12 +109,26 @@ class TestTables:
         assert max(sizes[0]) < 25  # the tables fill as texts are read
         assert max(max(s) for s in sizes) == 25
 
+    @pytest.mark.parametrize("table", ["morphology", "lexicon"])
+    def test_a_full_table_holds_the_kept_rows_and_one_calls(self, table):
+        # each call past a full table needs rows for its new keys, and no more
+        words = list(map("".join, itertools.islice(
+            itertools.product("абвгдежзиклмнопрстуфхцчшщэюя", repeat=4), 52_000)))
+        resources = Resources.load()
+        for i in range(0, len(words), 1000):
+            extract_all(Document(id="d", text=" ".join(words[i:i + 1000]), label=Label.CHILDREN),
+                        resources)
+        rows = getattr(resources, table)._table
+        assert len(rows.ids) == text_analysis.TABLE_CAP
+        assert 0 < len(rows.tail) <= 1000
+        assert len(rows.array) <= text_analysis.TABLE_CAP + len(rows.tail)
+
     def test_chunk_table_keeps_no_long_chunk(self):
         limit = text_analysis.CHUNK_LIMIT
         long_chunks = ["кот." * limit, "«" + "а" * limit + "»", "!" * (limit + 1), "ш" * 200]
         resources = Resources.load()
         outcome(" ".join(long_chunks + ["Кот,", "«Пёс»", "!" * limit]), resources)
-        table = set(resources.morphology._ids)
+        table = set(resources.morphology._table.ids)
         assert {"Кот,", "«Пёс»", "!" * limit, "кот", "а" * limit} <= table
         assert max(map(len, table)) <= limit
         assert outcome(" ".join(long_chunks), resources) == outcome(" ".join(long_chunks), Resources.load())
@@ -137,7 +152,7 @@ class TestTables:
             outcome(text, resources)
         assert max(morphology.resolved.values()) == 1
         assert max(morphology.analyzed.values()) == 1
-        assert set(morphology.resolved) == set(morphology._ids)
+        assert set(morphology.resolved) == set(morphology._table.ids)
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_a_full_table_resolves_each_chunk_once_per_call(self, monkeypatch, cap):
@@ -146,7 +161,7 @@ class TestTables:
         resources = counting_resources()
         assert outcome(text, resources) == outcome(text, Resources.load())
         morphology = resources.morphology
-        assert len(morphology._ids) == cap
+        assert len(morphology._table.ids) == cap
         chunks = text.split()
         before = morphology.resolved.copy()
         assert morphology.lemmas(chunks) == Resources.load().morphology.lemmas(chunks)
@@ -163,8 +178,8 @@ class TestTables:
             for key in ("bundled", "doubled", "bundled"):
                 assert outcome(text, both[key]) == expected[key][i]
         lexicons = [res.lexicon for res in both.values()]
-        assert lexicons[0]._ids and lexicons[1]._ids
-        assert not np.shares_memory(lexicons[0]._array, lexicons[1]._array)
+        assert lexicons[0]._table.ids and lexicons[1]._table.ids
+        assert not np.shares_memory(lexicons[0]._table.array, lexicons[1]._table.array)
 
     @pytest.mark.parametrize("first", ["bundled", "doubled"])
     def test_resources_sharing_a_provider_keep_their_own_lexicon_rows(self, tmp_path, first):

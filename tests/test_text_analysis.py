@@ -13,7 +13,7 @@ from agelex.errors import LexiconError
 from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   _NOUN_SUFFIXES, _VERB_SUFFIXES,
                                   DictionaryMorphology, HeuristicMorphology,
-                                  Pos, analyze, count_syllables, distinct,
+                                  Pos, RowTable, analyze, count_syllables, distinct,
                                   load_abbreviations, normalize_text,
                                   split_sentences, tokenize)
 from agelex.synthetic import make_corpus
@@ -359,6 +359,47 @@ class TestChunks:
 
         once = best_seconds(read(2000), 5)
         assert best_seconds(read(16000), 3) / once < 24
+
+
+class TestRowTable:
+    # short keys, one of exactly CHUNK_LIMIT characters, and two longer
+    _KEYS = (list("abcdef") + ["g" * text_analysis.CHUNK_LIMIT]
+             + ["h" * (text_analysis.CHUNK_LIMIT + 1), "i" * 100])
+
+    @pytest.mark.parametrize("cap", [0, 3, text_analysis.TABLE_CAP])
+    @settings(max_examples=100, deadline=None)
+    @given(calls=st.lists(st.lists(st.sampled_from(_KEYS), max_size=8), max_size=8))
+    def test_resolve(self, cap, calls):
+        batches = []
+
+        def rows(new, start):
+            batches.append(new)
+            return [[self._KEYS.index(key), start + i] for i, key in enumerate(new)]
+
+        table, first_ids, seen, longest = RowTable(2, np.int64), {}, set(), 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(text_analysis, "TABLE_CAP", cap)
+            for keys in calls:
+                before = dict(table.ids)
+                batches.clear()
+                found = table.resolve(keys, rows).tolist()
+                new = [key for key in dict.fromkeys(keys) if key not in before]
+                # each new key reaches the resolver once, in one batch
+                assert [sorted(batch) for batch in batches] == ([sorted(new)] if new else [])
+                # every key reads its own row, kept or for this call
+                assert table.array[found, 0].tolist() == list(map(self._KEYS.index, keys))
+                assert table.array[found, 1].tolist() == found
+                # a kept key's id never changes
+                assert {key: table.ids[key] for key in first_ids} == first_ids
+                first_ids.update(table.ids)
+                seen.update(key for key in keys if len(key) <= text_analysis.CHUNK_LIMIT)
+                assert len(table.ids) == min(cap, len(seen))
+                # this call's other keys, and only they, follow the kept rows
+                assert set(table.tail) == set(keys) - set(table.ids)
+                assert (sorted(table.ids.values()) + sorted(table.tail.values())
+                        == list(range(len(table.ids) + len(table.tail))))
+                longest = max(longest, len(table.tail))
+                assert len(table.array) <= max(64, cap, len(table.ids) + longest)
 
 
 class TestCountSyllables:
