@@ -16,10 +16,10 @@ count is a sum of per-type token counts, and every dictionary mean an
 exact integer sum divided once.  Lexicon.sums (Resources.lexicon)
 gathers the types' lexicon rows by their word row ids and multiplies
 the (part of speech + total) x type matrix of token counts by them and
-by the types' syllable and length columns in one int64 product; it
-counts the distinct (lemma id, pos) keys for the type-token ratios.
-Only those ratios and the two medians are not sums.  features.md gives
-the rules.
+by the types' syllable and length columns in one int64 product; one
+sort of the types' (lemma id, pos) keys gives the distinct lemmas for
+the type-token ratios.  Only those ratios and the two medians are not
+sums.  features.md gives the rules.
 """
 from __future__ import annotations
 
@@ -198,8 +198,8 @@ def dale_chall(difficult_share: float, words_per_sentence: float,
 def _median(values, weights=None) -> float:
     """Median of non-negative integers, values[i] taken weights[i] times
     or else once, as statistics.median computes it."""
-    ends = np.cumsum(np.bincount(values, weights))
-    low, high = np.searchsorted(ends, [(ends[-1] - 1) // 2, ends[-1] // 2], side="right").tolist()
+    ends = np.bincount(values, weights).cumsum()
+    low, high = ends.searchsorted(((ends[-1] - 1) // 2, ends[-1] // 2), "right").tolist()
     return (low + high) / 2
 
 
@@ -217,12 +217,8 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     # lengths, then the distinct lemmas
     *by_pos, total = lexicon.sums(t, np.array([syllables, syllables > 3, syllables > 4, lengths]).T)
     syllable_sum, polysyllables, many_syllables, length_sum, lemmas = total[DOC + 1:]
-
-    def ttr(p: int) -> float:
-        tokens = by_pos[p][TOKENS]
-        return by_pos[p][-1] / tokens if tokens else 0.0
-
-    ttr_n, ttr_a, ttr_v = ttr(_NOUN), ttr(_ADJ), ttr(_VERB)
+    ttr_n, ttr_a, ttr_v = [line[-1] / line[TOKENS] if line[TOKENS] else 0.0
+                           for line in (by_pos[_NOUN], by_pos[_ADJ], by_pos[_VERB])]
     asl, asw = n / sentences, syllable_sum / n
     values = [
         length_sum / n,
@@ -246,9 +242,10 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     scale = lexicon.scale
     hit_tokens = total[TOP_IPM_TOKENS]
     values += [total[TOP5000] / n, total[TOP_IPM] / (scale * hit_tokens) if hit_tokens else 0.0]
-    buckets = [total] + [by_pos[p] for p in (_NOUN, _VERB, _ADJ, _ADV, _PROPN)]
-    values += [bucket[column] / (scale * bucket[FREQUENCY_TOKENS]) if bucket[FREQUENCY_TOKENS] else 0.0
-               for column in (IPM, R, D, DOC) for bucket in buckets]
+    buckets = [(bucket, scale * bucket[FREQUENCY_TOKENS])
+               for bucket in (total, *(by_pos[p] for p in (_NOUN, _VERB, _ADJ, _ADV, _PROPN)))]
+    values += [bucket[column] / divisor if divisor else 0.0
+               for column in (IPM, R, D, DOC) for bucket, divisor in buckets]
     values += [by_pos[p][TOKENS] / n for p in (_NOUN, _VERB, _ADJ)]
     values += [total[column] / n for column in SENTIMENT]
     warnings = () if total[FREQUENCY_TOKENS] else ("no_frequency_matches",)
@@ -256,6 +253,8 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
 
 
 _RATING_SLOTS = (AgeRating.R0, AgeRating.R6, AgeRating.R12, AgeRating.R16, AgeRating.R18)
+# each rating's one-hot, which is all zeros for an unknown rating
+_RATING_VALUES = {r: tuple(float(r is slot) for slot in _RATING_SLOTS) for r in _RATING_SLOTS}
 
 
 def extract_all(doc: Document, resources: "Resources") -> FeatureVector:
@@ -268,5 +267,4 @@ def extract_all(doc: Document, resources: "Resources") -> FeatureVector:
     if t.n_tokens == 0:
         raise FeatureError(f"document {doc.id!r}: text has no tokens")
     values, warnings = _quantitative_values(t, resources.lexicon, resources.coefficients)
-    values += [1.0 if doc.age_rating is slot else 0.0 for slot in _RATING_SLOTS]
-    return FeatureVector(tuple(values), warnings)
+    return FeatureVector((*values, *_RATING_VALUES.get(doc.age_rating, (0.0,) * 5)), warnings)

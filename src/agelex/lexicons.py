@@ -33,7 +33,7 @@ import numpy as np
 
 from . import text_analysis
 from .errors import LexiconError, decode_errors_as
-from .text_analysis import POS_ORDER, AnalyzedText, Pos, RowTable, distinct
+from .text_analysis import POS_ORDER, AnalyzedText, Pos, RowTable
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
 
@@ -277,6 +277,8 @@ SENTIMENT = range(5, 11)
 TOP_IPM, IPM, R, D, DOC = range(11, 16)
 # a token count below 2**39 times a limb stays below 2**63
 LIMB_BITS = 24
+# row p selects the types of part of speech p, the last row all types
+_ONE_HOT = np.vstack((np.eye(len(POS_ORDER), dtype=np.int64), np.ones(len(POS_ORDER), np.int64)))
 
 
 class Lexicon:
@@ -286,12 +288,12 @@ class Lexicon:
 
     The table is a RowTable whose row holds the value of each column of
     sums for one token: the flags, then each scaled value as limbs,
-    least significant first, then the key's lemma id, the row id of the
-    first key of its lemma that the table holds.  An int array maps each
-    word row id of one provider's chunk table to the row of its (lemma,
-    pos), filled when the word row is first seen, so a Lexicon serves
-    the word rows of one provider.  The lexicons must not change once
-    rows have been read.  A missing lexicon is an empty one.
+    least significant first, then the key, lemma id x 6 + pos, the lemma
+    id being the row id of the lemma's first key here.  An int array maps
+    each word row id of one provider's chunk table to the row of its
+    (lemma, pos), filled when the word row is first seen, so a Lexicon
+    serves the word rows of one provider.  The lexicons must not change
+    once rows have been read.  A missing lexicon is an empty one.
     """
 
     def __init__(self, frequency: FrequencyDictionary | None = None,
@@ -330,35 +332,36 @@ class Lexicon:
         """For each part of speech, by its place in Pos, and then for all
         of t's tokens: the sum over those tokens of each column of sums,
         then of each of columns, which holds a line of integers per type
-        of t, then the number of distinct lemmas."""
+        of t, then the number of distinct lemmas: one int64 product of
+        token counts and rows, then one sort of the types' keys."""
         pos, rows = t.types[:, text_analysis.POS], self._rows(t)
-        by_pos = np.zeros((len(POS_ORDER) + 1, len(pos)), np.int64)
-        by_pos[pos, np.arange(len(pos))] = by_pos[-1] = t.counts
-        # one exact int64 product: NumPy multiplies integers without BLAS
+        by_pos = _ONE_HOT.take(pos, axis=1) * t.counts
+        # NumPy multiplies integers without BLAS, so the product is exact
         sums = by_pos @ np.concatenate((rows[:, :-1], columns), axis=1)
         weights = self._scaling[1]
         end = TOP_IPM + 5 * len(weights)
         values = sums[:, TOP_IPM:end].reshape(len(sums), 5, len(weights)).astype(object) @ weights
-        # the distinct (lemma id, pos) keys, and so lemma ids, in order
-        keys = distinct(rows[:, -1] * len(POS_ORDER) + pos)[0]
-        lemmas = np.bincount(keys % len(POS_ORDER), minlength=len(POS_ORDER)).tolist()
-        lemmas.append(len(distinct(keys // len(POS_ORDER))[0]))
-        return [flags + exact + extra + [n] for flags, exact, extra, n
-                in zip(sums[:, :TOP_IPM].tolist(), values.tolist(), sums[:, end:].tolist(), lemmas)]
+        keys = np.sort(rows[:, -1])
+        keys = keys[np.concatenate((keys[1:] != keys[:-1], [len(keys) > 0]))]  # distinct
+        lemma_ids, pos = np.divmod(keys, len(POS_ORDER))
+        lemmas = np.bincount(pos, minlength=len(POS_ORDER) + 1)
+        lemmas[-1] = np.count_nonzero(lemma_ids[1:] != lemma_ids[:-1]) + (len(keys) > 0)
+        return np.concatenate((sums[:, :TOP_IPM], values, sums[:, end:], lemmas[:, None]),
+                              axis=1).tolist()
 
     @cached_property
     def _table(self) -> RowTable:
         return RowTable(TOP_IPM + 5 * len(self._scaling[1]) + 1, np.int32, lambda key: len(key[0]))
 
     def _rows(self, t: AnalyzedText) -> np.ndarray:
-        """The row of the (lemma, pos) of each type of t, then its lemma
-        id, one line each.  Once a word row the chunk table keeps has been
+        """The row of the (lemma, pos) of each type of t, ending in its
+        key, one line each.  Once a word row the chunk table keeps has been
         seen, and the table here keeps its key, one gather finds its row."""
         if len(self._of_word) <= t.kept:
             self._of_word = np.concatenate((self._of_word, np.full(t.kept, -1, np.int32)))
         ids = self._of_word.take(t.word_ids, mode="clip")
         ids[t.word_ids.searchsorted(t.kept):] = -1  # rows of t's call alone
-        if ids.min(initial=0) < 0:
+        if len(ids) and ids[ids.argmin()] < 0:  # argmin costs less than min
             new = (ids < 0).nonzero()[0]
             lemmas, pos = t.lemmas, t.types[new, text_analysis.POS].tolist()
             found = self._table.resolve([(lemmas[i], p) for i, p in zip(new.tolist(), pos)],
@@ -368,20 +371,22 @@ class Lexicon:
             self._of_word[words[linked]] = found[linked]
         return self._table.array.take(ids, axis=0)
 
-    def _new_rows(self, keys: list[tuple[str, int]], start: int) -> list[list[int]]:
-        """The row of each new key, keys[i] taking row id start + i, then
-        its lemma id: that of the lemma's older keys, else the row id of
-        its first key here.  The kept keys come first, so a kept row's
-        lemma id is a kept row's id."""
+    def _new_rows(self, keys: list[tuple[str, int]], start: int) -> np.ndarray:
+        """The row of each new key, keys[i] taking row id start + i; its
+        lemma id is that of the lemma's older keys, else its first key's
+        row id here.  The kept keys come first, so it is a kept row's id."""
         ids, lemma_ids = self._table.ids, {}
         for i, (lemma, _) in enumerate(keys, start):
             if lemma not in lemma_ids:
                 older = [ids[lemma, p] for p in range(len(POS_ORDER))
                          if ids.get((lemma, p), start) < start]
-                lemma_ids[lemma] = int(self._table.array[older[0], -1]) if older else i
-        return [self._row(key) + [lemma_ids[key[0]]] for key in keys]
+                lemma_ids[lemma] = self._table.array[older[0], -1] // len(POS_ORDER) if older else i
+        flags, values = zip(*map(self._entry, keys))
+        lemma_keys = [[lemma_ids[lemma] * len(POS_ORDER) + pos] for lemma, pos in keys]
+        return np.concatenate((flags, self._limbs(values), lemma_keys), axis=1)
 
-    def _row(self, key: tuple[str, int]) -> list[int]:
+    def _entry(self, key: tuple[str, int]) -> tuple[list, list[float]]:
+        """The flags of a key's row, and its five values before scaling."""
         lemma, pos = key
         entry = (self.frequency.lookup(lemma, POS_ORDER[pos])
                  or self.frequency.lookup_any(lemma))
@@ -392,16 +397,20 @@ class Lexicon:
         sentiment = self.sentiment.lookup(lemma)
         values = [ipm or 0.0] + ([entry.ipm, entry.r, entry.d, entry.doc] if entry else [0.0] * 4)
         return ([1, pos != _PROPN and lemma not in self.familiar, top5000, ipm is not None,
-                 entry is not None] + [slot == sentiment for slot in SENTIMENT_SLOTS]
-                + [limb for value in values for limb in self._limbs(value)])
+                 entry is not None] + [slot == sentiment for slot in SENTIMENT_SLOTS]), values
 
-    def _limbs(self, value: float) -> list[int]:
-        """value times the scale, an integer, as limbs: each but the last,
-        which keeps the sign, in 0 .. 2**LIMB_BITS - 1."""
+    def _limbs(self, values: tuple[list[float], ...]) -> np.ndarray:
+        """Each of values' lines, each value times the scale as limbs (each
+        but the last, which keeps the sign, in 0 .. 2**LIMB_BITS - 1): by
+        array shifts within int64, as Python integers past it."""
         scale, weights = self._scaling
-        numerator, denominator = float(value).as_integer_ratio()
-        scaled, limbs = numerator * (scale // denominator), []
-        for _ in weights[1:]:
-            scaled, limb = divmod(scaled, 1 << LIMB_BITS)
-            limbs.append(limb)
-        return limbs + [scaled]
+        with np.errstate(over="ignore"):  # times a power of two, a float is exact or inf
+            scaled = np.ldexp(np.array(values, float), scale.bit_length() - 1)
+        fits, shifts = np.abs(scaled) < 2.0 ** 63, range(0, LIMB_BITS * len(weights), LIMB_BITS)
+        limbs = np.where(fits, scaled, 0).astype(np.int64)[..., None] >> shifts
+        limbs[..., :-1] &= (1 << LIMB_BITS) - 1
+        for i, j in zip(*(~fits).nonzero()):
+            numerator, denominator = float(values[i][j]).as_integer_ratio()
+            big = numerator * (scale // denominator)
+            limbs[i, j] = [(big >> s) % 2 ** LIMB_BITS for s in shifts[:-1]] + [big >> shifts[-1]]
+        return limbs.reshape(len(values), -1)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache, reduce
 from operator import getitem
 from pathlib import Path
 
@@ -87,21 +87,13 @@ def _validate_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return X, y.astype(np.int64)
 
 
-def _validate_input_row(x, n_features: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != n_features:
-        raise ModelError(f"expected an input vector of length {n_features}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ModelError("input vector contains non-finite values")
-    return x
-
-
-def _validate_input_matrix(X, n_features: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ModelError(f"expected a matrix with {n_features} columns")
-    if not np.all(np.isfinite(X)):
-        raise ModelError("input matrix contains non-finite values")
+def _validate_input(X, n_features: int, ndim: int) -> np.ndarray:
+    """X as floats, a row (ndim 1) or matrix (ndim 2) of n_features finite columns."""
+    X, what = np.asarray(X, dtype=float), ("row", "matrix")[ndim - 1]
+    if X.ndim != ndim or X.shape[-1] != n_features:
+        raise ModelError(f"expected an input {what} of {n_features} columns, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ModelError(f"input {what} contains non-finite values")
     return X
 
 
@@ -132,12 +124,12 @@ class LinearSvcModel:
     def predict(self, x) -> tuple[int, float]:
         """Label and signed margin for one input row; a margin of exactly
         zero resolves to the children's class."""
-        x = _validate_input_row(x, self.n_features)
+        x = _validate_input(x, self.n_features, 1)
         margin = float(x @ self.weights + self.bias)
         return (CHILDREN if margin >= 0 else ADULT), margin
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        scores = _validate_input_matrix(X, self.n_features) @ self.weights + self.bias
+        scores = _validate_input(X, self.n_features, 2) @ self.weights + self.bias
         return np.where(scores >= 0, CHILDREN, ADULT).astype(np.int64)
 
     def to_json_dict(self) -> dict:
@@ -243,23 +235,11 @@ class DecisionTree:
         return len(self.feature)
 
 
-def _children_votes(trees: list[DecisionTree], x: list[float]) -> int:
-    """Number of trees whose leaf for the row x predicts children."""
-    votes = 0
-    for tree in trees:
-        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
-        i = 0
-        f = feature[0]
-        while f >= 0:
-            i = left[i] if x[f] <= threshold[i] else right[i]
-            f = feature[i]
-        votes += tree.n_children[i] >= tree.n_adult[i]
-    return votes
-
-
 # (row, feature) elements searched at once; of 8192 to 65536, this was the
 # fastest on the grid's forests, and larger chunks hold more memory
 _BATCH_ELEMENTS = 32768
+# (row, node) decisions a forest's vote takes at once
+_VOTE_DECISIONS = 2 ** 20
 
 # A node's stream is the SplitMix64 generator (Steele, Lea & Flood, OOPSLA
 # 2014) seeded with the node's key, a root's key being its tree's seed.
@@ -424,6 +404,8 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
 @register_model_kind
 @dataclass
 class RandomForestModel:
+    """A majority vote of trees, which must not change once it predicts."""
+
     KIND = "random_forest"
 
     trees: list[DecisionTree]
@@ -434,20 +416,50 @@ class RandomForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def _vote(self, x: list[float]) -> tuple[int, float]:
-        votes = _children_votes(self.trees, x)
-        if 2 * votes >= self.n_trees:
-            return CHILDREN, votes / self.n_trees
-        return ADULT, (self.n_trees - votes) / self.n_trees
+    @cached_property
+    def _nodes(self) -> tuple:
+        """The trees' nodes as arrays: each one's feature, threshold, children
+        (a leaf's are itself) and vote; then the roots and the depth."""
+        feature, threshold, left, right, n_children, n_adult = (
+            np.concatenate([getattr(t, f.name) for t in self.trees]) for f in fields(DecisionTree))
+        sizes = [tree.n_nodes for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        leaf, own, start = feature < 0, np.arange(len(feature)), np.repeat(roots, sizes)
+        left, right = np.where(leaf, own, left + start), np.where(leaf, own, right + start)
+        # children lie after their parents; a node parents share counts once
+        depth, level = 0, roots
+        while not leaf[level].all():
+            children = np.concatenate((left[level], right[level]))
+            depth, level = depth + 1, np.bincount(children).nonzero()[0]
+        vote = leaf & (n_children >= n_adult)
+        return np.where(leaf, 0, feature), threshold, left, right, vote, roots, depth
+
+    def _votes(self, X: np.ndarray) -> np.ndarray:
+        """The trees voting children for each row of X.  One comparison
+        decides every node for a block of rows, and the roots follow the
+        chosen child, a flat id into the block's choices, depth times."""
+        feature, threshold, left, right, vote, roots, depth = self._nodes
+        votes, step = np.empty(len(X), np.intp), max(1, _VOTE_DECISIONS // len(feature))
+        for a in range(0, len(X), step):
+            chosen = np.where(X[a:a + step].take(feature, axis=1) > threshold, right, left)
+            chosen += np.arange(0, chosen.size, len(feature))[:, None]
+            at = chosen.take(roots, axis=1)
+            for _ in range(depth - 1):
+                at = chosen.take(at)
+            votes[a:a + step] = vote.take(at, mode="wrap").sum(axis=1)
+        return votes
 
     def predict(self, x) -> tuple[int, float]:
         """Majority-vote label and the fraction of trees voting for it.
         An exact tie resolves to the children's class."""
-        return self._vote(_validate_input_row(x, self.n_features).tolist())
+        votes = int(self._votes(_validate_input(x, self.n_features, 1)[None])[0])
+        if 2 * votes >= self.n_trees:
+            return CHILDREN, votes / self.n_trees
+        return ADULT, (self.n_trees - votes) / self.n_trees
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        rows = _validate_input_matrix(X, self.n_features).tolist()
-        return np.array([self._vote(row)[0] for row in rows], dtype=np.int64)
+        votes = self._votes(_validate_input(X, self.n_features, 2))
+        return np.where(2 * votes >= self.n_trees, CHILDREN, ADULT).astype(np.int64)
 
     def to_json_dict(self) -> dict:
         return {

@@ -158,7 +158,7 @@ class TrainedPipeline:
                 vectors.fragments(docs, self.recipe.use_abstract, self.fragment_limit)))
         if self.recipe.families:
             blocks.append(vectors.feature_matrix(docs, self.recipe.feature_names))
-        return self.scaler.transform(blocks[0] if len(blocks) == 1 else np.hstack(blocks))
+        return self.scaler.transform(np.concatenate(blocks, axis=1))
 
     def predict_documents(self, docs: list[Document], resources: Resources,
                           cache: CorpusVectors | None = None) -> np.ndarray:

@@ -256,11 +256,11 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 # exactly one (else -1), and whether it ends in a run of sentence
 # terminators and whether it starts uppercase (1 or 0); then, for a
 # chunk that is one word, the word's part of speech by its place in
-# POS_ORDER and its syllables (else -1 and 0).
-WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER, POS, SYLLABLES = range(9)
-# Where a row's entry in the table's list holds its abbreviation key, its
-# words' row ids and their lemmas
-_ABBREVIATION, _WORD_IDS, _LEMMAS = 2, 3, 4
+# POS_ORDER and its syllables (else -1 and 0); then the id of its
+# abbreviation key (0 for none, -1 in a call's row for a key without one).
+WORDS, LENGTH, CHARS, LETTERS, WORD, TERM, UPPER, POS, SYLLABLES, ABBREVIATION = range(10)
+# Where a row's entry in the table's list holds its words' row ids and lemmas
+_WORD_IDS, _LEMMAS = 2, 3
 
 
 class MorphologyProvider:
@@ -269,10 +269,11 @@ class MorphologyProvider:
 
     The table is a RowTable of the columns above.  A list holds the rest
     of each row, by row id: the chunk, then, for a chunk that is one
-    word, the word's lemma (else None), the chunk's abbreviation key,
-    for a chunk of two or more words their row ids (else None), and the
-    tuple of its words' lemmas, which lemmas() reads.  A provider's
-    answers must not change once it is in use.
+    word, the word's lemma (else None), for a chunk of two or more words
+    their row ids (else None), and the tuple of its words' lemmas, which
+    lemmas() reads.  A kept row's abbreviation key, and each abbreviation
+    analyze() is given, gets an id for good.  A provider's answers must
+    not change once it is in use.
     """
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
@@ -293,7 +294,21 @@ class MorphologyProvider:
 
     @cached_property
     def _table(self) -> RowTable:
-        return RowTable(9, np.int64)
+        return RowTable(10, np.int64)
+
+    @cached_property
+    def _key_ids(self) -> dict:
+        return {None: 0}
+
+    def _abbreviated(self, abbreviations: frozenset[str]) -> np.ndarray:
+        """Whether each abbreviation key id is one of abbreviations, False
+        past the end: built, with ids for them, only for a new set."""
+        last = self.__dict__.get("_abbreviations", (None,))[0]
+        if last is not abbreviations and last != abbreviations:
+            ids = self._key_ids
+            found = [ids.setdefault(word, len(ids)) for word in abbreviations]
+            self._abbreviations = (frozenset(abbreviations), np.isin(np.arange(len(ids) + 1), found))
+        return self._abbreviations[1]
 
     @cached_property
     def _rows(self) -> list[tuple]:
@@ -319,15 +334,17 @@ class MorphologyProvider:
         id start + i, whose words come before it.  Their entries replace
         those of the last call's rows in the list.  Unknown words get
         pos=Other with the lowercased surface as lemma."""
-        ids, tail = self._table.ids, self._table.tail
+        ids, tail, keys = self._table.ids, self._table.tail, self._key_ids
         del self._rows[start:]
         columns = []
         for i, chunk in enumerate(chunks, start):
             words = [run for run in _RUN_RE.findall(chunk) if _is_word(run)]
+            key = _abbreviation_key(chunk)
             # every letter and digit lies in a run, and a hyphen is neither
             row = [len(words), len(chunk), sum(map(str.isalnum, chunk)),
                    sum(map(str.isalpha, chunk)), -1, chunk.endswith(_TERMINATOR_CHARS),
-                   chunk[0].isupper(), -1, 0]
+                   chunk[0].isupper(), -1, 0,
+                   keys.setdefault(key, len(keys)) if i < len(ids) else keys.get(key, -1)]
             if words == [chunk]:
                 lemma, pos = self.analyze(chunk) or (chunk.lower(), Pos.OTHER)
                 row[POS], row[SYLLABLES] = POS_ORDER.index(pos), count_syllables(chunk)
@@ -338,8 +355,7 @@ class MorphologyProvider:
             if len(word_ids) == 1:
                 row[WORD] = word_ids[0]
             columns.append(row)
-            self._rows.append((chunk, lemma, _abbreviation_key(chunk),
-                               word_ids if len(word_ids) > 1 else None, lemmas))
+            self._rows.append((chunk, lemma, word_ids if len(word_ids) > 1 else None, lemmas))
         return columns
 
     def _words(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -543,18 +559,17 @@ def analyze(text: str, morphology: MorphologyProvider,
     chunks = normalize_text(text).split()
     if not chunks:
         empty = np.zeros(0, np.intp)
-        return AnalyzedText(empty, empty, np.zeros((0, 9), np.int64), empty, [], 0, 0, 0)
+        return AnalyzedText(empty, empty, np.zeros((0, 10), np.int64), empty, [], 0, 0, 0)
+    # the set's abbreviations get their ids before this call's rows
+    abbreviated = morphology._abbreviated(abbreviations) if abbreviations else None
     ids = morphology._row_ids(chunks)
     table = morphology._table
     rows = table.array[:, :POS].take(ids, axis=0)  # the word columns are read per type
     words = morphology._words(ids, rows)
     word_ids, counts = distinct(words)
     ends = (rows[:-1, TERM] & rows[1:, UPPER]).nonzero()[0]
-    if abbreviations and len(ends):
-        keys = map(itemgetter(_ABBREVIATION), map(morphology._rows.__getitem__, ids[ends].tolist()))
-        abbreviated = [i for i, key in enumerate(keys) if key in abbreviations]
-        if abbreviated:
-            ends = np.delete(ends, abbreviated)
+    if abbreviated is not None and len(ends):
+        ends = ends[~abbreviated.take(table.array[ids[ends], ABBREVIATION], mode="clip")]
     # the tokens, symbols, letters and digits, and letters of each sentence
     sentences = np.add.reduceat(rows[:, :WORD], np.concatenate(([0], ends + 1)), axis=0)
     _, symbol_count, char_count, letter_count = sentences.sum(axis=0).tolist()

@@ -82,17 +82,17 @@ class TfidfModel:
     def transform_many(self, documents: list[list[str]]) -> np.ndarray:
         """One row per fragment: its in-vocabulary term counts times idf,
         counted for all fragments by one bincount over (row, term) keys,
-        each row divided by its own np.linalg.norm."""
+        each row divided by its norm, computed as np.linalg.norm does."""
         width = len(self.vocabulary)
         # out-of-vocabulary lemmas count in a last column, dropped below
         terms = list(chain.from_iterable(documents))
         ids = np.fromiter(map(self._index.get, terms, repeat(width)), np.intp, len(terms))
-        starts = np.arange(len(documents)) * (width + 1)
-        keys = np.repeat(starts, [len(doc) for doc in documents]) + ids
-        counts = np.bincount(keys, minlength=len(documents) * (width + 1))
+        ids += np.repeat(np.arange(0, len(documents) * (width + 1), width + 1),
+                         list(map(len, documents)))
+        counts = np.bincount(ids, minlength=len(documents) * (width + 1))
         rows = counts.reshape(len(documents), width + 1)[:, :width] * self.idf
         for row in rows:
-            norm = np.linalg.norm(row)
+            norm = math.sqrt(row.dot(row))
             if norm > 0:
                 row /= norm
         return rows
@@ -135,9 +135,10 @@ class MinMaxScaler:
         if X.shape[-1] != self.mins.shape[0]:
             raise VectorizerError(f"expected {self.mins.shape[0]} columns, got {X.shape[-1]}")
         divisors, constant = self._divisors
-        scaled = (X - self.mins) / divisors
+        scaled = X - self.mins
+        scaled /= divisors
         scaled[..., constant] = 0.0
-        return np.clip(scaled, 0.0, 1.0, out=scaled)
+        return scaled.clip(0.0, 1.0, out=scaled)
 
     @cached_property
     def _divisors(self) -> tuple[np.ndarray, np.ndarray]:

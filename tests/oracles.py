@@ -151,3 +151,18 @@ def reference_quantitative_values(t, resources) -> tuple[list[float], tuple[str,
     values += [sentiment[slot] / n for slot in _SENTIMENT_SLOTS]
     warnings = () if buckets[0][0] else ("no_frequency_matches",)
     return values, warnings
+
+
+def children_votes(trees, x: list[float]) -> int:
+    """Number of trees whose leaf for the row x predicts children, each
+    tree walked node by node from its root."""
+    votes = 0
+    for tree in trees:
+        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+        i = 0
+        f = feature[0]
+        while f >= 0:
+            i = left[i] if x[f] <= threshold[i] else right[i]
+            f = feature[i]
+        votes += tree.n_children[i] >= tree.n_adult[i]
+    return votes

@@ -467,6 +467,29 @@ class TestIntegerReduction:
         assert sums == expected
         assert all(type(v) is int for line in sums for v in line)
 
+    @pytest.mark.parametrize("cap", [0, 3, text_analysis.TABLE_CAP])
+    def test_distinct_lemma_counts_are_the_sets_of_lemmas(self, cap):
+        # кот is a noun, a verb, an adjective and, spelled past
+        # CHUNK_LIMIT, an adverb, whose chunk and word rows last one call;
+        # under a cap of 0 or 3 more of the rows and keys are a call's
+        long = "к" * (text_analysis.CHUNK_LIMIT + 1)
+        entries = {"кот": ("кот", "NOUN"), "кота": ("кот", "NOUN"), "котит": ("кот", "VERB"),
+                   "котный": ("кот", "ADJ"), long: ("кот", "ADV"), "пёс": ("пёс", "NOUN"),
+                   "псу": ("пёс", "NOUN"), "дом": ("дом", "PROPN"), "дома": ("дом", "NOUN")}
+        texts = ["Кот котит.", "Кот кота котный пёс.", f"Дом {long} дома кот. Псу ёж!",
+                 f"{long} котит. Ёж ежи ёж дом.", "Пёс, кот: котный дом… Котит", "Дома."]
+        morphology, lexicon = dict_morph(entries), Lexicon()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(text_analysis, "TABLE_CAP", cap)
+            for text in texts + texts[::-1]:
+                t = analyze(text, morphology)
+                sums = lexicon.sums(t, np.zeros((len(t.word_ids), 0), np.int64))
+                keys = set(zip(t.lemmas, t.pos))
+                assert [line[-1] for line in sums] == (
+                    [len({lemma for lemma, q in keys if q is p}) for p in Pos]
+                    + [len({lemma for lemma, _ in keys})]), text
+        assert len(lexicon._table.ids) == min(cap, 9)
+
     def test_means_past_three_limbs_equal_the_type_walk(self):
         entries = {"кот": ("кот", "NOUN"), "коты": ("кот", "ADJ"), "пёс": ("пёс", "NOUN"),
                    "дом": ("дом", "PROPN"), "ёж": ("ёж", "OTHER")}

@@ -1,29 +1,31 @@
 """Linear SVC, random forest and the versioned model files."""
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import pairwise, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import agelex.models
 import agelex.pipeline
 from agelex.errors import ArtifactError, ModelError
 from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            LinearSvcModel, RandomForestModel, _best_splits,
-                           _children_votes, _draw_features, _newton_step, _split_tables,
+                           _draw_features, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
 from agelex.pipeline import run_grid
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import fit_svd
 
-from oracles import NESTED_TOO_DEEPLY, gini_impurity
+from oracles import NESTED_TOO_DEEPLY, children_votes, gini_impurity
 
 
 def separable_blobs(seed, n=60, gap=2.0):
@@ -721,6 +723,30 @@ class TestFeatureDraws:
             train_random_forest(X, y, n_trees=3, seed=2 ** 63)
 
 
+# thresholds the drawn rows fall on, below or above
+_CUTS = [0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def forest_tree_nodes(draw):
+    """The node six-tuples of one tree over 3 features: a single leaf, a
+    chain whose nodes each send both ways to the next, as deep as it has
+    nodes less one, or nodes whose children are any later nodes, so that
+    two parents can share a child (a file may hold such a tree)."""
+    kind = draw(st.sampled_from(["leaf", "chain", "shared"]))
+    n = 1 if kind == "leaf" else draw(st.integers(2, 12))
+    nodes = []
+    for i in range(n):
+        counts = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+        if i == n - 1 or (kind == "shared" and draw(st.integers(0, 3)) == 0):
+            nodes.append([-1, 0.0, -1, -1] + counts)
+            continue
+        children = ([i + 1, i + 1] if kind == "chain"
+                    else [draw(st.integers(i + 1, n - 1)), draw(st.integers(i + 1, n - 1))])
+        nodes.append([draw(st.integers(0, 2)), draw(st.sampled_from(_CUTS))] + children + counts)
+    return nodes
+
+
 class TestRandomForest:
     @settings(max_examples=100, deadline=None)
     @given(forest_problems(), st.sampled_from([1, 40, 8192]))
@@ -911,7 +937,7 @@ class TestRandomForest:
         forest = train_random_forest(X, y, n_trees=1, seed=5)
         tree = forest.trees[0]
         for row in X:
-            walked = CHILDREN if _children_votes([tree], row.tolist()) else ADULT
+            walked = CHILDREN if children_votes([tree], row.tolist()) else ADULT
             assert forest.predict(row)[0] == walked
 
     def test_training_accuracy_high_on_noiseless_data(self):
@@ -928,6 +954,44 @@ class TestRandomForest:
     def test_single_class_rejected(self):
         with pytest.raises(ModelError):
             train_random_forest(np.zeros((4, 2)), np.array([ADULT] * 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nodes=st.lists(forest_tree_nodes(), min_size=1, max_size=5),
+           rows=st.lists(st.lists(st.sampled_from(_CUTS + [-1.0, 2.0]), min_size=3, max_size=3),
+                         min_size=2, max_size=12),
+           block=st.integers(1, 3))
+    @example(nodes=[[[1, 1.0, 4, 3, 3, 0], [0, 0.25, 5, 2, 0, 3], [-1, 0.0, -1, -1, 1, 1],
+                     [2, 0.0, 4, 6, 1, 0], [-1, 0.0, -1, -1, 1, 0], [-1, 0.0, -1, -1, 1, 3],
+                     [-1, 0.0, -1, -1, 1, 2]]],
+             rows=[[0.0, 2.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.0]], block=2)
+    def test_votes_are_the_reference_walk(self, nodes, rows, block):
+        # single-leaf trees, chains as deep as their node count and trees
+        # whose nodes share children, built and loaded from a file; rows
+        # that fall on the cuts, in blocks of `block` rows and a rest
+        forest = RandomForestModel(trees=[tree_from_nodes(tree) for tree in nodes], n_features=3)
+        with tempfile.TemporaryDirectory() as folder:
+            save_model(forest, Path(folder) / "forest.json")
+            loaded = load_model(Path(folder) / "forest.json")
+        X = np.array(rows + rows[:block])  # more rows than one block
+        for model in (forest, loaded):
+            walked = [children_votes(model.trees, row) for row in X.tolist()]
+            with mock.patch.object(agelex.models, "_VOTE_DECISIONS",
+                                   block * sum(map(len, nodes))):
+                assert model._votes(X).tolist() == walked
+                labels = model.predict_many(X).tolist()
+            for row, label, votes in zip(X, labels, walked):
+                expected = ((CHILDREN, votes / len(nodes)) if 2 * votes >= len(nodes)
+                            else (ADULT, (len(nodes) - votes) / len(nodes)))
+                assert model.predict(row) == expected
+                assert label == expected[0]
+
+    def test_votes_of_a_deep_shared_chain_are_bounded(self):
+        # every node's two children are the next node: 400 levels, one
+        # node each, which a level-by-level walk must not count twice
+        chain = [[0, 0.5, i + 1, i + 1, 0, 0] for i in range(399)] + [[-1, 0.0, -1, -1, 1, 0]]
+        forest = RandomForestModel(trees=[tree_from_nodes(chain)], n_features=1)
+        assert forest._nodes[-1] == 399
+        assert forest.predict_many(np.array([[0.0], [1.0]])).tolist() == [CHILDREN, CHILDREN]
 
 
 @pytest.mark.parametrize("train", [train_linear_svc, train_random_forest])

@@ -294,6 +294,26 @@ class TestChunks:
         assert ((t.n_sentences, t.sentence_symbols, t.symbol_count, t.n_tokens)
                 == (ref.n_sentences, ref.sentence_symbols, ref.symbol_count, ref.n_tokens))
 
+    @pytest.mark.parametrize("cap", [0, 3, text_analysis.TABLE_CAP])
+    @settings(max_examples=100, deadline=None)
+    @given(reads=st.lists(st.tuples(
+        st.lists(SENTENCE_PIECES, max_size=8).map("".join),
+        st.sampled_from([ABBREVIATIONS, None, frozenset({"г"}), frozenset({"д", "тт"})])
+        | st.builds(lambda: frozenset(set(ABBREVIATIONS)))  # equal, not the same object
+        | st.frozensets(st.text(alphabet="гтД-", min_size=1, max_size=3), max_size=3)),
+        min_size=1, max_size=6))
+    def test_one_provider_reads_with_each_abbreviation_set(self, cap, reads):
+        # a set's abbreviations get ids before its call's rows, and keys
+        # that kept rows gave ids earlier keep them
+        morph = HeuristicMorphology()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(text_analysis, "TABLE_CAP", cap)
+            for text, abbreviations in reads:
+                t = analyze(text, morph, abbreviations)
+                ref = reference_analyze(text, HeuristicMorphology(), abbreviations)
+                assert ((t.n_sentences, t.sentence_symbols)
+                        == (ref.n_sentences, ref.sentence_symbols)), (text, abbreviations)
+
     @pytest.mark.parametrize("heuristic", [False, True])
     @settings(max_examples=150)
     @given(text=TEXTS | st.text(max_size=60))
@@ -596,3 +616,14 @@ class TestAbbreviations:
     def test_bundled_list_suppresses_geographic_dot(self, resources):
         spans = split_sentences("г. Москва слово", resources.abbreviations)
         assert len(spans) == 1
+
+    def test_a_set_is_looked_up_once_per_provider(self):
+        # a call looks its chunks' abbreviation keys up in the table built
+        # for the set, which an equal set reuses: no call walks the list
+        abbreviations = frozenset(["г"] + [f"кот{'а' * i}" for i in range(500)])
+        morph = HeuristicMorphology()
+        assert analyze("Жил в г. Москва. Кот спал", morph, abbreviations).n_sentences == 2
+        table = morph._abbreviated(abbreviations)
+        for text, sentences in (("Кот. Пёс г. Дом", 1), ("Котаа. Пёс", 1), ("Пёс. Котаа", 2)):
+            assert analyze(text, morph, frozenset(set(abbreviations))).n_sentences == sentences
+            assert morph._abbreviated(abbreviations) is table
