@@ -113,48 +113,30 @@ def _coerce(key: str, raw: str):
     return value
 
 
-class Options:
-    """Merged view of builtin defaults, config file and explicit flags."""
-
-    def __init__(self, args: argparse.Namespace):
-        merged = dict(_DEFAULTS)
-        config_path = getattr(args, "config", None)
-        if config_path:
-            for key, raw in _parse_config_file(config_path).items():
-                if key not in _DEFAULTS:
-                    raise ConfigError(f"unknown config key {key!r}")
-                merged[key] = _coerce(key, raw)
-        for key, value in vars(args).items():
-            if key in ("command", "config", "func"):
-                continue
-            if value is not None:
-                merged[key] = value
-        self._values = merged
-        self.command = args.command
-        self.args = args
-
-    def __getattr__(self, key: str):
-        try:
-            return self._values[key]
-        except KeyError:
-            raise AttributeError(key)
-
-    def print_effective(self) -> None:
-        """Print the command, then its corpus and every config key it
-        declares an option for."""
-        print(f"command = {self.command}")
-        for key in sorted(k for k in vars(self.args) if k in _SETTINGS):
-            print(f"{key} = {self._values[key]}")
+def _fill_settings(args: argparse.Namespace) -> None:
+    """Set each setting the command declares and its flags left unset
+    from the config file, else from its builtin default; then print the
+    command and every setting it declares."""
+    configured = {}
+    if args.config:
+        for key, raw in _parse_config_file(args.config).items():
+            if key not in _DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
+            configured[key] = _coerce(key, raw)
+    print(f"command = {args.command}")
+    for key in sorted(k for k in vars(args) if k in _SETTINGS):
+        if getattr(args, key) is None:
+            setattr(args, key, configured.get(key, _DEFAULTS[key]))
+        print(f"{key} = {getattr(args, key)}")
 
 
-def _load_resources(opts: Options) -> Resources:
-    declared = vars(opts.args)
-    paths = {key: getattr(opts, key) for key in BUNDLED_FILES if key in declared}
-    return Resources.load(paths, heuristic_fallback=opts.heuristic_morph)
+def _load_resources(args: argparse.Namespace) -> Resources:
+    paths = {key: getattr(args, key) for key in BUNDLED_FILES if key in vars(args)}
+    return Resources.load(paths, heuristic_fallback=args.heuristic_morph)
 
 
-def _out_dir(opts: Options) -> Path:
-    out = Path(opts.out)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -178,12 +160,12 @@ def _split_docs(corpus: Corpus, which: str) -> list[Document]:
     return docs
 
 
-def _family_matrix(opts: Options) -> tuple[list[Document], tuple[str, ...], np.ndarray]:
-    """The documents of opts.split, the feature names of opts.families and
+def _family_matrix(args: argparse.Namespace) -> tuple[list[Document], tuple[str, ...], np.ndarray]:
+    """The documents of args.split, the feature names of args.families and
     their feature matrix."""
-    resources = _load_resources(opts)
-    docs = _split_docs(load_corpus(opts.args.corpus), opts.split)
-    families = _parse_families(opts.families) or QUANTITATIVE_FAMILIES
+    resources = _load_resources(args)
+    docs = _split_docs(load_corpus(args.corpus), args.split)
+    families = _parse_families(args.families) or QUANTITATIVE_FAMILIES
     names = tuple(n for f in families for n in FAMILY_NAMES[f])
     return docs, names, CorpusVectors(resources).feature_matrix(docs, names)
 
@@ -214,15 +196,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _settings(opts: Options) -> TrainSettings:
-    return TrainSettings(**{field: getattr(opts, opt) for opt, field in _TRAIN_FIELDS.items()})
+def _settings(args: argparse.Namespace) -> TrainSettings:
+    return TrainSettings(**{field: getattr(args, opt) for opt, field in _TRAIN_FIELDS.items()})
 
 
-def cmd_ingest(opts: Options) -> int:
-    corpus = load_corpus(opts.args.corpus)
-    if opts.test_fraction is not None:
-        corpus = random_split(corpus, opts.test_fraction, opts.seed)
-    out = _out_dir(opts)
+def cmd_ingest(args: argparse.Namespace) -> int:
+    corpus = load_corpus(args.corpus)
+    if args.test_fraction is not None:
+        corpus = random_split(corpus, args.test_fraction, args.seed)
+    out = _out_dir(args)
     write_corpus(corpus, out / "corpus.jsonl")
     n_train = len(corpus.subset(Split.TRAIN))
     n_test = len(corpus.subset(Split.TEST))
@@ -230,9 +212,9 @@ def cmd_ingest(opts: Options) -> int:
     return 0
 
 
-def cmd_stats(opts: Options) -> int:
-    abbreviations = load_abbreviations(opts.abbreviations or BUNDLED_FILES["abbreviations"])
-    corpus = load_corpus(opts.args.corpus)
+def cmd_stats(args: argparse.Namespace) -> int:
+    abbreviations = load_abbreviations(args.abbreviations or BUNDLED_FILES["abbreviations"])
+    corpus = load_corpus(args.corpus)
     stats = corpus_stats(corpus, abbreviations=abbreviations)
     header = ["label", "split", "count", "avg_symbols", "avg_tokens", "avg_sentences"]
     rows = []
@@ -242,7 +224,7 @@ def cmd_stats(opts: Options) -> int:
             rows.append([label.value, split.value, cell.count,
                          *(v if v is not None else "-" for v in
                            (cell.avg_symbols, cell.avg_tokens, cell.avg_sentences))])
-    _write_tsv(_out_dir(opts) / "stats.tsv", header, rows)
+    _write_tsv(_out_dir(args) / "stats.tsv", header, rows)
     widths = [12, 6, 6, 12, 11, 13]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
@@ -250,35 +232,35 @@ def cmd_stats(opts: Options) -> int:
     return 0
 
 
-def cmd_extract(opts: Options) -> int:
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
+def cmd_extract(args: argparse.Namespace) -> int:
+    resources = _load_resources(args)
+    corpus = load_corpus(args.corpus)
     vectors = CorpusVectors(resources)
     header = ["id", "label", "split"] + list(ALL_FEATURE_NAMES)
     rows = [[doc.id, doc.label.value, doc.split.value, *vectors.features(doc).values]
             for doc in corpus]
-    out = _out_dir(opts) / "features.tsv"
+    out = _out_dir(args) / "features.tsv"
     _write_tsv(out, header, rows)
     print(f"extracted {len(ALL_FEATURE_NAMES)} features for {len(rows)} documents -> {out}")
     _report_warnings(vectors)
     return 0
 
 
-def cmd_train(opts: Options) -> int:
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
-    recipe = Recipe(use_tfidf=opts.tfidf, families=_parse_families(opts.features),
-                    use_abstract=opts.abstracts)
+def cmd_train(args: argparse.Namespace) -> int:
+    resources = _load_resources(args)
+    corpus = load_corpus(args.corpus)
+    recipe = Recipe(use_tfidf=args.tfidf, families=_parse_families(args.features),
+                    use_abstract=args.abstracts)
     vectors = CorpusVectors(resources)
-    trained = train_pipeline(corpus, resources, recipe, opts.model, _settings(opts), vectors)
-    out = _out_dir(opts)
-    model_path = out / f"model_{opts.model}.json"
+    trained = train_pipeline(corpus, resources, recipe, args.model, _settings(args), vectors)
+    out = _out_dir(args)
+    model_path = out / f"model_{args.model}.json"
     save_model(trained, model_path)
     train_docs = corpus.subset(Split.TRAIN)
     report = trained.evaluate(train_docs, resources, vectors,
-                              positive=Label.parse(opts.positive_class))
-    print(f"trained {opts.model} on {len(train_docs)} documents -> {model_path}")
-    if opts.model == "lsvc":
+                              positive=Label.parse(args.positive_class))
+    print(f"trained {args.model} on {len(train_docs)} documents -> {model_path}")
+    if args.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
         print(f"solver: Newton iterations = {trained.model.n_epochs}, {verdict}")
         svd = trained.model.hyperparams.get("svd")
@@ -291,36 +273,36 @@ def cmd_train(opts: Options) -> int:
     return 0
 
 
-def cmd_evaluate(opts: Options) -> int:
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
-    trained = _load_pipeline(opts.args.model_file)
-    docs = _split_docs(corpus, opts.split)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    resources = _load_resources(args)
+    corpus = load_corpus(args.corpus)
+    trained = _load_pipeline(args.model_file)
+    docs = _split_docs(corpus, args.split)
     vectors = CorpusVectors(resources)
     report = trained.evaluate(docs, resources, vectors,
-                              positive=Label.parse(opts.positive_class))
+                              positive=Label.parse(args.positive_class))
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
-    row = [opts.split, len(docs), report.accuracy, report.precision, report.recall,
+    row = [args.split, len(docs), report.accuracy, report.precision, report.recall,
            report.f1, report.positive_class.value, report.tp, report.fp, report.fn, report.tn]
-    _write_tsv(_out_dir(opts) / "metrics.tsv", header, [row])
-    print(f"{opts.split}: accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
+    _write_tsv(_out_dir(args) / "metrics.tsv", header, [row])
+    print(f"{args.split}: accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
     _report_warnings(vectors)
     return 0
 
 
-def cmd_grid(opts: Options) -> int:
-    resources = _load_resources(opts)
-    corpus = load_corpus(opts.args.corpus)
-    kinds = tuple(k.strip() for k in opts.models.split(",") if k.strip())
+def cmd_grid(args: argparse.Namespace) -> int:
+    resources = _load_resources(args)
+    corpus = load_corpus(args.corpus)
+    kinds = tuple(k.strip() for k in args.models.split(",") if k.strip())
     vectors = CorpusVectors(resources)
-    rows = run_grid(corpus, resources, kinds, _settings(opts), cache=vectors)
+    rows = run_grid(corpus, resources, kinds, _settings(args), cache=vectors)
     header = ["model", "condition", "accuracy", "f1", "precision", "recall"]
     table = [[r.model_kind, r.condition, r.report.accuracy, r.report.f1,
               r.report.precision, r.report.recall] for r in rows]
-    _write_tsv(_out_dir(opts) / "grid.tsv", header, table)
+    _write_tsv(_out_dir(args) / "grid.tsv", header, table)
     print(f"positive class: children; {len(grid_conditions())} conditions x {len(kinds)} models")
     print(f"{'model':6s} {'condition':26s} {'acc':>7s} {'f1':>7s} {'prec':>7s} {'rec':>7s}")
     for r in rows:
@@ -331,57 +313,57 @@ def cmd_grid(opts: Options) -> int:
     return 0
 
 
-def cmd_informativeness(opts: Options) -> int:
-    docs, names, X = _family_matrix(opts)
+def cmd_informativeness(args: argparse.Namespace) -> int:
+    docs, names, X = _family_matrix(args)
     y = np.array([label_to_int(d.label) for d in docs])
-    scores = rank_features(X, y, names, opts.intervals)
+    scores = rank_features(X, y, names, args.intervals)
     header = ["feature", "informativeness", "mean_adult", "std_adult",
               "mean_children", "std_children"]
     rows = [[s.name, s.score, s.mean_adult, s.std_adult, s.mean_children, s.std_children]
             for s in scores]
-    _write_tsv(_out_dir(opts) / "informativeness.tsv", header, rows)
+    _write_tsv(_out_dir(args) / "informativeness.tsv", header, rows)
     print(f"scored {len(rows)} features on {len(docs)} documents "
-          f"({opts.intervals} intervals); top 10:")
+          f"({args.intervals} intervals); top 10:")
     for s in scores[:10]:
         print(f"  {s.name:16s} {s.score:.4f}  adult {s.mean_adult:.2f}±{s.std_adult:.2f}  "
               f"children {s.mean_children:.2f}±{s.std_children:.2f}")
     return 0
 
 
-def cmd_correlations(opts: Options) -> int:
-    docs, names, X = _family_matrix(opts)
+def cmd_correlations(args: argparse.Namespace) -> int:
+    docs, names, X = _family_matrix(args)
     result = correlation_matrix(X, names)
     header = ["feature"] + list(names)
     rows = [[name, *result.matrix[i]] for i, name in enumerate(names)]
-    _write_tsv(_out_dir(opts) / "correlations.tsv", header, rows)
+    _write_tsv(_out_dir(args) / "correlations.tsv", header, rows)
     print(f"correlation matrix over {len(names)} features and {len(docs)} documents "
-          f"-> {_out_dir(opts) / 'correlations.tsv'}")
+          f"-> {_out_dir(args) / 'correlations.tsv'}")
     if result.zero_variance:
         print(f"zero-variance features (correlations set to 0): {', '.join(result.zero_variance)}")
     return 0
 
 
-def cmd_classify(opts: Options) -> int:
-    resources = _load_resources(opts)
-    trained = _load_pipeline(opts.args.model_file)
-    if opts.args.text is not None:
-        text = opts.args.text
-    elif opts.args.input is not None:
-        with decode_errors_as(ConfigError, opts.args.input):
-            text = Path(opts.args.input).read_text(encoding="utf-8")
+def cmd_classify(args: argparse.Namespace) -> int:
+    resources = _load_resources(args)
+    trained = _load_pipeline(args.model_file)
+    if args.text is not None:
+        text = args.text
+    elif args.input is not None:
+        with decode_errors_as(ConfigError, args.input):
+            text = Path(args.input).read_text(encoding="utf-8")
     else:
         with decode_errors_as(ConfigError, "<stdin>"):
             text = sys.stdin.buffer.read().decode("utf-8")
     if not text.strip():
         raise ConfigError("empty text")
     doc = Document(id="<input>", text=text, label=Label.CHILDREN,
-                   abstract=opts.args.abstract,
-                   age_rating=AgeRating.parse(opts.args.age_rating))
+                   abstract=args.abstract,
+                   age_rating=AgeRating.parse(args.age_rating))
     vectors = CorpusVectors(resources)
     label, score = trained.classify(doc, resources, vectors)
     score_name = "margin" if trained.model_kind == "lsvc" else "vote_fraction"
     print(f"label = {label.value} ({score_name} = {score:.4f})")
-    if opts.args.explain:
+    if args.explain:
         fv = vectors.features(doc)
         for name, value in zip(ALL_FEATURE_NAMES, fv.values):
             print(f"  {name} = {value:.6f}")
@@ -435,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        opts = Options(args)
-        opts.print_effective()
-        return args.func(opts)
+        _fill_settings(args)
+        return args.func(args)
     except (AgelexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

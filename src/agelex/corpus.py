@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -187,11 +187,7 @@ def random_split(corpus: Corpus, test_fraction: float, seed: int = 42) -> Corpus
     docs = []
     for doc in corpus:
         split = Split.TEST if doc.id in test_ids else Split.TRAIN
-        if split != doc.split:
-            doc = Document(id=doc.id, text=doc.text, label=doc.label,
-                           abstract=doc.abstract, age_rating=doc.age_rating,
-                           genre=doc.genre, split=split)
-        docs.append(doc)
+        docs.append(doc if split == doc.split else replace(doc, split=split))
     return Corpus(docs)
 
 

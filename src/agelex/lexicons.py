@@ -293,16 +293,13 @@ class Lexicon:
     each word row id of one provider's chunk table to the row of its
     (lemma, pos), filled when the word row is first seen, so a Lexicon
     serves the word rows of one provider.  The lexicons must not change
-    once rows have been read.  A missing lexicon is an empty one.
+    once rows have been read.
     """
 
-    def __init__(self, frequency: FrequencyDictionary | None = None,
-                 sentiment: SentimentLexicon | None = None,
-                 top5000: WordList | None = None, familiar: WordList | None = None):
-        self.frequency = frequency if frequency is not None else FrequencyDictionary([])
-        self.sentiment = sentiment if sentiment is not None else SentimentLexicon({})
-        self.top5000 = top5000 if top5000 is not None else WordList({})
-        self.familiar = familiar if familiar is not None else WordList({})
+    def __init__(self, frequency: FrequencyDictionary, sentiment: SentimentLexicon,
+                 top5000: WordList, familiar: WordList):
+        self.frequency, self.sentiment = frequency, sentiment
+        self.top5000, self.familiar = top5000, familiar
         # entry i is the row id of the key of the kept word row i, or -1
         self._of_word = np.full(64, -1, np.int32)
 

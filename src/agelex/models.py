@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, reduce
-from operator import getitem
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +42,20 @@ def json_exact(value, kind: type, rule: str, minimum: float = -math.inf):
 
 
 def json_floats(value, ndim: int, what: str):
-    """value as floats: a float for ndim 0, else an array of ndim
-    dimensions; ArtifactError naming what unless it is a JSON number or
-    lists of them nested ndim deep, all finite.  Read through float() or
-    np.asarray(dtype=float), a string or a bool would load as a number,
-    a literal past the float range as infinity, and lists of another
-    depth would fail only when the model is used."""
+    """value as floats: a float for ndim 0, else an array; ArtifactError
+    naming what unless it is a finite JSON number (ndim 0) or a list of
+    them (ndim 1).  Read through float() or np.asarray(dtype=float), a
+    string or a bool would load as a number, a literal past the float
+    range as infinity, and nested lists would fail only when the model
+    is used."""
     array = np.asarray(value)
     valid = array.dtype.kind in "iuf" and array.ndim == ndim and np.isfinite(array).all()
     if valid and ndim:
         # NumPy reads a true or false among numbers as 1 or 0, so only the
         # places that hold 1 or 0 are looked up in value
-        places = zip(*np.nonzero((array == 0) | (array == 1)))
-        valid = not any(type(reduce(getitem, place, value)) is bool for place in places)
+        valid = not any(type(value[i]) is bool for i in np.flatnonzero((array == 0) | (array == 1)))
     if not valid:
-        shape = "a list of " + "lists of " * (ndim - 1) + "finite numbers" if ndim else "a finite number"
-        raise ArtifactError(f"{what} must be {shape}")
+        raise ArtifactError(f"{what} must be {'a list of finite numbers' if ndim else 'a finite number'}")
     return float(array) if ndim == 0 else array.astype(float, copy=False)
 
 
@@ -213,8 +210,8 @@ def train_linear_svc(X, y, C: float = 1.0, max_epochs: int = 200,
 
 @dataclass
 class DecisionTree:
-    """One tree as parallel node columns, the root first and every child
-    after its parent.
+    """One tree as parallel node columns, NumPy arrays (int64, the
+    thresholds float64), the root first and every child after its parent.
 
     Node i sends x to left[i] when x[feature[i]] <= threshold[i] and to
     right[i] otherwise; feature -1 marks a leaf, which predicts children
@@ -223,12 +220,12 @@ class DecisionTree:
     child before its sibling.
     """
 
-    feature: list[int]
-    threshold: list[float]
-    left: list[int]
-    right: list[int]
-    n_children: list[int]
-    n_adult: list[int]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n_children: np.ndarray
+    n_adult: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -466,8 +463,8 @@ class RandomForestModel:
             "n_features": self.n_features,
             "hyperparams": dict(self.hyperparams),
             "trees": [
-                {"nodes": [list(node) for node in zip(tree.feature, tree.threshold, tree.left,
-                                                      tree.right, tree.n_children, tree.n_adult)]}
+                {"nodes": [list(node) for node in zip(
+                    *(getattr(tree, f.name).tolist() for f in fields(DecisionTree)))]}
                 for tree in self.trees
             ],
         }
@@ -492,9 +489,12 @@ class RandomForestModel:
                                     and i < r < len(nodes)):
                     raise ValueError(f"tree {k} node {i}: feature {f} or children "
                                      f"{l}, {r} out of range")
-            tree = DecisionTree(*map(list, zip(*nodes)))
-            tree.threshold = json_floats(tree.threshold, 1, f"tree {k} thresholds").tolist()
-            trees.append(tree)
+            feature, threshold, *ints = zip(*nodes)
+            columns = np.array([feature, *ints])
+            if columns.dtype != np.int64:
+                raise ValueError(f"tree {k}: a feature, child or count does not fit int64")
+            trees.append(DecisionTree(columns[0], json_floats(threshold, 1, f"tree {k} thresholds"),
+                                      *columns[1:]))
         return cls(trees=trees, n_features=n_features,
                    hyperparams=dict(payload["hyperparams"]))
 
@@ -589,13 +589,8 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     # each tree's nodes, level by level
     tree, *columns = map(np.concatenate, zip(*levels))
     del levels
-    order = np.argsort(tree, kind="stable")
-    ends = np.cumsum(written).tolist()
-    trees = [[] for _ in range(n_trees)]
-    for column in columns:
-        values = column[order].tolist()
-        for nodes, a, b in zip(trees, [0] + ends, ends):
-            nodes.append(values[a:b])
+    order, cuts = np.argsort(tree, kind="stable"), np.cumsum(written)[:-1]
+    trees = zip(*(np.split(column[order], cuts) for column in columns))
     return RandomForestModel(
         trees=[DecisionTree(*nodes) for nodes in trees], n_features=p,
         hyperparams={"n_trees": n_trees, "seed": int(seed), "max_features": k,

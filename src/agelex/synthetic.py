@@ -15,6 +15,7 @@ Generate a corpus from the command line with::
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -151,10 +152,7 @@ def make_corpus(n_children: int = 200, n_adult: int = 200, seed: int = 7,
         test_local = set(order[:n_test].tolist())
         for local, doc in enumerate(docs[offset:offset + group_size]):
             split = Split.TEST if local in test_local else Split.TRAIN
-            with_splits.append(Document(
-                id=doc.id, text=doc.text, label=doc.label, abstract=doc.abstract,
-                age_rating=doc.age_rating, genre=doc.genre, split=split,
-            ))
+            with_splits.append(replace(doc, split=split))
     return Corpus(with_splits)
 
 

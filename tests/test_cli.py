@@ -1,4 +1,5 @@
 """End-to-end command-line tests on a small generated corpus."""
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import agelex.cli
 import agelex.features
-from agelex.cli import Options, main
+from agelex.cli import main
 from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
 from agelex.features import ALL_FEATURE_NAMES
 from agelex.models import save_model
@@ -162,14 +163,16 @@ def command_argv(command, corpus_file, model_file, out):
                                      "grid", "informativeness", "correlations", "classify"])
 def test_every_setting_read_is_printed(tmp_path, corpus_file, model_file, command,
                                        monkeypatch, capsys):
+    # every read of a setting on any namespace, argparse's own included
     read = set()
-    original = Options.__getattr__
+    original = argparse.Namespace.__getattribute__
 
     def recording(self, key):
-        read.add(key)
+        if key in agelex.cli._SETTINGS:
+            read.add(key)
         return original(self, key)
 
-    monkeypatch.setattr(Options, "__getattr__", recording)
+    monkeypatch.setattr(argparse.Namespace, "__getattribute__", recording)
     assert main(command_argv(command, corpus_file, model_file, tmp_path / "o")) == 0
     printed = set()
     for line in capsys.readouterr().out.splitlines():

@@ -478,7 +478,8 @@ class TestIntegerReduction:
                    "псу": ("пёс", "NOUN"), "дом": ("дом", "PROPN"), "дома": ("дом", "NOUN")}
         texts = ["Кот котит.", "Кот кота котный пёс.", f"Дом {long} дома кот. Псу ёж!",
                  f"{long} котит. Ёж ежи ёж дом.", "Пёс, кот: котный дом… Котит", "Дома."]
-        morphology, lexicon = dict_morph(entries), Lexicon()
+        morphology = dict_morph(entries)
+        lexicon = Lexicon(FrequencyDictionary([]), SentimentLexicon({}), WordList({}), WordList({}))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(text_analysis, "TABLE_CAP", cap)
             for text in texts + texts[::-1]:

@@ -4,6 +4,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from itertools import pairwise, product
 from pathlib import Path
@@ -21,7 +22,8 @@ from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            _draw_features, _newton_step, _split_tables,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
-from agelex.pipeline import run_grid
+from agelex.features import FAMILY_NAMES
+from agelex.pipeline import Recipe, run_grid, train_pipeline
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import fit_svd
 
@@ -402,8 +404,10 @@ def reference_build_tree(X, y01, seed, max_features) -> DecisionTree:
 
 
 def tree_from_nodes(nodes) -> DecisionTree:
-    """A tree's columns from its list of node six-tuples."""
-    return DecisionTree(*map(list, zip(*nodes)))
+    """A tree's column arrays from its list of node six-tuples."""
+    feature, threshold, *ints = zip(*nodes)
+    return DecisionTree(np.array(feature, np.int64), np.array(threshold, float),
+                        *(np.array(column, np.int64) for column in ints))
 
 
 def tree_seeds(seed, n_trees) -> list[int]:
@@ -923,10 +927,8 @@ class TestRandomForest:
         assert label in (CHILDREN, ADULT)
 
     def test_tie_resolves_to_children(self):
-        always_children = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                       n_children=[3], n_adult=[1])
-        always_adult = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                                    n_children=[1], n_adult=[3])
+        always_children = tree_from_nodes([[-1, 0.0, -1, -1, 3, 1]])
+        always_adult = tree_from_nodes([[-1, 0.0, -1, -1, 1, 3]])
         forest = RandomForestModel(trees=[always_children, always_adult], n_features=2)
         label, score = forest.predict(np.zeros(2))
         assert label == CHILDREN
@@ -1046,6 +1048,29 @@ class TestPersistence:
         assert np.array_equal(loaded.predict_many(probe), forest.predict_many(probe))
         assert loaded.to_json_dict()["trees"] == forest.to_json_dict()["trees"]
 
+    def test_forest_columns_are_the_same_arrays_after_fit_and_after_load(self, tmp_path):
+        X, y = separable_blobs(14, gap=0.7)
+        forest = train_random_forest(X, y, n_trees=7, seed=2)
+        save_model(forest, tmp_path / "f.json")
+        loaded = load_model(tmp_path / "f.json")
+        assert len(loaded.trees) == len(forest.trees) == 7
+        for fitted, read in zip(forest.trees, loaded.trees):
+            for column in fields(DecisionTree):
+                a, b = getattr(fitted, column.name), getattr(read, column.name)
+                dtype = np.float64 if column.name == "threshold" else np.int64
+                assert type(a) is type(b) is np.ndarray and a.dtype == b.dtype == dtype
+                assert np.array_equal(a, b)
+
+    def test_grid_forest_saves_back_byte_identically(self, resources, tmp_path):
+        # the baseline+all forest of a grid, 100 trees, inside its pipeline
+        trained = train_pipeline(make_corpus(20, 20, seed=5), resources,
+                                 Recipe(True, tuple(FAMILY_NAMES), False), "rf")
+        assert trained.model.n_trees == 100
+        p, again = tmp_path / "f.json", tmp_path / "again.json"
+        save_model(trained, p)
+        save_model(load_model(p), again)
+        assert again.read_bytes() == p.read_bytes()
+
     def test_forest_file_holds_only_nodes_and_saves_back_identically(self, tmp_path):
         X, y = separable_blobs(14, gap=0.7)
         p, again = tmp_path / "f.json", tmp_path / "again.json"
@@ -1132,6 +1157,18 @@ class TestPersistence:
         nodes[0][slot] = len(nodes) if value == "n_nodes" else value
         p.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArtifactError, match="tree 1 node 0"):
+            load_model(p)
+
+    def test_forest_integers_past_int64_rejected(self, tmp_path):
+        # the second tree's count does not fit int64: joined with the
+        # first's, the counts would read as floats, 2**53 + 1 as 2**53,
+        # and both trees would vote children
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "random_forest", "model": {
+            "n_features": 1, "hyperparams": {}, "trees": [
+                {"nodes": [[-1, 0.0, -1, -1, 2 ** 53, 2 ** 53 + 1]]},
+                {"nodes": [[-1, 0.0, -1, -1, 0, 2 ** 63]]}]}}), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="tree 1: .* does not fit int64"):
             load_model(p)
 
     def test_empty_forest_rejected(self, tmp_path):
