@@ -91,13 +91,13 @@ def main(argv=None) -> int:
             for c, _ in conditions:
                 accuracy[name][c].append([])
         for fold in folds:
-            cache = CorpusVectors(resources)
+            vectors = CorpusVectors(resources)
             test = fold.subset(Split.TEST)
             for name, forest in forests.items():
                 agelex.pipeline.train_random_forest = forest
                 for c, recipe in conditions:
-                    trained = train_pipeline(fold, resources, recipe, "rf", TrainSettings(), cache)
-                    accuracy[name][c][-1].append(trained.evaluate(test, resources, cache).accuracy)
+                    trained = train_pipeline(fold, vectors, recipe, "rf", TrainSettings())
+                    accuracy[name][c][-1].append(trained.evaluate(test, vectors).accuracy)
     agelex.pipeline.train_random_forest = forests["new"]
 
     def report(label: str, old, new) -> None:

@@ -130,9 +130,10 @@ def _fill_settings(args: argparse.Namespace) -> None:
         print(f"{key} = {getattr(args, key)}")
 
 
-def _load_resources(args: argparse.Namespace) -> Resources:
+def _load_vectors(args: argparse.Namespace) -> CorpusVectors:
+    """A CorpusVectors on the resources the settings name."""
     paths = {key: getattr(args, key) for key in BUNDLED_FILES if key in vars(args)}
-    return Resources.load(paths, heuristic_fallback=args.heuristic_morph)
+    return CorpusVectors(Resources.load(paths, heuristic_fallback=args.heuristic_morph))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -163,11 +164,11 @@ def _split_docs(corpus: Corpus, which: str) -> list[Document]:
 def _family_matrix(args: argparse.Namespace) -> tuple[list[Document], tuple[str, ...], np.ndarray]:
     """The documents of args.split, the feature names of args.families and
     their feature matrix."""
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     docs = _split_docs(load_corpus(args.corpus), args.split)
     families = _parse_families(args.families) or QUANTITATIVE_FAMILIES
     names = tuple(n for f in families for n in FAMILY_NAMES[f])
-    return docs, names, CorpusVectors(resources).feature_matrix(docs, names)
+    return docs, names, vectors.feature_matrix(docs, names)
 
 
 def _load_pipeline(path: str) -> TrainedPipeline:
@@ -233,9 +234,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     corpus = load_corpus(args.corpus)
-    vectors = CorpusVectors(resources)
     header = ["id", "label", "split"] + list(ALL_FEATURE_NAMES)
     rows = [[doc.id, doc.label.value, doc.split.value, *vectors.features(doc).values]
             for doc in corpus]
@@ -247,18 +247,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     corpus = load_corpus(args.corpus)
     recipe = Recipe(use_tfidf=args.tfidf, families=_parse_families(args.features),
                     use_abstract=args.abstracts)
-    vectors = CorpusVectors(resources)
-    trained = train_pipeline(corpus, resources, recipe, args.model, _settings(args), vectors)
+    trained = train_pipeline(corpus, vectors, recipe, args.model, _settings(args))
     out = _out_dir(args)
     model_path = out / f"model_{args.model}.json"
     save_model(trained, model_path)
     train_docs = corpus.subset(Split.TRAIN)
-    report = trained.evaluate(train_docs, resources, vectors,
-                              positive=Label.parse(args.positive_class))
+    report = trained.evaluate(train_docs, vectors, positive=Label.parse(args.positive_class))
     print(f"trained {args.model} on {len(train_docs)} documents -> {model_path}")
     if args.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
@@ -274,13 +272,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     corpus = load_corpus(args.corpus)
     trained = _load_pipeline(args.model_file)
     docs = _split_docs(corpus, args.split)
-    vectors = CorpusVectors(resources)
-    report = trained.evaluate(docs, resources, vectors,
-                              positive=Label.parse(args.positive_class))
+    report = trained.evaluate(docs, vectors, positive=Label.parse(args.positive_class))
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
     row = [args.split, len(docs), report.accuracy, report.precision, report.recall,
@@ -294,11 +290,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     corpus = load_corpus(args.corpus)
     kinds = tuple(k.strip() for k in args.models.split(",") if k.strip())
-    vectors = CorpusVectors(resources)
-    rows = run_grid(corpus, resources, kinds, _settings(args), cache=vectors)
+    rows = run_grid(corpus, vectors, kinds, _settings(args))
     header = ["model", "condition", "accuracy", "f1", "precision", "recall"]
     table = [[r.model_kind, r.condition, r.report.accuracy, r.report.f1,
               r.report.precision, r.report.recall] for r in rows]
@@ -344,7 +339,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    resources = _load_resources(args)
+    vectors = _load_vectors(args)
     trained = _load_pipeline(args.model_file)
     if args.text is not None:
         text = args.text
@@ -359,8 +354,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     doc = Document(id="<input>", text=text, label=Label.CHILDREN,
                    abstract=args.abstract,
                    age_rating=AgeRating.parse(args.age_rating))
-    vectors = CorpusVectors(resources)
-    label, score = trained.classify(doc, resources, vectors)
+    label, score = trained.classify(doc, vectors)
     score_name = "margin" if trained.model_kind == "lsvc" else "vote_fraction"
     print(f"label = {label.value} ({score_name} = {score:.4f})")
     if args.explain:

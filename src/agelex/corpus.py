@@ -12,7 +12,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import CorpusError, decode_errors_as
-from .text_analysis import MorphologyProvider, HeuristicMorphology, analyze
+from .text_analysis import MorphologyProvider, analyze
 
 
 class Label(Enum):
@@ -206,11 +206,11 @@ def corpus_stats(corpus: Corpus,
                  abbreviations: frozenset[str] | None = None) -> dict[tuple[Label, Split], CellStats]:
     """Document counts and average symbols/tokens/sentences per preview,
     broken down by label and split.  Empty cells report count 0 with
-    None averages."""
+    None averages.  The counts read no lemma or part of speech, so by
+    default the words are read with no dictionary."""
     if len(corpus) == 0:
         raise CorpusError("empty corpus")
-    if morphology is None:
-        morphology = HeuristicMorphology()
+    morphology = morphology or MorphologyProvider()
     sums: dict[tuple[Label, Split], list[float]] = {
         (lab, sp): [0, 0.0, 0.0, 0.0] for lab in Label for sp in Split
     }

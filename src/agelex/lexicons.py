@@ -69,13 +69,17 @@ class FrequencyStats:
 class FrequencyDictionary:
     def __init__(self, records: list[FrequencyRecord]):
         self._by_key: dict[tuple[str, Pos], FrequencyRecord] = {}
-        self._by_lemma: dict[str, list[FrequencyRecord]] = {}
+        by_lemma: dict[str, list[tuple]] = {}
         for rec in records:
             key = (rec.lemma, rec.pos)
             if key in self._by_key:
                 raise LexiconError(f"duplicate frequency entry for {rec.lemma!r}/{rec.pos.value}")
             self._by_key[key] = rec
-            self._by_lemma.setdefault(rec.lemma, []).append(rec)
+            by_lemma.setdefault(rec.lemma, []).append((rec.ipm, rec.r, rec.d, rec.doc))
+        # each attribute summed over the lemma's entries in order, then
+        # divided by their count
+        self._averages = {lemma: FrequencyStats(*(sum(column) / len(rows) for column in zip(*rows)))
+                          for lemma, rows in by_lemma.items()}
 
     @property
     def records(self) -> list[FrequencyRecord]:
@@ -85,18 +89,9 @@ class FrequencyDictionary:
         return self._by_key.get((lemma.lower(), pos))
 
     def lookup_any(self, lemma: str) -> FrequencyStats | None:
-        """Average the numeric attributes over every pos entry of the
+        """The numeric attributes averaged over every pos entry of the
         lemma; None when the lemma is absent entirely."""
-        recs = self._by_lemma.get(lemma.lower())
-        if not recs:
-            return None
-        n = len(recs)
-        return FrequencyStats(
-            ipm=sum(r.ipm for r in recs) / n,
-            r=sum(r.r for r in recs) / n,
-            d=sum(r.d for r in recs) / n,
-            doc=sum(r.doc for r in recs) / n,
-        )
+        return self._averages.get(lemma.lower())
 
 
 def _parse_float(raw: str, what: str, path, lineno: int) -> float:

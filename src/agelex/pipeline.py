@@ -15,8 +15,9 @@ Every document is read through a CorpusVectors, which analyzes it once
 and keeps its feature vector, warnings included, and its tf-idf
 fragments: training, batch prediction, single-text classification, the
 grid and the command-line feature tables all read documents through it.
-Pass one instance as ``cache`` to reuse them across calls on the same
-documents.
+Each of them takes Resources or a CorpusVectors in one place: pass the
+same CorpusVectors to several calls to reuse what it has read, or
+Resources to read through a fresh one.
 
 Training has one path: each grid condition, and train_pipeline's one
 recipe, fits on its columns of one scaled design per abstract flag (see
@@ -128,6 +129,12 @@ class CorpusVectors:
         return [self.fragment(doc, use_abstract, limit) for doc in docs]
 
 
+def _vectors(source: Resources | CorpusVectors) -> CorpusVectors:
+    """Where a pipeline reads documents: the CorpusVectors given, which
+    keeps what it reads, or a fresh one on the Resources given."""
+    return source if isinstance(source, CorpusVectors) else CorpusVectors(source)
+
+
 @register_model_kind
 @dataclass(eq=False)
 class TrainedPipeline:
@@ -160,25 +167,21 @@ class TrainedPipeline:
             blocks.append(vectors.feature_matrix(docs, self.recipe.feature_names))
         return self.scaler.transform(np.concatenate(blocks, axis=1))
 
-    def predict_documents(self, docs: list[Document], resources: Resources,
-                          cache: CorpusVectors | None = None) -> np.ndarray:
+    def predict_documents(self, docs: list[Document],
+                          source: Resources | CorpusVectors) -> np.ndarray:
         if not docs:
             raise ModelError("no documents to classify")
-        X = self._design_matrix(docs, cache if cache is not None else CorpusVectors(resources))
-        return self.model.predict_many(X)
+        return self.model.predict_many(self._design_matrix(docs, _vectors(source)))
 
-    def classify(self, doc: Document, resources: Resources,
-                 cache: CorpusVectors | None = None) -> tuple[Label, float]:
+    def classify(self, doc: Document, source: Resources | CorpusVectors) -> tuple[Label, float]:
         """Label one document; the score is the signed margin for the
         linear model and the winning vote share for the forest."""
-        X = self._design_matrix([doc], cache if cache is not None else CorpusVectors(resources))
-        label_int, score = self.model.predict(X[0])
+        label_int, score = self.model.predict(self._design_matrix([doc], _vectors(source))[0])
         return (Label.CHILDREN if label_int == CHILDREN else Label.ADULT), score
 
-    def evaluate(self, docs: list[Document], resources: Resources,
-                 cache: CorpusVectors | None = None,
+    def evaluate(self, docs: list[Document], source: Resources | CorpusVectors,
                  positive: Label = Label.CHILDREN) -> MetricsReport:
-        return metrics(self.predict_documents(docs, resources, cache), _labels(docs), positive)
+        return metrics(self.predict_documents(docs, source), _labels(docs), positive)
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -329,15 +332,13 @@ def _check_model_kinds(model_kinds: tuple[str, ...]) -> None:
             raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
 
 
-def train_pipeline(corpus: Corpus, resources: Resources, recipe: Recipe,
-                   model_kind: str, settings: TrainSettings | None = None,
-                   cache: CorpusVectors | None = None) -> TrainedPipeline:
+def train_pipeline(corpus: Corpus, source: Resources | CorpusVectors, recipe: Recipe,
+                   model_kind: str, settings: TrainSettings | None = None) -> TrainedPipeline:
     """Fit a recipe on the corpus training split: the grid's fit of it."""
     settings = settings or TrainSettings()
     _check_model_kinds((model_kind,))
     train_docs = _training_documents(corpus, settings)
-    designs = _grid_designs([recipe], (train_docs,), settings,
-                            cache if cache is not None else CorpusVectors(resources))
+    designs = _grid_designs([recipe], (train_docs,), settings, _vectors(source))
     tfidf, scaler, (X,) = _recipe_design(designs, recipe)
     return TrainedPipeline(recipe=recipe, model_kind=model_kind,
                            model=_fit_model(model_kind, X, _labels(train_docs), settings),
@@ -423,15 +424,14 @@ def _recipe_design(designs: dict, recipe: Recipe
             [X.take(columns, axis=1) for X in matrices])
 
 
-def run_grid(corpus: Corpus, resources: Resources,
+def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
              model_kinds: tuple[str, ...] = MODEL_KINDS,
              settings: TrainSettings | None = None,
-             conditions: list[tuple[str, Recipe]] | None = None,
-             cache: CorpusVectors | None = None) -> list[GridRow]:
+             conditions: list[tuple[str, Recipe]] | None = None) -> list[GridRow]:
     """Train and evaluate every (model, condition) pair on the corpus
     train/test splits, as train_pipeline and evaluate would, reading
-    each document through one cache and each condition's scaled designs
-    as columns of _grid_designs."""
+    each document through one CorpusVectors and each condition's scaled
+    designs as columns of _grid_designs."""
     settings = settings or TrainSettings()
     _check_model_kinds(model_kinds)
     test_docs = corpus.subset(Split.TEST)
@@ -440,7 +440,7 @@ def run_grid(corpus: Corpus, resources: Resources,
     train_docs = _training_documents(corpus, settings)
     conditions = conditions if conditions is not None else grid_conditions()
     designs = _grid_designs([recipe for _, recipe in conditions], (train_docs, test_docs),
-                            settings, cache if cache is not None else CorpusVectors(resources))
+                            settings, _vectors(source))
     y, gold = _labels(train_docs), _labels(test_docs)
     rows = []
     for kind in model_kinds:

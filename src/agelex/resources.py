@@ -32,20 +32,6 @@ BUNDLED_FILES = {
 GRADE_COEFFICIENTS_FILE = _DATA_DIR / "readability_grade.json"
 
 
-class ChainMorphology(MorphologyProvider):
-    """Dictionary lookup with a heuristic fallback for unknown forms."""
-
-    def __init__(self, primary: MorphologyProvider, fallback: MorphologyProvider):
-        self._primary = primary
-        self._fallback = fallback
-
-    def analyze(self, surface: str):
-        result = self._primary.analyze(surface)
-        if result is None:
-            result = self._fallback.analyze(surface)
-        return result
-
-
 @dataclass(frozen=True)
 class Resources:
     """Everything feature extraction and vectorization need to run.
@@ -90,11 +76,9 @@ class Resources:
                 raise ConfigError(f"unknown resource {key!r}; known: {list(BUNDLED_FILES)}")
             if value is not None:
                 resolved[key] = Path(value)
-        morphology: MorphologyProvider = DictionaryMorphology.load(resolved["morphology"])
-        if heuristic_fallback:
-            morphology = ChainMorphology(morphology, HeuristicMorphology())
         return cls(
-            morphology=morphology,
+            morphology=DictionaryMorphology.load(
+                resolved["morphology"], HeuristicMorphology() if heuristic_fallback else None),
             abbreviations=load_abbreviations(resolved["abbreviations"]),
             frequency=load_frequency_dict(resolved["frequency"]),
             sentiment=load_sentiment_lexicon(resolved["sentiment"]),

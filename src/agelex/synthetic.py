@@ -55,14 +55,16 @@ def _pick(rng: np.random.Generator, items: list[str]) -> str:
     return items[int(rng.integers(len(items)))]
 
 
-def _weighted_pos(rng: np.random.Generator) -> Pos:
+def _weighted(rng: np.random.Generator, table: tuple):
+    """The first key of the (key, weight) table whose cumulative weight
+    exceeds one uniform draw, else the last key."""
     u = rng.random()
     acc = 0.0
-    for pos, weight in _POS_WEIGHTS:
+    for key, weight in table:
         acc += weight
         if u < acc:
-            return pos
-    return _POS_WEIGHTS[-1][0]
+            return key
+    return table[-1][0]
 
 
 def _sentence(rng: np.random.Generator, pools: _Pools, n_words: int,
@@ -83,7 +85,7 @@ def _sentence(rng: np.random.Generator, pools: _Pools, n_words: int,
             words.append(_pick(rng, pools.stopwords))
         else:
             pool = pools.simple if rng.random() < p_simple else pools.hard
-            words.append(_pick(rng, pool[_weighted_pos(rng)]))
+            words.append(_pick(rng, pool[_weighted(rng, _POS_WEIGHTS)]))
     text = " ".join(words)
     text = text[0].upper() + text[1:]
     u = rng.random()
@@ -102,32 +104,21 @@ def _paragraph(rng: np.random.Generator, pools: _Pools, label: Label,
     return " ".join(sentences)
 
 
-def _rating(rng: np.random.Generator, label: Label) -> AgeRating:
-    table = _CHILD_RATINGS if label is Label.CHILDREN else _ADULT_RATINGS
-    u = rng.random()
-    acc = 0.0
-    for value, weight in table:
-        acc += weight
-        if u < acc:
-            return AgeRating.parse(value)
-    return AgeRating.parse(table[-1][0])
-
-
 def _document(rng: np.random.Generator, pools: _Pools, label: Label, doc_id: str) -> Document:
     if label is Label.CHILDREN:
         p_simple = float(np.clip(rng.normal(0.72, 0.10), 0.45, 0.95))
         mean_len = float(np.clip(rng.normal(6.0, 1.3), 3.5, 9.5))
-        genres = _CHILD_GENRES
+        genres, ratings = _CHILD_GENRES, _CHILD_RATINGS
     else:
         p_simple = float(np.clip(rng.normal(0.50, 0.10), 0.20, 0.80))
         mean_len = float(np.clip(rng.normal(16.0, 3.0), 10.0, 24.0))
-        genres = _ADULT_GENRES
+        genres, ratings = _ADULT_GENRES, _ADULT_RATINGS
     target = int(rng.integers(240, 400))
     text = _paragraph(rng, pools, label, p_simple, mean_len, target)
     abstract = _paragraph(rng, pools, label, p_simple, mean_len, int(rng.integers(20, 40)))
     return Document(
         id=doc_id, text=text, label=label, abstract=abstract,
-        age_rating=_rating(rng, label), genre=_pick(rng, list(genres)),
+        age_rating=AgeRating.parse(_weighted(rng, ratings)), genre=_pick(rng, list(genres)),
     )
 
 

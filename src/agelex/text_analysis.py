@@ -264,8 +264,10 @@ _WORD_IDS, _LEMMAS = 2, 3
 
 
 class MorphologyProvider:
-    """Interface for lemma and part-of-speech lookup, and the chunk table
-    that analyze() and preprocess() read through it.
+    """Lemma and part-of-speech lookup, and the chunk table that
+    analyze() and preprocess() read through it.  This base class has no
+    dictionary: it reads every word as its lowercased self with
+    pos=Other, which is all that word, sentence and symbol counts need.
 
     The table is a RowTable of the columns above.  A list holds the rest
     of each row, by row id: the chunk, then, for a chunk that is one
@@ -278,9 +280,10 @@ class MorphologyProvider:
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
         """Return (lemma, pos) for the surface form, or None when the
-        provider has no analysis.  Must be deterministic, and the lemma
-        must not depend on the case of the surface."""
-        raise NotImplementedError
+        provider has no analysis, which reads as pos=Other with the
+        lowercased surface as lemma.  Must be deterministic, and the
+        lemma must not depend on the case of the surface."""
+        return None
 
     def lemmas(self, chunks: list[str]) -> list[str]:
         """The lemma of each word of the chunks, in order.  Unknown words
@@ -389,18 +392,21 @@ def _abbreviation_key(chunk: str) -> str | None:
 class DictionaryMorphology(MorphologyProvider):
     """Morphology backed by a surface-form dictionary.
 
-    Lookup is case-insensitive.  Unknown surfaces return None, which the
-    analyzer turns into pos=Other with the lowercased surface as lemma.
+    Lookup is case-insensitive.  A surface the dictionary lacks is asked
+    of the fallback provider, if one is given, and else returns None.
     """
 
-    def __init__(self, entries: dict[str, tuple[str, Pos]]):
+    def __init__(self, entries: dict[str, tuple[str, Pos]],
+                 fallback: MorphologyProvider | None = None):
         self._entries = entries
+        self._fallback = fallback or MorphologyProvider()
 
     def analyze(self, surface: str) -> tuple[str, Pos] | None:
-        return self._entries.get(surface.lower())
+        return self._entries.get(surface.lower()) or self._fallback.analyze(surface)
 
     @classmethod
-    def load(cls, path: str | Path) -> "DictionaryMorphology":
+    def load(cls, path: str | Path,
+             fallback: MorphologyProvider | None = None) -> "DictionaryMorphology":
         """Load a tab-separated file of surface, lemma, pos rows.
 
         The pos column must be one of NOUN, VERB, ADJ, ADV, PROPN, OTHER.
@@ -422,7 +428,7 @@ class DictionaryMorphology(MorphologyProvider):
             if pos is None:
                 raise LexiconError(f"{path}: row {lineno}: unknown pos tag {tag!r}")
             entries.setdefault(surface.lower(), (lemma.lower(), pos))
-        return cls(entries)
+        return cls(entries, fallback)
 
 
 # Suffix tables for the heuristic fallback, checked longest-first.
@@ -451,7 +457,7 @@ _ADV_WORDS = frozenset({
 
 
 class HeuristicMorphology(MorphologyProvider):
-    """Suffix-based fallback used when no dictionary is available.
+    """Suffix-based tagger, the morphology dictionary's fallback under --heuristic-morph.
 
     The lemma is always the lowercased surface.  Part of speech is guessed
     from common endings; title-cased words with no matching ending are

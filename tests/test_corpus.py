@@ -9,7 +9,8 @@ from agelex.corpus import (AgeRating, Corpus, Document, Label, Split,
                            write_corpus)
 from agelex.errors import CorpusError
 from agelex.resources import BUNDLED_FILES
-from agelex.text_analysis import DictionaryMorphology, HeuristicMorphology, load_abbreviations
+from agelex.text_analysis import (DictionaryMorphology, HeuristicMorphology, MorphologyProvider,
+                                  load_abbreviations)
 
 from oracles import NESTED_TOO_DEEPLY
 from test_features import TEXTS
@@ -197,5 +198,7 @@ class TestCorpusStats:
                          for i, (head, abbr, tail, label, split) in enumerate(records)])
         for abbreviations in (None, ABBREVIATIONS):
             expected = corpus_stats(corpus, resources.morphology, abbreviations)
-            for morphology in (HeuristicMorphology(), DictionaryMorphology({})):
+            assert corpus_stats(corpus, abbreviations=abbreviations) == expected
+            for morphology in (HeuristicMorphology(), DictionaryMorphology({}),
+                               MorphologyProvider()):
                 assert corpus_stats(corpus, morphology, abbreviations) == expected

@@ -1,7 +1,9 @@
 """Training, prediction and the grid share one per-document input path."""
 import json
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,8 +74,8 @@ def test_grid_cache_fresh_predict_and_classify_agree(corpus, resources, grid):
     shared = CorpusVectors(resources)
     for kind in MODEL_KINDS:
         for name, recipe in grid_conditions():
-            trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS, shared)
-            via_cache = trained.predict_documents(test_docs, resources, shared).tolist()
+            trained = train_pipeline(corpus, shared, recipe, kind, SETTINGS)
+            via_cache = trained.predict_documents(test_docs, shared).tolist()
             fresh = trained.predict_documents(test_docs, resources).tolist()
             one_by_one = [label_to_int(trained.classify(d, resources)[0]) for d in test_docs]
             assert via_cache == fresh == one_by_one, (kind, name)
@@ -108,8 +110,8 @@ def test_grid_rows_are_train_pipeline_and_evaluate(corpus, resources, grid):
     for kind in MODEL_KINDS:
         for name, recipe in grid_conditions():
             fresh = CorpusVectors(resources)
-            trained = train_pipeline(corpus, resources, recipe, kind, SETTINGS, fresh)
-            expected.append(GridRow(kind, name, trained.evaluate(test_docs, resources, fresh)))
+            trained = train_pipeline(corpus, fresh, recipe, kind, SETTINGS)
+            expected.append(GridRow(kind, name, trained.evaluate(test_docs, fresh)))
     assert rows == expected
 
 
@@ -121,7 +123,7 @@ def test_grid_designs_are_the_pipeline_design_matrices(corpus, resources):
     assert sorted(designs) == [False, True]
     for name, recipe in conditions:
         fresh = CorpusVectors(resources)
-        trained = train_pipeline(corpus, resources, recipe, "lsvc", SETTINGS, fresh)
+        trained = train_pipeline(corpus, fresh, recipe, "lsvc", SETTINGS)
         tfidf, scaler, matrices = pipeline._recipe_design(designs, recipe)
         assert (tfidf is None) == (trained.tfidf is None), name
         if tfidf is not None:
@@ -169,7 +171,7 @@ def test_grid_reads_only_the_inputs_its_conditions_use(corpus, resources, monkey
     conditions = [(name, recipe) for name, recipe in grid_conditions() if name == inputs]
     calls = count_analysis(monkeypatch)
     vectors = CorpusVectors(resources)
-    rows = run_grid(Corpus(docs), resources, ("lsvc",), SETTINGS, conditions, vectors)
+    rows = run_grid(Corpus(docs), vectors, ("lsvc",), SETTINGS, conditions)
     assert [row.condition for row in rows] == [inputs]
     assert calls[idle] == 0 and sum(calls.values()) > 0
     assert vectors.warning_count("no_frequency_matches") == (idle == "preprocess")
@@ -217,20 +219,19 @@ def test_shared_cache_trains_what_a_fresh_cache_trains(corpus, resources):
     for case in cases + cases[::-1]:
         data, recipe, settings = case
         fresh = train_pipeline(data, resources, recipe, "lsvc", settings)
-        cached = train_pipeline(data, resources, recipe, "lsvc", settings, shared)
+        cached = train_pipeline(data, shared, recipe, "lsvc", settings)
         assert cached.to_json_dict() == fresh.to_json_dict(), case
 
 
 def test_shared_cache_serves_a_tfidf_it_did_not_fit(corpus, resources):
     shared = CorpusVectors(resources)
-    trained = train_pipeline(corpus, resources, Recipe(use_abstract=True), "lsvc", SETTINGS,
-                             shared)
+    trained = train_pipeline(corpus, shared, Recipe(use_abstract=True), "lsvc", SETTINGS)
     loaded = TrainedPipeline.from_json_dict(trained.to_json_dict())
     # the same fitted tf-idf read with a shorter fragment is another row
     shorter = replace(trained, fragment_limit=5)
     docs = list(corpus)
     for pipeline_ in (trained, loaded, shorter, trained):
-        assert pipeline_.predict_documents(docs, resources, shared).tolist() == \
+        assert pipeline_.predict_documents(docs, shared).tolist() == \
             pipeline_.predict_documents(docs, resources).tolist()
 
 
@@ -533,3 +534,12 @@ def test_pipeline_load_errors_name_the_file(saved_pipelines, tmp_path, corrupt, 
     with pytest.raises(ArtifactError, match=message) as excinfo:
         load_model(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the example follows the API: it runs as printed on a small corpus
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    write_corpus(make_corpus(20, 20, seed=7), tmp_path / "corpus.jsonl")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})

@@ -16,7 +16,7 @@ from agelex.features import extract_all
 from agelex.lexicons import load_frequency_dict
 from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
-from agelex.text_analysis import DictionaryMorphology
+from agelex.text_analysis import DictionaryMorphology, HeuristicMorphology, tokenize
 
 from test_features import TEXTS, outcome
 
@@ -58,8 +58,8 @@ class CountingMorphology(DictionaryMorphology):
     """The bundled dictionary, counting the keys its table resolves and
     the surfaces analyze() is asked for."""
 
-    def __init__(self, entries):
-        super().__init__(entries)
+    def __init__(self, entries, fallback=None):
+        super().__init__(entries, fallback)
         self.resolved, self.analyzed = Counter(), Counter()
 
     def _resolve(self, chunks, start):
@@ -210,6 +210,17 @@ class TestResources:
         assert twin.lexicon is not resources.lexicon
         assert twin == resources
         assert "lexicon=" not in repr(resources)
+
+    def test_heuristic_fallback_answers_only_what_the_dictionary_lacks(self):
+        entries = DictionaryMorphology.load(BUNDLED_FILES["morphology"])._entries
+        morphology = Resources.load(heuristic_fallback=True).morphology
+        heuristic = HeuristicMorphology()
+        surfaces = list(entries) + [word for text in OTHER_TEXTS for word in tokenize(text)]
+        # and words the dictionary lacks, in each case
+        surfaces += ["Быстрота", "радость", "КРАСИВЫЙ", "Зелень", "qwerty"]
+        for surface in surfaces + [s.upper() for s in surfaces] + [s.title() for s in surfaces]:
+            expected = entries.get(surface.lower()) or heuristic.analyze(surface)
+            assert morphology.analyze(surface) == expected, surface
 
     def test_unknown_resource_key_is_a_config_error(self):
         # a bad key fails like any bad input, with an AgelexError

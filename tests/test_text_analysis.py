@@ -13,7 +13,7 @@ from agelex.errors import LexiconError
 from agelex.text_analysis import (_ADJ_SUFFIXES, _ADV_SUFFIXES, _ADV_WORDS,
                                   _NOUN_SUFFIXES, _VERB_SUFFIXES,
                                   DictionaryMorphology, HeuristicMorphology,
-                                  Pos, RowTable, analyze, count_syllables, distinct,
+                                  MorphologyProvider, Pos, RowTable, analyze, count_syllables, distinct,
                                   load_abbreviations, normalize_text,
                                   split_sentences, tokenize)
 from agelex.synthetic import make_corpus
@@ -487,6 +487,31 @@ class TestDictionaryMorphology:
         p = tmp_path / "m.tsv"
         p.write_text("# header\n\nкот\tкот\tNOUN\n", encoding="utf-8")
         assert DictionaryMorphology.load(p)._entries == {"кот": ("кот", Pos.NOUN)}
+
+
+    def test_fallback_answers_what_the_dictionary_lacks(self):
+        class Fallback(MorphologyProvider):
+            def analyze(self, surface):
+                return (surface.lower() + "-x", Pos.VERB) if surface.lower() != "мышь" else None
+
+        morph = DictionaryMorphology({"кот": ("кот", Pos.NOUN)}, Fallback())
+        assert morph.analyze("Кот") == ("кот", Pos.NOUN)
+        assert morph.analyze("Пёс") == ("пёс-x", Pos.VERB)
+        assert morph.analyze("Мышь") is None
+        # a None from both reads as the lowercased surface with pos=Other
+        t = analyze("Кот, пёс и Мышь.", morph)
+        assert list(zip(t.surfaces, t.lemmas, t.pos)) == [
+            ("Кот", "кот", Pos.NOUN), ("пёс", "пёс-x", Pos.VERB), ("и", "и-x", Pos.VERB),
+            ("Мышь", "мышь", Pos.OTHER)]
+
+
+class TestMorphologyProvider:
+    @given(TEXTS)
+    def test_no_dictionary_reads_each_word_as_itself(self, text):
+        t = analyze(text, MorphologyProvider())
+        assert sorted(t.surfaces) == sorted(set(tokenize(text)))
+        assert t.lemmas == [surface.lower() for surface in t.surfaces]
+        assert set(t.pos) <= {Pos.OTHER}
 
 
 class TestHeuristicMorphology:
