@@ -300,10 +300,16 @@ def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
     return X, y01, codes.ravel(), values
 
 
-# A cut's float score rounds three times, so it lies within a relative
-# 2**-51 of its exact value, and the exact best cut of a node scores at
-# least its best float score times 1 - 2**-50; _NEAR keeps a wider margin
-_NEAR = 1.0 - 2.0 ** -48
+# A cut's float32 score of g rounds three times (a quotient and a product
+# per term, then their sum), each within a relative u = 2**-24; both terms
+# are positive, so the score lies within a relative 3u of g (6u once a node
+# has 2**24 rows, when the conversions of the counts round too).  A node's
+# best score is then at most (1 + 3u) times its exact best g, and its
+# product with _NEAR rounds once more, while the exact best cut scores at
+# least (1 - 3u) times that g; so the exact best cut passes any margin down
+# to about 1 - 7u (1 - 13u once the counts round), and _NEAR keeps a far
+# wider one
+_NEAR = 1.0 - 2.0 ** -18
 
 
 def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarray) -> tuple:
@@ -325,46 +331,68 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
     children, that sends ln rows, lp of them children, left and the rn
     others, rp of them children, right has weighted Gini 2 (P - g) / N,
     where g = lp^2/ln + rp^2/rn = (lp^2 rn + rp^2 ln) / (ln rn); so the
-    best cut has the largest g.  Each cut's g is scored in floats, and the
-    cuts of a node within a rounding margin (_NEAR) of its best score are
-    compared as integer fractions: by int64 cross products, which are at
-    most N^5 / 16, while N^5 < 2^67, and as Python integers beyond."""
+    best cut has the largest g.  Each cut's g is scored in float32 from
+    exact integer counts, and the cuts of a node within a rounding margin
+    (_NEAR) of its best score are compared as integer fractions: by int64
+    cross products, which are at most N^5 / 16, while N^5 < 2^67, and as
+    Python integers beyond."""
     X, y01, codes, values = tables
     n = len(X)
     m, k = feats.shape
-    sizes = np.diff(offsets)
-    node = np.repeat(np.arange(m), sizes)
+    sizes = offsets[1:] - offsets[:-1]
+    node = np.arange(m).repeat(sizes)
     # key = 2n * segment + code, where segment = k * node + slot, in the
-    # narrowest type that holds it, which sorts fastest
+    # narrowest type that holds it, which sorts fastest; the type also
+    # holds every position and count of the chunk's elements, and the
+    # gather indices f * n + row take the narrowest that holds p * n
     key_type = np.int32 if 2 * n * k * m <= 2 ** 31 else np.int64
-    key = np.repeat(np.arange(0, 2 * n * k * m, 2 * n, dtype=key_type).reshape(m, k), sizes, axis=0)
-    key += codes.take(np.repeat(feats * n, sizes, axis=0) + rows[:, None])
-    key = np.sort(key.ravel())
+    index_type = np.int32 if len(codes) <= 2 ** 31 else np.int64
+    key = np.arange(0, 2 * n * k * m, 2 * n, dtype=key_type).reshape(m, k).repeat(sizes, axis=0)
+    gather = (feats * n).astype(index_type).repeat(sizes, axis=0)
+    gather += rows.astype(index_type)[:, None]
+    key += codes.take(gather)
+    key = key.ravel()
+    key.sort()
     rank_key = key >> 1
     pos_prefix = np.zeros(len(key) + 1, dtype=key_type)
-    np.cumsum(key & 1, dtype=key_type, out=pos_prefix[1:])
-    seg_sizes = np.repeat(sizes, k)
-    seg_ends = np.cumsum(seg_sizes)
+    (key & 1).cumsum(dtype=key_type, out=pos_prefix[1:])
+    seg_sizes = sizes.astype(key_type).repeat(k)
+    seg_ends = seg_sizes.cumsum(dtype=key_type)
     seg_first = seg_ends - seg_sizes
     distinct = rank_key[1:] != rank_key[:-1]
     distinct[seg_ends[:-1] - 1] = False
-    cut = np.flatnonzero(distinct)
-    seg_cuts = np.add.reduceat(distinct, seg_first)
+    cut = distinct.nonzero()[0].astype(key_type)
+    # segment s's cuts are cut[ends[s]:ends[s + 1]], node j's are
+    # cut[ends[k * j]:ends[k * j + k]]
+    ends = np.zeros(m * k + 1, dtype=np.intp)
+    ends[1:] = cut.searchsorted(seg_ends)
+    seg_cuts = ends[1:] - ends[:-1]
     seg_pos = pos_prefix[seg_first]
-    ln = cut + 1 - np.repeat(seg_first, seg_cuts)
-    rn = np.repeat(seg_sizes, seg_cuts) - ln
-    lp = pos_prefix[cut + 1] - np.repeat(seg_pos, seg_cuts)
-    rp = np.repeat(pos_prefix[seg_ends] - seg_pos, seg_cuts) - lp
-    score = lp * (lp / ln) + rp * (rp / rn)
-    # node j's cuts start at bounds[j]; found are the nodes with a cut
-    bounds = np.append(0, np.cumsum(seg_cuts.reshape(m, k).sum(axis=1)))
-    found = np.flatnonzero(bounds[:-1] < bounds[1:])
-    starts = bounds[found]
-    n_cuts = np.diff(np.append(starts, len(cut)))
-    near = np.flatnonzero(score >= np.repeat(np.maximum.reduceat(score, starts) * _NEAR, n_cuts))
+    # in place where it can be: each temporary array costs more than its
+    # arithmetic
+    ln = cut - (seg_first - 1).repeat(seg_cuts)
+    rn = seg_sizes.repeat(seg_cuts)
+    rn -= ln
+    lp = pos_prefix[1:].take(cut)
+    lp -= seg_pos.repeat(seg_cuts)
+    rp = (pos_prefix[seg_ends] - seg_pos).repeat(seg_cuts)
+    rp -= lp
+    # score = lp * (lp / ln) + rp * (rp / rn), rounded as written
+    lp32, rp32 = lp.astype(np.float32), rp.astype(np.float32)
+    score = lp32 / ln.astype(np.float32)
+    score *= lp32
+    right = rp32 / rn.astype(np.float32)
+    right *= rp32
+    score += right
+    # the found nodes, those with a cut, have their cuts at starts:stops
+    bounds = ends[::k]
+    found = (bounds[:-1] < bounds[1:]).nonzero()[0]
+    starts, stops = bounds[found], bounds[found + 1]
+    floor = np.maximum.reduceat(score, starts) * np.float32(_NEAR)
+    near = (score >= floor.repeat(stops - starts)).nonzero()[0]
     # found node i's near cuts are near[tops[i]:tops[i] + n_near[i]]
-    tops = np.searchsorted(near, starts)
-    n_near = np.diff(np.append(tops, len(near)))
+    tops = near.searchsorted(starts)
+    n_near = near.searchsorted(stops) - tops
     exact = np.int64 if int(sizes.max()) ** 5 < 2 ** 67 else object
     near_ln, near_rn, near_lp, near_rp = (count[near].astype(exact) for count in (ln, rn, lp, rp))
     num = near_lp * near_lp * near_rn + near_rp * near_rp * near_ln
@@ -372,12 +400,12 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
     while True:
         # move each node's top to its first near cut of a strictly larger
         # g, until none has one; the top is then its first largest
-        top = np.repeat(tops, n_near)
-        better = np.flatnonzero(num * den[top] > num[top] * den)
+        top = tops.repeat(n_near)
+        better = (num * den[top] > num[top] * den).nonzero()[0]
         if not len(better):
             break
-        owner = np.repeat(np.arange(len(found)), n_near)[better]
-        firsts = np.append(True, owner[1:] != owner[:-1])
+        owner = np.arange(len(found)).repeat(n_near)[better]
+        firsts = np.concatenate(([True], owner[1:] != owner[:-1]))
         tops[owner[firsts]] = better[firsts]
     at = cut[near[tops]]
     f, threshold = np.full(m, -1), np.zeros(m)
@@ -398,10 +426,29 @@ def _best_splits(tables, rows: np.ndarray, offsets: np.ndarray, feats: np.ndarra
     return f, threshold, rows[order], child_counts.reshape(-1, 2)
 
 
+def _forest_nodes(columns: list[np.ndarray], sizes: list[int]) -> tuple:
+    """The nodes of trees of the given sizes, whose DecisionTree columns
+    are joined one tree after another, as arrays: each one's feature,
+    threshold, children (a leaf's are itself) and vote; then the roots and
+    the depth."""
+    feature, threshold, left, right, n_children, n_adult = columns
+    roots = np.cumsum([0] + sizes[:-1])
+    leaf, own, start = feature < 0, np.arange(len(feature)), roots.repeat(sizes)
+    left, right = np.where(leaf, own, left + start), np.where(leaf, own, right + start)
+    # children lie after their parents; a node parents share counts once
+    depth, level = 0, roots
+    while not leaf[level].all():
+        children = np.concatenate((left[level], right[level]))
+        depth, level = depth + 1, np.bincount(children).nonzero()[0]
+    vote = leaf & (n_children >= n_adult)
+    return np.where(leaf, 0, feature), threshold, left, right, vote, roots, depth
+
+
 @register_model_kind
 @dataclass
 class RandomForestModel:
-    """A majority vote of trees, which must not change once it predicts."""
+    """A majority vote of trees, which must not change once fitted or once
+    it predicts."""
 
     KIND = "random_forest"
 
@@ -415,21 +462,10 @@ class RandomForestModel:
 
     @cached_property
     def _nodes(self) -> tuple:
-        """The trees' nodes as arrays: each one's feature, threshold, children
-        (a leaf's are itself) and vote; then the roots and the depth."""
-        feature, threshold, left, right, n_children, n_adult = (
-            np.concatenate([getattr(t, f.name) for t in self.trees]) for f in fields(DecisionTree))
-        sizes = [tree.n_nodes for tree in self.trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        leaf, own, start = feature < 0, np.arange(len(feature)), np.repeat(roots, sizes)
-        left, right = np.where(leaf, own, left + start), np.where(leaf, own, right + start)
-        # children lie after their parents; a node parents share counts once
-        depth, level = 0, roots
-        while not leaf[level].all():
-            children = np.concatenate((left[level], right[level]))
-            depth, level = depth + 1, np.bincount(children).nonzero()[0]
-        vote = leaf & (n_children >= n_adult)
-        return np.where(leaf, 0, feature), threshold, left, right, vote, roots, depth
+        """The trees' nodes as arrays (see _forest_nodes); a fitted forest
+        is handed the ones its fit grew."""
+        return _forest_nodes([np.concatenate([getattr(t, f.name) for t in self.trees])
+                              for f in fields(DecisionTree)], [t.n_nodes for t in self.trees])
 
     def _votes(self, X: np.ndarray) -> np.ndarray:
         """The trees voting children for each row of X.  One comparison
@@ -589,13 +625,19 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     # each tree's nodes, level by level
     tree, *columns = map(np.concatenate, zip(*levels))
     del levels
-    order, cuts = np.argsort(tree, kind="stable"), np.cumsum(written)[:-1]
-    trees = zip(*(np.split(column[order], cuts) for column in columns))
-    return RandomForestModel(
-        trees=[DecisionTree(*nodes) for nodes in trees], n_features=p,
+    order = np.argsort(tree, kind="stable")
+    columns = [column[order] for column in columns]
+    sizes = written.tolist()
+    bounds = np.cumsum([0] + sizes).tolist()
+    forest = RandomForestModel(
+        trees=[DecisionTree(*(column[a:b] for column in columns))
+               for a, b in zip(bounds, bounds[1:])],
+        n_features=p,
         hyperparams={"n_trees": n_trees, "seed": int(seed), "max_features": k,
                      "feature_draws": "path-splitmix64-floyd"},
     )
+    forest._nodes = _forest_nodes(columns, sizes)
+    return forest
 
 
 def save_model(model, path: str | Path) -> None:

@@ -114,10 +114,14 @@ class CorpusVectors:
         key = (doc, use_abstract and has_abstract(doc.abstract), limit)
         if key not in self._fragments:
             plain = self._fragments.get((doc, False, limit))
-            if key[1] and plain is not None and len(plain) == limit:
-                # normalizing never acts across whitespace, so a preview
-                # that fills the fragment is read before its abstract
-                self._fragments[key] = plain
+            if key[1] and plain is not None:
+                # normalizing never acts across whitespace, so the preview
+                # is read before its abstract: a preview that fills the
+                # fragment ends it, and a shorter one is followed by the
+                # abstract's first lemmas
+                self._fragments[key] = plain if len(plain) == limit else plain + preprocess(
+                    doc.abstract, self.resources.morphology, self.resources.stopwords,
+                    limit - len(plain))
             else:
                 text = augment_with_abstract(doc.text, doc.abstract) if key[1] else doc.text
                 self._fragments[key] = preprocess(text, self.resources.morphology,

@@ -660,6 +660,25 @@ class TestSplitSearch:
                                  ((second[0], second[1]), (n - second[0], n_children - second[1])))
         assert search(X, y01, np.arange(n), np.array([0, 1])) == (1, 0.5)
 
+    def test_cuts_float32_scores_in_the_wrong_order_compare_exactly(self):
+        # found by brute-force search over the cuts of 200-row nodes: the
+        # second cut has the lower impurity, but its float32 g is below the
+        # first's, so only a margin wider than float32 rounding keeps it
+        # in the exact comparison
+        n, n_children, first, second = 200, 101, (91, 41), (111, 61)
+
+        def g(ln, lp):
+            ln, lp = np.float32(ln), np.float32(lp)
+            rn, rp = np.float32(n) - ln, np.float32(n_children) - lp
+            return lp * (lp / ln) + rp * (rp / rn)
+
+        assert g(*first) > g(*second) and g(*first).dtype == np.float32
+        assert (cut_fraction(*second, n - second[0], n_children - second[1])
+                < cut_fraction(*first, n - first[0], n_children - first[1]))
+        X, y01 = two_column_node(((first[0], first[1]), (n - first[0], n_children - first[1])),
+                                 ((second[0], second[1]), (n - second[0], n_children - second[1])))
+        assert search(X, y01, np.arange(n), np.array([0, 1])) == (1, 0.5)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("lo, hi", [
         (1.0000000000000002, 1.0000000000000004),  # adjacent: the midpoint rounds up to hi
@@ -994,6 +1013,22 @@ class TestRandomForest:
         forest = RandomForestModel(trees=[tree_from_nodes(chain)], n_features=1)
         assert forest._nodes[-1] == 399
         assert forest.predict_many(np.array([[0.0], [1.0]])).tolist() == [CHILDREN, CHILDREN]
+
+    def test_a_fit_hands_over_the_node_arrays_its_trees_give(self, tmp_path):
+        X, y = separable_blobs(15, n=80, gap=0.3)
+        forest = train_random_forest(X, y, n_trees=12, seed=4)
+        # set by the fit, before anything predicts
+        handed = vars(forest)["_nodes"]
+        assert handed[-1] > 1 and len({tree.n_nodes for tree in forest.trees}) > 1
+        save_model(forest, tmp_path / "forest.json")
+        for other in (RandomForestModel(trees=forest.trees, n_features=forest.n_features),
+                      load_model(tmp_path / "forest.json")):
+            assert "_nodes" not in vars(other)
+            derived = other._nodes
+            assert len(handed) == len(derived) == 7
+            for got, expected in zip(handed[:-1], derived[:-1]):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert handed[-1] == derived[-1]
 
 
 @pytest.mark.parametrize("train", [train_linear_svc, train_random_forest])

@@ -182,16 +182,23 @@ def test_fragment_with_abstract_is_the_augmented_preview_read(corpus, resources,
                                                              monkeypatch):
     vectors = CorpusVectors(resources)
     plain = {d: vectors.fragment(d, False, limit) for d in corpus}
-    calls = count_analysis(monkeypatch, ("preprocess",))
+    reads = []
+
+    def recorded(text, morphology, stopwords, limit):
+        reads.append((text, limit))
+        return preprocess(text, morphology, stopwords, limit)
+
+    monkeypatch.setattr(pipeline, "preprocess", recorded)
     full = [d for d in corpus if d.abstract is not None and len(plain[d]) == limit]
     for d in corpus:
         expected = preprocess(augment_with_abstract(d.text, d.abstract), resources.morphology,
                               resources.stopwords, limit)
         assert vectors.fragment(d, True, limit) == expected, d.id
-    # a full preview reuses its plain fragment; only a short one with an
-    # abstract is read again
+    # a full preview reuses its plain fragment; after a short one with an
+    # abstract only the abstract is read, for the lemmas the preview lacks
+    assert reads == [(d.abstract, limit - len(plain[d])) for d in corpus
+                     if d.abstract is not None and d not in full]
     with_abstract = sum(1 for d in corpus if d.abstract is not None)
-    assert calls["preprocess"] == with_abstract - len(full)
     if limit == FRAGMENT_LIMIT:
         assert 0 < len(full) < with_abstract
 
