@@ -32,7 +32,7 @@ from .text_analysis import load_abbreviations
 _TRAIN_FIELDS = {"seed": "seed", "c": "svc_c", "epochs": "svc_max_epochs",
                  "tolerance": "svc_tolerance", "trees": "n_trees",
                  "max_terms": "max_terms", "fragment_limit": "fragment_limit",
-                 "svd": "svd", "svd_target": "svd_target"}
+                 "svd_target": "svd_target"}
 _TRAIN = TrainSettings()
 
 # setting -> (builtin default, keywords of its --flag).  A config file may
@@ -45,7 +45,6 @@ _SETTINGS = {
     "test_fraction": (None, {"type": float}),
     **{key: (None, {}) for key in BUNDLED_FILES},
     "heuristic_morph": (False, {"action": "store_const", "const": True}),
-    "svd": (_TRAIN.svd, {"choices": ("auto", "off")}),
     "svd_target": (_TRAIN.svd_target, {"type": float}),
     "c": (_TRAIN.svc_c, {"type": float}),
     "epochs": (_TRAIN.svc_max_epochs, {"type": int, "help": "LSVC Newton iteration cap"}),
@@ -68,7 +67,7 @@ _DEFAULTS = {key: default for key, (default, _) in _SETTINGS.items() if key != "
 _RESOURCES = (*BUNDLED_FILES, "heuristic_morph")
 # only the tf-idf reads the stopwords
 _FEATURE_RESOURCES = tuple(key for key in _RESOURCES if key != "stopwords")
-_FIT = ("svd", "svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit")
+_FIT = ("svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -261,10 +260,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
         print(f"solver: Newton iterations = {trained.model.n_epochs}, {verdict}")
-        svd = trained.model.hyperparams.get("svd")
-        if svd is not None:
-            print(f"svd: k = {svd['k']} of {trained.model.n_features} columns, "
-                  f"retained {svd['retained']:.4f} (target {svd['target']})")
+        svd = trained.model.hyperparams["svd"]
+        print(f"svd: k = {svd['k']} of {trained.model.n_features} columns, "
+              f"retained {svd['retained']:.4f} (target {svd['target']})")
     print(f"training accuracy = {report.accuracy:.4f}, f1 = {report.f1:.4f} "
           f"(positive class: {report.positive_class.value})")
     _report_warnings(vectors)

@@ -5,11 +5,11 @@ on 256-lemma training fragments, optionally with the abstract appended
 to the preview) and any subset of the six feature families computed on
 full previews.  train_pipeline fits the vectorizers and scaler on the
 training split only and trains one of the two classifiers.  The linear
-SVC is fitted on a variance-preserving SVD of the scaled matrix unless
-that is turned off, and the SVD is then folded into its weights, so a
-trained pipeline is only its vectorizers, scaler and model.  The grid
-mirrors the published experiment: a baseline bag-of-words model against
-every combination of added feature families and publishing attributes.
+SVC is fitted on a variance-preserving SVD of the scaled matrix, and
+the SVD is then folded into its weights, so a trained pipeline is only
+its vectorizers, scaler and model.  The grid mirrors the published
+experiment: a baseline bag-of-words model against every combination of
+added feature families and publishing attributes.
 
 Every document is read through a CorpusVectors, which analyzes it once
 and keeps its feature vector, warnings included, and its tf-idf
@@ -58,9 +58,10 @@ class Recipe:
         unknown = [f for f in self.families if f not in FAMILY_NAMES]
         if unknown:
             raise ConfigError(f"unknown feature families {unknown}; known: {list(FAMILY_NAMES)}")
-        # canonical family order, deduplicated
+        # canonical family order, deduplicated; only the tf-idf reads abstracts
         ordered = tuple(f for f in FAMILY_NAMES if f in self.families)
         object.__setattr__(self, "families", ordered)
+        object.__setattr__(self, "use_abstract", self.use_abstract and self.use_tfidf)
         if not self.use_tfidf and not self.families:
             raise ConfigError("recipe selects no inputs: enable tf-idf or at least one family")
 
@@ -284,15 +285,10 @@ class TrainSettings:
     n_trees: int = 100
     max_terms: int = MAX_VOCABULARY
     fragment_limit: int = FRAGMENT_LIMIT
-    # auto: fit the lsvc on the SVD that keeps svd_target of the scaled
-    # matrix's variance, then fold the SVD into its weights; off: fit it
-    # on the scaled matrix.  The forest never uses the SVD.
-    svd: str = "auto"
+    # the lsvc is fitted on the SVD keeping svd_target of the scaled
+    # matrix's variance, then folded into its weights (1.0 is the fit on
+    # the scaled matrix itself); the forest never uses the SVD
     svd_target: float = SVD_TARGET
-
-    def __post_init__(self):
-        if self.svd not in ("auto", "off"):
-            raise ConfigError(f"svd must be auto or off, got {self.svd!r}")
 
 
 def _training_documents(corpus: Corpus, settings: TrainSettings) -> list[Document]:
@@ -314,11 +310,9 @@ def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
     design matrix."""
     if kind == "rf":
         return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
-    svd = fit_svd(X, settings.svd_target) if settings.svd == "auto" else None
-    model = train_linear_svc(X if svd is None else svd.transform(X), y, C=settings.svc_c,
+    svd = fit_svd(X, settings.svd_target)
+    model = train_linear_svc(svd.transform(X), y, C=settings.svc_c,
                              max_epochs=settings.svc_max_epochs, tolerance=settings.svc_tolerance)
-    if svd is None:
-        return model
     # with components C and mean μ, the margin of a scaled row s is
     # w·C(s − μ) + b = (Cᵀw)·s + b − (Cᵀw)·μ, so a copy of the solver's
     # model reads the scaler's columns

@@ -29,8 +29,6 @@ BUNDLED_FILES = {
     "coefficients": _DATA_DIR / "readability_default.json",
 }
 
-GRADE_COEFFICIENTS_FILE = _DATA_DIR / "readability_grade.json"
-
 
 @dataclass(frozen=True)
 class Resources:

@@ -20,7 +20,7 @@ from agelex.features import (ReadabilityCoefficients, automated_readability,
                              smog_index)
 from agelex.models import train_linear_svc, train_random_forest
 from agelex.pipeline import TrainSettings, grid_conditions, run_grid
-from agelex.resources import GRADE_COEFFICIENTS_FILE
+from agelex.resources import BUNDLED_FILES
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import fit_svd, fit_tfidf
 
@@ -321,8 +321,9 @@ def test_criterion_06_synthetic_grid_trend(resources):
 
 def test_criterion_07_readability_cross_correlation(resources):
     corpus = make_corpus(n_children=25, n_adult=25, seed=11)
+    grade_file = BUNDLED_FILES["coefficients"].with_name("readability_grade.json")
     graded_resources = replace(
-        resources, coefficients=ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE))
+        resources, coefficients=ReadabilityCoefficients.from_file(grade_file))
     fk_grade, fk_default, ari_values = [], [], []
     for doc in corpus:
         graded = by_family(extract_all(doc, graded_resources))["readability"]

@@ -15,7 +15,7 @@ import agelex.features
 from agelex.cli import main
 from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
 from agelex.features import ALL_FEATURE_NAMES
-from agelex.models import save_model
+from agelex.models import load_model, save_model
 from agelex.pipeline import Recipe, TrainSettings, train_pipeline
 from agelex.synthetic import make_corpus
 
@@ -103,14 +103,14 @@ class TestConfigFile:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
-    def test_svd_on_rejected(self, tmp_path, corpus_file, capsys):
-        cfg = tmp_path / "svd.cfg"
-        cfg.write_text("svd = on\n")
+    def test_value_outside_the_choices_rejected(self, tmp_path, corpus_file, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("model = svm\n")
         rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
                    "--config", str(cfg)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: config key 'svd': expected one of "
-                                                  "['auto', 'off'], got 'on'")
+        assert capsys.readouterr().err.startswith("error: config key 'model': expected one of "
+                                                  "['rf', 'lsvc'], got 'svm'")
 
     @pytest.mark.parametrize("command", ["evaluate", "informativeness"])
     def test_bad_split_rejected(self, tmp_path, corpus_file, model_file, command, capsys):
@@ -185,8 +185,7 @@ def test_every_setting_read_is_printed(tmp_path, corpus_file, model_file, comman
 
 RESOURCE_KEYS = {"morphology", "frequency", "sentiment", "top5000", "familiar",
                  "stopwords", "abbreviations", "coefficients", "heuristic_morph"}
-FIT_KEYS = {"svd", "svd_target", "c", "epochs", "tolerance", "trees", "max_terms",
-            "fragment_limit"}
+FIT_KEYS = {"svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit"}
 # each command declares only the settings that can change what it writes
 # or prints: stats reads no morphology, and only the tf-idf reads stopwords
 FEATURE_RESOURCE_KEYS = RESOURCE_KEYS - {"stopwords"}
@@ -314,6 +313,23 @@ class TestTrainEvaluate:
             outs.append((out / "model_lsvc.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_abstracts_without_tfidf_write_the_same_model(self, tmp_path, corpus_file):
+        # only the tf-idf reads the abstract, so the flag is not kept without it
+        paths = []
+        for flag in ("--abstracts", "--no-abstracts"):
+            out = tmp_path / flag.lstrip("-")
+            assert main(["train", "--corpus", str(corpus_file), "--out", str(out),
+                         "--model", "lsvc", "--features", "general", "--no-tfidf", flag]) == 0
+            paths.append(out / "model_lsvc.json")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # a file that kept the flag still loads, and saves as the same model
+        payload = json.loads(paths[0].read_text(encoding="utf-8"))
+        payload["model"]["recipe"]["use_abstract"] = True
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload), encoding="utf-8")
+        save_model(load_model(old), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == paths[0].read_bytes()
+
     def test_evaluate_writes_metrics_row(self, tmp_path, corpus_file, model_file, capsys):
         out = tmp_path / "out"
         rc = main(["evaluate", "--corpus", str(corpus_file),
@@ -364,7 +380,7 @@ class TestTrainEvaluate:
         assert "error: tolerance must be >= 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "model_lsvc.json").exists()
 
-    @pytest.mark.parametrize("flags", [["--model", "rf"], ["--model", "lsvc", "--svd", "off"]])
+    @pytest.mark.parametrize("flags", [["--model", "rf"], ["--model", "lsvc"]])
     def test_fragments_without_lemmas_are_an_error(self, tmp_path, flags, capsys):
         # every word is a stopword, so the tf-idf would have no terms
         corpus = make_corpus(n_children=4, n_adult=4, seed=1)
@@ -437,16 +453,17 @@ class TestTrainEvaluate:
                  if line.startswith("solver: Newton iterations = ")]
         assert len(lines) == 1 and lines[0].endswith(ending)
 
-    @pytest.mark.parametrize("flags", [["--model", "lsvc"], ["--model", "lsvc", "--svd", "off"],
-                                       ["--model", "rf", "--trees", "5"]],
-                             ids=["lsvc", "lsvc-svd-off", "rf"])
-    def test_train_reports_the_folded_svd(self, tmp_path, corpus_file, flags, capsys):
+    @pytest.mark.parametrize("flags, target", [(["--model", "lsvc"], "0.95"),
+                                               (["--model", "lsvc", "--svd-target", "1.0"], "1.0"),
+                                               (["--model", "rf", "--trees", "5"], None)],
+                             ids=["lsvc", "lsvc-svd-target-1", "rf"])
+    def test_train_reports_the_folded_svd(self, tmp_path, corpus_file, flags, target, capsys):
         rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
                    "--features", "general"] + flags)
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         svd_lines = [i for i, line in enumerate(lines) if line.startswith("svd: ")]
-        if flags != ["--model", "lsvc"]:
+        if target is None:
             assert svd_lines == []
             return
         assert len(svd_lines) == 1
@@ -454,13 +471,7 @@ class TestTrainEvaluate:
         model = json.loads((tmp_path / "model_lsvc.json").read_text())["model"]["model"]["payload"]
         svd = model["hyperparams"]["svd"]
         assert lines[svd_lines[0]] == (f"svd: k = {svd['k']} of {len(model['weights'])} columns, "
-                                       f"retained {svd['retained']:.4f} (target 0.95)")
-
-    def test_svd_on_is_not_a_choice(self, tmp_path, corpus_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path), "--svd", "on"])
-        assert excinfo.value.code != 0
-        assert "invalid choice: 'on'" in capsys.readouterr().err
+                                       f"retained {svd['retained']:.4f} (target {target})")
 
 
 class TestClassify:

@@ -24,7 +24,7 @@ from agelex.lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIM
                              SENTIMENT_SLOTS, TOKENS, TOP5000, TOP_IPM, TOP_IPM_TOKENS,
                              FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
                              SentimentCategory, SentimentLexicon, WordList)
-from agelex.resources import BUNDLED_FILES, GRADE_COEFFICIENTS_FILE, Resources
+from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
                                   count_syllables, split_sentences)
@@ -670,7 +670,8 @@ class TestCoefficients:
             ReadabilityCoefficients.from_file(p)
 
     def test_bundled_grade_variant_rises_with_difficulty(self):
-        grade = ReadabilityCoefficients.from_file(GRADE_COEFFICIENTS_FILE)
+        grade = ReadabilityCoefficients.from_file(
+            BUNDLED_FILES["coefficients"].with_name("readability_grade.json"))
         easy = flesch_kincaid(5, 1.2, grade)
         hard = flesch_kincaid(25, 2.4, grade)
         assert hard > easy

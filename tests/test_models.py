@@ -4,7 +4,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import pairwise, product
 from pathlib import Path
@@ -23,7 +23,7 @@ from agelex.models import (ADULT, CHILDREN, FORMAT_VERSION, DecisionTree,
                            load_model, save_model, svc_objective,
                            train_linear_svc, train_random_forest)
 from agelex.features import FAMILY_NAMES
-from agelex.pipeline import Recipe, run_grid, train_pipeline
+from agelex.pipeline import Recipe, TrainSettings, run_grid, train_pipeline
 from agelex.synthetic import make_corpus
 from agelex.vectorizer import fit_svd
 
@@ -209,6 +209,22 @@ class TestLinearSvc:
                 assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(unfolded)))
                 assert np.array_equal(folded.predict_many(scaled),
                                       model.predict_many(svd.transform(scaled)))
+
+    def test_full_svd_target_is_the_fit_on_the_scaled_design(self, lsvc_grid_fits):
+        # with an unpenalized bias the optimum's weights lie in the span of
+        # the centred training rows, which a target of 1.0 keeps whole
+        settings = replace(TrainSettings(), svd_target=1.0)
+        for fit in lsvc_grid_fits:
+            X, y, C = fit["scaled"], fit["y"], fit["kwargs"]["C"]
+            unprojected = agelex.pipeline._fit_model("lsvc", X, y, settings)
+            direct = train_linear_svc(X, y, **fit["kwargs"])
+            assert unprojected.hyperparams["svd"]["target"] == 1.0
+            assert np.array_equal(unprojected.predict_many(fit["scaled_test"]),
+                                  direct.predict_many(fit["scaled_test"]))
+            gap = np.abs(unprojected.weights - direct.weights).max()
+            assert gap <= 1e-10 * np.abs(direct.weights).max()
+            assert svc_objective(unprojected.weights, unprojected.bias, X, y, C) == pytest.approx(
+                svc_objective(direct.weights, direct.bias, X, y, C), rel=1e-12, abs=0)
 
     def test_iteration_cap_reports_not_converged(self):
         X, y = separable_blobs(6, gap=0.3)

@@ -502,9 +502,16 @@ def test_pipeline_with_an_svd_stage_must_be_retrained(saved_pipelines, tmp_path)
     assert str(excinfo.value).startswith(f"{path}: ")
 
 
-def test_svd_is_auto_or_off():
-    with pytest.raises(ConfigError, match="svd must be auto or off, got 'on'"):
-        TrainSettings(svd="on")
+def test_linear_pipeline_without_svd_hyperparams_loads(saved_pipelines, corpus, resources,
+                                                       tmp_path):
+    # files fitted on the scaled matrix without an SVD record none
+    payload = json.loads(saved_pipelines["lsvc"].read_text(encoding="utf-8"))
+    del payload["model"]["model"]["payload"]["hyperparams"]["svd"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    docs = list(corpus)
+    assert np.array_equal(load_model(path).predict_documents(docs, resources),
+                          load_model(saved_pipelines["lsvc"]).predict_documents(docs, resources))
 
 
 def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
