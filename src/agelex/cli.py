@@ -29,10 +29,7 @@ from .resources import BUNDLED_FILES, Resources
 from .text_analysis import load_abbreviations
 
 # option name -> TrainSettings field
-_TRAIN_FIELDS = {"seed": "seed", "c": "svc_c", "epochs": "svc_max_epochs",
-                 "tolerance": "svc_tolerance", "trees": "n_trees",
-                 "max_terms": "max_terms", "fragment_limit": "fragment_limit",
-                 "svd_target": "svd_target"}
+_TRAIN_FIELDS = {"seed": "seed", "trees": "n_trees", "svd_target": "svd_target"}
 _TRAIN = TrainSettings()
 
 # setting -> (builtin default, keywords of its --flag).  A config file may
@@ -46,20 +43,13 @@ _SETTINGS = {
     **{key: (None, {}) for key in BUNDLED_FILES},
     "heuristic_morph": (False, {"action": "store_const", "const": True}),
     "svd_target": (_TRAIN.svd_target, {"type": float}),
-    "c": (_TRAIN.svc_c, {"type": float}),
-    "epochs": (_TRAIN.svc_max_epochs, {"type": int, "help": "LSVC Newton iteration cap"}),
-    "tolerance": (_TRAIN.svc_tolerance, {"type": float, "help": "LSVC gradient-norm tolerance"}),
     "trees": (_TRAIN.n_trees, {"type": int}),
-    "max_terms": (_TRAIN.max_terms, {"type": int}),
-    "fragment_limit": (_TRAIN.fragment_limit, {"type": int}),
     "model": ("lsvc", {"choices": MODEL_KINDS}),
     "features": ("none", {"help": "comma-separated families, 'all' or 'none'"}),
     "tfidf": (True, {"action": argparse.BooleanOptionalAction}),
     "abstracts": (False, {"action": argparse.BooleanOptionalAction}),
-    "positive_class": ("children", {"choices": tuple(label.value for label in Label)}),
     "split": ("train", {"choices": ("train", "test", "all")}),
     "models": (",".join(MODEL_KINDS), {"help": "comma-separated model kinds (rf,lsvc)"}),
-    "intervals": (DEFAULT_INTERVALS, {"type": int}),
     "families": (",".join(QUANTITATIVE_FAMILIES), {}),
 }
 _DEFAULTS = {key: default for key, (default, _) in _SETTINGS.items() if key != "corpus"}
@@ -67,7 +57,7 @@ _DEFAULTS = {key: default for key, (default, _) in _SETTINGS.items() if key != "
 _RESOURCES = (*BUNDLED_FILES, "heuristic_morph")
 # only the tf-idf reads the stopwords
 _FEATURE_RESOURCES = tuple(key for key in _RESOURCES if key != "stopwords")
-_FIT = ("svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit")
+_FIT = ("svd_target", "trees")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -255,7 +245,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = out / f"model_{args.model}.json"
     save_model(trained, model_path)
     train_docs = corpus.subset(Split.TRAIN)
-    report = trained.evaluate(train_docs, vectors, positive=Label.parse(args.positive_class))
+    report = trained.evaluate(train_docs, vectors)
     print(f"trained {args.model} on {len(train_docs)} documents -> {model_path}")
     if args.model == "lsvc":
         verdict = "converged" if trained.model.hyperparams["converged"] else "not converged"
@@ -274,7 +264,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     trained = _load_pipeline(args.model_file)
     docs = _split_docs(corpus, args.split)
-    report = trained.evaluate(docs, vectors, positive=Label.parse(args.positive_class))
+    report = trained.evaluate(docs, vectors)
     header = ["split", "n", "accuracy", "precision", "recall", "f1",
               "positive_class", "tp", "fp", "fn", "tn"]
     row = [args.split, len(docs), report.accuracy, report.precision, report.recall,
@@ -309,14 +299,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_informativeness(args: argparse.Namespace) -> int:
     docs, names, X = _family_matrix(args)
     y = np.array([label_to_int(d.label) for d in docs])
-    scores = rank_features(X, y, names, args.intervals)
+    scores = rank_features(X, y, names)
     header = ["feature", "informativeness", "mean_adult", "std_adult",
               "mean_children", "std_children"]
     rows = [[s.name, s.score, s.mean_adult, s.std_adult, s.mean_children, s.std_children]
             for s in scores]
     _write_tsv(_out_dir(args) / "informativeness.tsv", header, rows)
     print(f"scored {len(rows)} features on {len(docs)} documents "
-          f"({args.intervals} intervals); top 10:")
+          f"({DEFAULT_INTERVALS} intervals); top 10:")
     for s in scores[:10]:
         print(f"  {s.name:16s} {s.score:.4f}  adult {s.mean_adult:.2f}±{s.std_adult:.2f}  "
               f"children {s.mean_children:.2f}±{s.std_children:.2f}")
@@ -377,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         "extract": (cmd_extract, "write the feature table", ("corpus", "out", *_FEATURE_RESOURCES)),
         "train": (cmd_train, "train one model",
                   ("corpus", "seed", "out", *_RESOURCES, *_FIT, "model", "features", "tfidf",
-                   "abstracts", "positive_class")),
+                   "abstracts")),
         "evaluate": (cmd_evaluate, "evaluate a trained model",
-                     ("corpus", "out", *_RESOURCES, "split", "positive_class")),
+                     ("corpus", "out", *_RESOURCES, "split")),
         "grid": (cmd_grid, "run the full experiment grid",
                  ("corpus", "seed", "out", *_RESOURCES, *_FIT, "models")),
         "informativeness": (cmd_informativeness, "rank features by class separation",
-                            ("corpus", "out", *_FEATURE_RESOURCES, "intervals", "families",
-                             "split")),
+                            ("corpus", "out", *_FEATURE_RESOURCES, "families", "split")),
         "correlations": (cmd_correlations, "pairwise feature correlations",
                          ("corpus", "out", *_FEATURE_RESOURCES, "families", "split")),
         "classify": (cmd_classify, "classify one text", _RESOURCES),

@@ -223,7 +223,7 @@ def _quantitative_values(t: AnalyzedText, lexicon: Lexicon,
     values = [
         length_sum / n,
         _median(lengths, t.counts),
-        sum(t.sentence_symbols) / sentences,
+        int(t.sentence_symbols.sum()) / sentences,
         _median(t.sentence_symbols),
         asw,
         many_syllables / n,

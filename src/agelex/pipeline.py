@@ -36,7 +36,7 @@ from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_al
 from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_exact,
                      json_floats, register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
-from .vectorizer import (FRAGMENT_LIMIT, MAX_VOCABULARY, SVD_TARGET, MinMaxScaler,
+from .vectorizer import (FRAGMENT_LIMIT, SVD_TARGET, MinMaxScaler,
                          TfidfModel, augment_with_abstract, fit_minmax, fit_svd,
                          fit_tfidf, has_abstract, preprocess)
 
@@ -184,9 +184,8 @@ class TrainedPipeline:
         label_int, score = self.model.predict(self._design_matrix([doc], _vectors(source))[0])
         return (Label.CHILDREN if label_int == CHILDREN else Label.ADULT), score
 
-    def evaluate(self, docs: list[Document], source: Resources | CorpusVectors,
-                 positive: Label = Label.CHILDREN) -> MetricsReport:
-        return metrics(self.predict_documents(docs, source), _labels(docs), positive)
+    def evaluate(self, docs: list[Document], source: Resources | CorpusVectors) -> MetricsReport:
+        return metrics(self.predict_documents(docs, source), _labels(docs))
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -279,21 +278,14 @@ class TrainSettings:
     """Hyperparameters shared by train_pipeline and the grid."""
 
     seed: int = 42
-    svc_c: float = 1.0
-    svc_max_epochs: int = 200
-    svc_tolerance: float = 1e-5
     n_trees: int = 100
-    max_terms: int = MAX_VOCABULARY
-    fragment_limit: int = FRAGMENT_LIMIT
     # the lsvc is fitted on the SVD keeping svd_target of the scaled
     # matrix's variance, then folded into its weights (1.0 is the fit on
     # the scaled matrix itself); the forest never uses the SVD
     svd_target: float = SVD_TARGET
 
 
-def _training_documents(corpus: Corpus, settings: TrainSettings) -> list[Document]:
-    if settings.fragment_limit < 1:
-        raise ConfigError(f"fragment limit must be positive, got {settings.fragment_limit}")
+def _training_documents(corpus: Corpus) -> list[Document]:
     train_docs = corpus.subset(Split.TRAIN)
     if not train_docs:
         raise ConfigError("corpus has no training documents")
@@ -311,8 +303,7 @@ def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
     if kind == "rf":
         return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
     svd = fit_svd(X, settings.svd_target)
-    model = train_linear_svc(svd.transform(X), y, C=settings.svc_c,
-                             max_epochs=settings.svc_max_epochs, tolerance=settings.svc_tolerance)
+    model = train_linear_svc(svd.transform(X), y)
     # with components C and mean μ, the margin of a scaled row s is
     # w·C(s − μ) + b = (Cᵀw)·s + b − (Cᵀw)·μ, so a copy of the solver's
     # model reads the scaler's columns
@@ -335,13 +326,12 @@ def train_pipeline(corpus: Corpus, source: Resources | CorpusVectors, recipe: Re
     """Fit a recipe on the corpus training split: the grid's fit of it."""
     settings = settings or TrainSettings()
     _check_model_kinds((model_kind,))
-    train_docs = _training_documents(corpus, settings)
-    designs = _grid_designs([recipe], (train_docs,), settings, _vectors(source))
+    train_docs = _training_documents(corpus)
+    designs = _grid_designs([recipe], (train_docs,), _vectors(source))
     tfidf, scaler, (X,) = _recipe_design(designs, recipe)
     return TrainedPipeline(recipe=recipe, model_kind=model_kind,
                            model=_fit_model(model_kind, X, _labels(train_docs), settings),
-                           scaler=scaler, tfidf=tfidf,
-                           fragment_limit=settings.fragment_limit, seed=settings.seed)
+                           scaler=scaler, tfidf=tfidf, seed=settings.seed)
 
 
 # Conditions of the experiment grid, in report order.  "baseline" is the
@@ -377,7 +367,6 @@ class GridRow:
 
 
 def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
-                  settings: TrainSettings,
                   vectors: CorpusVectors) -> dict[bool | None, tuple]:
     """The designs the recipes read, by tf-idf abstract flag: the tf-idf
     fitted on the first split without (False) or with (True) abstracts,
@@ -388,7 +377,6 @@ def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
 
     Min-max scaling is fitted column by column, so a recipe's scaler and
     scaled designs are column slices of these (see _recipe_design)."""
-    limit = settings.fragment_limit
     features = None
     if any(recipe.families for recipe in recipes):
         features = [vectors.feature_matrix(docs, ALL_FEATURE_NAMES) for docs in splits]
@@ -398,8 +386,8 @@ def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
     for flag in flags or ([None] if features is not None else []):
         tfidf, raw = None, features
         if flag is not None:
-            tfidf = fit_tfidf(vectors.fragments(splits[0], flag, limit), settings.max_terms)
-            raw = [tfidf.transform_many(vectors.fragments(docs, flag, limit)) for docs in splits]
+            tfidf = fit_tfidf(vectors.fragments(splits[0], flag, FRAGMENT_LIMIT))
+            raw = [tfidf.transform_many(vectors.fragments(docs, flag, FRAGMENT_LIMIT)) for docs in splits]
             if features is not None:
                 raw = [np.hstack(blocks) for blocks in zip(raw, features)]
         scaler = fit_minmax(raw[0])
@@ -435,10 +423,10 @@ def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
     test_docs = corpus.subset(Split.TEST)
     if not test_docs:
         raise ConfigError("corpus has no test documents; assign splits first")
-    train_docs = _training_documents(corpus, settings)
+    train_docs = _training_documents(corpus)
     conditions = conditions if conditions is not None else grid_conditions()
     designs = _grid_designs([recipe for _, recipe in conditions], (train_docs, test_docs),
-                            settings, _vectors(source))
+                            _vectors(source))
     y, gold = _labels(train_docs), _labels(test_docs)
     rows = []
     for kind in model_kinds:

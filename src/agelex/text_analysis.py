@@ -490,18 +490,18 @@ class AnalyzedText:
     Type i, of the distinct words in increasing order of row id in the
     provider's chunk table, is row word_ids[i], with the columns types[i]
     and counts[i] tokens.  words holds each token's row id, in text
-    order, and sentence_symbols the non-whitespace characters of each
-    sentence span that holds a token.  Row ids below kept are the
+    order, and sentence_symbols (int64) the non-whitespace characters of
+    each sentence span that holds a token.  Row ids below kept are the
     table's for good; the others last until its next resolving call, so
-    the views (surfaces, lemmas, pos, syllables, tokens), built when
-    read, take strings from a copy of those rows made during the call.
+    the lemmas view, built when read, takes strings from a copy of those
+    rows made during the call.
     """
 
     words: np.ndarray
     word_ids: np.ndarray
     types: np.ndarray
     counts: np.ndarray
-    sentence_symbols: list[int]
+    sentence_symbols: np.ndarray
     char_count: int
     letter_count: int
     symbol_count: int
@@ -519,20 +519,8 @@ class AnalyzedText:
         return len(self.sentence_symbols)
 
     @property
-    def surfaces(self) -> list[str]:
-        return [self._entry(i)[0] for i in self.word_ids.tolist()]
-
-    @property
     def lemmas(self) -> list[str]:
         return [self._entry(i)[1] for i in self.word_ids.tolist()]
-
-    @property
-    def pos(self) -> list[Pos]:
-        return list(map(POS_ORDER.__getitem__, self.types[:, POS].tolist()))
-
-    @property
-    def syllables(self) -> list[int]:
-        return self.types[:, SYLLABLES].tolist()
 
     @property
     def tokens(self) -> np.ndarray:
@@ -565,7 +553,8 @@ def analyze(text: str, morphology: MorphologyProvider,
     chunks = normalize_text(text).split()
     if not chunks:
         empty = np.zeros(0, np.intp)
-        return AnalyzedText(empty, empty, np.zeros((0, 10), np.int64), empty, [], 0, 0, 0)
+        return AnalyzedText(empty, empty, np.zeros((0, 10), np.int64), empty,
+                            np.zeros(0, np.int64), 0, 0, 0)
     # the set's abbreviations get their ids before this call's rows
     abbreviated = morphology._abbreviated(abbreviations) if abbreviations else None
     ids = morphology._row_ids(chunks)
@@ -582,6 +571,6 @@ def analyze(text: str, morphology: MorphologyProvider,
     kept = len(table.ids)
     return AnalyzedText(
         words=words, word_ids=word_ids, types=table.array.take(word_ids, axis=0),
-        counts=counts, sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH].tolist(),
+        counts=counts, sentence_symbols=sentences[sentences[:, WORDS] > 0, LENGTH],
         char_count=char_count, letter_count=letter_count, symbol_count=symbol_count,
         kept=kept, _table=morphology._rows, _tail=morphology._rows[kept:])

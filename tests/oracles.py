@@ -10,10 +10,25 @@ from agelex.features import (ALL_FEATURE_NAMES, DEFAULT_COEFFICIENTS, FAMILY_NAM
                              flesch_kincaid, smog_index)
 from agelex.lexicons import FrequencyDictionary, Polarity, SentimentCategory, SentimentLexicon, WordList
 from agelex.resources import Resources
-from agelex.text_analysis import Pos, tokenize
+from agelex.text_analysis import POS, POS_ORDER, SYLLABLES, Pos, tokenize
 
 # a JSON document nested past the parser's recursion limit
 NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+
+
+def type_surfaces(t) -> list[str]:
+    """Each type's surface form, in type order, from an AnalyzedText."""
+    return [t._entry(i)[0] for i in t.word_ids.tolist()]
+
+
+def type_pos(t) -> list[Pos]:
+    """Each type's part of speech, in type order, from an AnalyzedText."""
+    return list(map(POS_ORDER.__getitem__, t.types[:, POS].tolist()))
+
+
+def type_syllables(t) -> list[int]:
+    """Each type's syllable count, in type order, from an AnalyzedText."""
+    return t.types[:, SYLLABLES].tolist()
 
 
 def gini_impurity(counts) -> float:
@@ -98,7 +113,8 @@ def reference_quantitative_values(t, resources) -> tuple[list[float], tuple[str,
     pos_tokens = dict.fromkeys(Pos, 0)
     pos_lemmas = {p: set() for p in Pos}
     frequency = dict.fromkeys(Pos, (0, 0, 0, 0, 0))
-    for surface, lemma, p, syl, count in zip(t.surfaces, t.lemmas, t.pos, t.syllables, t.counts.tolist()):
+    views = type_surfaces(t), t.lemmas, type_pos(t), type_syllables(t), t.counts.tolist()
+    for surface, lemma, p, syl, count in zip(*views):
         familiar, slot, top5000, top_ipm, values = reference_lexicon_row(resources, lemma, p)
         lengths[len(surface)] += count
         pos_tokens[p] += count
@@ -129,8 +145,8 @@ def reference_quantitative_values(t, resources) -> tuple[list[float], tuple[str,
     values = [
         sum(length * count for length, count in lengths.items()) / n,
         _reference_median(lengths),
-        sum(t.sentence_symbols) / sentences,
-        _reference_median(Counter(t.sentence_symbols)),
+        sum(t.sentence_symbols.tolist()) / sentences,
+        _reference_median(Counter(t.sentence_symbols.tolist())),
         asw,
         many_syllables / n,
         len(set(t.lemmas)) / n,

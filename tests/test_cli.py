@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a small generated corpus."""
 import argparse
+import functools
 import json
 import os
 import re
@@ -12,10 +13,11 @@ import pytest
 
 import agelex.cli
 import agelex.features
+import agelex.pipeline
 from agelex.cli import main
 from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
 from agelex.features import ALL_FEATURE_NAMES
-from agelex.models import load_model, save_model
+from agelex.models import load_model, save_model, train_linear_svc
 from agelex.pipeline import Recipe, TrainSettings, train_pipeline
 from agelex.synthetic import make_corpus
 
@@ -33,8 +35,7 @@ def corpus_file(tmp_path_factory):
 def model_file(tmp_path_factory, corpus_file):
     out = tmp_path_factory.mktemp("model")
     rc = main(["train", "--corpus", str(corpus_file), "--out", str(out),
-               "--model", "lsvc", "--features", "general", "--no-tfidf",
-               "--epochs", "50"])
+               "--model", "lsvc", "--features", "general", "--no-tfidf"])
     assert rc == 0
     return out / "model_lsvc.json"
 
@@ -103,6 +104,18 @@ class TestConfigFile:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["c", "epochs", "tolerance", "max_terms", "fragment_limit",
+                                     "positive_class", "intervals"])
+    def test_fixed_study_settings_are_unknown_keys(self, tmp_path, corpus_file, key, capsys):
+        # the study fixes the solver, the fragment, the vocabulary, the
+        # informativeness bins and the positive class
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+
     def test_value_outside_the_choices_rejected(self, tmp_path, corpus_file, capsys):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("model = svm\n")
@@ -150,9 +163,9 @@ def command_argv(command, corpus_file, model_file, out):
         "ingest": ["ingest", *corpus, *base, "--test-fraction", "0.25"],
         "stats": ["stats", *corpus, *base],
         "extract": ["extract", *corpus, *base],
-        "train": ["train", *corpus, *base, "--features", "general", "--epochs", "5"],
+        "train": ["train", *corpus, *base, "--features", "general"],
         "evaluate": ["evaluate", *corpus, *base, "--model-file", str(model_file)],
-        "grid": ["grid", *corpus, *base, "--models", "lsvc", "--epochs", "5"],
+        "grid": ["grid", *corpus, *base, "--models", "lsvc"],
         "informativeness": ["informativeness", *corpus, *base],
         "correlations": ["correlations", *corpus, *base],
         "classify": ["classify", "--model-file", str(model_file), "--text", "Кот спит."],
@@ -185,7 +198,7 @@ def test_every_setting_read_is_printed(tmp_path, corpus_file, model_file, comman
 
 RESOURCE_KEYS = {"morphology", "frequency", "sentiment", "top5000", "familiar",
                  "stopwords", "abbreviations", "coefficients", "heuristic_morph"}
-FIT_KEYS = {"svd_target", "c", "epochs", "tolerance", "trees", "max_terms", "fragment_limit"}
+FIT_KEYS = {"svd_target", "trees"}
 # each command declares only the settings that can change what it writes
 # or prints: stats reads no morphology, and only the tf-idf reads stopwords
 FEATURE_RESOURCE_KEYS = RESOURCE_KEYS - {"stopwords"}
@@ -194,11 +207,10 @@ SETTINGS_BLOCKS = {
     "stats": {"out", "corpus", "abbreviations"},
     "extract": {"out", "corpus", *FEATURE_RESOURCE_KEYS},
     "train": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "model", "features",
-              "tfidf", "abstracts", "positive_class"},
-    "evaluate": {"out", "corpus", *RESOURCE_KEYS, "split", "positive_class"},
+              "tfidf", "abstracts"},
+    "evaluate": {"out", "corpus", *RESOURCE_KEYS, "split"},
     "grid": {"seed", "out", "corpus", *RESOURCE_KEYS, *FIT_KEYS, "models"},
-    "informativeness": {"out", "corpus", *FEATURE_RESOURCE_KEYS, "intervals", "families",
-                        "split"},
+    "informativeness": {"out", "corpus", *FEATURE_RESOURCE_KEYS, "families", "split"},
     "correlations": {"out", "corpus", *FEATURE_RESOURCE_KEYS, "families", "split"},
     "classify": RESOURCE_KEYS,
 }
@@ -308,8 +320,7 @@ class TestTrainEvaluate:
         for name in ("a", "b"):
             out = tmp_path / name
             main(["train", "--corpus", str(corpus_file), "--out", str(out),
-                  "--model", "lsvc", "--features", "general", "--no-tfidf",
-                  "--epochs", "50"])
+                  "--model", "lsvc", "--features", "general", "--no-tfidf"])
             outs.append((out / "model_lsvc.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -342,19 +353,6 @@ class TestTrainEvaluate:
         assert rows[1][1] == "6"
         assert "accuracy=" in capsys.readouterr().out
 
-    def test_positive_class_flag(self, tmp_path, corpus_file, model_file, capsys):
-        rc = main(["evaluate", "--corpus", str(corpus_file),
-                   "--model-file", str(model_file), "--out", str(tmp_path / "o"),
-                   "--split", "train", "--positive-class", "adult"])
-        assert rc == 0
-        assert "(positive class: adult)" in capsys.readouterr().out
-
-    def test_train_positive_class_flag(self, tmp_path, corpus_file, capsys):
-        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
-                   "--features", "general", "--no-tfidf", "--positive-class", "adult"])
-        assert rc == 0
-        assert "(positive class: adult)" in capsys.readouterr().out
-
     @pytest.mark.parametrize("kind", ["lsvc", "rf"])
     def test_train_defaults_are_the_library_defaults(self, tmp_path, corpus_file, resources,
                                                      kind):
@@ -364,21 +362,6 @@ class TestTrainEvaluate:
         save_model(train_pipeline(load_corpus(corpus_file), resources, Recipe(), kind,
                                   TrainSettings()), library)
         assert (tmp_path / f"model_{kind}.json").read_bytes() == library.read_bytes()
-
-    @pytest.mark.parametrize("c", ["nan", "inf", "0"])
-    def test_c_must_be_positive_and_finite(self, tmp_path, corpus_file, c, capsys):
-        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
-                   "--features", "general", "--c", c])
-        assert rc == 1
-        assert "error: C must be positive and finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
-    def test_tolerance_must_be_non_negative(self, tmp_path, corpus_file, tolerance, capsys):
-        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
-                   "--model", "lsvc", "--features", "general", "--tolerance", tolerance])
-        assert rc == 1
-        assert "error: tolerance must be >= 0 and finite" in capsys.readouterr().err
-        assert not (tmp_path / "model_lsvc.json").exists()
 
     @pytest.mark.parametrize("flags", [["--model", "rf"], ["--model", "lsvc"]])
     def test_fragments_without_lemmas_are_an_error(self, tmp_path, flags, capsys):
@@ -390,20 +373,6 @@ class TestTrainEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: cannot fit tf-idf: no training fragment has a lemma")
-
-    def test_fragment_limit_must_be_positive(self, tmp_path, corpus_file, capsys):
-        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
-                   "--fragment-limit", "0"])
-        assert rc == 1
-        assert "error: fragment limit must be positive" in capsys.readouterr().err
-
-    def test_fragment_limit_must_be_positive_without_tfidf(self, tmp_path, corpus_file, capsys):
-        # the limit is saved in the artifact even when no tf-idf reads it
-        rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
-                   "--no-tfidf", "--features", "general", "--fragment-limit", "0"])
-        assert rc == 1
-        assert "error: fragment limit must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "model_rf.json").exists()
 
     def test_negative_forest_seed_is_an_error(self, tmp_path, corpus_file, capsys):
         rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
@@ -445,9 +414,12 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("epochs, ending", [("1", " = 1, not converged"),
                                                 ("200", ", converged")])
     def test_train_reports_solver_convergence(self, tmp_path, corpus_file, epochs, ending,
-                                              capsys):
+                                              monkeypatch, capsys):
+        # 200 is the solver's own cap
+        monkeypatch.setattr(agelex.pipeline, "train_linear_svc",
+                            functools.partial(train_linear_svc, max_epochs=int(epochs)))
         rc = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path),
-                   "--model", "lsvc", "--features", "general", "--epochs", epochs])
+                   "--model", "lsvc", "--features", "general"])
         assert rc == 0
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("solver: Newton iterations = ")]
@@ -562,7 +534,7 @@ class TestGrid:
     def test_all_conditions_reported(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "out"
         rc = main(["grid", "--corpus", str(corpus_file), "--out", str(out),
-                   "--models", "lsvc", "--epochs", "30"])
+                   "--models", "lsvc"])
         assert rc == 0
         rows = read_tsv(out / "grid.tsv")
         assert rows[0] == ["model", "condition", "accuracy", "f1", "precision", "recall"]

@@ -33,7 +33,8 @@ from agelex.vectorizer import preprocess
 import agelex.features as features_mod
 import agelex.text_analysis as text_analysis
 from oracles import (NESTED_TOO_DEEPLY, by_family, reference_lexicon_row,
-                     reference_quantitative_values, text_features)
+                     reference_quantitative_values, text_features, type_pos, type_surfaces,
+                     type_syllables)
 
 # Frozen fingerprint of the 56-name schema; a change here is a breaking
 # change for every stored model.
@@ -300,12 +301,14 @@ class TestAgainstTokenReference:
             t = analyze(text, res.morphology, res.abbreviations)
         assert len(res.morphology._table.ids) <= cap
         ref = reference_analyze(text, res.morphology, res.abbreviations)
-        assert ([(t.surfaces[i], t.lemmas[i], t.pos[i], t.syllables[i]) for i in t.tokens]
+        surfaces = type_surfaces(t)
+        types = list(zip(surfaces, t.lemmas, type_pos(t), type_syllables(t)))
+        assert ([types[i] for i in t.tokens]
                 == [(tok.surface, tok.lemma, tok.pos, tok.syllables) for tok in ref.tokens])
-        assert len(set(t.surfaces)) == len(t.surfaces)
+        assert len(set(surfaces)) == len(surfaces)
         tokens = t.tokens.tolist()
-        assert t.counts.tolist() == [tokens.count(i) for i in range(len(t.surfaces))]
-        assert ((t.n_sentences, t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count)
+        assert t.counts.tolist() == [tokens.count(i) for i in range(len(surfaces))]
+        assert ((t.n_sentences, t.sentence_symbols.tolist(), t.char_count, t.letter_count, t.symbol_count)
                 == (ref.n_sentences, ref.sentence_symbols, ref.char_count, ref.letter_count,
                     ref.symbol_count))
 
@@ -413,7 +416,7 @@ class TestIntegerReduction:
             assert reduced == walked
         resources = _CAPPED[(True, cap)]
         t = analyze(text, resources.morphology)
-        assert len(resources.lexicon._table.ids) == min(cap, len(set(zip(t.lemmas, t.pos)))) >= 100
+        assert len(resources.lexicon._table.ids) == min(cap, len(set(zip(t.lemmas, type_pos(t))))) >= 100
 
     # binary exponents from -82 to 83, so the scale is 2**82 and the
     # largest scaled value, doc 10**25 times it, needs seven limbs; the
@@ -440,11 +443,11 @@ class TestIntegerReduction:
         morphology = DictionaryMorphology(dict(zip(surfaces, types)))
         t = analyze(" ".join(surfaces) + ".", morphology)
         count_of = dict(zip(surfaces, counts))
-        t = dataclasses.replace(t, counts=np.array([count_of[s] for s in t.surfaces]))
+        t = dataclasses.replace(t, counts=np.array([count_of[s] for s in type_surfaces(t)]))
         # one more column, of ones, sums each bucket's tokens again
         sums = lexicon.sums(t, np.ones((len(types), 1), np.int64))
         expected = [[0] * (DOC + 2) for _ in range(len(Pos) + 1)]
-        for lemma, p, count in zip(t.lemmas, t.pos, t.counts.tolist()):
+        for lemma, p, count in zip(t.lemmas, type_pos(t), t.counts.tolist()):
             familiar, slot, top5000, top_ipm, values = reference_lexicon_row(lexicon, lemma, p)
             row = [0] * (DOC + 2)
             row[TOKENS] = row[DOC + 1] = 1
@@ -463,7 +466,7 @@ class TestIntegerReduction:
                 line[:] = [s + v * count for s, v in zip(line, row)]
         # then the distinct lemmas of each part of speech, and of all
         for line, p in zip(expected, [*Pos, None]):
-            line.append(len({lemma for lemma, q in zip(t.lemmas, t.pos) if p in (q, None)}))
+            line.append(len({lemma for lemma, q in zip(t.lemmas, type_pos(t)) if p in (q, None)}))
         assert sums == expected
         assert all(type(v) is int for line in sums for v in line)
 
@@ -485,7 +488,7 @@ class TestIntegerReduction:
             for text in texts + texts[::-1]:
                 t = analyze(text, morphology)
                 sums = lexicon.sums(t, np.zeros((len(t.word_ids), 0), np.int64))
-                keys = set(zip(t.lemmas, t.pos))
+                keys = set(zip(t.lemmas, type_pos(t)))
                 assert [line[-1] for line in sums] == (
                     [len({lemma for lemma, q in keys if q is p}) for p in Pos]
                     + [len({lemma for lemma, _ in keys})]), text

@@ -76,8 +76,9 @@ def reference_sgd_svc(X, y, C=1.0, max_epochs=200, tolerance=1e-5, seed=42):
 @pytest.fixture(scope="module")
 def lsvc_grid_fits(resources):
     """For each of a grid's 18 lsvc fits: the scaled training matrix and
-    the SVD fitted on it, the solver's inputs and model, the folded model
-    the grid evaluates and the scaled test matrix it reads."""
+    the SVD fitted on it, the solver's inputs, the settings it records
+    (kwargs) and its model, the folded model the grid evaluates and the
+    scaled test matrix it reads."""
     corpus = make_corpus(30, 30, seed=5)
     svds, solves, designs, folded = [], [], [], []
 
@@ -86,8 +87,10 @@ def lsvc_grid_fits(resources):
         return svds[-1][1]
 
     def recording_svc(X, y, **kwargs):
-        solves.append((X, y, kwargs, train_linear_svc(X, y, **kwargs)))
-        return solves[-1][3]
+        model = train_linear_svc(X, y, **kwargs)
+        settings = {key: model.hyperparams[key] for key in ("C", "max_epochs", "tolerance")}
+        solves.append((X, y, settings, model))
+        return model
 
     def recording_design(*args):
         designs.append(recipe_design(*args))

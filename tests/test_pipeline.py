@@ -22,7 +22,7 @@ from agelex.text_analysis import analyze
 from agelex.vectorizer import (FRAGMENT_LIMIT, TfidfModel, augment_with_abstract, fit_tfidf,
                               preprocess)
 
-SETTINGS = TrainSettings(n_trees=5, svc_max_epochs=20)
+SETTINGS = TrainSettings(n_trees=5)
 
 
 def count_analysis(monkeypatch, names=("extract_all", "preprocess")) -> Counter:
@@ -118,7 +118,7 @@ def test_grid_rows_are_train_pipeline_and_evaluate(corpus, resources, grid):
 def test_grid_designs_are_the_pipeline_design_matrices(corpus, resources):
     conditions = grid_conditions()
     splits = (corpus.subset(Split.TRAIN), corpus.subset(Split.TEST))
-    designs = pipeline._grid_designs([recipe for _, recipe in conditions], splits, SETTINGS,
+    designs = pipeline._grid_designs([recipe for _, recipe in conditions], splits,
                                      CorpusVectors(resources))
     assert sorted(designs) == [False, True]
     for name, recipe in conditions:
@@ -217,8 +217,6 @@ def test_shared_cache_trains_what_a_fresh_cache_trains(corpus, resources):
     resplit = Corpus([replace(d, split=swapped.get(d.id, d.split)) for d in corpus])
     cases = [
         (corpus, Recipe(), SETTINGS),
-        (corpus, Recipe(), replace(SETTINGS, max_terms=7)),
-        (corpus, Recipe(), replace(SETTINGS, fragment_limit=9)),
         (corpus, Recipe(use_abstract=True), SETTINGS),
         (resplit, Recipe(), SETTINGS),
     ]
@@ -319,7 +317,7 @@ def test_train_command_analyzes_each_training_document_once(tmp_path, corpus, mo
     write_corpus(corpus, path)
     calls = count_analysis(monkeypatch)
     rc = main(["train", "--corpus", str(path), "--out", str(tmp_path / "out"),
-               "--model", "lsvc", "--features", "general", "--epochs", "20"])
+               "--model", "lsvc", "--features", "general"])
     assert rc == 0
     n_train = len(corpus.subset(Split.TRAIN))
     assert calls == {"extract_all": n_train, "preprocess": n_train}
@@ -512,12 +510,6 @@ def test_linear_pipeline_without_svd_hyperparams_loads(saved_pipelines, corpus, 
     docs = list(corpus)
     assert np.array_equal(load_model(path).predict_documents(docs, resources),
                           load_model(saved_pipelines["lsvc"]).predict_documents(docs, resources))
-
-
-def test_train_rejects_a_fragment_limit_below_one_without_tfidf(corpus, resources):
-    recipe = Recipe(use_tfidf=False, families=("general",))
-    with pytest.raises(ConfigError, match="fragment limit must be positive"):
-        train_pipeline(corpus, resources, recipe, "rf", replace(SETTINGS, fragment_limit=0))
 
 
 def test_blank_abstract_is_no_abstract(corpus, resources, monkeypatch):

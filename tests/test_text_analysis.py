@@ -20,7 +20,7 @@ from agelex.synthetic import make_corpus
 from agelex.vectorizer import FRAGMENT_LIMIT, augment_with_abstract, preprocess
 
 import agelex.text_analysis as text_analysis
-from oracles import reference_preprocess
+from oracles import reference_preprocess, type_pos, type_surfaces, type_syllables
 from test_features import TEXTS, WHITESPACE, reference_analyze
 
 CYR_WORDS = st.text(alphabet="абвгдежзиклмнопрстуфхцчшщыьэюя", min_size=1, max_size=12)
@@ -32,8 +32,8 @@ _TERMINATOR_RE = re.compile("[.!?…]+")
 def analysis_fields(t) -> tuple:
     """Every field and view of an analysis, as lists and numbers."""
     return (t.words.tolist(), t.word_ids.tolist(), t.types.tolist(), t.counts.tolist(),
-            t.sentence_symbols, t.char_count, t.letter_count, t.symbol_count, t.kept,
-            t.surfaces, t.lemmas, t.pos, t.syllables, t.tokens.tolist())
+            t.sentence_symbols.tolist(), t.char_count, t.letter_count, t.symbol_count, t.kept,
+            type_surfaces(t), t.lemmas, type_pos(t), type_syllables(t), t.tokens.tolist())
 
 
 def reference_split_sentences(text, abbreviations=None):
@@ -291,7 +291,7 @@ class TestChunks:
     def test_sentences_are_the_spans_of_split_sentences(self, text, abbreviations):
         t = analyze(text, HeuristicMorphology(), abbreviations)
         ref = reference_analyze(text, HeuristicMorphology(), abbreviations)
-        assert ((t.n_sentences, t.sentence_symbols, t.symbol_count, t.n_tokens)
+        assert ((t.n_sentences, t.sentence_symbols.tolist(), t.symbol_count, t.n_tokens)
                 == (ref.n_sentences, ref.sentence_symbols, ref.symbol_count, ref.n_tokens))
 
     @pytest.mark.parametrize("cap", [0, 3, text_analysis.TABLE_CAP])
@@ -311,7 +311,7 @@ class TestChunks:
             for text, abbreviations in reads:
                 t = analyze(text, morph, abbreviations)
                 ref = reference_analyze(text, HeuristicMorphology(), abbreviations)
-                assert ((t.n_sentences, t.sentence_symbols)
+                assert ((t.n_sentences, t.sentence_symbols.tolist())
                         == (ref.n_sentences, ref.sentence_symbols)), (text, abbreviations)
 
     @pytest.mark.parametrize("heuristic", [False, True])
@@ -500,7 +500,7 @@ class TestDictionaryMorphology:
         assert morph.analyze("Мышь") is None
         # a None from both reads as the lowercased surface with pos=Other
         t = analyze("Кот, пёс и Мышь.", morph)
-        assert list(zip(t.surfaces, t.lemmas, t.pos)) == [
+        assert list(zip(type_surfaces(t), t.lemmas, type_pos(t))) == [
             ("Кот", "кот", Pos.NOUN), ("пёс", "пёс-x", Pos.VERB), ("и", "и-x", Pos.VERB),
             ("Мышь", "мышь", Pos.OTHER)]
 
@@ -509,9 +509,9 @@ class TestMorphologyProvider:
     @given(TEXTS)
     def test_no_dictionary_reads_each_word_as_itself(self, text):
         t = analyze(text, MorphologyProvider())
-        assert sorted(t.surfaces) == sorted(set(tokenize(text)))
-        assert t.lemmas == [surface.lower() for surface in t.surfaces]
-        assert set(t.pos) <= {Pos.OTHER}
+        assert sorted(type_surfaces(t)) == sorted(set(tokenize(text)))
+        assert t.lemmas == [surface.lower() for surface in type_surfaces(t)]
+        assert set(type_pos(t)) <= {Pos.OTHER}
 
 
 class TestHeuristicMorphology:
@@ -553,8 +553,8 @@ class TestAnalyze:
         assert t.n_tokens == 2
         assert t.n_sentences == 1
         first, second = t.tokens
-        assert (t.lemmas[first], t.pos[first]) == ("кот", Pos.NOUN)
-        assert (t.lemmas[second], t.pos[second]) == ("спать", Pos.VERB)
+        assert (t.lemmas[first], type_pos(t)[first]) == ("кот", Pos.NOUN)
+        assert (t.lemmas[second], type_pos(t)[second]) == ("спать", Pos.VERB)
 
     def test_empty_text(self, morph):
         t = analyze("", morph)
@@ -562,7 +562,7 @@ class TestAnalyze:
 
     def test_oov_fallback_is_other(self, morph):
         t = analyze("Qqqq zzz.", morph)
-        assert [t.pos[i] for i in t.tokens] == [Pos.OTHER, Pos.OTHER]
+        assert [type_pos(t)[i] for i in t.tokens] == [Pos.OTHER, Pos.OTHER]
         assert t.lemmas[t.tokens[0]] == "qqqq"
 
     def test_counts(self, morph):
@@ -570,7 +570,7 @@ class TestAnalyze:
         assert t.char_count == 7
         assert t.letter_count == 7
         assert t.symbol_count == 8  # includes the period
-        assert t.sentence_symbols == [8]
+        assert t.sentence_symbols.tolist() == [8]
 
     def test_char_count_never_exceeds_symbol_count(self, morph):
         for text in ("Кот, пёс!", "A1 b.", "- тире - и №5"):
@@ -598,7 +598,7 @@ class TestAnalyze:
             assert last > first
             prev_end = last
         assert prev_end == t.n_tokens
-        assert (t.n_sentences, t.sentence_symbols) == (ref.n_sentences, ref.sentence_symbols)
+        assert (t.n_sentences, t.sentence_symbols.tolist()) == (ref.n_sentences, ref.sentence_symbols)
 
     def test_deterministic(self, morph):
         text = "Кот спит. Пёс бежит! Маша читает?"
@@ -624,10 +624,10 @@ class TestAnalyze:
         monkeypatch.setattr(text_analysis, "TABLE_CAP", cap)
         morph = HeuristicMorphology()
         t = analyze("Кот видел бармаглота. Бармаглот спал!", morph)
-        views = t.surfaces, t.lemmas, t.pos, t.syllables
+        views = type_surfaces(t), t.lemmas, type_pos(t), type_syllables(t)
         assert views[0] and views[2] != [Pos.OTHER] * len(views[2])
         analyze("Пёс бежит домой. Синий дом стоит!", morph)
-        assert (t.surfaces, t.lemmas, t.pos, t.syllables) == views
+        assert (type_surfaces(t), t.lemmas, type_pos(t), type_syllables(t)) == views
 
 
 class TestAbbreviations:
