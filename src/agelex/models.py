@@ -300,6 +300,21 @@ def _split_tables(X: np.ndarray, y01: np.ndarray) -> tuple:
     return X, y01, codes.ravel(), values
 
 
+def rank_design(X, y) -> tuple:
+    """The split tables train_random_forest builds of a training design X
+    with +1/-1 labels y.  Dense ranks are per column, so forests fitted on
+    column subsets of X can read slices of them (column_ranks) instead of
+    ranking each subset again."""
+    return _split_tables(np.asarray(X, dtype=float), (np.asarray(y, dtype=np.int64) + 1) // 2)
+
+
+def column_ranks(tables: tuple, columns: list[int]) -> tuple:
+    """The codes and values _split_tables gives for X[:, columns], sliced
+    from its tables of X."""
+    X, _, codes, values = tables
+    return codes.reshape(-1, len(X))[columns].ravel(), values.take(columns, axis=1)
+
+
 # A cut's float32 score of g rounds three times (a quotient and a product
 # per term, then their sum), each within a relative u = 2**-24; both terms
 # are positive, so the score lies within a relative 3u of g (6u once a node
@@ -549,7 +564,8 @@ def _bootstraps(seed: int, n_trees: int, n: int) -> tuple[np.ndarray, np.ndarray
     return tree_seeds, rows
 
 
-def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomForestModel:
+def train_random_forest(X, y, n_trees: int = 100, seed: int = 42, *,
+                        ranks: tuple | None = None) -> RandomForestModel:
     """Train a forest of fully grown Gini trees on bootstrap samples.
 
     Each tree draws a bootstrap of the training set (same size, with
@@ -566,6 +582,11 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     its drawn features, compared exactly (see _best_splits).  The last
     fit's bootstraps, n_trees * n row ids, stay held after it returns, for
     the next fit with the same seed, tree count and row count.
+
+    X is ranked column by column first.  A caller that holds the ranks of
+    a design whose columns X is, with the same labels, passes
+    column_ranks(rank_design(design, y), columns) as ranks and gets the
+    same forest without that step.
     """
     X, y = _validate_training_inputs(X, y)
     if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)) or n_trees < 1:
@@ -576,7 +597,7 @@ def train_random_forest(X, y, n_trees: int = 100, seed: int = 42) -> RandomFores
     n, p = X.shape
     y01 = ((y + 1) // 2).astype(np.int64)
     k = max(1, math.ceil(math.sqrt(p)))
-    tables = _split_tables(X, y01)
+    tables = _split_tables(X, y01) if ranks is None else (X, y01, *ranks)
     tree_seeds, rows = _bootstraps(int(seed), n_trees, n)
     # the nodes of one level, by tree and then in node order: their tree,
     # key, (adult, children) counts and, one node after another, their

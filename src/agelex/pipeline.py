@@ -22,9 +22,15 @@ Resources to read through a fresh one.
 Training has one path: each grid condition, and train_pipeline's one
 recipe, fits on its columns of one scaled design per abstract flag (see
 _grid_designs), so a trained pipeline's model is the grid's fit.
+
+Once the designs exist, no grid cell reads another's result, so
+run_grid fits and scores the cells in one forked worker process per CPU
+this process may use (its affinity mask: `taskset -c 0` keeps the grid
+in this process), and its rows are the same at any CPU count.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,8 +39,9 @@ from .analysis import MetricsReport, metrics
 from .corpus import Corpus, Document, Label, Split
 from .errors import ArtifactError, ConfigError, ModelError
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_all, schema_hash
-from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_exact,
-                     json_floats, register_model_kind, train_linear_svc, train_random_forest)
+from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, column_ranks,
+                     json_exact, json_floats, rank_design, register_model_kind,
+                     train_linear_svc, train_random_forest)
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, SVD_TARGET, MinMaxScaler,
                          TfidfModel, augment_with_abstract, fit_minmax, fit_svd,
@@ -296,12 +303,14 @@ def _labels(docs: list[Document]) -> np.ndarray:
     return np.array([label_to_int(d.label) for d in docs], dtype=np.int64)
 
 
-def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
-               settings: TrainSettings) -> LinearSvcModel | RandomForestModel:
+def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, settings: TrainSettings,
+               ranks: tuple | None = None) -> LinearSvcModel | RandomForestModel:
     """The model of a pipeline of the given kind, fitted on its scaled
-    design matrix."""
+    design matrix; a forest reads the ranks of X if given (see
+    train_random_forest)."""
     if kind == "rf":
-        return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
+        return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed,
+                                   ranks=ranks)
     svd = fit_svd(X, settings.svd_target)
     model = train_linear_svc(svd.transform(X), y)
     # with components C and mean μ, the margin of a scaled row s is
@@ -395,19 +404,58 @@ def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
     return designs
 
 
+def _recipe_columns(designs: dict, recipe: Recipe) -> tuple[bool | None, list[int]]:
+    """The key of the one of _grid_designs that holds the recipe's
+    columns, and their indices in it."""
+    key = recipe.use_abstract if recipe.use_tfidf else next(iter(designs))
+    tfidf = designs[key][0]
+    width = len(tfidf.vocabulary) if tfidf is not None else 0
+    columns = list(range(width)) if recipe.use_tfidf else []
+    columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
+    return key, columns
+
+
 def _recipe_design(designs: dict, recipe: Recipe
                    ) -> tuple[TfidfModel | None, MinMaxScaler, list[np.ndarray]]:
     """The recipe's tf-idf, scaler and scaled designs: its columns of one
     of _grid_designs, the matrices taken into C-contiguous copies
     (X[:, columns] would give Fortran-ordered ones)."""
-    tfidf, scaler, matrices = designs[recipe.use_abstract if recipe.use_tfidf
-                                      else next(iter(designs))]
-    width = len(tfidf.vocabulary) if tfidf is not None else 0
-    columns = list(range(width)) if recipe.use_tfidf else []
-    columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
+    key, columns = _recipe_columns(designs, recipe)
+    tfidf, scaler, matrices = designs[key]
     return (tfidf if recipe.use_tfidf else None,
             MinMaxScaler(scaler.mins[columns], scaler.ranges[columns]),
             [X.take(columns, axis=1) for X in matrices])
+
+
+# a grid worker's (designs, ranks, labels, test labels, settings), set
+# when the worker starts; see run_grid
+_worker_grid: tuple | None = None
+
+
+def _start_grid_worker(grid: tuple) -> None:
+    global _worker_grid
+    _worker_grid = grid
+    # a killed parent cannot shut the pool down, and its workers would wait
+    # for cells forever: each exits once its parent has
+    import multiprocessing.connection
+    import threading
+    parent = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: (multiprocessing.connection.wait([parent]), os._exit(1)),
+                     daemon=True).start()
+
+
+def _grid_cell(cell: tuple[str, str, Recipe], grid: tuple | None = None) -> MetricsReport:
+    """The test metrics of one (model kind, condition, recipe) cell of a
+    grid, from the grid given or, in a worker, the worker's: the model
+    fitted on the recipe's columns of the designs, a forest reading their
+    slice of the designs' ranks."""
+    kind, _, recipe = cell
+    designs, ranked, y, gold, settings = grid or _worker_grid
+    _, _, (X_train, X_test) = _recipe_design(designs, recipe)
+    key, columns = _recipe_columns(designs, recipe)
+    ranks = column_ranks(ranked[key], columns) if kind == "rf" else None
+    model = _fit_model(kind, X_train, y, settings, ranks)
+    return metrics(model.predict_many(X_test), gold)
 
 
 def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
@@ -417,7 +465,11 @@ def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
     """Train and evaluate every (model, condition) pair on the corpus
     train/test splits, as train_pipeline and evaluate would, reading
     each document through one CorpusVectors and each condition's scaled
-    designs as columns of _grid_designs."""
+    designs as columns of _grid_designs.
+
+    The pairs are fitted in worker processes when this process may use
+    more than one CPU and can fork, else in this process, with the same
+    rows; no worker outlives the call, also when a fit raises."""
     settings = settings or TrainSettings()
     _check_model_kinds(model_kinds)
     test_docs = corpus.subset(Split.TEST)
@@ -428,10 +480,23 @@ def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
     designs = _grid_designs([recipe for _, recipe in conditions], (train_docs, test_docs),
                             _vectors(source))
     y, gold = _labels(train_docs), _labels(test_docs)
-    rows = []
-    for kind in model_kinds:
-        for name, recipe in conditions:
-            _, _, (X_train, X_test) = _recipe_design(designs, recipe)
-            model = _fit_model(kind, X_train, y, settings)
-            rows.append(GridRow(kind, name, metrics(model.predict_many(X_test), gold)))
-    return rows
+    # each training design is ranked once, for every forest fitted on its columns
+    ranked = ({key: rank_design(matrices[0], y) for key, (_, _, matrices) in designs.items()}
+              if "rf" in model_kinds else {})
+    grid = designs, ranked, y, gold, settings
+    cells = [(kind, name, recipe) for kind in model_kinds for name, recipe in conditions]
+    # one forked worker per CPU this process may use, at most one per cell:
+    # each inherits the grid, and only the reports come back
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(cells))
+    if workers < 2 or not hasattr(os, "fork"):
+        reports = [_grid_cell(cell, grid) for cell in cells]
+    else:
+        # imported here: the pool's modules would cost every command set-up
+        # time, and a grid on one CPU their memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _start_grid_worker, (grid,)) as pool:
+            reports = list(pool.map(_grid_cell, cells))
+    return [GridRow(kind, name, report) for (kind, name, _), report in zip(cells, reports)]

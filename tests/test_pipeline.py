@@ -1,6 +1,12 @@
 """Training, prediction and the grid share one per-document input path."""
+import contextlib
 import json
+import multiprocessing
+import os
 import re
+import select
+import signal
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +18,7 @@ import agelex.pipeline as pipeline
 from agelex.analysis import metrics
 from agelex.cli import main
 from agelex.corpus import Corpus, Label, Split, write_corpus
-from agelex.errors import ArtifactError, ConfigError
+from agelex.errors import ArtifactError, ConfigError, ModelError
 from agelex.models import load_model, save_model
 from agelex.pipeline import (MODEL_KINDS, CorpusVectors, GridRow, Recipe, TrainedPipeline,
                              TrainSettings, grid_conditions, label_to_int, run_grid,
@@ -149,6 +155,8 @@ def test_grid_fits_are_the_trained_pipelines_models(corpus, resources):
 
     fit_model = pipeline._fit_model
     with pytest.MonkeyPatch.context() as mp:
+        # one usable CPU: the fits run in this process, where they are recorded
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         mp.setattr(pipeline, "_fit_model", recording_fit)
         run_grid(corpus, resources, settings=SETTINGS)
     conditions = [(kind, recipe) for kind in MODEL_KINDS for _, recipe in grid_conditions()]
@@ -201,6 +209,87 @@ def test_fragment_with_abstract_is_the_augmented_preview_read(corpus, resources,
     with_abstract = sum(1 for d in corpus if d.abstract is not None)
     if limit == FRAGMENT_LIMIT:
         assert 0 < len(full) < with_abstract
+
+
+def grid_on_cpus(cpus, corpus, resources, conditions):
+    """run_grid as a process that may use the given CPUs runs it, and the
+    models it fitted in this process."""
+    fits = []
+
+    def recording_fit(*args):
+        fits.append(fit_model(*args))
+        return fits[-1]
+
+    fit_model = pipeline._fit_model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        mp.setattr(pipeline, "_fit_model", recording_fit)
+        return run_grid(corpus, resources, MODEL_KINDS, SETTINGS, conditions), fits
+
+
+pooled = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"),
+                            reason="the grid runs in worker processes only where it can "
+                                   "fork and read its CPU affinity")
+
+
+@pooled
+def test_pooled_grid_rows_are_the_in_process_rows(corpus, resources):
+    conditions = [c for c in grid_conditions() if c[0] in ("baseline+all", "readability")]
+    pooled, pooled_fits = grid_on_cpus({0, 1}, corpus, resources, conditions)
+    alone, alone_fits = grid_on_cpus({0}, corpus, resources, conditions)
+    # the pooled fits ran in the workers, which exited with the call
+    assert (len(pooled_fits), len(alone_fits)) == (0, 4)
+    assert not multiprocessing.active_children()
+    assert [(row.model_kind, row.condition) for row in pooled] == [
+        (kind, name) for kind in MODEL_KINDS for name, _ in conditions]
+    assert pooled == alone
+
+
+def test_a_fit_that_fails_in_a_worker_fails_the_grid_as_in_process(corpus, resources):
+    # a training split of one class cannot be fitted
+    one_class = Corpus([d for d in corpus if d.split is Split.TEST or d.label is Label.CHILDREN])
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        with pytest.raises(ModelError, match="single class") as excinfo:
+            grid_on_cpus(cpus, one_class, resources, grid_conditions()[:2])
+        assert not multiprocessing.active_children()
+        errors.append((type(excinfo.value), str(excinfo.value)))
+    assert errors[0] == errors[1]
+
+
+@pooled
+def test_grid_workers_exit_when_the_grid_process_is_killed(corpus, resources):
+    # a grid process killed mid-fit cannot shut its pool down; its workers
+    # then exit by themselves, and with them the last holders of `done`
+    ready_r, ready_w = os.pipe()
+    done_r, done_w = os.pipe()
+
+    def stuck_fit(*args):
+        os.write(ready_w, os.getpid().to_bytes(8, "little"))
+        time.sleep(60)
+
+    def grid_process():
+        pipeline._fit_model = stuck_fit
+        grid_on_cpus({0, 1}, corpus, resources, grid_conditions()[:2])
+
+    process = multiprocessing.get_context("fork").Process(target=grid_process)
+    process.start()
+    os.close(done_w)
+    workers = []
+    try:
+        while len(workers) < 2 and select.select([ready_r], [], [], 60)[0]:
+            workers.append(int.from_bytes(os.read(ready_r, 8), "little"))
+        assert len(workers) == 2
+        process.kill()
+        process.join(10)
+        assert select.select([done_r], [], [], 30)[0] and os.read(done_r, 1) == b""
+    finally:
+        process.kill()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for fd in (ready_r, ready_w, done_r):
+            os.close(fd)
 
 
 @pytest.mark.parametrize("kinds", [(), ("lsvc", "svm")])
