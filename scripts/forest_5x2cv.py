@@ -34,14 +34,13 @@ from agelex.synthetic import make_corpus
 
 def load_old_forest(src: Path):
     """train_random_forest of the agelex package under src, imported as a
-    separate package so both versions live in one process.  It ranks its
-    design itself, so the ranks a pipeline may pass are dropped."""
+    separate package so both versions live in one process."""
     spec = importlib.util.spec_from_file_location(
         "agelex_old", src / "agelex" / "__init__.py", submodule_search_locations=[str(src / "agelex")])
     module = importlib.util.module_from_spec(spec)
     sys.modules["agelex_old"] = module
     spec.loader.exec_module(module)
-    return lambda X, y, ranks=None, **kwargs: module.train_random_forest(X, y, **kwargs)
+    return module.train_random_forest
 
 
 def two_sided_p(t: float) -> float:

@@ -118,7 +118,9 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
     a non-finite ipm or d, ipm < 0, r outside 0..100, d outside 0..100 or
     doc < 0 are rejected with their row number.  Pos tags beyond the six known classes (the
     source dictionary also tags conjunctions, particles and so on) are
-    folded into Other.
+    folded into Other, and of a lemma's rows read as Other the first is
+    kept, as DictionaryMorphology.load keeps a surface's first row.  A
+    lemma's second row with the same tag is rejected.
     """
     with decode_errors_as(LexiconError, path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -127,8 +129,8 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
     header = tuple(h.strip().lower() for h in lines[0].split("\t"))
     if header != FREQUENCY_HEADER:
         raise LexiconError(f"{path}: bad header {header!r}, expected {FREQUENCY_HEADER!r}")
-    records = []
-    seen: set[tuple[str, Pos]] = set()
+    records: dict[tuple[str, Pos], FrequencyRecord] = {}
+    tags: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -138,7 +140,8 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
         lemma = parts[0].strip().lower()
         if not lemma:
             raise LexiconError(f"{path}: row {lineno}: empty lemma")
-        pos = Pos.from_tag(parts[1]) or Pos.OTHER
+        tag = parts[1].strip().upper()
+        pos = Pos.from_tag(tag) or Pos.OTHER
         ipm = _parse_float(parts[2], "ipm", path, lineno)
         r = _parse_int(parts[3], "r", path, lineno)
         d = _parse_float(parts[4], "d", path, lineno)
@@ -151,12 +154,11 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
             raise LexiconError(f"{path}: row {lineno}: d must be in 0..100, got {d}")
         if doc < 0:
             raise LexiconError(f"{path}: row {lineno}: doc must be >= 0, got {doc}")
-        key = (lemma, pos)
-        if key in seen:
-            raise LexiconError(f"{path}: row {lineno}: duplicate entry for {lemma!r}/{pos.value}")
-        seen.add(key)
-        records.append(FrequencyRecord(lemma, pos, ipm, r, d, doc))
-    return FrequencyDictionary(records)
+        if (lemma, tag) in tags:
+            raise LexiconError(f"{path}: row {lineno}: duplicate entry for {lemma!r}/{tag}")
+        tags.add((lemma, tag))
+        records.setdefault((lemma, pos), FrequencyRecord(lemma, pos, ipm, r, d, doc))
+    return FrequencyDictionary(list(records.values()))
 
 
 class Polarity(Enum):

@@ -39,9 +39,8 @@ from .analysis import MetricsReport, metrics
 from .corpus import Corpus, Document, Label, Split
 from .errors import ArtifactError, ConfigError, ModelError
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, FeatureVector, extract_all, schema_hash
-from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, column_ranks,
-                     json_exact, json_floats, rank_design, register_model_kind,
-                     train_linear_svc, train_random_forest)
+from .models import (CHILDREN, ADULT, LinearSvcModel, RandomForestModel, json_exact,
+                     json_floats, register_model_kind, train_linear_svc, train_random_forest)
 from .resources import Resources
 from .vectorizer import (FRAGMENT_LIMIT, SVD_TARGET, MinMaxScaler,
                          TfidfModel, augment_with_abstract, fit_minmax, fit_svd,
@@ -303,14 +302,12 @@ def _labels(docs: list[Document]) -> np.ndarray:
     return np.array([label_to_int(d.label) for d in docs], dtype=np.int64)
 
 
-def _fit_model(kind: str, X: np.ndarray, y: np.ndarray, settings: TrainSettings,
-               ranks: tuple | None = None) -> LinearSvcModel | RandomForestModel:
+def _fit_model(kind: str, X: np.ndarray, y: np.ndarray,
+               settings: TrainSettings) -> LinearSvcModel | RandomForestModel:
     """The model of a pipeline of the given kind, fitted on its scaled
-    design matrix; a forest reads the ranks of X if given (see
-    train_random_forest)."""
+    design matrix."""
     if kind == "rf":
-        return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed,
-                                   ranks=ranks)
+        return train_random_forest(X, y, n_trees=settings.n_trees, seed=settings.seed)
     svd = fit_svd(X, settings.svd_target)
     model = train_linear_svc(svd.transform(X), y)
     # with components C and mean μ, the margin of a scaled row s is
@@ -404,31 +401,23 @@ def _grid_designs(recipes: list[Recipe], splits: tuple[list[Document], ...],
     return designs
 
 
-def _recipe_columns(designs: dict, recipe: Recipe) -> tuple[bool | None, list[int]]:
-    """The key of the one of _grid_designs that holds the recipe's
-    columns, and their indices in it."""
-    key = recipe.use_abstract if recipe.use_tfidf else next(iter(designs))
-    tfidf = designs[key][0]
-    width = len(tfidf.vocabulary) if tfidf is not None else 0
-    columns = list(range(width)) if recipe.use_tfidf else []
-    columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
-    return key, columns
-
-
 def _recipe_design(designs: dict, recipe: Recipe
                    ) -> tuple[TfidfModel | None, MinMaxScaler, list[np.ndarray]]:
     """The recipe's tf-idf, scaler and scaled designs: its columns of one
     of _grid_designs, the matrices taken into C-contiguous copies
     (X[:, columns] would give Fortran-ordered ones)."""
-    key, columns = _recipe_columns(designs, recipe)
-    tfidf, scaler, matrices = designs[key]
+    tfidf, scaler, matrices = designs[recipe.use_abstract if recipe.use_tfidf
+                                      else next(iter(designs))]
+    width = len(tfidf.vocabulary) if tfidf is not None else 0
+    columns = list(range(width)) if recipe.use_tfidf else []
+    columns += [width + _COLUMN_OF[feature] for feature in recipe.feature_names]
     return (tfidf if recipe.use_tfidf else None,
             MinMaxScaler(scaler.mins[columns], scaler.ranges[columns]),
             [X.take(columns, axis=1) for X in matrices])
 
 
-# a grid worker's (designs, ranks, labels, test labels, settings), set
-# when the worker starts; see run_grid
+# a grid worker's (designs, labels, test labels, settings), set when the
+# worker starts; see run_grid
 _worker_grid: tuple | None = None
 
 
@@ -447,14 +436,11 @@ def _start_grid_worker(grid: tuple) -> None:
 def _grid_cell(cell: tuple[str, str, Recipe], grid: tuple | None = None) -> MetricsReport:
     """The test metrics of one (model kind, condition, recipe) cell of a
     grid, from the grid given or, in a worker, the worker's: the model
-    fitted on the recipe's columns of the designs, a forest reading their
-    slice of the designs' ranks."""
+    fitted on the recipe's columns of the designs."""
     kind, _, recipe = cell
-    designs, ranked, y, gold, settings = grid or _worker_grid
+    designs, y, gold, settings = grid or _worker_grid
     _, _, (X_train, X_test) = _recipe_design(designs, recipe)
-    key, columns = _recipe_columns(designs, recipe)
-    ranks = column_ranks(ranked[key], columns) if kind == "rf" else None
-    model = _fit_model(kind, X_train, y, settings, ranks)
+    model = _fit_model(kind, X_train, y, settings)
     return metrics(model.predict_many(X_test), gold)
 
 
@@ -480,10 +466,7 @@ def run_grid(corpus: Corpus, source: Resources | CorpusVectors,
     designs = _grid_designs([recipe for _, recipe in conditions], (train_docs, test_docs),
                             _vectors(source))
     y, gold = _labels(train_docs), _labels(test_docs)
-    # each training design is ranked once, for every forest fitted on its columns
-    ranked = ({key: rank_design(matrices[0], y) for key, (_, _, matrices) in designs.items()}
-              if "rf" in model_kinds else {})
-    grid = designs, ranked, y, gold, settings
+    grid = designs, y, gold, settings
     cells = [(kind, name, recipe) for kind in model_kinds for name, recipe in conditions]
     # one forked worker per CPU this process may use, at most one per cell:
     # each inherits the grid, and only the reports come back

@@ -80,6 +80,22 @@ class TestFrequencyDictionary:
         with pytest.raises(LexiconError, match="duplicate"):
             load_frequency_dict(p)
 
+    def test_tags_folded_into_other_keep_the_first_row(self, tmp_path):
+        d = load_frequency_dict(freq_file(tmp_path, [
+            "что\tCONJ\t100\t50\t50\t10",
+            "что\tPRON\t300\t40\t20\t30",
+            "что\tNOUN\t5\t1\t1\t1",
+        ]))
+        assert d.records == [FrequencyRecord("что", Pos.OTHER, 100.0, 50, 50.0, 10),
+                             FrequencyRecord("что", Pos.NOUN, 5.0, 1, 1.0, 1)]
+        assert d.lookup_any("что").ipm == pytest.approx(52.5)
+
+    @pytest.mark.parametrize("tags", [("CONJ", "PRON", "conj"), ("OTHER", "CONJ", "OTHER")])
+    def test_a_repeated_tag_folded_into_other_is_rejected_with_row(self, tmp_path, tags):
+        p = freq_file(tmp_path, [f"что\t{tag}\t100\t50\t50\t10" for tag in tags])
+        with pytest.raises(LexiconError, match=f"row 4: duplicate entry for 'что'/{tags[0].upper()}"):
+            load_frequency_dict(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "freq.tsv"
         p.write_text("lemma\tpos\tipm\n", encoding="utf-8")

@@ -813,20 +813,16 @@ class TestRandomForest:
     def test_grid_forests_equal_trees_grown_one_at_a_time(self, resources, monkeypatch):
         fits = []
 
-        def recording(X, y, ranks, **kwargs):
-            model = train_random_forest(X, y, ranks=ranks, **kwargs)
-            fits.append((X, y, ranks, kwargs, model))
+        def recording(X, y, **kwargs):
+            model = train_random_forest(X, y, **kwargs)
+            fits.append((X, y, kwargs, model))
             return model
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(agelex.pipeline, "train_random_forest", recording)
         run_grid(make_corpus(20, 20, seed=5), resources, ("rf",))
         assert len(fits) == 18
-        for X, y, ranks, kwargs, model in fits:
-            # each forest reads its columns' slice of one design's ranks,
-            # which are the ranks of its own design
-            _, _, codes, values = _split_tables(X, (y + 1) // 2)
-            assert ranks[0].tobytes() == codes.tobytes() and ranks[1].tobytes() == values.tobytes()
+        for X, y, kwargs, model in fits:
             assert model.to_json_dict() == in_level_order(reference_forest(X, y, **kwargs))
 
     @settings(max_examples=60, deadline=None)
