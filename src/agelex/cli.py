@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import DEFAULT_INTERVALS, correlation_matrix, rank_features
 from .corpus import AgeRating, Corpus, Document, Label, Split, corpus_stats, load_corpus, random_split, write_corpus
-from .errors import AgelexError, ConfigError, decode_errors_as
+from .errors import ENCODING, AgelexError, ConfigError, decode_errors_as, read_text
 from .features import ALL_FEATURE_NAMES, FAMILY_NAMES, QUANTITATIVE_FAMILIES
 from .models import load_model, save_model
 from .pipeline import (MODEL_KINDS, CorpusVectors, Recipe, TrainSettings,
@@ -63,8 +63,7 @@ _FIT = ("svd_target", "trees")
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
-        with decode_errors_as(ConfigError, path):
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, ConfigError).splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(lines, start=1):
@@ -332,11 +331,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
     elif args.input is not None:
-        with decode_errors_as(ConfigError, args.input):
-            text = Path(args.input).read_text(encoding="utf-8")
+        text = read_text(args.input, ConfigError)
     else:
         with decode_errors_as(ConfigError, "<stdin>"):
-            text = sys.stdin.buffer.read().decode("utf-8")
+            text = sys.stdin.buffer.read().decode(ENCODING)
     if not text.strip():
         raise ConfigError("empty text")
     doc = Document(id="<input>", text=text, label=Label.CHILDREN,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import CorpusError, decode_errors_as
+from .errors import ENCODING, CorpusError, decode_errors_as
 from .text_analysis import MorphologyProvider, analyze
 
 
@@ -103,7 +103,7 @@ def load_corpus(path: str | Path) -> Corpus:
     """
     docs = []
     seen: set[str] = set()
-    with decode_errors_as(CorpusError, path), open(path, encoding="utf-8") as fh:
+    with decode_errors_as(CorpusError, path), open(path, encoding=ENCODING) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

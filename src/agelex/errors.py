@@ -3,10 +3,14 @@
 Every error raised on bad input derives from AgelexError so the command
 line layer can catch one type, print the message to stderr and exit 1;
 file readers use decode_errors_as so that a file that is not UTF-8 does
-too.
+too.  Every input is read as ENCODING: UTF-8, past a byte-order mark if
+it starts with one, as Windows editors often write.
 """
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator
+
+ENCODING = "utf-8-sig"
 
 
 class AgelexError(Exception):
@@ -53,3 +57,10 @@ def decode_errors_as(error: type[AgelexError], path) -> Iterator[None]:
         yield
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}")
+
+
+def read_text(path, error: type[AgelexError]) -> str:
+    """The whole file at path as ENCODING; a file that is not UTF-8 raises
+    `error` naming it."""
+    with decode_errors_as(error, path):
+        return Path(path).read_text(encoding=ENCODING)

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import AgeRating, Document
-from .errors import ConfigError, FeatureError, decode_errors_as
+from .errors import ConfigError, FeatureError, read_text
 from .lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT, TOKENS, TOP5000,
                        TOP_IPM, TOP_IPM_TOKENS, Lexicon)
 from .text_analysis import LENGTH, POS_ORDER, SYLLABLES, AnalyzedText, Pos, analyze
@@ -142,8 +142,7 @@ class ReadabilityCoefficients:
         """Read coefficient overrides from a JSON file keyed by index
         (fk, cl, ari, smog, dc); missing indices keep their defaults."""
         try:
-            with decode_errors_as(ConfigError, path):
-                raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path, ConfigError))
         except (json.JSONDecodeError, RecursionError) as exc:  # the second: nested too deeply
             raise ConfigError(f"{path}: malformed JSON: {exc}")
         if not isinstance(raw, dict):

@@ -1,24 +1,25 @@
 """Loaders for the external lexical resources, and one table over them.
 
 Three resource kinds: a frequency dictionary with ipm / rank / dispersion
-/ document-count attributes per (lemma, pos), a sentiment lexicon mapping
-lemmas to (polarity, category), and plain word lists such as the top-5000
-frequency list or the familiar-words list used by the Dale-Chall style
-index.  All loaders validate ranges and report the offending row number.
+/ document-count attributes per (lemma, pos), a sentiment lexicon that
+loads as a dict of lemma -> (polarity, category), and plain word lists,
+such as the top-5000 list or the Dale-Chall familiar-words list, that
+load as a dict of lemma -> ipm or None.  Each loader lowercases lemmas,
+validates ranges and reports the offending row number.
 
 A Lexicon reads the four word lexicons of one Resources through a
 text_analysis.RowTable keyed by (lemma, pos): each key is resolved once,
-on first sight, into an int32 row.  A row holds 1, the difficult-word
-flag, the top-5000 hit, whether the hit has an ipm, the frequency-entry
-flag, the sentiment one-hot, then the hit's ipm and the entry's ipm, r,
-d and doc.  Each of those five values is an exact integer over one
-power-of-two scale, split into as many 24-bit limbs as the largest such
-value of the lexicons needs.  A text's type counts times the rows then
-give every column sum exactly in int64 for any text under 2**39 tokens,
-and the limbs are joined again as Python integers.  The Lexicon also
-links each word row of the morphology provider's chunk table to its
-row, on first sight, so a text's rows are one gather by its types' word
-row ids.
+on first sight, into an int32 row, its lemma lowercased to look it up.
+A row holds 1, the difficult-word flag, the top-5000 hit, whether the
+hit has an ipm, the frequency-entry flag, the sentiment one-hot, then
+the hit's ipm and the entry's ipm, r, d and doc.  Each of those five
+values is an exact integer over one power-of-two scale, split into as
+many 24-bit limbs as the largest such value of the lexicons needs.  A
+text's type counts times the rows then give every column sum exactly in
+int64 for any text under 2**39 tokens, and the limbs are joined again as
+Python integers.  The Lexicon also links each word row of the morphology
+provider's chunk table to its row, on first sight, so a text's rows are
+one gather by its types' word row ids.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import text_analysis
-from .errors import LexiconError, decode_errors_as
+from .errors import ENCODING, LexiconError, decode_errors_as, read_text
 from .text_analysis import POS_ORDER, AnalyzedText, Pos, RowTable
 
 FREQUENCY_HEADER = ("lemma", "pos", "ipm", "r", "d", "doc")
@@ -122,8 +123,7 @@ def load_frequency_dict(path: str | Path) -> FrequencyDictionary:
     kept, as DictionaryMorphology.load keeps a surface's first row.  A
     lemma's second row with the same tag is rejected.
     """
-    with decode_errors_as(LexiconError, path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, LexiconError).splitlines()
     if not lines:
         raise LexiconError(f"{path}: empty file")
     header = tuple(h.strip().lower() for h in lines[0].split("\t"))
@@ -172,26 +172,15 @@ class SentimentCategory(Enum):
     FACT = "fact"
 
 
-class SentimentLexicon:
-    def __init__(self, entries: dict[str, tuple[Polarity, SentimentCategory]]):
-        self._entries = entries
-
-    @property
-    def entries(self) -> dict[str, tuple[Polarity, SentimentCategory]]:
-        return dict(self._entries)
-
-    def lookup(self, lemma: str) -> tuple[Polarity, SentimentCategory] | None:
-        return self._entries.get(lemma.lower())
-
-
-def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
-    """Load the sentiment CSV with columns lemma, polarity, category.
+def load_sentiment_lexicon(path: str | Path) -> dict[str, tuple[Polarity, SentimentCategory]]:
+    """Load the sentiment CSV with columns lemma, polarity, category as a
+    dict of lowercased lemma -> (polarity, category).
 
     Polarity must be positive/negative and category opinion/feeling/fact;
     anything else, and duplicate lemmas, fail with the row number.
     """
     entries: dict[str, tuple[Polarity, SentimentCategory]] = {}
-    with decode_errors_as(LexiconError, path), open(path, encoding="utf-8", newline="") as fh:
+    with decode_errors_as(LexiconError, path), open(path, encoding=ENCODING, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -214,34 +203,15 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
             if lemma in entries:
                 raise LexiconError(f"{path}: row {lineno}: duplicate lemma {lemma!r}")
             entries[lemma] = (polarity, category)
-    return SentimentLexicon(entries)
+    return entries
 
 
-class WordList:
-    """A set of lemmas, optionally with an ipm value per lemma."""
-
-    def __init__(self, ipm: dict[str, float | None]):
-        self._ipm = ipm
-
-    def __contains__(self, lemma: str) -> bool:
-        return lemma.lower() in self._ipm
-
-    @property
-    def lemmas(self) -> list[str]:
-        return list(self._ipm)
-
-    def ipm_of(self, lemma: str) -> float | None:
-        return self._ipm.get(lemma.lower())
-
-
-def load_word_list(path: str | Path) -> WordList:
+def load_word_list(path: str | Path) -> dict[str, float | None]:
     """Load a word list with one lemma per line, optionally followed by a
-    tab and a finite ipm value >= 0.  Lemmas are lowercased; repeats
-    collapse."""
+    tab and a finite ipm value >= 0, as a dict of lowercased lemma -> ipm,
+    None where a line gives none; of a lemma's repeats the first wins."""
     ipm: dict[str, float | None] = {}
-    with decode_errors_as(LexiconError, path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, LexiconError).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -256,7 +226,7 @@ def load_word_list(path: str | Path) -> WordList:
             if value < 0:
                 raise LexiconError(f"{path}: row {lineno}: ipm must be >= 0, got {value}")
         ipm.setdefault(lemma, value)
-    return WordList(ipm)
+    return ipm
 
 
 _PROPN = POS_ORDER.index(Pos.PROPN)
@@ -293,8 +263,9 @@ class Lexicon:
     once rows have been read.
     """
 
-    def __init__(self, frequency: FrequencyDictionary, sentiment: SentimentLexicon,
-                 top5000: WordList, familiar: WordList):
+    def __init__(self, frequency: FrequencyDictionary,
+                 sentiment: dict[str, tuple[Polarity, SentimentCategory]],
+                 top5000: dict[str, float | None], familiar: frozenset[str]):
         self.frequency, self.sentiment = frequency, sentiment
         self.top5000, self.familiar = top5000, familiar
         # entry i is the row id of the key of the kept word row i, or -1
@@ -311,7 +282,7 @@ class Lexicon:
         averages = (self.frequency.lookup_any(lemma) for lemma in {rec.lemma for rec in records})
         values = [float(v) for rec in records for v in (rec.ipm, rec.r, rec.d, rec.doc)]
         values += [v for stats in averages for v in (stats.ipm, stats.r, stats.d, stats.doc)]
-        values += [v for v in map(self.top5000.ipm_of, self.top5000.lemmas) if v is not None]
+        values += [v for v in self.top5000.values() if v is not None]
         ratios = [v.as_integer_ratio() for v in values]
         scale = max((d for _, d in ratios), default=1)
         largest = max((abs(n) * (scale // d) for n, d in ratios), default=0)
@@ -381,14 +352,14 @@ class Lexicon:
 
     def _entry(self, key: tuple[str, int]) -> tuple[list, list[float]]:
         """The flags of a key's row, and its five values before scaling."""
-        lemma, pos = key
+        lemma, pos = key[0].lower(), key[1]
         entry = (self.frequency.lookup(lemma, POS_ORDER[pos])
                  or self.frequency.lookup_any(lemma))
         top5000 = lemma in self.top5000
-        ipm = self.top5000.ipm_of(lemma) if top5000 else None
+        ipm = self.top5000.get(lemma)
         if top5000 and ipm is None and entry is not None:
             ipm = entry.ipm
-        sentiment = self.sentiment.lookup(lemma)
+        sentiment = self.sentiment.get(lemma)
         values = [ipm or 0.0] + ([entry.ipm, entry.r, entry.d, entry.doc] if entry else [0.0] * 4)
         return ([1, pos != _PROPN and lemma not in self.familiar, top5000, ipm is not None,
                  entry is not None] + [slot == sentiment for slot in SENTIMENT_SLOTS]), values

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, ConfigError, ModelError
+from .errors import ArtifactError, ConfigError, ModelError, read_text
 
 FORMAT_VERSION = 1
 
@@ -659,9 +659,8 @@ def load_model(path: str | Path):
     """Read a model file back; fails with a clear message on parse
     errors, non-finite numbers, version mismatches and unknown kinds."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"),
-                         parse_constant=_reject_constant)
-    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a document
+        raw = json.loads(read_text(path, ArtifactError), parse_constant=_reject_constant)
+    # JSONDecodeError and a non-finite constant are ValueErrors; a document
     # nested too deeply for the parser raises RecursionError
     except (ValueError, RecursionError) as exc:
         raise ArtifactError(f"{path}: not a valid model file: {exc}")

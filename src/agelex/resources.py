@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .features import ReadabilityCoefficients
-from .lexicons import (FrequencyDictionary, Lexicon, SentimentLexicon, WordList,
+from .lexicons import (FrequencyDictionary, Lexicon, Polarity, SentimentCategory,
                        load_frequency_dict, load_sentiment_lexicon, load_word_list)
 from .text_analysis import (DictionaryMorphology, HeuristicMorphology,
                             MorphologyProvider, load_abbreviations)
@@ -47,9 +47,9 @@ class Resources:
     morphology: MorphologyProvider
     abbreviations: frozenset[str]
     frequency: FrequencyDictionary
-    sentiment: SentimentLexicon
-    top5000: WordList
-    familiar: WordList
+    sentiment: dict[str, tuple[Polarity, SentimentCategory]]
+    top5000: dict[str, float | None]
+    familiar: frozenset[str]
     stopwords: frozenset[str]
     coefficients: ReadabilityCoefficients
     lexicon: Lexicon = field(init=False, compare=False, repr=False)
@@ -81,8 +81,8 @@ class Resources:
             frequency=load_frequency_dict(resolved["frequency"]),
             sentiment=load_sentiment_lexicon(resolved["sentiment"]),
             top5000=load_word_list(resolved["top5000"]),
-            familiar=load_word_list(resolved["familiar"]),
-            stopwords=frozenset(load_word_list(resolved["stopwords"]).lemmas),
+            familiar=frozenset(load_word_list(resolved["familiar"])),
+            stopwords=frozenset(load_word_list(resolved["stopwords"])),
             coefficients=ReadabilityCoefficients.from_file(resolved["coefficients"]),
         )
 

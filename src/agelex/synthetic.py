@@ -45,7 +45,7 @@ class _Pools:
                 continue
             bucket = self.simple if rec.lemma in resources.top5000 else self.hard
             bucket[rec.pos].append(rec.lemma)
-        entries = sorted(resources.sentiment.entries.items())
+        entries = sorted(resources.sentiment.items())
         self.positive = [lemma for lemma, (pol, _cat) in entries if pol.value == "positive"]
         self.negative = [lemma for lemma, (pol, _cat) in entries if pol.value == "negative"]
         self.stopwords = sorted(resources.stopwords)

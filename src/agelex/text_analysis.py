@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LexiconError, decode_errors_as
+from .errors import LexiconError, read_text
 
 
 class Pos(Enum):
@@ -241,9 +241,7 @@ def _is_boundary(text: str, m: re.Match, abbreviations: frozenset[str], longest:
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Load the abbreviation list, one token per line, case-insensitive."""
     out = set()
-    with decode_errors_as(LexiconError, path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines:
+    for line in read_text(path, LexiconError).splitlines():
         word = line.strip().lower().rstrip(".")
         if word and not word.startswith("#"):
             out.add(word)
@@ -413,9 +411,7 @@ class DictionaryMorphology(MorphologyProvider):
         The first row for a surface wins; later duplicates are ignored.
         """
         entries: dict[str, tuple[str, Pos]] = {}
-        with decode_errors_as(LexiconError, path):
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_text(path, LexiconError).splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -8,7 +8,7 @@ from agelex.corpus import Document, Label
 from agelex.features import (ALL_FEATURE_NAMES, DEFAULT_COEFFICIENTS, FAMILY_NAMES,
                              automated_readability, coleman_liau, dale_chall, extract_all,
                              flesch_kincaid, smog_index)
-from agelex.lexicons import FrequencyDictionary, Polarity, SentimentCategory, SentimentLexicon, WordList
+from agelex.lexicons import FrequencyDictionary, Polarity, SentimentCategory
 from agelex.resources import Resources
 from agelex.text_analysis import POS, POS_ORDER, SYLLABLES, Pos, tokenize
 
@@ -53,8 +53,8 @@ def text_features(text, morphology, coefficients=DEFAULT_COEFFICIENTS, frequency
     not given is empty."""
     resources = Resources(
         morphology=morphology, abbreviations=frozenset(),
-        frequency=frequency or FrequencyDictionary([]), sentiment=sentiment or SentimentLexicon({}),
-        top5000=top5000 or WordList({}), familiar=familiar or WordList({}),
+        frequency=frequency or FrequencyDictionary([]), sentiment=sentiment or {},
+        top5000=top5000 or {}, familiar=familiar or frozenset(),
         stopwords=frozenset(), coefficients=coefficients)
     return extract_all(Document(id="d", text=text, label=Label.CHILDREN), resources)
 
@@ -86,13 +86,14 @@ def reference_lexicon_row(resources, lemma: str, pos: Pos):
     slot, the top-5000 hit, its ipm (from the list, else from the
     frequency entry) and the (ipm, r, d, doc) of the exact entry, else
     the average over the lemma's entries, each read as a float, as
-    Fractions or None."""
+    Fractions or None.  The lexicons hold lowercase lemmas."""
+    lemma = lemma.lower()
     entry = resources.frequency.lookup(lemma, pos) or resources.frequency.lookup_any(lemma)
     top5000 = lemma in resources.top5000
-    ipm = resources.top5000.ipm_of(lemma) if top5000 else None
+    ipm = resources.top5000.get(lemma)
     if top5000 and ipm is None and entry is not None:
         ipm = entry.ipm
-    return (lemma in resources.familiar, resources.sentiment.lookup(lemma), top5000,
+    return (lemma in resources.familiar, resources.sentiment.get(lemma), top5000,
             None if ipm is None else Fraction(float(ipm)),
             None if entry is None else tuple(Fraction(float(v))
                                              for v in (entry.ipm, entry.r, entry.d, entry.doc)))

@@ -16,10 +16,13 @@ import agelex.features
 import agelex.pipeline
 from agelex.cli import main
 from agelex.corpus import Corpus, Document, Label, Split, load_corpus, write_corpus
-from agelex.features import ALL_FEATURE_NAMES
+from agelex.features import ALL_FEATURE_NAMES, ReadabilityCoefficients
+from agelex.lexicons import load_frequency_dict, load_sentiment_lexicon, load_word_list
 from agelex.models import load_model, save_model, train_linear_svc
 from agelex.pipeline import Recipe, TrainSettings, train_pipeline
+from agelex.resources import BUNDLED_FILES
 from agelex.synthetic import make_corpus
+from agelex.text_analysis import DictionaryMorphology, load_abbreviations
 
 from oracles import NESTED_TOO_DEEPLY
 
@@ -245,6 +248,37 @@ def test_file_that_is_not_utf8_is_an_error(tmp_path, corpus_file, model_file, ro
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("loader", ["word list", "abbreviations", "morphology", "frequency",
+                                    "sentiment", "coefficients", "corpus", "config",
+                                    "model file", "input"])
+def test_file_may_start_with_a_byte_order_mark(tmp_path, corpus_file, model_file, loader,
+                                               capsys):
+    # as Windows editors often save UTF-8
+    config, text = tmp_path / "run.cfg", tmp_path / "text.txt"
+    config.write_text("model = rf\ntrees = 10\n", encoding="utf-8")
+    text.write_text("Мама мыла раму. Кот спит.", encoding="utf-8")
+
+    def classify(path):
+        main(["classify", "--model-file", str(model_file), "--input", str(path), "--explain"])
+        return capsys.readouterr()
+
+    plain, load = {
+        "word list": (BUNDLED_FILES["top5000"], load_word_list),
+        "abbreviations": (BUNDLED_FILES["abbreviations"], load_abbreviations),
+        "morphology": (BUNDLED_FILES["morphology"], lambda p: DictionaryMorphology.load(p)._entries),
+        "frequency": (BUNDLED_FILES["frequency"], lambda p: load_frequency_dict(p).records),
+        "sentiment": (BUNDLED_FILES["sentiment"], load_sentiment_lexicon),
+        "coefficients": (BUNDLED_FILES["coefficients"], ReadabilityCoefficients.from_file),
+        "corpus": (corpus_file, load_corpus),
+        "config": (config, agelex.cli._parse_config_file),
+        "model file": (model_file, lambda p: load_model(p).to_json_dict()),
+        "input": (text, classify),
+    }[loader]
+    bom = tmp_path / "bom"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load(bom) == load(plain)
 
 
 @pytest.mark.parametrize("route", ["corpus", "model-file", "coefficients"])

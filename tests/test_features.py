@@ -23,7 +23,7 @@ from agelex.features import (ALL_FEATURE_NAMES, FAMILY_NAMES,
 from agelex.lexicons import (D, DIFFICULT, DOC, FREQUENCY_TOKENS, IPM, R, SENTIMENT,
                              SENTIMENT_SLOTS, TOKENS, TOP5000, TOP_IPM, TOP_IPM_TOKENS,
                              FrequencyDictionary, FrequencyRecord, Lexicon, Polarity,
-                             SentimentCategory, SentimentLexicon, WordList)
+                             SentimentCategory)
 from agelex.resources import BUNDLED_FILES, Resources
 from agelex.synthetic import make_corpus
 from agelex.text_analysis import (DictionaryMorphology, Pos, analyze,
@@ -168,7 +168,7 @@ def reference_lexical_features(t, frequency, top5000):
     hits = [tok for tok in t.tokens if tok.lemma in top5000]
     freq_values = []
     for tok in hits:
-        ipm = top5000.ipm_of(tok.lemma)
+        ipm = top5000.get(tok.lemma)
         if ipm is None:
             rec = frequency.lookup(tok.lemma, tok.pos)
             stats = frequency.lookup_any(tok.lemma)
@@ -195,7 +195,7 @@ def reference_grammatical_features(t):
 def reference_sentiment_features(t, lexicon):
     counts = {(pol, cat): 0 for pol in Polarity for cat in SentimentCategory}
     for tok in t.tokens:
-        entry = lexicon.lookup(tok.lemma)
+        entry = lexicon.get(tok.lemma)
         if entry is not None:
             counts[entry] += 1
     return tuple(counts[(pol, cat)] / t.n_tokens
@@ -362,12 +362,11 @@ class TestAgainstTokenReference:
         # the values of a whole dictionary share one scale, however far
         # apart their binary exponents are
         frequency = FrequencyDictionary([FrequencyRecord(*r) for r in records])
-        top5000 = WordList(top)
         text = " ".join(words) + "."
-        fv = text_features(text, self._MORPH, frequency=frequency, top5000=top5000)
+        fv = text_features(text, self._MORPH, frequency=frequency, top5000=top)
         lexical = by_family(fv)["lexical"].values()
         ref = reference_analyze(text, self._MORPH)
-        ref_values, ref_warnings = reference_lexical_features(ref, frequency, top5000)
+        ref_values, ref_warnings = reference_lexical_features(ref, frequency, top)
         attrs = reference_dictionary_attrs(ref, frequency)
         exact = [float(sum(Fraction(a[i]) for a in attrs[b]) / len(attrs[b])) if attrs[b] else 0.0
                  for i in range(4) for b in _REF_BUCKET_ORDER]
@@ -425,9 +424,9 @@ class TestIntegerReduction:
                 FrequencyRecord("кот", Pos.VERB, 0.3, 100, 99.5, 3),
                 FrequencyRecord("пёс", Pos.NOUN, (2 ** 53 - 1) * 2.0 ** -40, 0, 2.0 ** -30, 0),
                 FrequencyRecord("дом", Pos.PROPN, 1e-9, 50, 0.0, 2 ** 60)]
-    _TOP5000 = WordList({"кот": 2.0 ** 80, "пёс": None, "дом": 3.5, "ёж": None})
-    _SENTIMENT = SentimentLexicon({"пёс": (Polarity.POSITIVE, SentimentCategory.FACT)})
-    _FAMILIAR = WordList({"дом": None})
+    _TOP5000 = {"кот": 2.0 ** 80, "пёс": None, "дом": 3.5, "ёж": None}
+    _SENTIMENT = {"пёс": (Polarity.POSITIVE, SentimentCategory.FACT)}
+    _FAMILIAR = frozenset({"дом"})
 
     def test_sums_past_three_limbs_are_exact(self):
         lexicon = Lexicon(FrequencyDictionary(self._RECORDS), self._SENTIMENT, self._TOP5000,
@@ -482,7 +481,7 @@ class TestIntegerReduction:
         texts = ["Кот котит.", "Кот кота котный пёс.", f"Дом {long} дома кот. Псу ёж!",
                  f"{long} котит. Ёж ежи ёж дом.", "Пёс, кот: котный дом… Котит", "Дома."]
         morphology = dict_morph(entries)
-        lexicon = Lexicon(FrequencyDictionary([]), SentimentLexicon({}), WordList({}), WordList({}))
+        lexicon = Lexicon(FrequencyDictionary([]), {}, {}, frozenset())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(text_analysis, "TABLE_CAP", cap)
             for text in texts + texts[::-1]:
@@ -731,14 +730,14 @@ class TestReadabilityFeatures:
     def test_difficult_words_exclude_familiar_and_proper(self):
         entries = {"маша": ("маша", "PROPN"), "видит": ("видеть", "VERB"),
                    "кота": ("кот", "NOUN")}
-        familiar = WordList({"видеть": None})
+        familiar = frozenset({"видеть"})
         fv = quantitative("Маша видит кота.", entries, familiar=familiar)["readability"]
         # one difficult token of three: share 1/3, 3 words in 1 sentence
         assert fv["index_dc"] == pytest.approx(0.1579 * (100.0 / 3.0) + 0.0496 * 3.0)
 
     def test_all_familiar_leaves_only_length_term(self):
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
-        familiar = WordList({"кот": None, "спать": None})
+        familiar = frozenset({"кот", "спать"})
         fv = quantitative("кот спит.", entries, familiar=familiar)["readability"]
         assert fv["index_dc"] == pytest.approx(0.0496 * 2.0)
 
@@ -756,7 +755,7 @@ def make_freq(rows):
 class TestLexicalFeatures:
     def test_full_top5000_coverage(self):
         entries = {"кот": ("кот", "NOUN"), "спит": ("спать", "VERB")}
-        top = WordList({"кот": 100.0, "спать": 200.0})
+        top = {"кот": 100.0, "спать": 200.0}
         fv = quantitative("кот спит.", entries, top5000=top)["lexical"]
         assert fv["5000_proc"] == 1.0
         assert fv["5000_freq"] == pytest.approx(150.0)
@@ -787,7 +786,7 @@ class TestLexicalFeatures:
     def test_top5000_without_ipm_falls_back_to_dictionary(self):
         entries = {"кот": ("кот", "NOUN")}
         freq = make_freq([("кот", Pos.NOUN, 123.0, 10, 20.0, 5)])
-        top = WordList({"кот": None})
+        top = {"кот": None}
         assert quantitative("кот.", entries, frequency=freq, top5000=top)["lexical"]["5000_freq"] == pytest.approx(123.0)
 
     def test_pos_specific_lookup_beats_average(self):
@@ -820,10 +819,10 @@ class TestGrammaticalFeatures:
 
 class TestSentimentFeatures:
     def _sentiment(self):
-        return SentimentLexicon({
+        return {
             "ужасный": (Polarity.NEGATIVE, SentimentCategory.OPINION),
             "радость": (Polarity.POSITIVE, SentimentCategory.FEELING),
-        })
+        }
 
     def test_share_of_matching_tokens(self):
         entries = {c: (c, "OTHER") for c in "абвгдежз"}
@@ -960,7 +959,7 @@ class TestExtractAll:
                                   for _ in range(rng.randint(2, 8))).capitalize() + ".")
         text = " ".join(sents)
         entries = {w: (w, "NOUN") for w in words}
-        familiar = WordList({"кот": None, "и": None})
+        familiar = frozenset({"кот", "и"})
         single = quantitative(text, entries, familiar=familiar)["readability"]
         double = quantitative(text + " " + text, entries, familiar=familiar)["readability"]
         for a, b in zip(single.values(), double.values()):

@@ -1,11 +1,16 @@
-"""Frequency dictionary, sentiment lexicon and word list loaders."""
+"""Frequency dictionary, sentiment lexicon and word list loaders, and
+the Lexicon's lookups in them."""
+from dataclasses import replace
+
 import pytest
 
+from agelex.corpus import Document, Label
 from agelex.errors import LexiconError
+from agelex.features import ALL_FEATURE_NAMES, FAMILY_NAMES, extract_all
 from agelex.lexicons import (FREQUENCY_HEADER, FrequencyRecord, Polarity,
                              SentimentCategory, load_frequency_dict,
                              load_sentiment_lexicon, load_word_list)
-from agelex.text_analysis import Pos
+from agelex.text_analysis import DictionaryMorphology, Pos
 
 HEADER = "\t".join(FREQUENCY_HEADER)
 
@@ -117,12 +122,12 @@ class TestSentimentLexicon:
         p = tmp_path / "s.csv"
         p.write_text("ужасный,negative,opinion\n", encoding="utf-8")
         lex = load_sentiment_lexicon(p)
-        assert lex.lookup("ужасный") == (Polarity.NEGATIVE, SentimentCategory.OPINION)
+        assert lex["ужасный"] == (Polarity.NEGATIVE, SentimentCategory.OPINION)
 
     def test_absent_lemma(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("ужасный,negative,opinion\n", encoding="utf-8")
-        assert load_sentiment_lexicon(p).lookup("хороший") is None
+        assert "хороший" not in load_sentiment_lexicon(p)
 
     def test_unknown_category_rejected_with_row(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -145,12 +150,12 @@ class TestSentimentLexicon:
     def test_header_row_skipped(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("lemma,polarity,category\nужасный,negative,opinion\n", encoding="utf-8")
-        assert len(load_sentiment_lexicon(p).entries) == 1
+        assert len(load_sentiment_lexicon(p)) == 1
 
     def test_loaded_values(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("Ужасный, Negative ,opinion\nдобрый,positive,FEELING\n", encoding="utf-8")
-        assert load_sentiment_lexicon(p).entries == {
+        assert load_sentiment_lexicon(p) == {
             "ужасный": (Polarity.NEGATIVE, SentimentCategory.OPINION),
             "добрый": (Polarity.POSITIVE, SentimentCategory.FEELING),
         }
@@ -161,14 +166,14 @@ class TestWordList:
         p = tmp_path / "w.txt"
         p.write_text("Кот\nпёс\n", encoding="utf-8")
         words = load_word_list(p)
-        assert "кот" in words and "КОТ" in words and "ёж" not in words
+        assert "кот" in words and "ёж" not in words
 
     def test_optional_ipm_column(self, tmp_path):
         p = tmp_path / "w.txt"
         p.write_text("кот\t120.5\nпёс\n", encoding="utf-8")
         words = load_word_list(p)
-        assert words.ipm_of("кот") == pytest.approx(120.5)
-        assert words.ipm_of("пёс") is None
+        assert words["кот"] == pytest.approx(120.5)
+        assert words["пёс"] is None
 
     def test_three_fields_rejected(self, tmp_path):
         p = tmp_path / "w.txt"
@@ -192,16 +197,29 @@ class TestWordList:
     def test_duplicates_collapse(self, tmp_path):
         p = tmp_path / "w.txt"
         p.write_text("кот\nКот\n", encoding="utf-8")
-        assert load_word_list(p).lemmas == ["кот"]
+        assert list(load_word_list(p)) == ["кот"]
 
     def test_loaded_values(self, tmp_path):
         p = tmp_path / "w.txt"
         p.write_text("# comment\nКот\t120.5\nпёс\nёж\t0\n", encoding="utf-8")
         words = load_word_list(p)
-        assert words.lemmas == ["кот", "пёс", "ёж"]
-        assert [words.ipm_of(w) for w in words.lemmas] == [120.5, None, 0.0]
+        assert list(words.items()) == [("кот", 120.5), ("пёс", None), ("ёж", 0.0)]
 
     def test_bundled_lists_nonempty(self, resources):
-        assert len(resources.top5000.lemmas) > 0
-        assert len(resources.familiar.lemmas) > 0
+        assert len(resources.top5000) > 0
+        assert len(resources.familiar) > 0
         assert len(resources.stopwords) > 0
+
+
+def test_a_providers_lemma_is_looked_up_lowercased(resources):
+    # the lexicons hold lowercase lemmas; a provider may return any case
+    entries = resources.morphology._entries
+    surfaces = sorted(entries)
+    words = ([s for s in surfaces if entries[s][0] in resources.top5000][:40]
+             + [s for s in surfaces if entries[s][0] in resources.sentiment][:10])
+    doc = Document(id="d", text=" ".join(words) + ".", label=Label.CHILDREN)
+    upper = DictionaryMorphology({s: (lemma.upper(), pos) for s, (lemma, pos) in entries.items()})
+    fv = extract_all(doc, resources)
+    assert extract_all(doc, replace(resources, morphology=upper)).values == fv.values
+    values = dict(zip(ALL_FEATURE_NAMES, fv.values))
+    assert values["5000_proc"] > 0 and sum(values[n] for n in FAMILY_NAMES["sentiment"]) > 0
